@@ -113,13 +113,16 @@ class RunConfig:
                     raise ConfigError(f"referenced field file does not exist: {path}")
 
         s = parser["solver"] if "solver" in parser else {}
-        self.solver = SystemParams(
-            p=self.p,
-            tol=_opt_float(s, "tol", 1e-8),
-            max_iters=_opt_int(s, "max_iters", 60000),
-            eps_start=_opt_float(s, "eps_start", 1e-1),
-            eps_final=_opt_float(s, "eps_final", 1e-6),
-        )
+        try:
+            self.solver = SystemParams(
+                p=self.p,
+                tol=_opt_float(s, "tol", 1e-8),
+                max_iters=_opt_int(s, "max_iters", 60000),
+                eps_start=_opt_float(s, "eps_start", 1e-1),
+                eps_final=_opt_float(s, "eps_final", 1e-6),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"bad [solver] section: {exc}") from exc
 
         v = parser["verify"] if "verify" in parser else {}
         names = [t.strip() for t in v.get("theorems", "").split(",") if t.strip()]

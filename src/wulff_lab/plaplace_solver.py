@@ -14,10 +14,12 @@ this sum, discrete integration by parts is exact: constant matrices F are
 exactly divergence-free, and ``manufacture`` inverts the system so that its
 output datum makes any u a discrete weak solution to round-off.
 
-Minimization is nonlinear conjugate-gradient descent (Polak–Ribière with
-restarts) with a backtracking line search, run through a decreasing-ε
-continuation for p ≠ 2; for p = 2 the energy is quadratic, the line search is
-exact, and the iteration reduces to linear CG on the standard 5-point scheme.
+Minimization is a damped inexact Newton method run through a decreasing-ε
+continuation (p ≠ 2).  Each Newton system uses the exact Hessian of the
+regularized energy, applied matrix-free with the same staggered stencil, and
+is solved by plain CG; an Armijo backtracking search on the energy damps the
+step.  For p = 2 the energy is quadratic and the one Newton step is linear CG
+on the standard 5-point scheme.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ __all__ = [
 class SystemParams:
     """Solver controls: exponent p > 1, regularization schedule, tolerances.
 
-    ``tol`` is the relative energy-gradient tolerance of the final stage; the
-    ε-continuation runs geometrically from ``eps_start`` down to ``eps_final``
-    (skipped entirely for p = 2, where ε only shifts the energy by a
-    constant).
+    ``tol`` is the relative energy-gradient tolerance of the final stage and
+    the bound on its weak residual; ``max_iters`` bounds the Hessian-vector
+    products (inner CG iterations) over all stages.  The ε-continuation runs
+    geometrically from ``eps_start`` down to ``eps_final`` (skipped entirely
+    for p = 2, where ε only shifts the energy by a constant).
     """
 
     p: float
@@ -64,6 +67,8 @@ class SystemParams:
             raise ValueError("need 0 < eps_final <= eps_start")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
+        if not (self.max_iters >= 1):
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
     def stages(self) -> list[float]:
         if self.p == 2.0:
@@ -149,14 +154,11 @@ def staggered_gradient(u: GridField) -> np.ndarray:
     Returns an array of shape (N, 2, c₁−1, c₂−1); entry (c, d, i, j) is the
     forward difference of component c along axis d anchored at cell (i, j).
     """
-    v = _as_components(u)
-    h1, h2 = u.geometry.spacing
-    g0 = (v[:, 1:, :] - v[:, :-1, :]) / h1
-    g1 = (v[:, :, 1:] - v[:, :, :-1]) / h2
-    return np.stack([g0[:, :, :-1], g1[:, :-1, :]], axis=1)
+    return _stag_values(_as_components(u), *u.geometry.spacing)
 
 
 def _stag_values(v: np.ndarray, h1: float, h2: float) -> np.ndarray:
+    """:func:`staggered_gradient` of raw samples of shape (N, c₁, c₂)."""
     g0 = (v[:, 1:, :] - v[:, :-1, :]) / h1
     g1 = (v[:, :, 1:] - v[:, :, :-1]) / h2
     return np.stack([g0[:, :, :-1], g1[:, :-1, :]], axis=1)
@@ -224,8 +226,7 @@ def weak_residual(u: GridField, F: GridField, p: float) -> float:
         raise ValueError(f"need p > 1, got {p}")
     N = _check_pair(u, F)
     geom = u.geometry
-    g = _stag_values(_as_components(u), *geom.spacing)
-    T = _flux(g, p) - _lattice_datum(F, N)
+    T = _flux(staggered_gradient(u), p) - _lattice_datum(F, N)
     G = _divergence_gap(T, geom)
     h1, h2 = geom.spacing
     norm = geom.cell_measure * (2.0 / h1 + 2.0 / h2)
@@ -261,105 +262,118 @@ def manufacture(u: GridField, p: float) -> GridField:
 
 def _energy_and_grad(v: np.ndarray, Fl: np.ndarray, p: float, eps: float,
                      geom: GridGeometry, ring: np.ndarray):
-    h1, h2 = geom.spacing
-    g = _stag_values(v, h1, h2)
-    mag2 = np.einsum("cdij,cdij->ij", g, g)
-    dens = (eps * eps + mag2) ** (p / 2.0) / p
+    """Energy J, gradient G (zero on the ring), g = Dv and s² = ε² + |g|²."""
+    g = _stag_values(v, *geom.spacing)
+    s2 = eps * eps + np.einsum("cdij,cdij->ij", g, g)
     J = geom.cell_measure * float(
-        dens.sum() - np.einsum("cdij,cdij->", Fl, g)
+        (s2 ** (p / 2.0)).sum() / p - np.einsum("cdij,cdij->", Fl, g)
     )
-    W = (eps * eps + mag2) ** ((p - 2.0) / 2.0)
-    T = W[np.newaxis, np.newaxis] * g - Fl
-    G = _divergence_gap(T, geom)
+    G = _divergence_gap(s2 ** ((p - 2.0) / 2.0) * g - Fl, geom)
     G[:, ring] = 0.0
-    return J, G
+    return J, G, g, s2
 
 
-def _energy_only(v, Fl, p, eps, geom):
-    g = _stag_values(v, *geom.spacing)
-    mag2 = np.einsum("cdij,cdij->ij", g, g)
-    dens = (eps * eps + mag2) ** (p / 2.0) / p
-    return geom.cell_measure * float(dens.sum() - np.einsum("cdij,cdij->", Fl, g))
+def _hessian_product(g: np.ndarray, s2: np.ndarray, p: float,
+                     geom: GridGeometry, ring: np.ndarray):
+    """d ↦ Dᵀ[W·I + (p−2)s^{p−4} g⊗g]D d, W = s^{p−2}: the exact Hessian of the
+    energy at g = Dv, matrix-free.  g⊗g contracts over components and
+    directions together, so a system's components (N > 1) stay coupled."""
+    h1, h2 = geom.spacing
+    W = s2 ** ((p - 2.0) / 2.0)
+    C = (p - 2.0) * s2 ** ((p - 4.0) / 2.0) if p != 2.0 else None
+
+    def apply(d: np.ndarray) -> np.ndarray:
+        gd = _stag_values(d, h1, h2)
+        T = W * gd
+        if C is not None:
+            T += (C * np.einsum("cdij,cdij->ij", g, gd)) * g
+        out = _divergence_gap(T, geom)
+        out[:, ring] = 0.0
+        return out
+
+    return apply
 
 
-def _quadratic_step(v, d, Fl, p, eps, geom, slope):
-    """Exact minimizing step for p = 2; frozen-coefficient model otherwise."""
-    g = _stag_values(v, *geom.spacing)
-    gd = _stag_values(d, *geom.spacing)
-    if p == 2.0:
-        curv = geom.cell_measure * float(np.einsum("cdij,cdij->", gd, gd))
-    else:
-        mag2 = np.einsum("cdij,cdij->ij", g, g)
-        W = (eps * eps + mag2) ** ((p - 2.0) / 2.0)
-        curv = geom.cell_measure * float(
-            np.einsum("ij,cdij,cdij->", W, gd, gd)
-        )
-    if curv <= 0:
-        return 1.0
-    return -slope / curv
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    # einsum's own loop: a BLAS dot spins up threads that cost more than the
+    # product at these sizes
+    return float(np.einsum("cij,cij->", a, b))
 
 
-def _minimize_stage(v, Fl, p, eps, geom, ring, gtol, budget, trace):
-    """Polak–Ribière CG with backtracking Armijo; returns iterations used."""
-    J, G = _energy_and_grad(v, Fl, p, eps, geom, ring)
+def _cg(apply, b: np.ndarray, atol: float, budget: int):
+    """Plain conjugate gradients for H x = b from x = 0, stopped once
+    ‖b − Hx‖ ≤ atol or after ``budget`` products; returns (x, products)."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    d = r.copy()
+    rr = _dot(r, r)
+    k = 0
+    while k < budget and math.sqrt(rr) > atol:
+        Hd = apply(d)
+        k += 1
+        a = rr / _dot(d, Hd)
+        x += a * d
+        r -= a * Hd
+        rr, rr_old = _dot(r, r), rr
+        d = r + (rr / rr_old) * d
+    return x, k
+
+
+def _newton_stage(v, Fl, p, eps, geom, ring, gtol, scale, budget, trace, accept):
+    """Damped inexact Newton on the ε-regularized energy, updating v in place.
+
+    Stops once ‖G‖ ≤ gtol and ``accept(v)`` hold, when the budget of
+    Hessian-vector products is spent, or when no step decreases the energy.
+    Returns (products used, Newton steps taken, ‖G‖).
+    """
+    J, G, g, s2 = _energy_and_grad(v, Fl, p, eps, geom, ring)
     trace.append(J)
-    gnorm = float(np.linalg.norm(G))
-    if gnorm <= gtol:
-        return 0, gnorm, J
-    d = -G
-    iters = 0
-    since_restart = 0
-    while iters < budget:
-        slope = float(np.sum(G * d))
-        if slope >= 0:  # lost descent: restart on steepest direction
-            d = -G
-            slope = -gnorm * gnorm
-            since_restart = 0
-        t = _quadratic_step(v, d, Fl, p, eps, geom, slope)
-        if not (t > 0) or not math.isfinite(t):
-            t = 1.0
+    gnorm = math.sqrt(_dot(G, G))
+    used = steps = 0
+    while used < budget and not (gnorm <= gtol and accept(v)):
+        # forcing term η = min(0.1, ‖G‖/scale); the p = 2 energy is quadratic,
+        # so its single Newton system is solved to the gradient tolerance
+        atol = min(0.1, gnorm / scale) * gnorm
         if p == 2.0:
-            v_new = v + t * d
-            J_new = _energy_only(v_new, Fl, p, eps, geom)
+            atol = min(atol, gtol)
+        s, k = _cg(_hessian_product(g, s2, p, geom, ring), -G, atol, budget - used)
+        used += k
+        slope = _dot(G, s)
+        if not slope < 0:
+            break
+        t = 1.0
+        for _ in range(40):
+            trial_v = v + t * s
+            trial = _energy_and_grad(trial_v, Fl, p, eps, geom, ring)
+            trial_norm = math.sqrt(_dot(trial[1], trial[1]))
+            # near the minimizer energy decreases fall below round-off, so a
+            # full step that halves ‖G‖ is accepted on the gradient alone
+            if (trial[0] <= J + 1e-4 * t * slope
+                    or (t == 1.0 and trial_norm <= 0.5 * gnorm)):
+                break
+            t *= 0.5
         else:
-            J_new = math.inf
-            for _ in range(60):
-                v_new = v + t * d
-                J_new = _energy_only(v_new, Fl, p, eps, geom)
-                if J_new <= J + 1e-4 * t * slope:
-                    break
-                t *= 0.5
-            else:
-                # line search failed; gradient is numerically flat
-                return iters, gnorm, J
-        v[...] = v_new
-        iters += 1
-        since_restart += 1
-        J_prev, G_prev, gnorm_prev = J, G, gnorm
-        J, G = _energy_and_grad(v, Fl, p, eps, geom, ring)
+            break  # numerically stationary: no step decreases the energy
+        if gnorm <= gtol and not trial_norm <= 0.5 * gnorm:
+            break  # past the tolerance, ‖G‖ sits at its round-off floor
+        v[...] = trial_v
+        J, G, g, s2 = trial
+        gnorm = trial_norm
+        steps += 1
         trace.append(J)
-        gnorm = float(np.linalg.norm(G))
-        if gnorm <= gtol:
-            return iters, gnorm, J
-        beta = float(np.sum(G * (G - G_prev))) / (gnorm_prev * gnorm_prev)
-        beta = max(0.0, beta)
-        if since_restart >= v.size or beta == 0.0:
-            d = -G
-            since_restart = 0
-        else:
-            d = -G + beta * d
-    return iters, gnorm, J
+    return used, steps, gnorm
 
 
 def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
     """Minimize the regularized energy over interior samples.
 
-    The boundary ring carries the Dirichlet data exactly throughout.  The
-    ε-continuation tightens geometrically; after the final stage the weak
-    residual against the unregularized flux is measured and, if above
-    ``params.tol`` with budget remaining, ε and the gradient tolerance are
-    tightened further.  Raises :class:`NonConvergence` if the budget runs out
-    above tolerance.
+    The boundary ring carries the Dirichlet data exactly throughout.  Each
+    ε-stage runs damped Newton until the gradient falls below max(1e-5,
+    ``tol``) relative to the initial one; the final stage runs until it falls
+    below ``tol`` and the weak residual (unregularized flux) is at most
+    ``tol``.  ``iterations`` counts Hessian-vector products, the budget of
+    ``max_iters``.  Raises :class:`NonConvergence` if the residual ends above
+    tolerance.
     """
     geom = problem.geometry
     if min(geom.cells) < 16:
@@ -367,6 +381,7 @@ def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
             f"solver needs at least 16 cells per axis, got {geom.cells}"
         )
     N = problem.N
+    p = params.p
     Fl = _lattice_datum(problem.F, N)
     ring = np.zeros(geom.cells, dtype=bool)
     ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
@@ -376,49 +391,34 @@ def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
     for c in range(N):
         v[c][interior] = problem.g[c][ring].mean()
 
+    kind = "scalar" if N == 1 else "vector"
     stages = params.stages()
     budget = params.max_iters
     used = 0
     trace: list[float] = []
     log: list[dict] = []
 
-    _, G0 = _energy_and_grad(v, Fl, params.p, stages[0], geom, ring)
-    scale = float(np.linalg.norm(G0))
-    if scale == 0.0:
-        scale = 1.0
+    _, G0, _, _ = _energy_and_grad(v, Fl, p, stages[0], geom, ring)
+    scale = math.sqrt(_dot(G0, G0)) or 1.0
 
-    gnorm = 0.0
     for k, eps in enumerate(stages):
-        rel = params.tol if k == len(stages) - 1 else max(params.tol, 1e-5)
-        it, gnorm, J = _minimize_stage(
-            v, Fl, params.p, eps, geom, ring, rel * scale, budget - used, trace
+        last = k == len(stages) - 1
+        rel = params.tol if last else max(params.tol, 1e-5)
+        # GridField freezes the array it wraps, so the gate checks a copy
+        it, steps, gnorm = _newton_stage(
+            v, Fl, p, eps, geom, ring, rel * scale, scale, budget - used, trace,
+            lambda w: not last or weak_residual(
+                GridField(geom, w.copy(), kind, codomain=N), problem.F, p
+            ) <= params.tol,
         )
         used += it
-        log.append({"eps": eps, "iterations": it, "grad_norm": gnorm})
+        log.append({"eps": eps, "iterations": it, "newton_steps": steps,
+                    "grad_norm": gnorm})
         if used >= budget:
             break
 
-    def _result(u_field):
-        return weak_residual(u_field, problem.F, params.p)
-
-    kind = "scalar" if N == 1 else "vector"
-    u = GridField(geom, v.copy(), kind, codomain=N)
-    res = _result(u)
-    eps = stages[-1]
-    rel = params.tol
-    rounds = 0
-    while res > params.tol and used < budget and rounds < 4:
-        eps = 0.0 if params.p == 2.0 else max(eps / 10.0, 1e-12)
-        rel = max(rel / 10.0, 1e-15)
-        it, gnorm, J = _minimize_stage(
-            v, Fl, params.p, eps, geom, ring, rel * scale, budget - used, trace
-        )
-        used += it
-        log.append({"eps": eps, "iterations": it, "grad_norm": gnorm})
-        u = GridField(geom, v.copy(), kind, codomain=N)
-        res = _result(u)
-        rounds += 1
-
+    u = GridField(geom, v, kind, codomain=N)
+    res = weak_residual(u, problem.F, p)
     if res > params.tol:
         raise NonConvergence(
             f"residual {res:.3e} above tolerance {params.tol:.1e} "

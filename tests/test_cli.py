@@ -209,6 +209,20 @@ def test_solve_roundtrip(tmp_path, capsys):
     assert (out / "u.svg").exists()
 
 
+@pytest.mark.parametrize("option, name", [
+    ("eps_start = 1e-6\neps_final = 1e-3", "eps_final"),
+    ("tol = 0", "tol"),
+    ("max_iters = -5", "max_iters"),
+], ids=["eps_final", "tol", "max_iters"])
+def test_solve_rejects_bad_solver_values(tmp_path, capsys, option, name):
+    cfg = write_config(tmp_path / "solve.ini",
+                       SOLVE_CONFIG.replace("tol = 1e-10", option))
+    assert main(["solve", cfg, "--out", str(tmp_path / "sol")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad [solver] section") and name in err
+    assert not (tmp_path / "sol").exists()
+
+
 # ---------------------------------------------------------------------------
 # norm and potential commands
 

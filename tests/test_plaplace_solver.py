@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.sparse import lil_matrix
@@ -8,6 +10,8 @@ from wulff_lab.field_grid import GridField, GridGeometry
 from wulff_lab.plaplace_solver import (
     DirichletProblem,
     SystemParams,
+    _energy_and_grad,
+    _hessian_product,
     manufacture,
     solve,
     staggered_gradient,
@@ -202,3 +206,35 @@ def test_vector_system_components_decouple_for_p2():
     res1 = solve(DirichletProblem(F_scalar, u_b), SystemParams(p=2.0, tol=1e-12))
     assert np.abs(res2.u.values[0] - res1.u.values[0]).max() < 1e-8
     assert np.abs(res2.u.values[1] - 0.5 * res1.u.values[0]).max() < 1e-8
+
+
+def test_degenerate_p3_zero_boundary_at_default_tol():
+    # grad u vanishes at the centre of the square, where the p = 3 flux
+    # degenerates; the solve must still meet the default tolerance quickly
+    geom = unit_grid(64)
+    F = manufacture(trig_field(geom), 3.0)
+    start = time.perf_counter()
+    result = solve(DirichletProblem(F, 0.0), SystemParams(p=3.0))
+    assert time.perf_counter() - start < 10.0
+    assert weak_residual(result.u, F, 3.0) <= 1e-8
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_hessian_product_matches_gradient_difference(p, N):
+    geom = unit_grid(16)
+    ring = np.zeros(geom.cells, dtype=bool)
+    ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
+    rng = np.random.default_rng([N, int(10 * p)])
+    v = rng.standard_normal((N, 16, 16))
+    d = rng.standard_normal((N, 16, 16))
+    d[:, ring] = 0.0
+    Fl = rng.standard_normal((N, 2, 15, 15))
+    eps = 0.0 if p == 2.0 else 0.1
+    _, _, g, s2 = _energy_and_grad(v, Fl, p, eps, geom, ring)
+    Hd = _hessian_product(g, s2, p, geom, ring)(d)
+    tau = 1e-5
+    G_plus = _energy_and_grad(v + tau * d, Fl, p, eps, geom, ring)[1]
+    G_minus = _energy_and_grad(v - tau * d, Fl, p, eps, geom, ring)[1]
+    fd = (G_plus - G_minus) / (2 * tau)
+    assert np.linalg.norm(Hd - fd) <= 1e-6 * np.linalg.norm(Hd)
