@@ -23,7 +23,7 @@ import numpy as np
 
 from . import inequality_lab as iq
 from .errors import ConfigError, WulffLabError
-from .field_grid import GridField, GridGeometry, read_field, value_at, write_field
+from .field_grid import GridField, GridGeometry, encode_field, read_field, value_at
 from .function_spaces import (
     LorentzParams,
     campanato_seminorm,
@@ -136,8 +136,6 @@ class RunConfig:
                     **(dict(parser[f"verify.{name}"]) if f"verify.{name}" in parser else {})})
             for name in names
         ]
-        for name, opts in self.theorems:
-            THEOREMS[name].validate(self, opts)
 
         o = parser["output"] if "output" in parser else {}
         self.out_dir = o.get("dir", "out")
@@ -246,15 +244,10 @@ def _load_pair(cfg: RunConfig) -> tuple[GridField, GridField]:
 
 
 class Theorem:
-    def __init__(self, ident: str, summary: str, runner, validate=None):
+    def __init__(self, ident: str, summary: str, runner):
         self.ident = ident
         self.summary = summary
         self.runner = runner
-        self._validate = validate
-
-    def validate(self, cfg: RunConfig, opts: dict) -> None:
-        if self._validate is not None:
-            self._validate(cfg, opts)
 
     def run(self, cfg: RunConfig, opts: dict, seed: int, threads):
         return self.runner(cfg, opts, seed, threads)
@@ -606,18 +599,7 @@ def render_heatmap(f: GridField, path: str) -> None:
 
 
 def _write_field_atomic(f: GridField, path: str) -> None:
-    # write_field expects a path; round-trip through a temp name in-dir
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-wulff-")
-    os.close(fd)
-    try:
-        write_field(f, tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _atomic_write(path, encode_field(f))
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,17 @@ Fields live on an axis-aligned box Ω partitioned into a uniform lattice of
 cells; every sample sits at a cell center.  The module provides the three
 primitives the rest of the library is built from:
 
-* averages ⨍_B f over metric balls B ⊆ Ω, by the cell-center inclusion
-  rule (a cell belongs to B iff its center does),
+* averages ⨍_B f over metric balls B ⊆ Ω,
 * mean oscillations (⨍_B |f − ⟨f⟩_B|^q)^{1/q} with the Euclidean magnitude
   taken across field components,
 * a co-located finite-difference gradient (centered in the interior,
   second-order one-sided at the boundary).
+
+This module alone decides which cells a ball holds, by one rule: a cell
+belongs to B_r(x) iff the squared distance d² from x to its center satisfies
+d² ≤ r² (``_ball_box``).  :func:`ball_cells` applies it to one ball;
+:func:`nested_balls` applies it to many concentric balls at once, sorting
+the samples of the largest ball by d² so that every smaller ball is a prefix.
 
 Balls are hard-rejected unless they fit inside Ω — the averaging operators
 never see extension artifacts.  Fields are immutable after construction and
@@ -39,11 +44,15 @@ __all__ = [
     "GridGeometry",
     "GridField",
     "Ball",
+    "NestedBalls",
+    "max_admissible_radius",
     "ball_average",
     "ball_oscillation",
     "ball_cells",
+    "nested_balls",
     "gradient",
     "value_at",
+    "encode_field",
     "read_field",
     "write_field",
 ]
@@ -224,6 +233,13 @@ class GridField:
 # ball calculus
 
 
+def max_admissible_radius(geom: GridGeometry, x: Sequence[float]) -> float:
+    """Largest radius r with B_r(x) contained in the domain box."""
+    lo = min(x[d] - geom.origin[d] for d in range(geom.dim))
+    hi = min(geom.origin[d] + geom.extent[d] - x[d] for d in range(geom.dim))
+    return min(lo, hi)
+
+
 def _check_ball(geom: GridGeometry, ball: Ball) -> None:
     if len(ball.center) != geom.dim:
         raise DimensionMismatch(
@@ -239,14 +255,9 @@ def _check_ball(geom: GridGeometry, ball: Ball) -> None:
         )
 
 
-def ball_cells(geom: GridGeometry, ball: Ball) -> tuple[tuple[slice, ...], np.ndarray]:
-    """Bounding-box slices and an inclusion mask for the cells of a ball.
-
-    A cell belongs to the ball iff its center lies within ``ball.radius`` of
-    ``ball.center``.  Only cells in the per-axis bounding box are touched, so
-    the cost is proportional to the ball volume.
-    """
-    _check_ball(geom, ball)
+def _ball_box(geom: GridGeometry, ball: Ball):
+    """Bounding-box slices of ``ball``, the squared distances d² from its
+    center to the cell centers in the box, and the inclusion mask d² ≤ r²."""
     slices = []
     for d in range(geom.dim):
         h = geom.spacing[d]
@@ -260,12 +271,30 @@ def ball_cells(geom: GridGeometry, ball: Ball) -> tuple[tuple[slice, ...], np.nd
         shape = [1] * geom.dim
         shape[d] = ax.size
         dist2 = dist2 + (ax.reshape(shape)) ** 2
-    mask = dist2 <= ball.radius**2
+    return slices, dist2, dist2 <= ball.radius**2
+
+
+def ball_cells(geom: GridGeometry, ball: Ball) -> tuple[tuple[slice, ...], np.ndarray]:
+    """Bounding-box slices and an inclusion mask for the cells of a ball."""
+    _check_ball(geom, ball)
+    slices, _, mask = _ball_box(geom, ball)
     if not mask.any():
         raise BallBelowResolution(
             f"ball B_{ball.radius:g}({ball.center}) contains no cell centers"
         )
     return slices, mask
+
+
+def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float) -> float:
+    """(⨍|v − mean|^q)^{1/q} over the sample columns of ``vals`` (ncomp, k),
+    with the deviation magnitude Euclidean across components."""
+    if not (q >= 1.0):
+        raise ValueError(f"oscillation exponent must satisfy q >= 1, got {q}")
+    dev = vals - mean[:, None]
+    mag = np.sqrt(np.einsum("ck,ck->k", dev, dev))
+    if q == 1.0:
+        return float(mag.mean())
+    return float((mag**q).mean() ** (1.0 / q))
 
 
 def ball_average(f: GridField, ball: Ball) -> np.ndarray:
@@ -285,15 +314,50 @@ def ball_oscillation(f: GridField, ball: Ball, q: float = 1.0) -> float:
     The deviation magnitude is Euclidean across components, so vector and
     matrix fields oscillate as a whole rather than componentwise.
     """
-    if not (q >= 1.0):
-        raise ValueError(f"oscillation exponent must satisfy q >= 1, got {q}")
     slices, mask = ball_cells(f.geometry, ball)
     box = f.values[(slice(None),) + slices][:, mask]
-    dev = box - box.mean(axis=1, keepdims=True)
-    mag = np.sqrt(np.einsum("ck,ck->k", dev, dev))
-    if q == 1.0:
-        return float(mag.mean())
-    return float((mag**q).mean() ** (1.0 / q))
+    return _oscillation(box, box.mean(axis=1), q)
+
+
+@dataclass(frozen=True)
+class NestedBalls:
+    """A field's samples on concentric balls B_r(x): ``values`` (ncomp, K)
+    holds the samples of the largest ball stable-sorted by d², so the cells
+    of B_{radii[i]}(x) are the first ``counts[i]`` columns."""
+
+    values: np.ndarray
+    counts: np.ndarray
+
+    def means(self) -> np.ndarray:
+        """Per-component means ⨍_{B_r} f, shape (ncomp, number of radii)."""
+        return np.cumsum(self.values, axis=1)[:, self.counts - 1] / self.counts
+
+    def oscillations(self, q: float = 1.0) -> np.ndarray:
+        """q-mean oscillations (⨍_{B_r}|f − ⟨f⟩_{B_r}|^q)^{1/q}, one per radius."""
+        means = self.means()
+        return np.array([_oscillation(self.values[:, :k], means[:, i], q)
+                         for i, k in enumerate(self.counts)])
+
+
+def nested_balls(f: GridField, x: Sequence[float], radii: Sequence[float]) -> NestedBalls:
+    """Samples of ``f`` on the balls B_r(x), r in ``radii`` (any order).
+
+    Every radius passes the checks of :func:`ball_cells`, and a right-sided
+    search in the sorted d² counts the cells with d² ≤ r², so ``counts[i]``
+    equals the mask sum of ``ball_cells`` for B_{radii[i]}(x), ties included.
+    """
+    geom = f.geometry
+    balls = [Ball(tuple(x), float(r)) for r in radii]
+    for ball in balls:
+        _check_ball(geom, ball)
+    slices, dist2, mask = _ball_box(geom, max(balls, key=lambda b: b.radius))
+    inner = dist2[mask]
+    order = np.argsort(inner, kind="stable")
+    values = f.values[(slice(None),) + slices][:, mask][:, order]
+    counts = np.searchsorted(inner[order], [b.radius**2 for b in balls], side="right")
+    if counts.min() == 0:
+        raise BallBelowResolution(f"a ball around {tuple(x)} contains no cell centers")
+    return NestedBalls(values, counts)
 
 
 def value_at(f: GridField, x: Sequence[float]) -> np.ndarray:
@@ -342,8 +406,8 @@ def gradient(f: GridField) -> GridField:
 _MAGIC = "WLF1"
 
 
-def write_field(f: GridField, path) -> None:
-    """Write a field in the WLF1 format (text header + float64 LE payload)."""
+def encode_field(f: GridField) -> bytes:
+    """A field in the WLF1 format (text header + float64 LE payload)."""
     geom = f.geometry
     header = (
         f"{_MAGIC}\n"
@@ -353,10 +417,14 @@ def write_field(f: GridField, path) -> None:
         f"origin={','.join(repr(o) for o in geom.origin)}\n"
         f"\n"
     )
-    payload = np.ascontiguousarray(f.values, dtype="<f8").tobytes()
+    # concatenating the array's buffer copies the payload once, not twice
+    return header.encode("ascii") + np.ascontiguousarray(f.values, dtype="<f8").data
+
+
+def write_field(f: GridField, path) -> None:
+    """Write a field to ``path`` in the WLF1 format."""
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(payload)
+        fh.write(encode_field(f))
 
 
 def _header_fail(msg: str):

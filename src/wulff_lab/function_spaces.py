@@ -36,7 +36,7 @@ from .errors import (
     QuadratureFailure,
     SearchRangeExhausted,
 )
-from .field_grid import Ball, GridField, ball_cells, ball_oscillation
+from .field_grid import Ball, GridField, ball_cells, ball_oscillation, max_admissible_radius
 
 __all__ = [
     "Rearrangement",
@@ -788,11 +788,7 @@ def _sample_balls(geom, stride: int = 4):
     for idx in product(*idx_ranges):
         center = tuple(float(mesh[d][tuple(idx) if geom.dim > 1 else idx])
                        for d in range(geom.dim))
-        room = min(
-            min(center[d] - geom.origin[d],
-                geom.origin[d] + geom.extent[d] - center[d])
-            for d in range(geom.dim)
-        )
+        room = max_admissible_radius(geom, center)
         r = 2.0 * h
         while r <= room * (1 + 1e-12):
             out.append(Ball(center, r))

@@ -42,10 +42,12 @@ from .field_grid import (
     Ball,
     GridField,
     GridGeometry,
+    NestedBalls,
     ball_average,
     ball_cells,
     ball_oscillation,
     gradient,
+    nested_balls,
     value_at,
 )
 from .function_spaces import (
@@ -295,10 +297,6 @@ def _ball_qmean(mag: GridField, ball: Ball, q: float) -> float:
     return float(np.mean(chunk**q) ** (1.0 / q))
 
 
-def _abs_field(f: GridField) -> GridField:
-    return f.magnitude()
-
-
 def _power_field(f: GridField, power: float) -> GridField:
     mag = f.magnitude()
     return mag.with_values(mag.values**power)
@@ -323,7 +321,7 @@ def verify_pointwise(u: GridField, F: GridField, p: float, R: float,
     res = _gate_pair(u, F, p, residual_tol)
     pp = p / (p - 1.0)
     data = _power_field(F, pp)
-    absu = _abs_field(u)
+    absu = u.magnitude()
     params = PotentialParams(p / (p + 1.0), p + 1.0, R)
     samples = []
     for x in points:
@@ -356,7 +354,7 @@ def verify_pointwise_osc(u: GridField, F: GridField, p: float, R: float,
     res = _gate_pair(u, F, p, residual_tol)
     pp = p / (p - 1.0)
     data = _power_field(F, pp)
-    absu = _abs_field(u)
+    absu = u.magnitude()
     params = PotentialParams(p / (p + 1.0), p + 1.0, R)
     factor = 2.0 ** (1.0 / (p - 1.0))
     samples = []
@@ -415,17 +413,19 @@ def verify_oscillation(u: GridField, F: GridField, p: float,
         )
     pp = p / (p - 1.0)
     grad_mean = float(
-        ball_average(_abs_field(gradient(u)), Ball(tuple(x), R))[0]
+        ball_average(gradient(u).magnitude(), Ball(tuple(x), R))[0]
     )
 
+    # one distance-ordered view of F serves the quadratures of every scale
+    quads = [RadialQuadrature.log_spaced(r, R, nodes) if r < R * (1 - 1e-12) else None
+             for r in radii]
+    rhos = [rho for quad in quads if quad is not None for rho in quad.radii]
+    oscs = iter(nested_balls(F, x, rhos).oscillations(pp) if rhos else ())
     samples = []
-    for r in radii:
+    for r, quad in zip(radii, quads):
         lhs = ball_oscillation(u, Ball(tuple(x), r), 1.0)
-        if r < R * (1 - 1e-12):
-            quad = RadialQuadrature.log_spaced(r, R, nodes)
-            acc = 0.0
-            for rho, w in zip(quad.radii, quad.weights):
-                acc += w * ball_oscillation(F, Ball(tuple(x), float(rho)), pp)
+        if quad is not None:
+            acc = sum(w * next(oscs) for w in quad.weights)
             k_term = acc ** (1.0 / (p - 1.0))
         else:
             k_term = 0.0
@@ -444,25 +444,6 @@ def verify_oscillation(u: GridField, F: GridField, p: float,
 # telescoping lemma (explicit constants)
 
 
-_DIST_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _sorted_distances(geom: GridGeometry, x: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Cell indices sorted by distance to x, with the sorted distances."""
-    key = (geom, x)
-    if key not in _DIST_CACHE:
-        mesh = geom.center_mesh()
-        d2 = np.zeros(geom.cells)
-        for d in range(geom.dim):
-            d2 = d2 + (mesh[d] - x[d]) ** 2
-        flat = np.sqrt(d2).ravel()
-        order = np.argsort(flat, kind="stable")
-        if len(_DIST_CACHE) >= 8:
-            _DIST_CACHE.pop(next(iter(_DIST_CACHE)))
-        _DIST_CACHE[key] = (order, flat[order])
-    return _DIST_CACHE[key]
-
-
 def verify_telescope(f: GridField, x: Sequence[float], r: float, R: float, *,
                      allowance: float = 0.10,
                      nodes: int | None = None) -> VerificationReport:
@@ -472,9 +453,9 @@ def verify_telescope(f: GridField, x: Sequence[float], r: float, R: float, *,
         |⟨|f|⟩_{B_r} − ⟨|f|⟩_{B_R}| ≤ 2^{2n+3} ∫_r^R (same integrand) dρ/ρ.
 
     These are the only absolute-constant checks in the library: pass requires
-    both to hold after the ``allowance`` for ball-quadrature bias.  Ball means
-    at the quadrature radii come from a per-(grid, center) sorted-distance
-    table, so repeated calls over field families stay cheap.
+    both to hold after the ``allowance`` for ball-quadrature bias.  Every
+    ball mean comes from one distance-ordered view of B_R(x)
+    (:func:`nested_balls`), with the inclusion rule of :func:`ball_cells`.
     """
     geom = f.geometry
     n = geom.dim
@@ -484,40 +465,20 @@ def verify_telescope(f: GridField, x: Sequence[float], r: float, R: float, *,
         raise BallBelowResolution(f"r = {r:g} is below 2h = {r_min:g}")
     if not (r <= R):
         raise BallOutsideDomain(f"need r <= R, got r={r:g} > R={R:g}")
-    if not geom.contains_ball(Ball(x, R)):
-        raise BallOutsideDomain(f"B_{R:g}({x}) is not contained in the domain")
 
-    order, dist = _sorted_distances(geom, x)
-    vals = f.values.reshape(f.ncomp, -1)[:, order]
-    cum = np.cumsum(vals, axis=1)
-    mags = np.sqrt(np.einsum("ck,ck->k", vals, vals))
-    cum_abs = np.cumsum(mags)
-
-    def count(rho: float) -> int:
-        return int(np.searchsorted(dist, rho, side="right"))
-
-    def mean_vec(rho: float) -> np.ndarray:
-        k = count(rho)
-        return cum[:, k - 1] / k
-
-    def mean_abs(rho: float) -> float:
-        k = count(rho)
-        return float(cum_abs[k - 1] / k)
-
-    def osc(rho: float) -> float:
-        k = count(rho)
-        dev = vals[:, :k] - (cum[:, k - 1] / k)[:, None]
-        return float(np.sqrt(np.einsum("ck,ck->k", dev, dev)).mean())
-
-    if r < R * (1 - 1e-12):
-        quad = RadialQuadrature.log_spaced(r, R, nodes)
-        integral = float(sum(w * osc(float(rho))
-                             for rho, w in zip(quad.radii, quad.weights)))
+    quad = RadialQuadrature.log_spaced(r, R, nodes) if r < R * (1 - 1e-12) else None
+    balls = nested_balls(f, x, [r, R, *(quad.radii if quad is not None else ())])
+    means = balls.means()
+    mags = np.sqrt(np.einsum("ck,ck->k", balls.values, balls.values))
+    mean_abs = NestedBalls(mags[np.newaxis], balls.counts).means()[0]
+    if quad is not None:
+        osc = balls.oscillations(1.0)[2:]
+        integral = float(sum(w * o for w, o in zip(quad.weights, osc)))
     else:
         integral = 0.0
 
-    lhs1 = float(np.linalg.norm(mean_vec(r) - mean_vec(R)))
-    lhs2 = abs(mean_abs(r) - mean_abs(R))
+    lhs1 = float(np.linalg.norm(means[:, 0] - means[:, 1]))
+    lhs2 = abs(mean_abs[0] - mean_abs[1])
     c1 = 2.0 ** (2 * n + 2)
     c2 = 2.0 ** (2 * n + 3)
     samples = [
@@ -828,8 +789,8 @@ def verify_energy_inequalities(u: GridField, F: GridField, p: float,
     if not (q > 1):
         raise ParameterRangeViolation(f"interpolation exponent needs q > 1, got {q}")
 
-    grad_mag = _abs_field(gradient(u))
-    absu = _abs_field(u)
+    grad_mag = gradient(u).magnitude()
+    absu = u.magnitude()
     pp = p / (p - 1.0)
     f_term = ball_oscillation(F, outer, pp) ** (pp / p)
 

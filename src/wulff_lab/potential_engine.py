@@ -20,6 +20,12 @@ the composed potential V_{α,s} f = I_α((I_α f)^{1/(s−1)}) for αs < n, and 
 mean-oscillation potential ∫₀^R (⨍_{B_ρ}|F − ⟨F⟩_{B_ρ}|^{p'})^{1/p} dρ used by
 the pointwise estimates for divergence-form data.
 
+The pointwise Wulff and oscillation potentials read every ball mean from one
+distance-ordered view of the largest ball (:func:`field_grid.nested_balls`):
+the cells of B_r(x) are the prefix of the samples sorted by squared distance
+to x, so each quadrature radius sums a prefix, with the inclusion rule of
+:func:`field_grid.ball_cells`.
+
 All pointwise evaluations are literal sums over cells; the full-grid Riesz
 map computes the same sums for every center at once via an FFT convolution
 with the exact kernel offset table (identical values up to round-off, checked
@@ -37,7 +43,7 @@ import numpy as np
 from scipy.signal import fftconvolve
 
 from .errors import AlphaOutOfRange, BallBelowResolution, NonNegativityViolation
-from .field_grid import Ball, GridField, GridGeometry, ball_average, ball_oscillation
+from .field_grid import GridField, GridGeometry, max_admissible_radius, nested_balls
 
 __all__ = [
     "PotentialParams",
@@ -103,13 +109,6 @@ class RadialQuadrature:
         return cls(radii, weights, float(r_min), float(R))
 
 
-def max_admissible_radius(geom: GridGeometry, x: Sequence[float]) -> float:
-    """Largest radius r with B_r(x) contained in the domain box."""
-    lo = min(x[d] - geom.origin[d] for d in range(geom.dim))
-    hi = min(geom.origin[d] + geom.extent[d] - x[d] for d in range(geom.dim))
-    return min(lo, hi)
-
-
 def _require_scalar_nonneg(f: GridField, what: str) -> None:
     if f.kind != "scalar":
         raise NonNegativityViolation(f"{what} takes a scalar field, got {f.kind!r}")
@@ -138,12 +137,9 @@ def wulff_potential(f: GridField, params: PotentialParams, x: Sequence[float],
     a, s = params.alpha, params.s
     beta = a * s / (s - 1.0)
 
-    avg_min = ball_average(f, Ball(tuple(x), r_min))[0]
-    head = avg_min ** (1.0 / (s - 1.0)) * r_min**beta / beta
-    tail = 0.0
-    for r, w in zip(quad.radii, quad.weights):
-        avg = ball_average(f, Ball(tuple(x), float(r)))[0]
-        tail += w * (r**(a * s) * avg) ** (1.0 / (s - 1.0))
+    avg = nested_balls(f, x, [r_min, *quad.radii]).means()[0]
+    head = avg[0] ** (1.0 / (s - 1.0)) * r_min**beta / beta
+    tail = quad.weights @ (quad.radii**(a * s) * avg[1:]) ** (1.0 / (s - 1.0))
     return float(head + tail)
 
 
@@ -163,16 +159,10 @@ def oscillation_potential(F: GridField, p: float, R: float, x: Sequence[float],
     r_min = 2.0 * max(geom.spacing)
     quad = RadialQuadrature.log_spaced(r_min, R, nodes)
     pp = p / (p - 1.0)
-
-    def integrand(rho: float) -> float:
-        osc = ball_oscillation(F, Ball(tuple(x), rho), pp)
-        return osc ** (pp / p)
-
-    head = integrand(r_min) * r_min
-    tail = 0.0
-    for r, w in zip(quad.radii, quad.weights):
-        # dρ = ρ · dρ/ρ converts the log-midpoint weights to the flat measure
-        tail += w * float(r) * integrand(float(r))
+    integrand = nested_balls(F, x, [r_min, *quad.radii]).oscillations(pp) ** (pp / p)
+    head = integrand[0] * r_min
+    # dρ = ρ · dρ/ρ converts the log-midpoint weights to the flat measure
+    tail = quad.weights @ (quad.radii * integrand[1:])
     return float(head + tail)
 
 

@@ -18,7 +18,10 @@ from wulff_lab.field_grid import (
     ball_average,
     ball_cells,
     ball_oscillation,
+    encode_field,
     gradient,
+    max_admissible_radius,
+    nested_balls,
     read_field,
     value_at,
     write_field,
@@ -156,6 +159,76 @@ def test_ball_cells_mask_matches_distance():
     assert inside.max() <= 0.2 * (1 + 1e-12)
 
 
+def _nested_counts_match_ball_cells(geom, wulff_stride=1):
+    """Compare ``nested_balls`` counts with ``ball_cells`` mask sums at every
+    admissible cell center, for r in {2h, 5h, 2|spacing|}, and for the
+    default Wulff quadrature radii at every ``wulff_stride``-th center per
+    axis.  Returns the number of balls compared."""
+    from wulff_lab.potential_engine import RadialQuadrature
+
+    h = max(geom.spacing)
+    fixed = [2.0 * h, 5.0 * h, 2.0 * math.hypot(*geom.spacing)]
+    f = GridField.constant(geom, 0.0)
+    mesh = geom.center_mesh()
+    compared = 0
+    for idx in np.ndindex(geom.cells):
+        x = tuple(float(m[idx]) for m in mesh)
+        radii = [r for r in fixed if geom.contains_ball(Ball(x, r))]
+        R = max_admissible_radius(geom, x)
+        if all(i % wulff_stride == 0 for i in idx) and R > 2.0 * h:
+            radii += [float(r) for r in RadialQuadrature.log_spaced(2.0 * h, R).radii]
+        if not radii:
+            continue
+        counts = nested_balls(f, x, radii).counts
+        expected = [int(ball_cells(geom, Ball(x, r))[1].sum()) for r in radii]
+        assert counts.tolist() == expected, (x, radii)
+        compared += len(radii)
+    return compared
+
+
+@pytest.mark.parametrize("geom", [
+    GridGeometry((12, 12), (1.0, 1.0), (0.0, 0.0)),
+    GridGeometry((16, 16), (2.0, 2.0), (-1.0, -1.0)),
+    GridGeometry((10, 16), (1.0, 0.7), (0.0, 0.0)),
+    GridGeometry((20, 9), (0.6, 0.5), (0.1, -0.3)),
+])
+def test_nested_ball_counts_equal_ball_cells_on_small_grids(geom):
+    assert _nested_counts_match_ball_cells(geom) > 0
+
+
+def test_nested_ball_counts_equal_ball_cells_on_anisotropic_128():
+    # on this grid the former sqrt-distance rule disagreed with ball_cells at
+    # 118 of the 13 216 admissible centers for r = 5h
+    geom = GridGeometry((128, 128), (1.0, 0.6), (0.0, 0.0))
+    assert _nested_counts_match_ball_cells(geom, wulff_stride=9) > 40000
+
+
+def test_nested_balls_prefixes_match_single_balls():
+    geom = GridGeometry((40, 30), (1.0, 0.75), (0.0, 0.0))
+    f = GridField.from_function(
+        geom, lambda x, y: np.stack([np.sin(7 * x) * y, x * x - y]), "vector", 2)
+    x, radii = (0.5, 0.4), [0.3, 0.06, 0.15]
+    balls = nested_balls(f, x, radii)
+    for i, r in enumerate(radii):
+        assert np.allclose(balls.means()[:, i], ball_average(f, Ball(x, r)),
+                           rtol=1e-14, atol=0)
+        assert balls.oscillations(1.5)[i] == pytest.approx(
+            ball_oscillation(f, Ball(x, r), 1.5), rel=1e-13)
+
+
+def test_nested_balls_checks_every_radius():
+    geom = unit_grid(32)
+    f = GridField.constant(geom, 1.0)
+    with pytest.raises(BallBelowResolution):
+        nested_balls(f, (0.5, 0.5), [0.2, 0.01])
+    with pytest.raises(BallOutsideDomain):
+        nested_balls(f, (0.7, 0.5), [0.1, 0.4])
+    with pytest.raises(DimensionMismatch):
+        nested_balls(f, (0.5, 0.5, 0.5), [0.2])
+    with pytest.raises(ValueError):
+        nested_balls(f, (0.5, 0.5), [0.2]).oscillations(0.5)
+
+
 def test_value_at_picks_containing_cell():
     geom = unit_grid(16)
     f = GridField.from_function(geom, lambda x, y: x + 10 * y)
@@ -192,6 +265,15 @@ def test_field_io_roundtrip(tmp_path):
     assert g.geometry == geom
     assert g.kind == "vector" and g.ncomp == 2
     assert np.array_equal(g.values, f.values)
+
+
+def test_write_field_writes_encode_field_bytes(tmp_path):
+    geom = GridGeometry((3, 4), (1.0, 2.0), (0.5, -1.0))
+    f = GridField(geom, np.arange(24.0).reshape(2, 3, 4), "vector", 2)
+    path = tmp_path / "f.wlf"
+    write_field(f, path)
+    assert path.read_bytes() == encode_field(f)
+    assert encode_field(f).startswith(b"WLF1\nn=2 N=2 shape=vector\ncells=3x4\n")
 
 
 def test_field_io_rejects_malformed_header(tmp_path):

@@ -14,7 +14,7 @@ from wulff_lab.errors import (
     QuasiIncreasingViolation,
     ResidualTooLarge,
 )
-from wulff_lab.field_grid import GridField, GridGeometry
+from wulff_lab.field_grid import Ball, GridField, GridGeometry, ball_average
 from wulff_lab.function_spaces import young_power, young_zygmund
 from wulff_lab.inequality_lab import (
     FAMILY_VERSION,
@@ -132,6 +132,18 @@ def test_telescope_input_validation():
         verify_telescope(f, (0.5, 0.5), 0.3, 0.2)
     with pytest.raises(BallOutsideDomain):
         verify_telescope(f, (0.9, 0.9), 0.1, 0.4)
+
+
+def test_telescope_means_agree_with_ball_average():
+    # r = 5h is a tie radius here: the former sqrt-distance table counted 131
+    # cells in B_r(x) where ball_cells counts 129, a 10% error in means-of-f
+    geom = GridGeometry((128, 128), (1.0, 0.6), (0.0, 0.0))
+    f = random_field(geom, 2, "bumps")
+    x, r, R = (0.04296875, 0.04453125), 5.0 * max(geom.spacing), 0.042
+    rep = verify_telescope(f, x, r, R)
+    lhs = next(s.lhs for s in rep.samples if s.label == "means-of-f")
+    expected = abs(ball_average(f, Ball(x, r))[0] - ball_average(f, Ball(x, R))[0])
+    assert lhs == pytest.approx(expected, rel=1e-14, abs=0)
 
 
 @settings(max_examples=10, deadline=None)

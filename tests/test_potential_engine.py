@@ -8,7 +8,8 @@ from wulff_lab.errors import (
     BallOutsideDomain,
     NonNegativityViolation,
 )
-from wulff_lab.field_grid import GridField, GridGeometry
+from wulff_lab.field_grid import Ball, GridField, GridGeometry, ball_average, ball_oscillation
+from wulff_lab.inequality_lab import random_field
 from wulff_lab.potential_engine import (
     PotentialParams,
     RadialQuadrature,
@@ -115,6 +116,67 @@ def test_oscillation_potential_vanishes_on_constants():
     F = GridField(geom, np.stack([np.full((64, 64), 2.0), np.full((64, 64), -1.0)]),
                   "matrix", codomain=1)
     assert oscillation_potential(F, 2.0, 0.3, (0.5, 0.5)) == pytest.approx(0.0, abs=1e-14)
+
+
+# Reference potentials: one ball_average / ball_oscillation call per
+# quadrature radius, the pointwise evaluation before the nested-ball view.
+
+
+def _wulff_oracle(f, params, x, nodes=None):
+    geom = f.geometry
+    R = max_admissible_radius(geom, x) if math.isinf(params.R) else params.R
+    r_min = 2.0 * max(geom.spacing)
+    quad = RadialQuadrature.log_spaced(r_min, R, nodes)
+    a, s = params.alpha, params.s
+    beta = a * s / (s - 1.0)
+    avg_min = ball_average(f, Ball(tuple(x), r_min))[0]
+    head = avg_min ** (1.0 / (s - 1.0)) * r_min**beta / beta
+    tail = 0.0
+    for r, w in zip(quad.radii, quad.weights):
+        avg = ball_average(f, Ball(tuple(x), float(r)))[0]
+        tail += w * (r**(a * s) * avg) ** (1.0 / (s - 1.0))
+    return float(head + tail)
+
+
+def _oscillation_oracle(F, p, R, x, nodes=None):
+    geom = F.geometry
+    R = max_admissible_radius(geom, x) if math.isinf(R) else R
+    r_min = 2.0 * max(geom.spacing)
+    quad = RadialQuadrature.log_spaced(r_min, R, nodes)
+    pp = p / (p - 1.0)
+
+    def integrand(rho):
+        return ball_oscillation(F, Ball(tuple(x), rho), pp) ** (pp / p)
+
+    tail = 0.0
+    for r, w in zip(quad.radii, quad.weights):
+        tail += w * float(r) * integrand(float(r))
+    return float(integrand(r_min) * r_min + tail)
+
+
+@pytest.mark.parametrize("geom", [
+    GridGeometry((64, 64), (1.0, 1.0), (0.0, 0.0)),
+    GridGeometry((96, 40), (1.0, 0.6), (0.0, -0.3)),
+])
+@pytest.mark.parametrize("shape", ["scalar", "matrix"])
+def test_pointwise_potentials_match_per_ball_oracle(geom, shape):
+    p = 1.5
+    pp = p / (p - 1.0)
+    F = random_field(geom, 5, "bumps", shape=shape)
+    mag = F.magnitude()
+    data = mag.with_values(mag.values**pp)
+    params = PotentialParams(p / (p + 1.0), p + 1.0, 0.2)
+    center = [geom.origin[d] + 0.5 * geom.extent[d] for d in range(2)]
+    for dx, dy in [(0.0, 0.0), (0.13, -0.05), (-0.21, 0.04)]:
+        x = (center[0] + dx, center[1] + dy)
+        assert wulff_potential(data, params, x) == pytest.approx(
+            _wulff_oracle(data, params, x), rel=1e-13, abs=0)
+        assert wulff_potential(data, PotentialParams(0.5, 3.0), x, 20) == pytest.approx(
+            _wulff_oracle(data, PotentialParams(0.5, 3.0), x, 20), rel=1e-13, abs=0)
+        assert oscillation_potential(F, p, 0.2, x) == pytest.approx(
+            _oscillation_oracle(F, p, 0.2, x), rel=1e-13, abs=0)
+        assert oscillation_potential(F, 3.0, math.inf, x) == pytest.approx(
+            _oscillation_oracle(F, 3.0, math.inf, x), rel=1e-13, abs=0)
 
 
 def test_riesz_disk_oracle():
