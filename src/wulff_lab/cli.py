@@ -79,9 +79,11 @@ def _parse_bool(text: str) -> bool:
 class RunConfig:
     """Validated run description.
 
-    Validation is front-loaded: geometry shape, exponent range, theorem ids,
-    point/ball containment, and the existence of every referenced file are
-    checked at parse time, before any computation starts.
+    Validation is front-loaded: geometry shape, exponent range, solver
+    settings, theorem ids, heatmap sources and the existence of every
+    referenced file are checked at parse time, before any computation
+    starts.  Points and balls are checked against the domain when each
+    theorem runs.
     """
 
     def __init__(self, parser, base_dir: str):
@@ -93,7 +95,7 @@ class RunConfig:
         origin = _floats(g.get("origin", ",".join(["0.0"] * len(cells))))
         try:
             self.geometry = GridGeometry(cells, extent, origin)
-        except WulffLabError as exc:
+        except (WulffLabError, ValueError) as exc:
             raise ConfigError(f"bad [grid] section: {exc}") from exc
 
         sys_sec = parser["system"] if "system" in parser else {}
@@ -283,9 +285,7 @@ def _merge(theorem: str, params: dict, reports) -> iq.VerificationReport:
     """Flatten per-field reports into one (labels prefixed by field index)."""
     samples = []
     notes = []
-    passed = True
     for i, rep in enumerate(reports):
-        passed = passed and rep.passed
         samples.extend(
             iq.SampleRecord(f"f[{i}]:{s.label}", s.lhs, s.rhs, s.ratio)
             for s in rep.samples
@@ -293,16 +293,8 @@ def _merge(theorem: str, params: dict, reports) -> iq.VerificationReport:
         for note in rep.notes:
             if note not in notes:
                 notes.append(note)
-    c_star = max((s.ratio for s in samples), default=0.0)
-    return iq.VerificationReport(
-        theorem=theorem,
-        params=params,
-        samples=tuple(samples),
-        c_star=float(c_star),
-        trace=(float(c_star),),
-        passed=passed,
-        notes=tuple(notes),
-    )
+    return iq._assemble(theorem, params, samples, notes,
+                        extra_pass=all(r.passed for r in reports))
 
 
 def _run_telescope(cfg, opts, seed, threads):
@@ -432,7 +424,6 @@ def _regularity_runner(kind):
             q=_opt_float(opts, "q", None) if "q" in opts else None,
             beta=_opt_float(opts, "beta", None) if "beta" in opts else None,
             cells=_opt_int(opts, "cells", cfg.geometry.cells[0]),
-            seed=seed,
         )
 
     return run
@@ -615,23 +606,15 @@ def _cmd_list_theorems() -> int:
     return 0
 
 
-def _resolve_threads(args) -> int | None:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("WULFF_LAB_THREADS")
-    return int(env) if env else None
-
-
 def _cmd_run(args) -> int:
     cfg = parse_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
-    threads = _resolve_threads(args)
     out_dir = args.out or cfg.out_dir
 
     reports = []
     for name, opts in cfg.theorems:
         try:
-            reports.append(THEOREMS[name].run(cfg, opts, seed, threads))
+            reports.append(THEOREMS[name].run(cfg, opts, seed, args.threads))
         except WulffLabError as exc:
             raise WulffLabError(f"[{name}] {exc}") from exc
     all_passed = all(r.passed for r in reports)

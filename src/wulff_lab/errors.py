@@ -17,7 +17,8 @@ class WulffLabError(Exception):
 
 
 class BallOutsideDomain(WulffLabError):
-    """A ball used for averaging is not contained in the grid domain."""
+    """A ball used for averaging, or a sample point, is not contained in the
+    grid domain."""
 
 
 class BallBelowResolution(WulffLabError):
@@ -133,4 +134,5 @@ class InsufficientRadii(WulffLabError):
 
 
 class ConfigError(WulffLabError):
-    """A run configuration file is malformed or violates a precondition."""
+    """A run configuration (config file or ``WULFF_LAB_THREADS``) is
+    malformed or violates a precondition."""

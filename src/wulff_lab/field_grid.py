@@ -113,8 +113,9 @@ class GridGeometry:
         """Cell-center coordinate arrays, each of shape ``cells`` (cached)."""
         return _center_mesh(self)
 
-    def contains_ball(self, ball: "Ball", rtol: float = 1e-12) -> bool:
-        pad = rtol * max(self.extent)
+    def contains_ball(self, ball: "Ball") -> bool:
+        """Whether ``ball`` lies in the box, up to 1e-12 of the largest extent."""
+        pad = 1e-12 * max(self.extent)
         return all(
             ball.center[d] - ball.radius >= self.origin[d] - pad
             and ball.center[d] + ball.radius <= self.origin[d] + self.extent[d] + pad
@@ -363,8 +364,12 @@ def nested_balls(f: GridField, x: Sequence[float], radii: Sequence[float]) -> Ne
 def value_at(f: GridField, x: Sequence[float]) -> np.ndarray:
     """Sample values of the cell containing ``x`` (one entry per component)."""
     geom = f.geometry
+    if len(x) != geom.dim:
+        raise DimensionMismatch(
+            f"point {tuple(x)} has {len(x)} coordinates on a {geom.dim}-d grid"
+        )
     if not geom.contains_point(x):
-        raise ValueError(f"point {tuple(x)} lies outside the domain")
+        raise BallOutsideDomain(f"point {tuple(x)} lies outside the domain")
     idx = tuple(
         min(int((x[d] - geom.origin[d]) / geom.spacing[d]), geom.cells[d] - 1)
         for d in range(geom.dim)

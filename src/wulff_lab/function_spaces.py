@@ -254,7 +254,6 @@ class YoungFunction:
     tag: str = "custom"
     sigma: float | None = None
     logexp: float = 0.0
-    coeff: float = 1.0
     label: str = "A"
 
     def __call__(self, t) -> np.ndarray:
@@ -262,9 +261,10 @@ class YoungFunction:
         with np.errstate(over="ignore"):
             return self.fn(t)
 
-    def inverse(self, y: float, hi: float = 1e12) -> float:
-        """Generalized inverse by bisection on the monotone evaluator."""
-        lo = 0.0
+    def inverse(self, y: float) -> float:
+        """Generalized inverse by bisection on the monotone evaluator, over
+        [0, 1e12]."""
+        lo, hi = 0.0, 1e12
         if not (self(hi) >= y):
             raise SearchRangeExhausted(
                 f"A({hi:g}) < {y:g}; inverse out of range", bracket=(lo, hi)
@@ -277,10 +277,10 @@ class YoungFunction:
                 lo = mid
         return 0.5 * (lo + hi)
 
-    def check_convexity(self, t_lo: float = 1e-4, t_hi: float = 1e4,
-                        points: int = 200) -> bool:
-        """Discrete convexity of A on a log-spaced table (finite part only)."""
-        t = np.geomspace(t_lo, t_hi, points)
+    def check_convexity(self) -> bool:
+        """Discrete convexity of A on 200 log-spaced points of [1e-4, 1e4]
+        (finite part only)."""
+        t = np.geomspace(1e-4, 1e4, 200)
         y = self(t)
         ok = np.isfinite(y)
         t, y = t[ok], y[ok]
@@ -290,22 +290,20 @@ class YoungFunction:
         return bool(np.all(np.diff(slopes) >= -1e-9 * np.abs(slopes[1:]) - 1e-300))
 
 
-def young_power(q: float, coeff: float = 1.0) -> YoungFunction:
-    """A(t) = c·t^q (q ≥ 1)."""
+def young_power(q: float) -> YoungFunction:
+    """A(t) = t^q (q ≥ 1)."""
     if q < 1:
         raise InadmissibleParams(f"power Young functions need q >= 1, got {q}")
-    return YoungFunction(lambda t: coeff * t**q, "power", sigma=q, coeff=coeff,
-                         label=f"{coeff:g}*t^{q:g}" if coeff != 1 else f"t^{q:g}")
+    return YoungFunction(lambda t: t**q, "power", sigma=q, label=f"t^{q:g}")
 
 
-def young_zygmund(q: float, beta: float, coeff: float = 1.0) -> YoungFunction:
-    """A(t) = c·t^q·log(e+t)^β."""
+def young_zygmund(q: float, beta: float) -> YoungFunction:
+    """A(t) = t^q·log(e+t)^β."""
     if q < 1:
         raise InadmissibleParams(f"Zygmund Young functions need q >= 1, got {q}")
     return YoungFunction(
-        lambda t: coeff * t**q * np.log(np.e + t) ** beta,
-        "zygmund", sigma=q, logexp=beta, coeff=coeff,
-        label=f"t^{q:g}*log^{beta:g}",
+        lambda t: t**q * np.log(np.e + t) ** beta,
+        "zygmund", sigma=q, logexp=beta, label=f"t^{q:g}*log^{beta:g}",
     )
 
 
@@ -328,7 +326,7 @@ def young_linf() -> YoungFunction:
     )
 
 
-def young_table(t: Sequence[float], A: Sequence[float], label: str = "table") -> YoungFunction:
+def young_table(t: Sequence[float], A: Sequence[float]) -> YoungFunction:
     """Young function from a monotone table, power-interpolated in log-log
     coordinates and power-extrapolated beyond the table range."""
     t = np.asarray(t, dtype=float)
@@ -357,11 +355,12 @@ def young_table(t: Sequence[float], A: Sequence[float], label: str = "table") ->
         out[above] = np.exp(lA[-1] + hi_slope * (np.log(x[above]) - lt[-1]))
         return out
 
-    return YoungFunction(fn, "table", label=label)
+    return YoungFunction(fn, "table", label="table")
 
 
-def luxemburg_norm(f: GridField, A: YoungFunction, rel_width: float = 1e-10) -> float:
-    """Luxemburg norm inf{λ > 0 : ∫_Ω A(|f|/λ) ≤ 1} by bisection.
+def luxemburg_norm(f: GridField, A: YoungFunction) -> float:
+    """Luxemburg norm inf{λ > 0 : ∫_Ω A(|f|/λ) ≤ 1} by bisection, to a
+    relative bracket width of 1e-10.
 
     Returns ``math.inf`` when no λ in the search range admits the unit
     integral (the structurally infinite case); raises
@@ -402,7 +401,7 @@ def luxemburg_norm(f: GridField, A: YoungFunction, rel_width: float = 1e-10) -> 
     else:
         return 0.0
 
-    while hi - lo > rel_width * hi:
+    while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if modular(mid) <= 1.0:
             hi = mid
@@ -464,7 +463,8 @@ def potential_young_transforms(A: YoungFunction, B: YoungFunction, alpha: float,
         F(t) = ( ∫₀^t B(τ) / τ^{1 + n/(n−αs)} dτ )^{(n−αs)/n}
 
     with s' = s/(s−1).  Exact closed forms for power-tagged A and B;
-    quadrature plus tag-derived asymptotics otherwise.  Raises
+    otherwise quadrature, with the asymptotics derived from the tag's
+    exponents when it has them.  Raises
     :class:`FinitenessFailure` when either integral diverges at 0.
     """
     if not (s > 1) or not (alpha > 0):
@@ -481,7 +481,17 @@ def potential_young_transforms(A: YoungFunction, B: YoungFunction, alpha: float,
     kF = n / (n - alpha * s)
     outer_F = (n - alpha * s) / n
 
-    # --- E ---
+    def e_integrand(tau):
+        if tau <= 0:
+            return 0.0
+        return float((tau ** base_exp / A(tau) ** (alpha * sp / n)) ** kE)
+
+    def f_integrand(tau):
+        if tau <= 0:
+            return 0.0
+        return float(B(tau) / tau ** (1.0 + kF))
+
+    E_asym = F_asym = None
     if A.sigma is not None:
         aE = (base_exp - A.sigma * alpha * sp / n) * kE + 1.0
         if aE <= 0:
@@ -489,61 +499,25 @@ def potential_young_transforms(A: YoungFunction, B: YoungFunction, alpha: float,
                 f"E-integral diverges: interior exponent {aE - 1.0:g} <= -1"
             )
         logE = -A.logexp * (alpha * sp / n) * kE
-        if A.tag == "power":
-            coeff = (A.coeff ** (-alpha * sp / n * kE) / aE) ** outer_E
-            E = _power_transform(coeff, aE * outer_E, f"E[{A.label}]")
-        else:
-            def e_integrand(tau, _aE=aE, _logE=logE):
-                if tau <= 0:
-                    return 0.0
-                return float(
-                    (tau ** base_exp / A(tau) ** (alpha * sp / n)) ** kE
-                )
-
-            E = _Transform(
-                lambda t: _quad_zero_to(e_integrand, t) ** outer_E,
-                _Asym(aE * outer_E, logE * outer_E),
-                f"E[{A.label}]",
-            )
-    else:
-        def e_integrand(tau):
-            if tau <= 0:
-                return 0.0
-            return float((tau ** base_exp / A(tau) ** (alpha * sp / n)) ** kE)
-
-        E = _Transform(lambda t: _quad_zero_to(e_integrand, t) ** outer_E,
-                       None, f"E[{A.label}]")
-
-    # --- F ---
+        E_asym = _Asym(aE * outer_E, logE * outer_E)
     if B.sigma is not None:
         bF = B.sigma - kF
         if bF <= 0:
             raise FinitenessFailure(
                 f"F-integral diverges: B must grow faster than t^{kF:g} near 0"
             )
-        logF = B.logexp
-        if B.tag == "power":
-            coeff = (B.coeff / bF) ** outer_F
-            F = _power_transform(coeff, bF * outer_F, f"F[{B.label}]")
-        else:
-            def f_integrand(tau, _=None):
-                if tau <= 0:
-                    return 0.0
-                return float(B(tau) / tau ** (1.0 + kF))
+        F_asym = _Asym(bF * outer_F, B.logexp * outer_F)
 
-            F = _Transform(
-                lambda t: _quad_zero_to(f_integrand, t) ** outer_F,
-                _Asym(bF * outer_F, logF * outer_F),
-                f"F[{B.label}]",
-            )
+    if A.tag == "power" and E_asym is not None:
+        E = _power_transform((1.0 / aE) ** outer_E, aE * outer_E, f"E[{A.label}]")
     else:
-        def f_integrand(tau):
-            if tau <= 0:
-                return 0.0
-            return float(B(tau) / tau ** (1.0 + kF))
-
+        E = _Transform(lambda t: _quad_zero_to(e_integrand, t) ** outer_E,
+                       E_asym, f"E[{A.label}]")
+    if B.tag == "power" and F_asym is not None:
+        F = _power_transform((1.0 / bF) ** outer_F, bF * outer_F, f"F[{B.label}]")
+    else:
         F = _Transform(lambda t: _quad_zero_to(f_integrand, t) ** outer_F,
-                       None, f"F[{B.label}]")
+                       F_asym, f"F[{B.label}]")
 
     return TransformPair(E=E, F=F, A=A, B=B, n=n, alpha=alpha, s=s)
 
@@ -572,7 +546,8 @@ class BalanceReport:
 
 @dataclass(frozen=True)
 class TransformPair:
-    """The pair (E, F) with its source Young functions and a balance check."""
+    """The pair (E, F) with its source Young functions; :func:`balance_report`
+    checks the balance condition."""
 
     E: _Transform
     F: _Transform
@@ -582,13 +557,8 @@ class TransformPair:
     alpha: float
     s: float
 
-    def balance(self, t0: float = 1.0, t_max: float = 1e4, grid: int = 60,
-                gamma_hi: float = 1e8) -> BalanceReport:
-        return balance_report(self, t0=t0, t_max=t_max, grid=grid, gamma_hi=gamma_hi)
 
-
-def balance_report(pair: TransformPair, t0: float = 1.0, t_max: float = 1e4,
-                   grid: int = 60, gamma_hi: float = 1e8) -> BalanceReport:
+def balance_report(pair: TransformPair, t0: float = 1.0) -> BalanceReport:
     """Decide F(E(t)/γ) ≤ γ A(t)/t on t > t₀ and report the smallest γ.
 
     When both transforms and A carry asymptotic exponents, the large-t
@@ -597,8 +567,10 @@ def balance_report(pair: TransformPair, t0: float = 1.0, t_max: float = 1e4,
     how large γ is chosen, which no finite grid could witness.  The smallest
     workable γ is then located by bisection on a log-spaced t-grid (the
     condition is monotone in γ: raising γ shrinks the left side and grows
-    the right side).
+    the right side).  The grid holds 60 points of [t₀, 10⁴], and γ is sought
+    in [10⁻⁸, 10⁸].
     """
+    t_max, gamma_hi = 1e4, 1e8
     notes: list[str] = []
     lhs_asym = rhs_asym = None
     if pair.E.asym is not None and pair.F.asym is not None and pair.A.sigma is not None:
@@ -624,7 +596,7 @@ def balance_report(pair: TransformPair, t0: float = 1.0, t_max: float = 1e4,
         mode = "numeric"
         notes.append("untagged input: asymptotic verdict unavailable, grid only")
 
-    ts = np.geomspace(t0, t_max, grid)
+    ts = np.geomspace(t0, t_max, 60)
     A_over_t = np.array([float(pair.A(t)) / t for t in ts])
     E_vals = np.array([pair.E(float(t)) for t in ts])
 
@@ -659,7 +631,6 @@ class WeightFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     tag: str = "custom"
     beta: float | None = None
-    coeff: float = 1.0
     nondecreasing: bool = False
     label: str = "omega"
 
@@ -667,11 +638,10 @@ class WeightFunction:
         return self.fn(np.asarray(r, dtype=float))
 
 
-def weight_power(beta: float, coeff: float = 1.0) -> WeightFunction:
-    """ω(r) = c·r^β (nondecreasing for β ≥ 0)."""
-    return WeightFunction(lambda r: coeff * r**beta, "power", beta=beta,
-                          coeff=coeff, nondecreasing=beta >= 0,
-                          label=f"r^{beta:g}")
+def weight_power(beta: float) -> WeightFunction:
+    """ω(r) = r^β (nondecreasing for β ≥ 0)."""
+    return WeightFunction(lambda r: r**beta, "power", beta=beta,
+                          nondecreasing=beta >= 0, label=f"r^{beta:g}")
 
 
 def weight_one() -> WeightFunction:
@@ -704,13 +674,12 @@ def weight_transforms(omega: WeightFunction, n: int, p: float) -> WeightTransfor
 
     if omega.tag in ("power", "one"):
         beta = float(omega.beta)
-        c = omega.coeff
         dini = beta > 0
 
         def varpi(r: float) -> float:
             if beta <= 0:
                 return math.inf
-            return c * r**beta / beta
+            return r**beta / beta
 
         c_exp = beta - np_exp
 
@@ -718,9 +687,9 @@ def weight_transforms(omega: WeightFunction, n: int, p: float) -> WeightTransfor
             if not (0 < r <= 1):
                 raise ValueError(f"mu is defined on (0, 1], got r={r}")
             if c_exp == 0:
-                inner = c * math.log(1.0 / r)
+                inner = math.log(1.0 / r)
             else:
-                inner = c * (1.0 - r**c_exp) / c_exp
+                inner = (1.0 - r**c_exp) / c_exp
             return r * max(inner, 0.0) ** (1.0 / (p - 1.0))
 
         return WeightTransforms(dini, varpi, mu)
@@ -776,12 +745,13 @@ class SupScanResult:
         return self.value
 
 
-def _sample_balls(geom, stride: int = 4):
-    """Deterministic ball sample: stride-``stride`` center sublattice, dyadic
-    radii from 2h up to the largest ball inside the domain."""
+def _sample_balls(geom):
+    """Deterministic ball sample: centers on every fourth cell per axis
+    (starting at cell 2), dyadic radii from 2h up to the largest ball inside
+    the domain."""
     h = max(geom.spacing)
     mesh = geom.center_mesh()
-    idx_ranges = [range(stride // 2, c, stride) for c in geom.cells]
+    idx_ranges = [range(2, c, 4) for c in geom.cells]
     out = []
     from itertools import product
 
@@ -796,56 +766,52 @@ def _sample_balls(geom, stride: int = 4):
     return out
 
 
-def campanato_seminorm(f: GridField, omega: WeightFunction, q: float = 1.0,
-                       stride: int = 4) -> SupScanResult:
+def _sup_scan(f: GridField, omega: WeightFunction,
+              value: Callable[[Ball], float]) -> SupScanResult:
+    """sup of value(B)/ω(r) over the ball sample, skipping zero weights."""
+    balls = _sample_balls(f.geometry)
+    if not balls:
+        raise NoAdmissibleBalls("no sampled ball fits inside the domain")
+    best, best_ball = -math.inf, None
+    for b in balls:
+        w = float(omega(b.radius))
+        if w <= 0:
+            continue
+        val = value(b) / w
+        if val > best:
+            best, best_ball = val, b
+    if best_ball is None:
+        raise NoAdmissibleBalls("weight vanished on every sampled radius")
+    return SupScanResult(float(best), best_ball, len(balls))
+
+
+def campanato_seminorm(f: GridField, omega: WeightFunction,
+                       q: float = 1.0) -> SupScanResult:
     """Campanato-type seminorm sup_B (1/ω(r)) (⨍_B |f − ⟨f⟩_B|^q)^{1/q}.
 
-    The sup runs over the deterministic ball sample; the attaining ball is
-    reported.  For nondecreasing ω the scan is evaluated at q = 1 (the spaces
-    for different q coincide by the John–Nirenberg argument, and q = 1 keeps
-    the scan cheap); ω ≡ 1 yields the sampled mean-oscillation (BMO) value.
+    The sup runs over the deterministic ball sample of :func:`_sample_balls`;
+    the attaining ball is reported.  For nondecreasing ω the scan is
+    evaluated at q = 1 (the spaces for different q coincide by the
+    John–Nirenberg argument, and q = 1 keeps the scan cheap); ω ≡ 1 yields
+    the sampled mean-oscillation (BMO) value.
     """
     if omega.nondecreasing:
         q = 1.0
-    balls = _sample_balls(f.geometry, stride)
-    if not balls:
-        raise NoAdmissibleBalls("no sampled ball fits inside the domain")
-    best, best_ball = -math.inf, None
-    for b in balls:
-        w = float(omega(b.radius))
-        if w <= 0:
-            continue
-        val = ball_oscillation(f, b, q) / w
-        if val > best:
-            best, best_ball = val, b
-    if best_ball is None:
-        raise NoAdmissibleBalls("weight vanished on every sampled radius")
-    return SupScanResult(float(best), best_ball, len(balls))
+    return _sup_scan(f, omega, lambda b: ball_oscillation(f, b, q))
 
 
-def morrey_norm(f: GridField, omega: WeightFunction, q: float = 1.0,
-                stride: int = 4) -> SupScanResult:
+def morrey_norm(f: GridField, omega: WeightFunction, q: float = 1.0) -> SupScanResult:
     """Morrey-type norm sup_B (1/ω(r)) (∫_B |f|^q)^{1/q} (non-averaged)."""
     if not (q >= 1):
         raise InadmissibleParams(f"need q >= 1, got {q}")
-    balls = _sample_balls(f.geometry, stride)
-    if not balls:
-        raise NoAdmissibleBalls("no sampled ball fits inside the domain")
     mag = f.magnitude().values[0]
     meas = f.geometry.cell_measure
-    best, best_ball = -math.inf, None
-    for b in balls:
-        w = float(omega(b.radius))
-        if w <= 0:
-            continue
+
+    def mass(b: Ball) -> float:
         slices, mask = ball_cells(f.geometry, b)
-        chunk = mag[slices][mask]
-        val = float((chunk**q).sum() * meas) ** (1.0 / q) / w
-        if val > best:
-            best, best_ball = val, b
-    if best_ball is None:
-        raise NoAdmissibleBalls("weight vanished on every sampled radius")
-    return SupScanResult(float(best), best_ball, len(balls))
+        return float((mag[slices][mask] ** q).sum() * meas) ** (1.0 / q)
+
+    return _sup_scan(f, omega, mass)
 
 
 # ---------------------------------------------------------------------------

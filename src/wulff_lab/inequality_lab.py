@@ -31,6 +31,7 @@ from scipy import integrate
 from .errors import (
     BallBelowResolution,
     BallOutsideDomain,
+    ConfigError,
     InadmissibleParams,
     InsufficientRadii,
     ParameterRangeViolation,
@@ -53,6 +54,7 @@ from .field_grid import (
 from .function_spaces import (
     LorentzParams,
     YoungFunction,
+    balance_report,
     campanato_seminorm,
     lorentz_zygmund_norm,
     luxemburg_norm,
@@ -195,8 +197,16 @@ def refinement_trace(build: Callable[[int], VerificationReport],
 
 
 def _threads(threads: int | None) -> int:
+    """Worker count: ``threads`` if given, else ``WULFF_LAB_THREADS`` (unset
+    or empty means 1); never below 1."""
     if threads is None:
-        threads = int(os.environ.get("WULFF_LAB_THREADS", "1"))
+        env = os.environ.get("WULFF_LAB_THREADS", "")
+        try:
+            threads = int(env) if env else 1
+        except ValueError:
+            raise ConfigError(
+                f"WULFF_LAB_THREADS must be an integer, got {env!r}"
+            ) from None
     return max(1, threads)
 
 
@@ -213,12 +223,12 @@ def _parallel_map(fn, items, threads: int | None):
 
 
 def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
-                 modes: int = 6, bumps: int = 5, decay: float = 2.0,
-                 exponent: float = 0.75, nonneg: bool = False,
+                 bumps: int = 5, exponent: float = 0.75, nonneg: bool = False,
                  components: int = 1, shape: str = "scalar") -> GridField:
     """Seeded random field families used by the verifiers.
 
-    ``fourier``: low-pass trigonometric sums with power-law mode decay;
+    ``fourier``: trigonometric sums over the wave vectors 0 < |k| ≤ 6 with
+    amplitudes decaying like 1/(1 + |k|²);
     ``bumps``: sums of signed Gaussian bumps; ``singular``: a truncated
     radial power |x − x₀|^{-exponent} (always nonnegative).  Fields are
     deterministic in (geometry, seed, parameters); the family version is
@@ -233,13 +243,13 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
         if kind == "fourier":
             xhat = [(mesh[d] - geom.origin[d]) / geom.extent[d] for d in range(n)]
             v = np.zeros(geom.cells)
-            for k1 in range(-modes, modes + 1):
-                for k2 in range(-modes, modes + 1):
+            for k1 in range(-6, 7):
+                for k2 in range(-6, 7):
                     kk = (k1, k2) + (0,) * (n - 2)
                     k2norm = k1 * k1 + k2 * k2
-                    if k2norm == 0 or k2norm > modes * modes:
+                    if k2norm == 0 or k2norm > 36:
                         continue
-                    amp = rng.normal() / (1.0 + k2norm) ** (decay / 2.0)
+                    amp = rng.normal() / (1.0 + k2norm)
                     phase = rng.uniform(0.0, 2.0 * math.pi)
                     arg = 2.0 * math.pi * sum(kk[d] * xhat[d] for d in range(n))
                     v = v + amp * np.cos(arg + phase)
@@ -269,10 +279,10 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
     return GridField(geom, vals, shape, codomain=components)
 
 
-def random_matrix_field(geom: GridGeometry, seed: int, components: int = 1,
-                        **kw) -> GridField:
-    """Random N×n matrix field (one seeded family member per entry)."""
-    return random_field(geom, seed, shape="matrix", components=components, **kw)
+def random_matrix_field(geom: GridGeometry, seed: int, **kw) -> GridField:
+    """Random N×n matrix field, N = ``components`` (default 1), with one
+    seeded family member per entry."""
+    return random_field(geom, seed, shape="matrix", **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +318,7 @@ def _power_field(f: GridField, power: float) -> GridField:
 
 def verify_pointwise(u: GridField, F: GridField, p: float, R: float,
                      points: Sequence[Sequence[float]], *,
-                     residual_tol: float = 1e-5,
-                     nodes: int | None = None) -> VerificationReport:
+                     residual_tol: float = 1e-5) -> VerificationReport:
     """Pointwise Wulff-potential bound for weak solutions:
 
         |u(x)| ≤ C [ W^R_{p/(p+1), p+1}(|F|^{p'})(x) + ⨍_{B_R(x)}|u| ].
@@ -326,7 +335,7 @@ def verify_pointwise(u: GridField, F: GridField, p: float, R: float,
     samples = []
     for x in points:
         lhs = float(np.linalg.norm(value_at(u, x)))
-        W = wulff_potential(data, params, x, nodes)
+        W = wulff_potential(data, params, x)
         mean_u = float(ball_average(absu, Ball(tuple(x), R))[0])
         samples.append(_record(f"x={tuple(float(c) for c in x)}", lhs, W + mean_u))
     return _assemble(
@@ -339,8 +348,7 @@ def verify_pointwise(u: GridField, F: GridField, p: float, R: float,
 
 def verify_pointwise_osc(u: GridField, F: GridField, p: float, R: float,
                          points: Sequence[Sequence[float]], *,
-                         residual_tol: float = 1e-5,
-                         nodes: int | None = None) -> VerificationReport:
+                         residual_tol: float = 1e-5) -> VerificationReport:
     """Pointwise bound with the smaller mean-oscillation potential:
 
         |u(x)| ≤ C [ ∫₀^R (⨍_{B_ρ(x)}|F − ⟨F⟩|^{p'})^{1/p} dρ + ⨍_{B_R(x)}|u| ].
@@ -361,8 +369,8 @@ def verify_pointwise_osc(u: GridField, F: GridField, p: float, R: float,
     comparison_ok = True
     for x in points:
         lhs = float(np.linalg.norm(value_at(u, x)))
-        osc_pot = oscillation_potential(F, p, R, x, nodes)
-        W = wulff_potential(data, params, x, nodes)
+        osc_pot = oscillation_potential(F, p, R, x)
+        W = wulff_potential(data, params, x)
         mean_u = float(ball_average(absu, Ball(tuple(x), R))[0])
         if osc_pot > factor * W * (1.0 + 1e-9):
             comparison_ok = False
@@ -385,8 +393,7 @@ def verify_pointwise_osc(u: GridField, F: GridField, p: float, R: float,
 def verify_oscillation(u: GridField, F: GridField, p: float,
                        x: Sequence[float], R: float,
                        radii: Sequence[float] | None = None, *,
-                       residual_tol: float = 1e-5,
-                       nodes: int | None = None) -> VerificationReport:
+                       residual_tol: float = 1e-5) -> VerificationReport:
     """Oscillation decay estimate at every scale r ∈ [2h, R]:
 
         ⨍_{B_r}|u − ⟨u⟩_{B_r}|
@@ -417,7 +424,7 @@ def verify_oscillation(u: GridField, F: GridField, p: float,
     )
 
     # one distance-ordered view of F serves the quadratures of every scale
-    quads = [RadialQuadrature.log_spaced(r, R, nodes) if r < R * (1 - 1e-12) else None
+    quads = [RadialQuadrature.log_spaced(r, R) if r < R * (1 - 1e-12) else None
              for r in radii]
     rhos = [rho for quad in quads if quad is not None for rho in quad.radii]
     oscs = iter(nested_balls(F, x, rhos).oscillations(pp) if rhos else ())
@@ -445,8 +452,7 @@ def verify_oscillation(u: GridField, F: GridField, p: float,
 
 
 def verify_telescope(f: GridField, x: Sequence[float], r: float, R: float, *,
-                     allowance: float = 0.10,
-                     nodes: int | None = None) -> VerificationReport:
+                     allowance: float = 0.10) -> VerificationReport:
     """Telescoping mean-comparison lemma with its explicit constants:
 
         |⟨f⟩_{B_r} − ⟨f⟩_{B_R}|     ≤ 2^{2n+2} ∫_r^R ⨍_{B_ρ}|f − ⟨f⟩_{B_ρ}| dρ/ρ
@@ -466,7 +472,7 @@ def verify_telescope(f: GridField, x: Sequence[float], r: float, R: float, *,
     if not (r <= R):
         raise BallOutsideDomain(f"need r <= R, got r={r:g} > R={R:g}")
 
-    quad = RadialQuadrature.log_spaced(r, R, nodes) if r < R * (1 - 1e-12) else None
+    quad = RadialQuadrature.log_spaced(r, R) if r < R * (1 - 1e-12) else None
     balls = nested_balls(f, x, [r, R, *(quad.radii if quad is not None else ())])
     means = balls.means()
     mags = np.sqrt(np.einsum("ck,ck->k", balls.values, balls.values))
@@ -663,7 +669,7 @@ def _check_quasi_increasing(phi: _PiecewisePhi, k: float) -> None:
 
 
 def _hardy_family(case: str, k: float, a: float, samples: int, seed: int,
-                  alpha: float, q: float):
+                  alpha: float):
     """Seeded piecewise-constant φ ensembles per case.
 
     Quasi-increasing members are built as a nondecreasing envelope times a
@@ -738,7 +744,7 @@ def verify_hardy(case: str, q: float, alpha: float, *, k: float = 2.0,
         phis = [_PiecewisePhi(np.array([0.0, top]), np.array([1.0]),
                               tail=1.0 if case == "ii-far" else 0.0)]
     else:
-        phis = _hardy_family(case, k, a, samples, seed, alpha, q)
+        phis = _hardy_family(case, k, a, samples, seed, alpha)
 
     if case == "ii-near":
         inner_up, outer_up, rhs_up = a, a, 2.0 * a
@@ -822,19 +828,18 @@ def verify_energy_inequalities(u: GridField, F: GridField, p: float,
 
 def verify_domination(geom: GridGeometry, alpha: float, s: float, *,
                       samples: int = 100, seed: int = 0,
-                      R: float | None = None,
                       threads: int | None = None) -> VerificationReport:
     """Pointwise domination of the Wulff potential by the composed Riesz
     potential, W^R_{α,s} f ≤ C·V_{α,s} f, over a seeded nonnegative family.
 
-    C* is the max ratio at the domain center; the acceptance harness reruns
-    this across grids and requires the fitted constant to drift < 10%.
+    C* is the max ratio at the domain center, with R = 0.8 × the largest
+    admissible radius there; the acceptance harness reruns this across grids
+    and requires the fitted constant to drift < 10%.
     """
     if not (alpha * s < geom.dim):
         raise InadmissibleParams(f"domination needs alpha*s < n, got {alpha * s}")
     x = tuple(geom.origin[d] + 0.5 * geom.extent[d] for d in range(geom.dim))
-    if R is None:
-        R = 0.8 * max_admissible_radius(geom, x)
+    R = 0.8 * max_admissible_radius(geom, x)
     params = PotentialParams(alpha, s, R)
     kinds = ("fourier", "bumps", "singular")
 
@@ -924,7 +929,7 @@ def verify_potential_norm_maps(part: str, alpha: float, s: float,
         if A is None or B is None:
             raise InadmissibleParams("part B needs Young functions A and B")
         pair = potential_young_transforms(A, B, alpha, s, n)
-        bal = pair.balance(t0=t0)
+        bal = balance_report(pair, t0=t0)
         if not bal.satisfiable:
             raise InadmissibleParams(
                 "balance condition unsatisfiable for (A, B); Theorem B does "
@@ -969,20 +974,21 @@ def _unit_geometry(cells: int) -> GridGeometry:
     return GridGeometry((cells, cells), (1.0, 1.0), (0.0, 0.0))
 
 
-def _radial_profile(geom: GridGeometry, power: float, scale: float = 1.0):
-    """x ↦ scale·|x − x₀|^power with x₀ the domain center (a cell corner for
+def _radial_profile(geom: GridGeometry, power: float):
+    """x ↦ |x − x₀|^power with x₀ the domain center (a cell corner for
     even cell counts, so no sample is singular)."""
     x0 = tuple(geom.origin[d] + 0.5 * geom.extent[d] for d in range(geom.dim))
 
     def fn(*mesh):
         d2 = sum((mesh[d] - x0[d]) ** 2 for d in range(geom.dim))
-        return scale * d2 ** (power / 2.0)
+        return d2 ** (power / 2.0)
 
     return x0, fn
 
 
-def _osc_slope(u: GridField, x0, R: float, min_radii: int = 4):
-    """Least-squares slope of log ⨍_{B_r}|u − ⟨u⟩| against log r, dyadic r."""
+def _osc_slope(u: GridField, x0, R: float):
+    """Least-squares slope of log ⨍_{B_r}|u − ⟨u⟩| against log r over at
+    least four dyadic r."""
     geom = u.geometry
     r_lo = 4.0 * max(geom.spacing)
     radii = []
@@ -990,9 +996,9 @@ def _osc_slope(u: GridField, x0, R: float, min_radii: int = 4):
     while r >= r_lo:
         radii.append(r)
         r /= 2.0
-    if len(radii) < min_radii:
+    if len(radii) < 4:
         raise InsufficientRadii(
-            f"only {len(radii)} dyadic radii in [{r_lo:g}, {R:g}]; need {min_radii}"
+            f"only {len(radii)} dyadic radii in [{r_lo:g}, {R:g}]; need 4"
         )
     oscs = [ball_oscillation(u, Ball(x0, rr), 1.0) for rr in radii]
     logs_r = np.log(radii)
@@ -1002,15 +1008,14 @@ def _osc_slope(u: GridField, x0, R: float, min_radii: int = 4):
 
 
 def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
-                                beta: float | None = None, cells: int = 128,
-                                seed: int = 0, band: float | None = None,
-                                residual_tol: float = 1e-7) -> VerificationReport:
+                                beta: float | None = None,
+                                cells: int = 128) -> VerificationReport:
     """Quantitative spot checks of the regularity consequences.
 
     * ``kind="holder"``: for q > max{p', n/(p−1)} the solution class is
       C^κ with κ = 1 − n/(q(p−1)); the extremal profile u = |x−x₀|^κ (with
       its manufactured datum, an exact discrete solution) must show a fitted
-      oscillation-decay slope within ``band`` of κ (default ±15% of κ).
+      oscillation-decay slope within ±15% of κ.
     * ``kind="bmo"``: the borderline Morrey weight exponent β = (n−p)/p′
       admits u = −log|x−x₀|: the sampled BMO seminorm stays finite and
       refinement-stable.
@@ -1020,7 +1025,9 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
     * ``kind="lorentz"``: for 1 < q < n/p and the marginal singular datum
       power γ = n/(qp′), the manufactured u = |x−x₀|^{1−γp′/p} has
       rearrangement tail exponent −1/Q* with Q* = qnp/(n−qp); the fitted
-      tail slope must match within ``band`` (default 15%).
+      tail slope must match within 15%.
+
+    Every manufactured pair is gated at weak residual 1e-7.
     """
     n = 2
     geom = _unit_geometry(cells)
@@ -1039,10 +1046,9 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
         x0, fn = _radial_profile(geom, kappa)
         u = GridField.from_function(geom, fn)
         F = manufacture(u, p)
-        res = _gate_pair(u, F, p, residual_tol)
+        res = _gate_pair(u, F, p, 1e-7)
         slope, radii, oscs = _osc_slope(u, x0, R=0.25)
-        if band is None:
-            band = 0.15 * kappa
+        band = 0.15 * kappa
         extra = abs(slope - kappa) <= band
         notes.append(f"predicted exponent {kappa:.6g}, fitted slope {slope:.6g}")
         for rr, oo in zip(radii, oscs):
@@ -1065,7 +1071,7 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
 
         u = GridField.from_function(geom, fn)
         F = manufacture(u, p)
-        res = _gate_pair(u, F, p, residual_tol)
+        res = _gate_pair(u, F, p, 1e-7)
         scan = campanato_seminorm(u, weight_one())
         datum = morrey_norm(F, weight_power(beta_star), q=pp)
         samples.append(_record("bmo-seminorm", scan.value, 1.0))
@@ -1085,7 +1091,7 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
         x0, fn = _radial_profile(geom, 1.0 + beta / (p - 1.0))
         u = GridField.from_function(geom, fn)
         F = manufacture(u, p)
-        res = _gate_pair(u, F, p, residual_tol)
+        res = _gate_pair(u, F, p, 1e-7)
         slope, radii, oscs = _osc_slope(u, x0, R=0.25)
         scan = campanato_seminorm(F, weight_power(beta), q=pp)
         extra = wt.dini and slope >= 0.9 and math.isfinite(scan.value)
@@ -1124,8 +1130,7 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
         us = r(ss)
         slope = float(np.polyfit(np.log(ss), np.log(us), 1)[0])
         predicted = -1.0 / Qstar
-        if band is None:
-            band = 0.15 * abs(predicted)
+        band = 0.15 * abs(predicted)
         extra = abs(slope - predicted) <= band
         notes.append(
             f"marginal datum power gamma = {gamma:.6g}; predicted tail "

@@ -80,9 +80,10 @@ class PotentialParams:
 class RadialQuadrature:
     """Midpoint rule in log r for ∫ g(r) dr/r over [r_min, R].
 
-    ``radii`` are the geometric midpoints of m equal log-panels and every
-    weight equals log(R/r_min)/m, so the weights sum to log(R/r_min) exactly
-    and the rule is exact for g constant in log r.
+    ``radii`` are the geometric midpoints of m = max(24, ⌈8·log₂(R/r_min)⌉)
+    equal log-panels (at least eight per octave) and every weight equals
+    log(R/r_min)/m, so the weights sum to log(R/r_min) exactly and the rule
+    is exact for g constant in log r.
     """
 
     radii: np.ndarray
@@ -91,16 +92,13 @@ class RadialQuadrature:
     R: float
 
     @classmethod
-    def log_spaced(cls, r_min: float, R: float, m: int | None = None) -> "RadialQuadrature":
+    def log_spaced(cls, r_min: float, R: float) -> "RadialQuadrature":
         if not (R > r_min > 0):
             raise BallBelowResolution(
                 f"need R > r_min > 0, got r_min={r_min:g}, R={R:g}"
             )
         span = math.log(R / r_min)
-        if m is None:
-            m = max(24, int(math.ceil(8 * span / math.log(2))))
-        if m < 16:
-            raise ValueError(f"at least 16 radial nodes are required, got {m}")
+        m = max(24, int(math.ceil(8 * span / math.log(2))))
         step = span / m
         radii = r_min * np.exp((np.arange(m) + 0.5) * step)
         weights = np.full(m, step)
@@ -122,8 +120,7 @@ def _resolve_radius(geom: GridGeometry, x, R: float) -> float:
     return R
 
 
-def wulff_potential(f: GridField, params: PotentialParams, x: Sequence[float],
-                    nodes: int | None = None) -> float:
+def wulff_potential(f: GridField, params: PotentialParams, x: Sequence[float]) -> float:
     """Truncated Wulff potential W_{α,s}^R f(x) of a nonnegative scalar field.
 
     Monotone in f on a fixed quadrature and positively homogeneous of degree
@@ -133,7 +130,7 @@ def wulff_potential(f: GridField, params: PotentialParams, x: Sequence[float],
     geom = f.geometry
     R = _resolve_radius(geom, x, params.R)
     r_min = 2.0 * max(geom.spacing)
-    quad = RadialQuadrature.log_spaced(r_min, R, nodes)
+    quad = RadialQuadrature.log_spaced(r_min, R)
     a, s = params.alpha, params.s
     beta = a * s / (s - 1.0)
 
@@ -143,8 +140,7 @@ def wulff_potential(f: GridField, params: PotentialParams, x: Sequence[float],
     return float(head + tail)
 
 
-def oscillation_potential(F: GridField, p: float, R: float, x: Sequence[float],
-                          nodes: int | None = None) -> float:
+def oscillation_potential(F: GridField, p: float, R: float, x: Sequence[float]) -> float:
     """Oscillation potential ∫₀^R (⨍_{B_ρ(x)}|F − ⟨F⟩_{B_ρ(x)}|^{p'})^{1/p} dρ.
 
     Shares the Wulff radii and head convention (the integrand is frozen below
@@ -157,7 +153,7 @@ def oscillation_potential(F: GridField, p: float, R: float, x: Sequence[float],
     geom = F.geometry
     R = _resolve_radius(geom, x, R)
     r_min = 2.0 * max(geom.spacing)
-    quad = RadialQuadrature.log_spaced(r_min, R, nodes)
+    quad = RadialQuadrature.log_spaced(r_min, R)
     pp = p / (p - 1.0)
     integrand = nested_balls(F, x, [r_min, *quad.radii]).oscillations(pp) ** (pp / p)
     head = integrand[0] * r_min

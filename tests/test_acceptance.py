@@ -16,6 +16,7 @@ from wulff_lab.cli import main
 from wulff_lab.field_grid import GridField, GridGeometry
 from wulff_lab.function_spaces import (
     LorentzParams,
+    balance_report,
     lorentz_zygmund_norm,
     luxemburg_norm,
     potential_young_transforms,
@@ -248,12 +249,12 @@ def test_criterion_8_balance_condition():
     Qb = n * qa / (n - alpha * s * qa)
     assert Qb == pytest.approx(28.0 / 3.0)
 
-    target = potential_young_transforms(
+    target = balance_report(potential_young_transforms(
         young_power(qa), young_power(Qb), alpha, s, n
-    ).balance()
-    strengthened = potential_young_transforms(
+    ))
+    strengthened = balance_report(potential_young_transforms(
         young_power(qa), young_zygmund(Qb, 1.0), alpha, s, n
-    ).balance()
+    ))
     ok = (
         target.satisfiable
         and target.gamma is not None

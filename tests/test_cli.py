@@ -1,4 +1,3 @@
-import argparse
 import json
 import re
 
@@ -8,7 +7,7 @@ import pytest
 from wulff_lab.cli import (
     _color,
     _profile_field,
-    _resolve_threads,
+    THEOREMS,
     _space_norm,
     _young_from_spec,
     main,
@@ -23,6 +22,7 @@ from wulff_lab.field_grid import (
     write_field,
 )
 from wulff_lab.function_spaces import LorentzParams, lorentz_zygmund_norm
+from wulff_lab.inequality_lab import _threads
 from wulff_lab.potential_engine import riesz_map
 
 
@@ -135,13 +135,21 @@ def test_run_bad_heatmap_source(tmp_path, capsys):
     assert "heatmaps" in capsys.readouterr().err
 
 
+POINTWISE_AT = "theorems = pointwise-wulff\n\n[verify.pointwise-wulff]\npoints = "
+
+
 def test_run_bad_option_value(tmp_path, capsys):
-    # a malformed per-theorem option must be a clean config error, not a traceback
-    body = RUN_CONFIG.replace("samples = 4", "samples = abc")
-    cfg = write_config(tmp_path / "bad.ini", body)
-    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
-    err = capsys.readouterr().err
-    assert "samples" in err and "error:" in err
+    # a malformed option must be a clean config error, not a traceback
+    for old, new, name in [
+        ("samples = 4", "samples = abc", "samples"),
+        ("extent = 1.0,1.0", "extent = -1.0,1.0", "extent"),
+        ("theorems = telescoping-means, hardy-i", POINTWISE_AT + "1.5,0.5", "outside"),
+        ("theorems = telescoping-means, hardy-i", POINTWISE_AT + "0.5", "coordinates"),
+    ]:
+        cfg = write_config(tmp_path / "bad.ini", RUN_CONFIG.replace(old, new))
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err
 
 
 def test_run_bad_profile_option_value(tmp_path, capsys):
@@ -155,6 +163,70 @@ def test_bad_seed_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "job.ini", RUN_CONFIG)
     assert main(["run", cfg, "--seed", "-1"]) == 1
     assert "u64" in capsys.readouterr().err
+
+
+ALL_THEOREMS_CONFIG = """\
+[grid]
+cells = 32,32
+
+[system]
+p = 1.5
+
+[data]
+u = profile:sinsin
+F = manufactured
+
+[verify]
+theorems = telescoping-means, pointwise-wulff, pointwise-oscillation,
+    oscillation-decay, energy-caccioppoli, hardy-i, hardy-ii-far,
+    hardy-ii-near, wulff-riesz-domination, potential-norms-A-i,
+    potential-norms-A-iii, potential-norms-A-iv, potential-norms-B,
+    regularity-holder, regularity-bmo, regularity-lipschitz, regularity-lorentz
+samples = 3
+
+[verify.hardy-ii-far]
+q = 0.5
+alpha = -3.5
+
+[verify.hardy-ii-near]
+q = 0.5
+alpha = -2.5
+
+[verify.potential-norms-A-i]
+sigma = 1.5
+
+[verify.potential-norms-A-iii]
+rho = 3
+
+[verify.potential-norms-A-iv]
+rho = 0.5
+
+[verify.potential-norms-B]
+young_a = power,1.5
+young_b = power,3
+
+[verify.regularity-holder]
+q = 8
+cells = 128
+
+[verify.regularity-bmo]
+cells = 128
+
+[verify.regularity-lipschitz]
+cells = 128
+
+[verify.regularity-lorentz]
+q = 1.2
+cells = 128
+"""
+
+
+def test_run_every_theorem_id(tmp_path, capsys):
+    # each runner's call must still fit its verifier
+    cfg = write_config(tmp_path / "all.ini", ALL_THEOREMS_CONFIG)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("pass  ")]
+    assert [ln.split()[1] for ln in lines] == list(THEOREMS)
 
 
 def test_list_theorems_and_help(capsys):
@@ -363,14 +435,21 @@ def test_heatmap_rejects_vector_fields(tmp_path):
 # plumbing
 
 
-def test_threads_resolution(monkeypatch):
-    ns = argparse.Namespace(threads=2)
-    assert _resolve_threads(ns) == 2
-    ns = argparse.Namespace(threads=None)
-    monkeypatch.delenv("WULFF_LAB_THREADS", raising=False)
-    assert _resolve_threads(ns) is None
+def test_threads_resolution(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("WULFF_LAB_THREADS", "3")
-    assert _resolve_threads(ns) == 3
+    assert _threads(2) == 2
+    monkeypatch.delenv("WULFF_LAB_THREADS")
+    assert _threads(None) == 1
+    monkeypatch.setenv("WULFF_LAB_THREADS", "3")
+    assert _threads(None) == 3
+    monkeypatch.setenv("WULFF_LAB_THREADS", "")
+    assert _threads(None) == 1
+    monkeypatch.setenv("WULFF_LAB_THREADS", "abc")
+    with pytest.raises(ConfigError, match="WULFF_LAB_THREADS"):
+        _threads(None)
+    cfg = write_config(tmp_path / "job.ini", RUN_CONFIG)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "WULFF_LAB_THREADS" in capsys.readouterr().err
 
 
 def test_profile_vocabulary():

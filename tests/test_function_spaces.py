@@ -12,6 +12,7 @@ from wulff_lab.field_grid import GridField, GridGeometry
 from wulff_lab.function_spaces import (
     LorentzParams,
     _lz_piece_integral,
+    balance_report,
     campanato_seminorm,
     lorentz_zygmund_norm,
     luxemburg_norm,
@@ -223,11 +224,11 @@ def test_young_transforms_specializes_p():
 
 def test_balance_criterion_pair():
     A, B = young_power(7 / 6), young_power(28 / 3)
-    rep = potential_young_transforms(A, B, 0.6, 2.5, 2).balance()
+    rep = balance_report(potential_young_transforms(A, B, 0.6, 2.5, 2))
     assert rep.satisfiable and rep.gamma is not None and rep.mode == "symbolic"
     # strengthening B by one extra log power breaks the balance
     B_plus = young_zygmund(28 / 3, 1.0)
-    rep2 = potential_young_transforms(A, B_plus, 0.6, 2.5, 2).balance()
+    rep2 = balance_report(potential_young_transforms(A, B_plus, 0.6, 2.5, 2))
     assert not rep2.satisfiable and rep2.mode == "symbolic"
 
 
@@ -235,7 +236,7 @@ def test_balance_numeric_mode_on_untagged_input():
     t = np.geomspace(1e-4, 1e6, 60)
     A = young_table(t, t ** (7 / 6))
     B = young_table(t, t ** (28 / 3))
-    rep = potential_young_transforms(A, B, 0.6, 2.5, 2).balance()
+    rep = balance_report(potential_young_transforms(A, B, 0.6, 2.5, 2))
     assert rep.mode == "numeric"
     assert rep.satisfiable
 

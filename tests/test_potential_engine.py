@@ -42,8 +42,6 @@ def test_quadrature_weights_sum_to_log_span():
 
 
 def test_quadrature_rejects_thin_rules():
-    with pytest.raises(ValueError):
-        RadialQuadrature.log_spaced(0.1, 1.0, m=8)
     with pytest.raises(Exception):
         RadialQuadrature.log_spaced(0.5, 0.25)
 
@@ -122,11 +120,11 @@ def test_oscillation_potential_vanishes_on_constants():
 # quadrature radius, the pointwise evaluation before the nested-ball view.
 
 
-def _wulff_oracle(f, params, x, nodes=None):
+def _wulff_oracle(f, params, x):
     geom = f.geometry
     R = max_admissible_radius(geom, x) if math.isinf(params.R) else params.R
     r_min = 2.0 * max(geom.spacing)
-    quad = RadialQuadrature.log_spaced(r_min, R, nodes)
+    quad = RadialQuadrature.log_spaced(r_min, R)
     a, s = params.alpha, params.s
     beta = a * s / (s - 1.0)
     avg_min = ball_average(f, Ball(tuple(x), r_min))[0]
@@ -138,11 +136,11 @@ def _wulff_oracle(f, params, x, nodes=None):
     return float(head + tail)
 
 
-def _oscillation_oracle(F, p, R, x, nodes=None):
+def _oscillation_oracle(F, p, R, x):
     geom = F.geometry
     R = max_admissible_radius(geom, x) if math.isinf(R) else R
     r_min = 2.0 * max(geom.spacing)
-    quad = RadialQuadrature.log_spaced(r_min, R, nodes)
+    quad = RadialQuadrature.log_spaced(r_min, R)
     pp = p / (p - 1.0)
 
     def integrand(rho):
@@ -171,8 +169,8 @@ def test_pointwise_potentials_match_per_ball_oracle(geom, shape):
         x = (center[0] + dx, center[1] + dy)
         assert wulff_potential(data, params, x) == pytest.approx(
             _wulff_oracle(data, params, x), rel=1e-13, abs=0)
-        assert wulff_potential(data, PotentialParams(0.5, 3.0), x, 20) == pytest.approx(
-            _wulff_oracle(data, PotentialParams(0.5, 3.0), x, 20), rel=1e-13, abs=0)
+        assert wulff_potential(data, PotentialParams(0.5, 3.0), x) == pytest.approx(
+            _wulff_oracle(data, PotentialParams(0.5, 3.0), x), rel=1e-13, abs=0)
         assert oscillation_potential(F, p, 0.2, x) == pytest.approx(
             _oscillation_oracle(F, p, 0.2, x), rel=1e-13, abs=0)
         assert oscillation_potential(F, 3.0, math.inf, x) == pytest.approx(
