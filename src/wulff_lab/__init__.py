@@ -70,10 +70,7 @@ from .function_spaces import (
     weight_transforms,
     young_dexp,
     young_exp,
-    young_linf,
     young_power,
-    young_table,
-    young_transforms,
     young_zygmund,
 )
 from .inequality_lab import (
@@ -81,8 +78,6 @@ from .inequality_lab import (
     SampleRecord,
     VerificationReport,
     random_field,
-    random_matrix_field,
-    refinement_trace,
     verify_domination,
     verify_energy_inequalities,
     verify_hardy,
@@ -106,11 +101,9 @@ from .potential_engine import (
     PotentialParams,
     RadialQuadrature,
     havin_mazya_map,
-    havin_mazya_potential,
     max_admissible_radius,
     oscillation_potential,
     riesz_map,
-    riesz_potential,
     wulff_potential,
 )
 

@@ -67,15 +67,6 @@ def _points(text: str) -> list[tuple[float, ...]]:
     return [_floats(part) for part in text.split(";") if part.strip()]
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 class RunConfig:
     """Validated run description.
 
@@ -95,7 +86,7 @@ class RunConfig:
         origin = _floats(g.get("origin", ",".join(["0.0"] * len(cells))))
         try:
             self.geometry = GridGeometry(cells, extent, origin)
-        except (WulffLabError, ValueError) as exc:
+        except WulffLabError as exc:
             raise ConfigError(f"bad [grid] section: {exc}") from exc
 
         sys_sec = parser["system"] if "system" in parser else {}

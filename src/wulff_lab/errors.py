@@ -66,7 +66,8 @@ class NonConvergence(WulffLabError):
 
 
 class DegenerateGrid(WulffLabError):
-    """Grid is too small or anisotropic for the solver."""
+    """Grid has a nonpositive extent, or is too small or anisotropic for the
+    solver."""
 
 
 class ShapeMismatch(WulffLabError):

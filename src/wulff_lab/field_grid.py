@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     BallBelowResolution,
     BallOutsideDomain,
+    DegenerateGrid,
     DimensionMismatch,
     GridTooCoarse,
     MalformedHeader,
@@ -84,7 +85,7 @@ class GridGeometry:
         if any(int(c) != c or c < 1 for c in self.cells):
             raise GridTooCoarse(f"cell counts must be positive integers, got {self.cells}")
         if any(not (e > 0) for e in self.extent):
-            raise ValueError(f"extents must be positive, got {self.extent}")
+            raise DegenerateGrid(f"extents must be positive, got {self.extent}")
         object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
         object.__setattr__(self, "extent", tuple(float(e) for e in self.extent))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
@@ -236,6 +237,10 @@ class GridField:
 
 def max_admissible_radius(geom: GridGeometry, x: Sequence[float]) -> float:
     """Largest radius r with B_r(x) contained in the domain box."""
+    if len(x) != geom.dim:
+        raise DimensionMismatch(
+            f"point {tuple(x)} has {len(x)} coordinates on a {geom.dim}-d grid"
+        )
     lo = min(x[d] - geom.origin[d] for d in range(geom.dim))
     hi = min(geom.origin[d] + geom.extent[d] - x[d] for d in range(geom.dim))
     return min(lo, hi)

@@ -5,8 +5,7 @@ returns a :class:`VerificationReport`: per-sample LHS/RHS records, the fitted
 empirical constant C* = max LHS/RHS, and a pass flag.  The estimates carry
 existential constants, so except for the telescoping lemma (whose constants
 2^{2n+2} and 2^{2n+3} are explicit) a verifier asserts finiteness and
-stability of C*, never its magnitude; :func:`refinement_trace` reruns a
-verifier across grids and enforces the declared stability band.
+stability of C*, never its magnitude.
 
 Pairs (u, F) must be discrete weak solutions: every solution-based verifier
 measures the weak residual first and refuses to proceed above tolerance
@@ -22,8 +21,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
@@ -81,8 +80,6 @@ __all__ = [
     "SampleRecord",
     "VerificationReport",
     "random_field",
-    "random_matrix_field",
-    "refinement_trace",
     "verify_pointwise",
     "verify_pointwise_osc",
     "verify_oscillation",
@@ -168,34 +165,6 @@ def _assemble(theorem: str, params: dict, samples: list[SampleRecord],
     )
 
 
-def refinement_trace(build: Callable[[int], VerificationReport],
-                     cells: Sequence[int], band: float = 0.25) -> VerificationReport:
-    """Run ``build(cells)`` over a grid ladder and enforce C*-stability.
-
-    The returned report is the finest-grid one with the full C* trace and
-    with ``passed`` additionally requiring the trace to stay within the
-    relative ``band`` of its maximum.
-    """
-    reports = [build(int(c)) for c in cells]
-    trace = [r.c_star for r in reports]
-    top = max(trace)
-    stable = all(math.isfinite(t) for t in trace) and (
-        top == 0.0 or (top - min(trace)) <= band * top
-    )
-    final = reports[-1]
-    notes = list(final.notes)
-    notes.append(
-        f"refinement trace over cells {list(cells)}: "
-        f"{[format(t, '.6g') for t in trace]} (band {band:.0%})"
-    )
-    return replace(
-        final,
-        trace=tuple(trace),
-        passed=bool(final.passed and stable),
-        notes=tuple(notes),
-    )
-
-
 def _threads(threads: int | None) -> int:
     """Worker count: ``threads`` if given, else ``WULFF_LAB_THREADS`` (unset
     or empty means 1); never below 1."""
@@ -277,12 +246,6 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
         comps.append(v)
     vals = np.stack(comps)
     return GridField(geom, vals, shape, codomain=components)
-
-
-def random_matrix_field(geom: GridGeometry, seed: int, **kw) -> GridField:
-    """Random N×n matrix field, N = ``components`` (default 1), with one
-    seeded family member per entry."""
-    return random_field(geom, seed, shape="matrix", **kw)
 
 
 # ---------------------------------------------------------------------------

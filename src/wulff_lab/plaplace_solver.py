@@ -85,9 +85,8 @@ class SystemParams:
 class DirichletProblem:
     """Datum F (matrix field N×n) plus Dirichlet boundary samples.
 
-    ``boundary`` may be a GridField, an array of shape (N, c₁, c₂), a callable
-    on the coordinate mesh, or a constant; only the outermost ring of cells is
-    read from it.
+    ``boundary`` is a GridField with N components on the datum's grid, or a
+    constant; only the outermost ring of cells is read from it.
     """
 
     def __init__(self, F: GridField, boundary=0.0):
@@ -107,24 +106,7 @@ class DirichletProblem:
             if boundary.geometry != geom or boundary.ncomp != N:
                 raise ShapeMismatch("boundary field does not match the datum")
             return np.array(boundary.values)
-        if callable(boundary):
-            vals = np.asarray(boundary(*geom.center_mesh()), dtype=np.float64)
-            if vals.shape == geom.cells and N == 1:
-                vals = vals[np.newaxis]
-            if vals.shape != (N,) + geom.cells:
-                raise ShapeMismatch(
-                    f"boundary callable returned shape {vals.shape}, "
-                    f"expected {(N,) + geom.cells}"
-                )
-            return vals
-        arr = np.asarray(boundary, dtype=np.float64)
-        if arr.ndim == 0:
-            return np.full((N,) + geom.cells, float(arr))
-        if arr.shape != (N,) + geom.cells:
-            raise ShapeMismatch(
-                f"boundary array has shape {arr.shape}, expected {(N,) + geom.cells}"
-            )
-        return np.array(arr)
+        return np.full((N,) + geom.cells, float(boundary))
 
 
 @dataclass

@@ -16,9 +16,10 @@ hold up to the midpoint-rule error on [r_min, R] alone.
 Alongside it live the Riesz potential I_α f(x) = Σ_y f(y)|x−y|^{α−n}·|cell|
 (kernel normalization constant 1, zero extension outside the domain, the
 singular cell replaced by the exact kernel integral over its inscribed disk),
-the composed potential V_{α,s} f = I_α((I_α f)^{1/(s−1)}) for αs < n, and the
-mean-oscillation potential ∫₀^R (⨍_{B_ρ}|F − ⟨F⟩_{B_ρ}|^{p'})^{1/p} dρ used by
-the pointwise estimates for divergence-form data.
+the composed potential V_{α,s} f = I_α((I_α f)^{1/(s−1)}) for αs < n, both as
+full-grid maps, and the mean-oscillation potential
+∫₀^R (⨍_{B_ρ}|F − ⟨F⟩_{B_ρ}|^{p'})^{1/p} dρ used by the pointwise estimates
+for divergence-form data.
 
 The pointwise Wulff and oscillation potentials read every ball mean from one
 distance-ordered view of the largest ball (:func:`field_grid.nested_balls`):
@@ -26,10 +27,10 @@ the cells of B_r(x) are the prefix of the samples sorted by squared distance
 to x, so each quadrature radius sums a prefix, with the inclusion rule of
 :func:`field_grid.ball_cells`.
 
-All pointwise evaluations are literal sums over cells; the full-grid Riesz
-map computes the same sums for every center at once via an FFT convolution
-with the exact kernel offset table (identical values up to round-off, checked
-against the direct double sum in the test suite).
+All pointwise evaluations are literal sums over cells.  The Riesz map
+computes the sums for every center at once via an FFT convolution with the
+exact kernel offset table; the test suite keeps the direct sum over cells as
+its oracle and checks the map against it to round-off.
 """
 
 from __future__ import annotations
@@ -50,9 +51,7 @@ __all__ = [
     "RadialQuadrature",
     "max_admissible_radius",
     "wulff_potential",
-    "riesz_potential",
     "riesz_map",
-    "havin_mazya_potential",
     "havin_mazya_map",
     "oscillation_potential",
 ]
@@ -181,34 +180,6 @@ def _singular_cell_integral(geom: GridGeometry, alpha: float) -> float:
     return _unit_sphere_area(geom.dim) * rho**alpha / alpha
 
 
-def riesz_potential(f: GridField, alpha: float, x: Sequence[float]) -> float:
-    """Riesz potential I_α f(x) as a direct sum over all cells.
-
-    The field is extended by zero outside the domain (the sum simply stops at
-    the boundary); a cell whose center coincides with x contributes the exact
-    kernel integral over its inscribed disk instead of the singular kernel
-    value.
-    """
-    _require_scalar_nonneg(f, "riesz_potential")
-    geom = f.geometry
-    n = geom.dim
-    _check_alpha(alpha, n)
-    mesh = geom.center_mesh()
-    dist2 = np.zeros(geom.cells)
-    for d in range(n):
-        dist2 = dist2 + (mesh[d] - x[d]) ** 2
-    dist = np.sqrt(dist2)
-    tiny = 1e-9 * min(geom.spacing)
-    singular = dist < tiny
-    kernel = np.where(singular, 1.0, dist) ** (alpha - n)
-    contrib = f.values[0] * kernel * geom.cell_measure
-    if singular.any():
-        contrib = np.where(
-            singular, f.values[0] * _singular_cell_integral(geom, alpha), contrib
-        )
-    return float(contrib.sum())
-
-
 @lru_cache(maxsize=16)
 def _kernel_table(geom: GridGeometry, alpha: float) -> np.ndarray:
     """Kernel offset table K[Δ] = |Δ|^{α−n}·|cell| over all lattice offsets,
@@ -232,11 +203,13 @@ def _kernel_table(geom: GridGeometry, alpha: float) -> np.ndarray:
 
 
 def riesz_map(f: GridField, alpha: float) -> GridField:
-    """Riesz potential evaluated at every cell center, as a scalar field.
+    """Riesz potential I_α f evaluated at every cell center, as a scalar field.
 
-    Computes exactly the sums of :func:`riesz_potential` for all centers at
-    once: on a uniform lattice the kernel depends only on the index offset,
-    so the map is the convolution of the samples with the offset table.
+    The field is extended by zero outside the domain, and the cell at the
+    evaluation center contributes the exact kernel integral over its
+    inscribed disk instead of the singular kernel value.  On a uniform
+    lattice the kernel depends only on the index offset, so the map is the
+    convolution of the samples with the offset table.
     """
     _require_scalar_nonneg(f, "riesz_map")
     geom = f.geometry
@@ -248,20 +221,8 @@ def riesz_map(f: GridField, alpha: float) -> GridField:
     return GridField(geom, out, "scalar")
 
 
-def havin_mazya_potential(f: GridField, alpha: float, s: float,
-                          x: Sequence[float]) -> float:
-    """Composed potential V_{α,s} f(x) = I_α((I_α f)^{1/(s−1)})(x), αs < n."""
-    inner = _havin_mazya_inner(f, alpha, s)
-    return riesz_potential(inner, alpha, x)
-
-
 def havin_mazya_map(f: GridField, alpha: float, s: float) -> GridField:
-    """V_{α,s} f at every cell center."""
-    inner = _havin_mazya_inner(f, alpha, s)
-    return riesz_map(inner, alpha)
-
-
-def _havin_mazya_inner(f: GridField, alpha: float, s: float) -> GridField:
+    """V_{α,s} f = I_α((I_α f)^{1/(s−1)}) at every cell center, αs < n."""
     geom = f.geometry
     _check_alpha(alpha, geom.dim)
     if not (s > 1):
@@ -271,4 +232,4 @@ def _havin_mazya_inner(f: GridField, alpha: float, s: float) -> GridField:
             f"composed potential needs alpha*s < n, got {alpha * s} >= {geom.dim}"
         )
     inner = riesz_map(f, alpha)
-    return inner.with_values(inner.values ** (1.0 / (s - 1.0)))
+    return riesz_map(inner.with_values(inner.values ** (1.0 / (s - 1.0))), alpha)

@@ -229,6 +229,40 @@ def test_run_every_theorem_id(tmp_path, capsys):
     assert [ln.split()[1] for ln in lines] == list(THEOREMS)
 
 
+NORMS_B_CONFIG = """\
+[grid]
+cells = 32,32
+
+[system]
+p = 1.5
+
+[data]
+u = profile:sinsin
+F = manufactured
+
+[verify]
+theorems = potential-norms-B
+samples = 2
+
+[verify.potential-norms-B]
+young_a = power,1.5
+young_b = power,3
+"""
+
+
+@pytest.mark.parametrize("old, new", [
+    ("young_a = power,1.5", "young_a = zygmund,1.5,1"),
+    ("young_a = power,1.5", "young_a = exp,1"),
+    ("young_a = power,1.5", "young_a = dexp"),
+    ("young_b = power,3", "young_b = zygmund,3,1"),
+], ids=["zygmund_a", "exp_a", "dexp_a", "zygmund_b"])
+def test_run_potential_norms_b_non_power_young(tmp_path, capsys, old, new):
+    # non-power Young functions take the quadrature route of the transforms
+    cfg = write_config(tmp_path / "b.ini", NORMS_B_CONFIG.replace(old, new))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert "pass  potential-norms-B" in capsys.readouterr().out
+
+
 def test_list_theorems_and_help(capsys):
     assert main(["--list-theorems"]) == 0
     out = capsys.readouterr().out
@@ -327,6 +361,13 @@ def test_norm_command_bad_space(tmp_path, capsys):
     _, path = field_file(tmp_path, lambda x, y: x)
     assert main(["norm", path, "--space", "sobolev:1"]) == 1
     assert "space" in capsys.readouterr().err
+    # a field file whose header declares a nonpositive extent
+    bad = tmp_path / "neg.wlf"
+    bad.write_bytes(open(path, "rb").read().replace(b"extent=1.0,1.0",
+                                                    b"extent=-1.0,1.0"))
+    assert main(["norm", str(bad), "--space", "L2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "extent" in err
 
 
 def test_space_norm_grammar(tmp_path):
@@ -360,6 +401,11 @@ def test_potential_command(tmp_path, capsys):
     saved = read_field(str(out / "riesz.wlf"))
     assert np.allclose(saved.values, lib.values)
     assert (out / "riesz.svg").exists()
+
+    # one coordinate on a 2-d field
+    assert main(["potential", path, "--alpha", "0.5", "--point", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "coordinates" in err
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,10 @@ from wulff_lab.function_spaces import (
     weight_power,
     weight_transforms,
     young_exp,
-    young_linf,
     young_power,
-    young_table,
-    young_transforms,
     young_zygmund,
 )
-from wulff_lab.function_spaces import WeightFunction
+from wulff_lab.function_spaces import WeightFunction, YoungFunction
 
 
 def unit_grid(cells=16):
@@ -60,7 +57,6 @@ def test_rearrangement_of_step_function():
     assert r(4.5 * meas) == 1.0
     assert r(12 * meas) == 1.0
     assert r(12.5 * meas) == 0.0
-    assert r.integral() == pytest.approx((3.0 * 4 + 1.0 * 8) * meas)
 
 
 def test_lorentz_qq_equals_lq():
@@ -149,11 +145,6 @@ def test_luxemburg_exponential_unit_instance():
     assert got == pytest.approx(1.0 / math.log(2.0), rel=1e-9)
 
 
-def test_luxemburg_linf_marker_is_sup():
-    f = step_field([(5.0, 2), (1.0, 100)])
-    assert luxemburg_norm(f, young_linf()) == pytest.approx(5.0, rel=1e-9)
-
-
 def test_luxemburg_zero_field():
     f = GridField.constant(unit_grid(8), 0.0)
     assert luxemburg_norm(f, young_power(2.0)) == 0.0
@@ -167,24 +158,23 @@ def test_luxemburg_homogeneity():
     assert scaled == pytest.approx(7.0 * base, rel=1e-8)
 
 
+def _is_convex(A: YoungFunction) -> bool:
+    """Discrete convexity of A on 200 log-spaced points of [1e-4, 1e4]
+    (finite part only)."""
+    t = np.geomspace(1e-4, 1e4, 200)
+    y = A(t)
+    ok = np.isfinite(y)
+    t, y = t[ok], y[ok]
+    if t.size < 3:
+        return True
+    slopes = np.diff(y) / np.diff(t)
+    return bool(np.all(np.diff(slopes) >= -1e-9 * np.abs(slopes[1:]) - 1e-300))
+
+
 def test_young_builders_are_convex():
     for A in (young_power(1.5), young_zygmund(2.0, 1.0), young_exp(1.0),
               young_zygmund(1.0, 2.0)):
-        assert A.check_convexity()
-
-
-def test_young_inverse():
-    A = young_power(2.0)
-    assert A.inverse(9.0) == pytest.approx(3.0, rel=1e-9)
-
-
-def test_young_table_matches_power():
-    t = np.geomspace(1e-3, 1e3, 40)
-    A = young_table(t, t**2.5)
-    for x in (0.01, 0.9, 37.0):
-        assert float(A(x)) == pytest.approx(x**2.5, rel=1e-6)
-    # power extrapolation beyond the table
-    assert float(A(1e5)) == pytest.approx(1e5**2.5, rel=1e-4)
+        assert _is_convex(A)
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +201,6 @@ def test_transform_asymptotic_exponents():
     assert pair.F.asym.power == pytest.approx(4.0 / 3.0)
 
 
-def test_young_transforms_specializes_p():
-    # alpha = p/(p+1), s = p+1 reproduces the p-Laplace transforms
-    p = 1.5
-    via_p = young_transforms(young_power(7 / 6), young_power(28 / 3), p, 2)
-    direct = potential_young_transforms(young_power(7 / 6), young_power(28 / 3),
-                                        p / (p + 1), p + 1, 2)
-    for t in (0.7, 3.0):
-        assert via_p.E(t) == pytest.approx(direct.E(t), rel=1e-12)
-        assert via_p.F(t) == pytest.approx(direct.F(t), rel=1e-12)
-
-
 def test_balance_criterion_pair():
     A, B = young_power(7 / 6), young_power(28 / 3)
     rep = balance_report(potential_young_transforms(A, B, 0.6, 2.5, 2))
@@ -233,9 +212,8 @@ def test_balance_criterion_pair():
 
 
 def test_balance_numeric_mode_on_untagged_input():
-    t = np.geomspace(1e-4, 1e6, 60)
-    A = young_table(t, t ** (7 / 6))
-    B = young_table(t, t ** (28 / 3))
+    A = YoungFunction(lambda t: t ** (7 / 6))
+    B = YoungFunction(lambda t: t ** (28 / 3))
     rep = balance_report(potential_young_transforms(A, B, 0.6, 2.5, 2))
     assert rep.mode == "numeric"
     assert rep.satisfiable
@@ -248,10 +226,6 @@ def test_transform_range_rejections():
         potential_young_transforms(young_power(3.0), young_power(28 / 3), 0.6, 2.5, 2)
     with pytest.raises(FinitenessFailure):
         potential_young_transforms(young_power(7 / 6), young_power(1.0), 0.6, 2.5, 2)
-    with pytest.raises(PRangeError):
-        young_transforms(young_power(2), young_power(4), 2.5, 2)
-    with pytest.raises(PRangeError):
-        young_transforms(young_power(2), young_power(4), 1.0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +242,13 @@ def test_weight_transforms_power_closed_forms():
     assert wt.mu(0.3) == pytest.approx(0.3 * inner ** (1 / 0.5))
 
 
-def test_weight_transforms_numeric_route_matches_power():
+def test_weight_transforms_rejects_custom_weights():
+    # only power-tagged weights have transforms; there is no quadrature route
     omega = WeightFunction(lambda r: np.asarray(r) ** 0.5, tag="custom")
-    exact = weight_transforms(weight_power(0.5), 2, 1.5)
-    numeric = weight_transforms(omega, 2, 1.5)
-    assert numeric.dini == exact.dini
-    for r in (0.1, 0.5, 0.9):
-        assert numeric.mu(r) == pytest.approx(exact.mu(r), rel=1e-6)
-        assert numeric.varpi(r) == pytest.approx(exact.varpi(r), rel=1e-6)
+    with pytest.raises(InadmissibleParams):
+        weight_transforms(omega, 2, 1.5)
+    with pytest.raises(PRangeError):
+        weight_transforms(weight_power(0.5), 2, 1.0)
 
 
 def test_weight_borderline_log_modulus():

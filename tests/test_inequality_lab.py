@@ -18,11 +18,7 @@ from wulff_lab.field_grid import Ball, GridField, GridGeometry, ball_average
 from wulff_lab.function_spaces import young_power, young_zygmund
 from wulff_lab.inequality_lab import (
     FAMILY_VERSION,
-    SampleRecord,
-    VerificationReport,
     random_field,
-    random_matrix_field,
-    refinement_trace,
     verify_domination,
     verify_energy_inequalities,
     verify_hardy,
@@ -83,24 +79,8 @@ def test_random_field_families():
     assert np.all(np.isfinite(s.values)) and s.values.min() > 0
     with pytest.raises(ValueError):
         random_field(geom, 0, "perlin")
-    m = random_matrix_field(geom, 3)
+    m = random_field(geom, 3, shape="matrix")
     assert m.kind == "matrix" and m.ncomp == 2
-
-
-def test_refinement_trace_stability():
-    def fake(c_star):
-        rec = SampleRecord("s", c_star, 1.0, c_star)
-        return VerificationReport("demo", {"cells": 0}, (rec,), c_star,
-                                  (c_star,), True, ())
-
-    ladder = {32: 1.0, 64: 1.05, 128: 0.95}
-    rep = refinement_trace(lambda c: fake(ladder[c]), [32, 64, 128], band=0.25)
-    assert rep.passed and rep.trace == (1.0, 1.05, 0.95)
-    assert "refinement trace" in rep.notes[-1]
-
-    drifting = {32: 1.0, 64: 0.5}
-    rep2 = refinement_trace(lambda c: fake(drifting[c]), [32, 64], band=0.25)
-    assert not rep2.passed
 
 
 # ---------------------------------------------------------------------------
