@@ -67,6 +67,19 @@ def _points(text: str) -> list[tuple[float, ...]]:
     return [_floats(part) for part in text.split(";") if part.strip()]
 
 
+def _boundary(text: str):
+    """``[data] boundary``: ``u`` (trace the reference field) or a finite number."""
+    if text == "u":
+        return text
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"[data] boundary must be 'u' or a finite number, got {text!r}")
+    return value
+
+
 class RunConfig:
     """Validated run description.
 
@@ -97,7 +110,7 @@ class RunConfig:
         d = parser["data"] if "data" in parser else {}
         self.u_spec = d.get("u", "").strip()
         self.f_spec = d.get("F", "").strip()
-        self.boundary_spec = d.get("boundary", "0").strip()
+        self.boundary = _boundary(d.get("boundary", "0").strip())
         self.seed = _opt_int(d, "seed", 0)
         for spec in (self.u_spec, self.f_spec):
             if spec and not spec.startswith("profile:") and spec != "manufactured":
@@ -640,8 +653,7 @@ def _cmd_solve(args) -> int:
     cfg = parse_config(args.config)
     out_dir = args.out or cfg.out_dir
     u0, F = _load_pair(cfg)
-    boundary = u0 if cfg.boundary_spec == "u" else float(cfg.boundary_spec)
-    problem = DirichletProblem(F, boundary)
+    problem = DirichletProblem(F, u0 if cfg.boundary == "u" else cfg.boundary)
     result = solve(problem, cfg.solver)
 
     _write_field_atomic(result.u, os.path.join(out_dir, cfg.field_name))
@@ -653,6 +665,7 @@ def _cmd_solve(args) -> int:
         "energy": result.energy_trace[-1] if result.energy_trace else None,
         "p": cfg.p,
         "cells": list(cfg.geometry.cells),
+        "stages": result.stage_log,
     }
     _atomic_write(os.path.join(out_dir, "solve.json"), _json_bytes(summary))
     if cfg.heatmaps:

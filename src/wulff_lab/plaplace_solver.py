@@ -14,12 +14,15 @@ this sum, discrete integration by parts is exact: constant matrices F are
 exactly divergence-free, and ``manufacture`` inverts the system so that its
 output datum makes any u a discrete weak solution to round-off.
 
-Minimization is a damped inexact Newton method run through a decreasing-ε
-continuation (p ≠ 2).  Each Newton system uses the exact Hessian of the
-regularized energy, applied matrix-free with the same staggered stencil, and
-is solved by plain CG; an Armijo backtracking search on the energy damps the
-step.  For p = 2 the energy is quadratic and the one Newton step is linear CG
-on the standard 5-point scheme.
+For p = 2 the energy is quadratic and its Hessian on the interior cells is
+|cell| times the 5-point Dirichlet Laplacian, which the type-I discrete sine
+transform diagonalizes (also for h₁ ≠ h₂): the minimizer is one direct
+fast-Poisson solve (Buzbee–Golub–Nielson, SIAM J. Numer. Anal. 1970), with
+the Dirichlet ring entering through the energy gradient.  For p ≠ 2,
+minimization is a damped inexact Newton method run through a decreasing-ε
+continuation.  Each Newton system uses the exact Hessian of the regularized
+energy, applied matrix-free with the same staggered stencil, and is solved by
+plain CG; an Armijo backtracking search on the energy damps the step.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.fft import dstn, idstn
 
 from .errors import DegenerateGrid, NonConvergence, ShapeMismatch
 from .field_grid import GridField, GridGeometry
@@ -50,8 +54,11 @@ class SystemParams:
     ``tol`` is the relative energy-gradient tolerance of the final stage and
     the bound on its weak residual; ``max_iters`` bounds the Hessian-vector
     products (inner CG iterations) over all stages.  The ε-continuation runs
-    geometrically from ``eps_start`` down to ``eps_final`` (skipped entirely
-    for p = 2, where ε only shifts the energy by a constant).
+    geometrically from ``eps_start`` down to ``eps_final``; while the weak
+    residual of the last stage stays above ``tol``, ``solve`` divides ε by 10
+    again, down to ε = 1e-16.  For p = 2 there is no continuation (ε only
+    shifts the energy by a constant): the solve is direct and uses none of
+    the ``max_iters`` budget.
     """
 
     p: float
@@ -262,13 +269,12 @@ def _hessian_product(g: np.ndarray, s2: np.ndarray, p: float,
     directions together, so a system's components (N > 1) stay coupled."""
     h1, h2 = geom.spacing
     W = s2 ** ((p - 2.0) / 2.0)
-    C = (p - 2.0) * s2 ** ((p - 4.0) / 2.0) if p != 2.0 else None
+    C = (p - 2.0) * s2 ** ((p - 4.0) / 2.0)
 
     def apply(d: np.ndarray) -> np.ndarray:
         gd = _stag_values(d, h1, h2)
         T = W * gd
-        if C is not None:
-            T += (C * np.einsum("cdij,cdij->ij", g, gd)) * g
+        T += (C * np.einsum("cdij,cdij->ij", g, gd)) * g
         out = _divergence_gap(T, geom)
         out[:, ring] = 0.0
         return out
@@ -301,6 +307,25 @@ def _cg(apply, b: np.ndarray, atol: float, budget: int):
     return x, k
 
 
+def _poisson_step(v, Fl, geom, ring, trace):
+    """Exact Newton step v ← v − H⁻¹G of the p = 2 energy, updating v in place.
+
+    H = |cell|·L on the interior, L the 5-point Dirichlet Laplacian; DST-I
+    diagonalizes L with eigenvalues λ₁ₖ + λ₂ₗ, where
+    λ_{d,k} = (2 − 2cos(πk/(c_d − 1)))/h_d².  All components are transformed
+    in one call.  Returns ‖G‖ after the step.
+    """
+    _, G, _, _ = _energy_and_grad(v, Fl, 2.0, 0.0, geom, ring)
+    lam = [(2.0 - 2.0 * np.cos(np.pi * np.arange(1, c - 1) / (c - 1))) / h**2
+           for c, h in zip(geom.cells, geom.spacing)]
+    denom = geom.cell_measure * (lam[0][:, np.newaxis] + lam[1][np.newaxis, :])
+    spec = dstn(G[:, 1:-1, 1:-1], type=1, axes=(1, 2), norm="ortho")
+    v[:, 1:-1, 1:-1] -= idstn(spec / denom, type=1, axes=(1, 2), norm="ortho")
+    J, G, _, _ = _energy_and_grad(v, Fl, 2.0, 0.0, geom, ring)
+    trace.append(J)
+    return math.sqrt(_dot(G, G))
+
+
 def _newton_stage(v, Fl, p, eps, geom, ring, gtol, scale, budget, trace, accept):
     """Damped inexact Newton on the ε-regularized energy, updating v in place.
 
@@ -313,11 +338,8 @@ def _newton_stage(v, Fl, p, eps, geom, ring, gtol, scale, budget, trace, accept)
     gnorm = math.sqrt(_dot(G, G))
     used = steps = 0
     while used < budget and not (gnorm <= gtol and accept(v)):
-        # forcing term η = min(0.1, ‖G‖/scale); the p = 2 energy is quadratic,
-        # so its single Newton system is solved to the gradient tolerance
+        # forcing term η = min(0.1, ‖G‖/scale)
         atol = min(0.1, gnorm / scale) * gnorm
-        if p == 2.0:
-            atol = min(atol, gtol)
         s, k = _cg(_hessian_product(g, s2, p, geom, ring), -G, atol, budget - used)
         used += k
         slope = _dot(G, s)
@@ -346,16 +368,23 @@ def _newton_stage(v, Fl, p, eps, geom, ring, gtol, scale, budget, trace, accept)
     return used, steps, gnorm
 
 
+# smallest ε of the continuation, reached only while the residual gate fails
+_EPS_FLOOR = 1e-16
+
+
 def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
     """Minimize the regularized energy over interior samples.
 
-    The boundary ring carries the Dirichlet data exactly throughout.  Each
-    ε-stage runs damped Newton until the gradient falls below max(1e-5,
-    ``tol``) relative to the initial one; the final stage runs until it falls
-    below ``tol`` and the weak residual (unregularized flux) is at most
-    ``tol``.  ``iterations`` counts Hessian-vector products, the budget of
-    ``max_iters``.  Raises :class:`NonConvergence` if the residual ends above
-    tolerance.
+    The boundary ring carries the Dirichlet data exactly throughout.  For
+    p = 2 one direct DST-I solve minimizes the energy; a second one refines
+    the result if its weak residual is above ``tol``, and ``iterations`` is 0.
+    For p ≠ 2 each ε-stage runs damped Newton until the gradient falls below
+    max(1e-5, ``tol``) relative to the initial one; the final stage runs until
+    it falls below ``tol`` and the weak residual (unregularized flux) is at
+    most ``tol``.  While that residual stays above ``tol`` and budget remains,
+    further stages follow at ε/10, down to ε = 1e-16.  ``iterations`` counts
+    Hessian-vector products, the budget of ``max_iters``.  Raises
+    :class:`NonConvergence` if the residual ends above tolerance.
     """
     geom = problem.geometry
     if min(geom.cells) < 16:
@@ -374,30 +403,45 @@ def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
         v[c][interior] = problem.g[c][ring].mean()
 
     kind = "scalar" if N == 1 else "vector"
-    stages = params.stages()
     budget = params.max_iters
     used = 0
     trace: list[float] = []
     log: list[dict] = []
 
-    _, G0, _, _ = _energy_and_grad(v, Fl, p, stages[0], geom, ring)
-    scale = math.sqrt(_dot(G0, G0)) or 1.0
-
-    for k, eps in enumerate(stages):
-        last = k == len(stages) - 1
-        rel = params.tol if last else max(params.tol, 1e-5)
+    def residual(w: np.ndarray) -> float:
         # GridField freezes the array it wraps, so the gate checks a copy
-        it, steps, gnorm = _newton_stage(
-            v, Fl, p, eps, geom, ring, rel * scale, scale, budget - used, trace,
-            lambda w: not last or weak_residual(
-                GridField(geom, w.copy(), kind, codomain=N), problem.F, p
-            ) <= params.tol,
-        )
-        used += it
-        log.append({"eps": eps, "iterations": it, "newton_steps": steps,
+        return weak_residual(GridField(geom, w.copy(), kind, codomain=N), problem.F, p)
+
+    if p == 2.0:
+        gnorm = _poisson_step(v, Fl, geom, ring, trace)
+        steps = 1
+        if residual(v) > params.tol:
+            gnorm = _poisson_step(v, Fl, geom, ring, trace)
+            steps = 2
+        log.append({"eps": 0.0, "iterations": 0, "newton_steps": steps,
                     "grad_norm": gnorm})
-        if used >= budget:
-            break
+    else:
+        stages = params.stages()
+        _, G0, _, _ = _energy_and_grad(v, Fl, p, stages[0], geom, ring)
+        scale = math.sqrt(_dot(G0, G0)) or 1.0
+        k = 0
+        while used < budget:
+            eps = stages[k] if k < len(stages) else eps / 10.0
+            last = k >= len(stages) - 1
+            rel = params.tol if last else max(params.tol, 1e-5)
+            it, steps, gnorm = _newton_stage(
+                v, Fl, p, eps, geom, ring, rel * scale, scale, budget - used,
+                trace, lambda w: not last or residual(w) <= params.tol,
+            )
+            used += it
+            log.append({"eps": eps, "iterations": it, "newton_steps": steps,
+                        "grad_norm": gnorm})
+            # past eps_final, ε keeps falling while the residual gate fails;
+            # the slack absorbs the round-off of repeated division by 10
+            if last and (eps / 10.0 < _EPS_FLOOR * (1 - 1e-12)
+                         or residual(v) <= params.tol):
+                break
+            k += 1
 
     u = GridField(geom, v, kind, codomain=N)
     res = weak_residual(u, problem.F, p)

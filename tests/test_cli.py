@@ -329,6 +329,31 @@ def test_solve_rejects_bad_solver_values(tmp_path, capsys, option, name):
     assert not (tmp_path / "sol").exists()
 
 
+def test_solve_json_stages_sum_to_iterations(tmp_path):
+    cfg = write_config(tmp_path / "solve.ini",
+                       SOLVE_CONFIG.replace("p = 2.0", "p = 3.0")
+                       .replace("tol = 1e-10", "tol = 1e-8"))
+    out = tmp_path / "sol"
+    assert main(["solve", cfg, "--out", str(out)]) == 0
+    summary = json.loads(read_bytes(out, "solve.json"))
+    stages = summary["stages"]
+    assert len(stages) >= 2
+    assert all(set(s) == {"eps", "iterations", "newton_steps", "grad_norm"}
+               for s in stages)
+    assert summary["iterations"] > 0
+    assert sum(s["iterations"] for s in stages) == summary["iterations"]
+
+
+@pytest.mark.parametrize("value", ["abc", "nan"])
+def test_solve_rejects_bad_boundary(tmp_path, capsys, value):
+    cfg = write_config(tmp_path / "solve.ini",
+                       SOLVE_CONFIG.replace("boundary = u", f"boundary = {value}"))
+    assert main(["solve", cfg, "--out", str(tmp_path / "sol")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [data] boundary") and value in err
+    assert not (tmp_path / "sol").exists()
+
+
 # ---------------------------------------------------------------------------
 # norm and potential commands
 

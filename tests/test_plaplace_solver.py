@@ -7,6 +7,7 @@ from scipy.sparse.linalg import spsolve
 
 from wulff_lab.errors import DegenerateGrid, NonConvergence
 from wulff_lab.field_grid import GridField, GridGeometry
+from wulff_lab.inequality_lab import random_field
 from wulff_lab.plaplace_solver import (
     DirichletProblem,
     SystemParams,
@@ -147,6 +148,35 @@ def test_p2_matches_sparse_direct_oracle():
     assert np.abs(result.u.values[0] - direct).max() < 1e-8
 
 
+# c − 1 = 31 and 37 are prime, the slow lengths of the DST-I
+@pytest.mark.parametrize("cells, extent, N", [
+    (32, (1.0, 0.6), 1),
+    (38, (1.0, 1.0), 2),
+], ids=["anisotropic-32", "system-38"])
+def test_p2_dst_solve_matches_sparse_oracle(cells, extent, N):
+    geom = GridGeometry((cells, cells), extent, (0.0, 0.0))
+    F = random_field(geom, cells, "bumps", components=N, shape="matrix")
+    trig = trig_field(geom).values[0]
+    u_b = np.stack([(1.0 + c) * trig + 0.5 * c for c in range(N)])
+    boundary = GridField(geom, u_b, "scalar" if N == 1 else "vector", codomain=N)
+    result = solve(DirichletProblem(F, boundary), SystemParams(p=2.0))
+    assert result.iterations == 0
+    for c in range(N):
+        Fc = GridField(geom, F.values[2 * c:2 * c + 2], "matrix", codomain=1)
+        direct = _direct_p2_solution(geom, Fc, u_b[c].copy())
+        assert np.abs(result.u.values[c] - direct).max() <= 1e-10 * np.abs(direct).max()
+
+
+def test_p2_direct_solve_at_512_anisotropic():
+    geom = GridGeometry((512, 512), (1.0, 0.6), (0.0, 0.0))
+    F = random_field(geom, 3, "bumps", shape="matrix")
+    result = solve(DirichletProblem(F, 0.0), SystemParams(p=2.0))
+    assert result.iterations == 0
+    assert result.residual <= 1e-12
+    assert result.stage_log == [{"eps": 0.0, "iterations": 0, "newton_steps": 1,
+                                 "grad_norm": result.grad_norm}]
+
+
 def test_p2_second_order_convergence():
     errs = {}
     for cells in (32, 64):
@@ -181,7 +211,7 @@ def test_nonconvergence_raises_with_residual():
     geom = unit_grid(24)
     F = staggered_poisson_datum(geom)
     with pytest.raises(NonConvergence) as info:
-        solve(DirichletProblem(F, 0.0), SystemParams(p=2.0, tol=1e-14, max_iters=2))
+        solve(DirichletProblem(F, 0.0), SystemParams(p=3.0, max_iters=2))
     assert info.value.residual is not None
 
 
@@ -217,6 +247,19 @@ def test_degenerate_p3_zero_boundary_at_default_tol():
     result = solve(DirichletProblem(F, 0.0), SystemParams(p=3.0))
     assert time.perf_counter() - start < 10.0
     assert weak_residual(result.u, F, 3.0) <= 1e-8
+
+
+@pytest.mark.parametrize("cells", [32, 64])
+def test_singular_p1_5_zero_boundary_at_default_tol(cells):
+    # the residual of the unregularized flux falls like ε^{p−1}, so the solve
+    # must continue below eps_final until the residual gate passes
+    geom = unit_grid(cells)
+    F = manufacture(trig_field(geom), 1.5)
+    start = time.perf_counter()
+    result = solve(DirichletProblem(F, 0.0), SystemParams(p=1.5))
+    assert time.perf_counter() - start < 10.0
+    assert weak_residual(result.u, F, 1.5) <= 1e-8
+    assert result.stage_log[-1]["eps"] < SystemParams(p=1.5).eps_final
 
 
 @pytest.mark.parametrize("N", [1, 2])
