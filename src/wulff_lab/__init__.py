@@ -24,7 +24,6 @@ from .errors import (
     NonFiniteValue,
     NonNegativityViolation,
     ParameterRangeViolation,
-    PRangeError,
     QuadratureFailure,
     QuasiIncreasingViolation,
     ResidualTooLarge,
@@ -55,7 +54,6 @@ from .function_spaces import (
     SupScanResult,
     TransformPair,
     WeightFunction,
-    WeightTransforms,
     YoungFunction,
     balance_report,
     campanato_seminorm,
@@ -67,7 +65,6 @@ from .function_spaces import (
     rearrange,
     weight_one,
     weight_power,
-    weight_transforms,
     young_dexp,
     young_exp,
     young_power,

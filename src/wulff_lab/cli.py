@@ -136,9 +136,9 @@ class RunConfig:
             if name not in THEOREMS:
                 known = ", ".join(sorted(THEOREMS))
                 raise ConfigError(f"unknown theorem id {name!r}; known ids: {known}")
-        self.shared_verify = dict(v)
+        shared = dict(v)
         self.theorems = [
-            (name, {**self.shared_verify,
+            (name, {**shared,
                     **(dict(parser[f"verify.{name}"]) if f"verify.{name}" in parser else {})})
             for name in names
         ]
@@ -190,8 +190,10 @@ def _profile_field(geom: GridGeometry, spec: str) -> GridField:
                 kv[key.strip()] = float(val)
             except ValueError as exc:
                 raise ConfigError(f"bad profile option {item!r} in {spec!r}") from exc
-    center = tuple(geom.origin[d] + 0.5 * geom.extent[d] for d in range(geom.dim))
-
+    if name == "power":
+        return iq.radial_profile(geom, kv.get("expo", 0.5), kv.get("scale", 1.0))
+    if name == "log":
+        return iq.radial_profile(geom, None, kv.get("scale", 1.0))
     if name == "sinsin":
         def fn(*mesh):
             out = 1.0
@@ -200,16 +202,6 @@ def _profile_field(geom: GridGeometry, spec: str) -> GridField:
                     math.pi * (mesh[d] - geom.origin[d]) / geom.extent[d]
                 )
             return kv.get("scale", 1.0) * out
-    elif name == "power":
-        expo = kv.get("expo", 0.5)
-
-        def fn(*mesh):
-            d2 = sum((mesh[d] - center[d]) ** 2 for d in range(geom.dim))
-            return kv.get("scale", 1.0) * d2 ** (expo / 2.0)
-    elif name == "log":
-        def fn(*mesh):
-            d2 = sum((mesh[d] - center[d]) ** 2 for d in range(geom.dim))
-            return -0.5 * kv.get("scale", 1.0) * np.log(d2)
     elif name == "affine":
         def fn(*mesh):
             out = kv.get("c", 0.0)
@@ -247,20 +239,6 @@ def _load_pair(cfg: RunConfig) -> tuple[GridField, GridField]:
 
 # ---------------------------------------------------------------------------
 # theorem registry
-
-
-class Theorem:
-    def __init__(self, ident: str, summary: str, runner):
-        self.ident = ident
-        self.summary = summary
-        self.runner = runner
-
-    def run(self, cfg: RunConfig, opts: dict, seed: int, threads):
-        return self.runner(cfg, opts, seed, threads)
-
-
-def _center(geom: GridGeometry) -> tuple[float, ...]:
-    return tuple(geom.origin[d] + 0.5 * geom.extent[d] for d in range(geom.dim))
 
 
 def _opt_point(opts, key, default):
@@ -303,7 +281,7 @@ def _merge(theorem: str, params: dict, reports) -> iq.VerificationReport:
 
 def _run_telescope(cfg, opts, seed, threads):
     geom = cfg.geometry
-    x = _opt_point(opts, "x", _center(geom))
+    x = _opt_point(opts, "x", geom.center)
     n_fields = _opt_int(opts, "samples", 100)
     R = _opt_float(opts, "r_outer", 0.4 * min(geom.extent))
     r = _opt_float(opts, "r_inner", max(R / 8.0, 2.0 * max(geom.spacing)))
@@ -353,7 +331,7 @@ def _run_pointwise_osc(cfg, opts, seed, threads):
 def _run_oscillation(cfg, opts, seed, threads):
     u, F = _load_pair(cfg)
     geom = cfg.geometry
-    x = _opt_point(opts, "x", _center(geom))
+    x = _opt_point(opts, "x", geom.center)
     R = _opt_float(opts, "r_ball", 0.25 * min(geom.extent))
     tol = _opt_float(opts, "residual_tol", 1e-5)
     return iq.verify_oscillation(u, F, cfg.p, x, R, residual_tol=tol)
@@ -362,7 +340,7 @@ def _run_oscillation(cfg, opts, seed, threads):
 def _run_energy(cfg, opts, seed, threads):
     u, F = _load_pair(cfg)
     geom = cfg.geometry
-    x = _opt_point(opts, "x", _center(geom))
+    x = _opt_point(opts, "x", geom.center)
     R = _opt_float(opts, "r_ball", 0.25 * min(geom.extent))
     tol = _opt_float(opts, "residual_tol", 1e-5)
     q = _opt_float(opts, "q", None) if "q" in opts else None
@@ -433,49 +411,45 @@ def _regularity_runner(kind):
     return run
 
 
-THEOREMS: dict[str, Theorem] = {}
-for _t in [
-    Theorem("telescoping-means",
-            "two-mean comparison with constants 2^(2n+2) and 2^(2n+3)",
-            _run_telescope),
-    Theorem("pointwise-wulff",
-            "|u(x)| bounded by the truncated Wulff potential of |F|^p' plus a mean",
-            _run_pointwise),
-    Theorem("pointwise-oscillation",
-            "|u(x)| bounded by the mean-oscillation potential of F plus a mean",
-            _run_pointwise_osc),
-    Theorem("oscillation-decay",
-            "mean oscillation of u at scale r controlled by a Dini-type F term",
-            _run_oscillation),
-    Theorem("energy-caccioppoli",
-            "reverse Hoelder and Caccioppoli inequalities on nested balls",
-            _run_energy),
-    Theorem("hardy-i", "weighted Hardy inequality, q >= 1", _hardy_runner("i")),
-    Theorem("hardy-ii-far", "weighted Hardy inequality, q < 1, alpha < -1-1/q",
-            _hardy_runner("ii-far")),
-    Theorem("hardy-ii-near", "weighted Hardy inequality, q < 1, truncated range",
-            _hardy_runner("ii-near")),
-    Theorem("wulff-riesz-domination",
-            "Wulff potential dominated by the composed Riesz potential",
-            _run_domination),
-    Theorem("potential-norms-A-i", "Lorentz-to-Lorentz potential boundedness",
-            _norm_map_runner("A-i")),
-    Theorem("potential-norms-A-iii", "borderline Lorentz-Zygmund boundedness",
-            _norm_map_runner("A-iii")),
-    Theorem("potential-norms-A-iv", "small second index gives boundedness into L^inf",
-            _norm_map_runner("A-iv")),
-    Theorem("potential-norms-B", "Orlicz-to-Orlicz boundedness under the balance condition",
-            _norm_map_runner("B")),
-    Theorem("regularity-holder", "fitted Hoelder exponent against 1 - n/(q(p-1))",
-            _regularity_runner("holder")),
-    Theorem("regularity-bmo", "borderline Morrey datum keeps the BMO seminorm finite",
-            _regularity_runner("bmo")),
-    Theorem("regularity-lipschitz", "Dini datum modulus forces a Lipschitz solution",
-            _regularity_runner("lipschitz")),
-    Theorem("regularity-lorentz", "rearrangement tail exponent of the marginal datum",
-            _regularity_runner("lorentz")),
-]:
-    THEOREMS[_t.ident] = _t
+# theorem id -> (summary, runner); runners take (cfg, opts, seed, threads)
+THEOREMS = {
+    "telescoping-means": (
+        "two-mean comparison with constants 2^(2n+2) and 2^(2n+3)", _run_telescope),
+    "pointwise-wulff": (
+        "|u(x)| bounded by the truncated Wulff potential of |F|^p' plus a mean",
+        _run_pointwise),
+    "pointwise-oscillation": (
+        "|u(x)| bounded by the mean-oscillation potential of F plus a mean",
+        _run_pointwise_osc),
+    "oscillation-decay": (
+        "mean oscillation of u at scale r controlled by a Dini-type F term",
+        _run_oscillation),
+    "energy-caccioppoli": (
+        "reverse Hoelder and Caccioppoli inequalities on nested balls", _run_energy),
+    "hardy-i": ("weighted Hardy inequality, q >= 1", _hardy_runner("i")),
+    "hardy-ii-far": ("weighted Hardy inequality, q < 1, alpha < -1-1/q",
+                     _hardy_runner("ii-far")),
+    "hardy-ii-near": ("weighted Hardy inequality, q < 1, truncated range",
+                      _hardy_runner("ii-near")),
+    "wulff-riesz-domination": (
+        "Wulff potential dominated by the composed Riesz potential", _run_domination),
+    "potential-norms-A-i": ("Lorentz-to-Lorentz potential boundedness",
+                            _norm_map_runner("A-i")),
+    "potential-norms-A-iii": ("borderline Lorentz-Zygmund boundedness",
+                              _norm_map_runner("A-iii")),
+    "potential-norms-A-iv": ("small second index gives boundedness into L^inf",
+                             _norm_map_runner("A-iv")),
+    "potential-norms-B": ("Orlicz-to-Orlicz boundedness under the balance condition",
+                          _norm_map_runner("B")),
+    "regularity-holder": ("fitted Hoelder exponent against 1 - n/(q(p-1))",
+                          _regularity_runner("holder")),
+    "regularity-bmo": ("borderline Morrey datum keeps the BMO seminorm finite",
+                       _regularity_runner("bmo")),
+    "regularity-lipschitz": ("Dini datum modulus forces a Lipschitz solution",
+                             _regularity_runner("lipschitz")),
+    "regularity-lorentz": ("rearrangement tail exponent of the marginal datum",
+                           _regularity_runner("lorentz")),
+}
 
 
 def _young_from_spec(spec: str):
@@ -605,8 +579,8 @@ def _cmd_list_theorems() -> int:
     width = max(len(t) for t in THEOREMS)
     print(f"{'theorem id':<{width}}  description")
     print(f"{'-' * width}  {'-' * 11}")
-    for ident in THEOREMS:
-        print(f"{ident:<{width}}  {THEOREMS[ident].summary}")
+    for ident, (summary, _) in THEOREMS.items():
+        print(f"{ident:<{width}}  {summary}")
     return 0
 
 
@@ -618,7 +592,7 @@ def _cmd_run(args) -> int:
     reports = []
     for name, opts in cfg.theorems:
         try:
-            reports.append(THEOREMS[name].run(cfg, opts, seed, args.threads))
+            reports.append(THEOREMS[name][1](cfg, opts, seed, args.threads))
         except WulffLabError as exc:
             raise WulffLabError(f"[{name}] {exc}") from exc
     all_passed = all(r.passed for r in reports)
@@ -692,21 +666,22 @@ def _space_norm(f: GridField, spec: str) -> float:
     if ":" not in spec:
         raise ConfigError(f"bad space spec {spec!r}")
     head, rest = spec.split(":", 1)
-    if head == "lorentz":
-        vals = [tok.strip() for tok in rest.split(",")]
-        q = math.inf if vals[0] in ("inf", "Inf") else float(vals[0])
-        rho = float(vals[1])
-        beta = float(vals[2]) if len(vals) > 2 else 0.0
-        return lorentz_zygmund_norm(f, LorentzParams(q, rho, beta))
     if head == "orlicz":
         return luxemburg_norm(f, _young_from_spec(rest))
-    if head in ("campanato", "morrey"):
-        vals = [tok.strip() for tok in rest.split(",")]
-        beta = float(vals[0])
-        q = float(vals[1]) if len(vals) > 1 else 1.0
-        fn = campanato_seminorm if head == "campanato" else morrey_norm
-        return float(fn(f, weight_power(beta), q=q))
-    raise ConfigError(f"unknown space family {head!r} in {spec!r}")
+    if head not in ("lorentz", "campanato", "morrey"):
+        raise ConfigError(f"unknown space family {head!r} in {spec!r}")
+    try:
+        vals = [float(tok) for tok in rest.split(",")]
+        if head == "lorentz":
+            params = LorentzParams(vals[0], vals[1], vals[2] if len(vals) > 2 else 0.0)
+        else:
+            beta, q = vals[0], vals[1] if len(vals) > 1 else 1.0
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"bad space spec {spec!r}") from exc
+    if head == "lorentz":
+        return lorentz_zygmund_norm(f, params)
+    fn = campanato_seminorm if head == "campanato" else morrey_norm
+    return float(fn(f, weight_power(beta), q=q))
 
 
 def _cmd_norm(args) -> int:
@@ -719,7 +694,7 @@ def _cmd_norm(args) -> int:
 def _cmd_potential(args) -> int:
     f = read_field(args.field)
     geom = f.geometry
-    x = _floats(args.point) if args.point else _center(geom)
+    x = _floats(args.point) if args.point else geom.center
     if args.kind == "wulff":
         radius = args.radius if args.radius is not None else math.inf
         value = wulff_potential(f, PotentialParams(args.alpha, args.s, radius), x)

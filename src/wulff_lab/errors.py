@@ -83,19 +83,12 @@ class InadmissibleParams(WulffLabError):
 
 
 class SearchRangeExhausted(WulffLabError):
-    """A bracketing search failed within its range (bracket reported)."""
-
-    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.bracket = bracket
+    """A bracketing search failed within its range; the message names the
+    bracket searched."""
 
 
 class FinitenessFailure(WulffLabError):
     """An integral transform diverges for the supplied Young function."""
-
-
-class PRangeError(WulffLabError):
-    """Exponent p lies outside the range required by a transform."""
 
 
 class NoAdmissibleBalls(WulffLabError):

@@ -106,6 +106,11 @@ class GridGeometry:
     def cell_count(self) -> int:
         return math.prod(self.cells)
 
+    @property
+    def center(self) -> tuple[float, ...]:
+        """Center of the box, ``origin + extent / 2``."""
+        return tuple(o + 0.5 * e for o, e in zip(self.origin, self.extent))
+
     def axis_centers(self, d: int) -> np.ndarray:
         h = self.spacing[d]
         return self.origin[d] + (np.arange(self.cells[d]) + 0.5) * h

@@ -9,21 +9,20 @@ Everything here reduces a sampled field to scalar summaries:
 * the Young-function transforms that govern the Orlicz-target regularity of
   the p-Laplace system, together with a balance report that decides whether
   F(E(t)/γ) ≤ γ A(t)/t is satisfiable for some finite γ,
-* Campanato/Morrey sup-type seminorms over a deterministic ball sample, and
-* weight transforms (Dini integral, Spanne-type ϖ, and the decay weight μ)
-  used by the continuity criteria.
+* Campanato/Morrey sup-type seminorms over a deterministic ball sample,
+  weighted by a radial power ω(r) = r^β, and
+* running-max envelopes with the k-sandwich check of quasi-increasing
+  functions.
 
-Young and weight functions constructed from the built-in families carry a
-symbolic tag.  Young transforms and balance checks use closed forms and exact
-exponent arithmetic when the tag allows and deterministic quadrature
-otherwise; weight transforms exist in closed form only, for the power-tagged
-weights.
+Young functions constructed from the built-in families carry a symbolic tag.
+Young transforms and balance checks use closed forms and exact exponent
+arithmetic when the tag allows and deterministic quadrature otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,7 +32,6 @@ from .errors import (
     FinitenessFailure,
     InadmissibleParams,
     NoAdmissibleBalls,
-    PRangeError,
     QuadratureFailure,
     SearchRangeExhausted,
 )
@@ -57,8 +55,6 @@ __all__ = [
     "WeightFunction",
     "weight_power",
     "weight_one",
-    "WeightTransforms",
-    "weight_transforms",
     "SupScanResult",
     "campanato_seminorm",
     "morrey_norm",
@@ -248,7 +244,6 @@ class YoungFunction:
     tag: str = "custom"
     sigma: float | None = None
     logexp: float = 0.0
-    label: str = "A"
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -260,7 +255,7 @@ def young_power(q: float) -> YoungFunction:
     """A(t) = t^q (q ≥ 1)."""
     if q < 1:
         raise InadmissibleParams(f"power Young functions need q >= 1, got {q}")
-    return YoungFunction(lambda t: t**q, "power", sigma=q, label=f"t^{q:g}")
+    return YoungFunction(lambda t: t**q, "power", sigma=q)
 
 
 def young_zygmund(q: float, beta: float) -> YoungFunction:
@@ -269,7 +264,7 @@ def young_zygmund(q: float, beta: float) -> YoungFunction:
         raise InadmissibleParams(f"Zygmund Young functions need q >= 1, got {q}")
     return YoungFunction(
         lambda t: t**q * np.log(np.e + t) ** beta,
-        "zygmund", sigma=q, logexp=beta, label=f"t^{q:g}*log^{beta:g}",
+        "zygmund", sigma=q, logexp=beta,
     )
 
 
@@ -277,12 +272,12 @@ def young_exp(beta: float = 1.0) -> YoungFunction:
     """A(t) = exp(t^β) − 1."""
     if beta <= 0:
         raise InadmissibleParams(f"exponential Young functions need beta > 0")
-    return YoungFunction(lambda t: np.expm1(t**beta), "exp", label=f"exp(t^{beta:g})-1")
+    return YoungFunction(lambda t: np.expm1(t**beta), "exp")
 
 
 def young_dexp() -> YoungFunction:
     """A(t) = exp(exp(t)) − e."""
-    return YoungFunction(lambda t: np.exp(np.exp(t)) - np.e, "dexp", label="exp(exp t)-e")
+    return YoungFunction(lambda t: np.exp(np.exp(t)) - np.e, "dexp")
 
 
 def luxemburg_norm(f: GridField, A: YoungFunction) -> float:
@@ -314,7 +309,7 @@ def luxemburg_norm(f: GridField, A: YoungFunction) -> float:
         if math.isinf(modular(hi)):
             return math.inf
         raise SearchRangeExhausted(
-            "modular stayed above 1 up to the range cap", bracket=(top, hi)
+            f"modular stayed above 1 on the bracket [{top:g}, {hi:g}]"
         )
     # walk hi down to keep the invariant modular(lo) > 1 >= modular(hi)
     lo = hi / 2.0
@@ -353,11 +348,9 @@ class _Transform:
     """Increasing transform with a pointwise evaluator, an optional exact
     power closed form, and asymptotic exponents for the balance report."""
 
-    def __init__(self, evaluator: Callable[[float], float], asym: _Asym | None,
-                 label: str):
+    def __init__(self, evaluator: Callable[[float], float], asym: _Asym | None):
         self._eval = evaluator
         self.asym = asym
-        self.label = label
         self._cache: dict[float, float] = {}
 
     def __call__(self, t):
@@ -369,8 +362,8 @@ class _Transform:
         return np.array([self(float(x)) for x in np.ravel(t)]).reshape(np.shape(t))
 
 
-def _power_transform(coeff: float, power: float, label: str) -> _Transform:
-    return _Transform(lambda t: coeff * t**power, _Asym(power, 0.0), label)
+def _power_transform(coeff: float, power: float) -> _Transform:
+    return _Transform(lambda t: coeff * t**power, _Asym(power, 0.0))
 
 
 def _quad_zero_to(fn: Callable[[float], float], t: float) -> float:
@@ -438,17 +431,15 @@ def potential_young_transforms(A: YoungFunction, B: YoungFunction, alpha: float,
         F_asym = _Asym(bF * outer_F, B.logexp * outer_F)
 
     if A.tag == "power" and E_asym is not None:
-        E = _power_transform((1.0 / aE) ** outer_E, aE * outer_E, f"E[{A.label}]")
+        E = _power_transform((1.0 / aE) ** outer_E, aE * outer_E)
     else:
-        E = _Transform(lambda t: _quad_zero_to(e_integrand, t) ** outer_E,
-                       E_asym, f"E[{A.label}]")
+        E = _Transform(lambda t: _quad_zero_to(e_integrand, t) ** outer_E, E_asym)
     if B.tag == "power" and F_asym is not None:
-        F = _power_transform((1.0 / bF) ** outer_F, bF * outer_F, f"F[{B.label}]")
+        F = _power_transform((1.0 / bF) ** outer_F, bF * outer_F)
     else:
-        F = _Transform(lambda t: _quad_zero_to(f_integrand, t) ** outer_F,
-                       F_asym, f"F[{B.label}]")
+        F = _Transform(lambda t: _quad_zero_to(f_integrand, t) ** outer_F, F_asym)
 
-    return TransformPair(E=E, F=F, A=A, B=B, n=n, alpha=alpha, s=s)
+    return TransformPair(E=E, F=F, A=A)
 
 
 @dataclass
@@ -458,25 +449,17 @@ class BalanceReport:
     satisfiable: bool
     gamma: float | None
     mode: str  # "symbolic" | "numeric"
-    t0: float
-    t_max: float
-    notes: list[str] = field(default_factory=list)
-    lhs_asym: tuple[float, float] | None = None
-    rhs_asym: tuple[float, float] | None = None
+    notes: list[str]
 
 
 @dataclass(frozen=True)
 class TransformPair:
-    """The pair (E, F) with its source Young functions; :func:`balance_report`
-    checks the balance condition."""
+    """The pair (E, F) with the Young function A that bounds it;
+    :func:`balance_report` checks the balance condition."""
 
     E: _Transform
     F: _Transform
     A: YoungFunction
-    B: YoungFunction
-    n: int
-    alpha: float
-    s: float
 
 
 def balance_report(pair: TransformPair, t0: float = 1.0) -> BalanceReport:
@@ -493,7 +476,6 @@ def balance_report(pair: TransformPair, t0: float = 1.0) -> BalanceReport:
     """
     t_max, gamma_hi = 1e4, 1e8
     notes: list[str] = []
-    lhs_asym = rhs_asym = None
     if pair.E.asym is not None and pair.F.asym is not None and pair.A.sigma is not None:
         pE, lE = pair.E.asym.power, pair.E.asym.logpow
         pF, lF = pair.F.asym.power, pair.F.asym.logpow
@@ -510,8 +492,7 @@ def balance_report(pair: TransformPair, t0: float = 1.0) -> BalanceReport:
                 "left side asymptotically dominates the right side for every "
                 f"fixed gamma: t-power/log-power {lhs_asym} > {rhs_asym}"
             )
-            return BalanceReport(False, None, "symbolic", t0, t_max, notes,
-                                 lhs_asym, rhs_asym)
+            return BalanceReport(False, None, "symbolic", notes)
         mode = "symbolic"
     else:
         mode = "numeric"
@@ -529,7 +510,7 @@ def balance_report(pair: TransformPair, t0: float = 1.0) -> BalanceReport:
 
     if not holds(gamma_hi):
         notes.append(f"no gamma up to {gamma_hi:g} satisfies the grid condition")
-        return BalanceReport(False, None, mode, t0, t_max, notes, lhs_asym, rhs_asym)
+        return BalanceReport(False, None, mode, notes)
     lo, hi = 1e-8, gamma_hi
     if holds(lo):
         hi = lo
@@ -540,22 +521,20 @@ def balance_report(pair: TransformPair, t0: float = 1.0) -> BalanceReport:
                 hi = mid
             else:
                 lo = mid
-    return BalanceReport(True, float(hi), mode, t0, t_max, notes, lhs_asym, rhs_asym)
+    return BalanceReport(True, float(hi), mode, notes)
 
 
 # ---------------------------------------------------------------------------
-# weights and their transforms
+# weights
 
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Radial weight ω(r) on (0, 1] with a symbolic tag where available."""
+    """Radial weight ω(r) of the Campanato/Morrey scans; ``nondecreasing``
+    lets :func:`campanato_seminorm` evaluate the scan at q = 1."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    tag: str = "custom"
-    beta: float | None = None
-    nondecreasing: bool = False
-    label: str = "omega"
+    nondecreasing: bool
 
     def __call__(self, r) -> np.ndarray:
         return self.fn(np.asarray(r, dtype=float))
@@ -563,61 +542,13 @@ class WeightFunction:
 
 def weight_power(beta: float) -> WeightFunction:
     """ω(r) = r^β (nondecreasing for β ≥ 0)."""
-    return WeightFunction(lambda r: r**beta, "power", beta=beta,
-                          nondecreasing=beta >= 0, label=f"r^{beta:g}")
+    return WeightFunction(lambda r: r**beta, nondecreasing=beta >= 0)
 
 
 def weight_one() -> WeightFunction:
     """ω ≡ 1: Campanato scan becomes the sampled mean-oscillation seminorm."""
     return WeightFunction(lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                          "one", beta=0.0, nondecreasing=True, label="1")
-
-
-@dataclass(frozen=True)
-class WeightTransforms:
-    """Dini flag with the two derived weights ϖ(r) = ∫₀^r ω/ρ dρ and
-    μ(r) = r·(∫_r^1 ω(ϱ) ϱ^{−n/p'−1} dϱ)^{1/(p−1)}."""
-
-    dini: bool
-    varpi: Callable[[float], float]
-    mu: Callable[[float], float]
-
-
-def weight_transforms(omega: WeightFunction, n: int, p: float) -> WeightTransforms:
-    """Derived weights of ω for dimension n and exponent p > 1.
-
-    Only power-tagged weights (``weight_power``, ``weight_one``) are
-    accepted; they have exact antiderivatives, in particular ω(r) = r^β gives
-    μ(r) ∝ r^{1 − (n/p − β/(p−1))} as r → 0 when β < n/p′.  Any other tag
-    raises :class:`InadmissibleParams`.
-    """
-    if not (p > 1):
-        raise PRangeError(f"need p > 1, got {p}")
-    if omega.tag not in ("power", "one"):
-        raise InadmissibleParams(
-            f"weight transforms need a power weight, got tag {omega.tag!r}"
-        )
-    np_exp = n * (p - 1.0) / p  # n / p'
-    beta = float(omega.beta)
-    dini = beta > 0
-
-    def varpi(r: float) -> float:
-        if beta <= 0:
-            return math.inf
-        return r**beta / beta
-
-    c_exp = beta - np_exp
-
-    def mu(r: float) -> float:
-        if not (0 < r <= 1):
-            raise ValueError(f"mu is defined on (0, 1], got r={r}")
-        if c_exp == 0:
-            inner = math.log(1.0 / r)
-        else:
-            inner = (1.0 - r**c_exp) / c_exp
-        return r * max(inner, 0.0) ** (1.0 / (p - 1.0))
-
-    return WeightTransforms(dini, varpi, mu)
+                          nondecreasing=True)
 
 
 # ---------------------------------------------------------------------------
@@ -711,13 +642,12 @@ def morrey_norm(f: GridField, omega: WeightFunction, q: float = 1.0) -> SupScanR
 
 @dataclass(frozen=True)
 class EnvelopeReport:
-    """Monotone envelope ψ(s) = sup_{r ≤ s} φ(r) with its sandwich check
-    φ ≤ ψ ≤ k·φ; violations are reported, never thrown."""
+    """Sandwich check φ ≤ ψ ≤ k·φ of the monotone envelope
+    ψ(s) = sup_{r ≤ s} φ(r), with the largest ratio ψ/φ; a violation is
+    reported, never thrown."""
 
-    psi: np.ndarray
     quasi_increasing: bool
     max_ratio: float
-    violations: int
 
 
 def monotone_envelope(phi: Sequence[float], k: float) -> EnvelopeReport:
@@ -732,5 +662,4 @@ def monotone_envelope(phi: Sequence[float], k: float) -> EnvelopeReport:
     psi = np.maximum.accumulate(phi)
     ratios = psi / phi
     max_ratio = float(ratios.max())
-    bad = int(np.sum(ratios > k * (1 + 1e-12)))
-    return EnvelopeReport(psi, bad == 0, max_ratio, bad)
+    return EnvelopeReport(bool(np.all(ratios <= k * (1 + 1e-12))), max_ratio)

@@ -63,7 +63,6 @@ from .function_spaces import (
     rearrange,
     weight_one,
     weight_power,
-    weight_transforms,
 )
 from .plaplace_solver import manufacture, weak_residual
 from .potential_engine import (
@@ -80,6 +79,7 @@ __all__ = [
     "SampleRecord",
     "VerificationReport",
     "random_field",
+    "radial_profile",
     "verify_pointwise",
     "verify_pointwise_osc",
     "verify_oscillation",
@@ -151,7 +151,9 @@ def _record(label: str, lhs: float, rhs: float) -> SampleRecord:
 
 def _assemble(theorem: str, params: dict, samples: list[SampleRecord],
               notes: list[str], extra_pass: bool = True) -> VerificationReport:
-    c_star = max((s.ratio for s in samples), default=0.0)
+    if not samples:
+        raise ParameterRangeViolation("no samples to verify")
+    c_star = max(s.ratio for s in samples)
     positivity = all(s.rhs > 0 for s in samples if s.lhs > 0)
     passed = bool(extra_pass and positivity and math.isfinite(c_star))
     return VerificationReport(
@@ -246,6 +248,22 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
         comps.append(v)
     vals = np.stack(comps)
     return GridField(geom, vals, shape, codomain=components)
+
+
+def radial_profile(geom: GridGeometry, power: float | None,
+                   scale: float = 1.0) -> GridField:
+    """scale·|x − c|^power, or scale·(−log|x − c|) for ``power=None``, with c
+    the domain center (a cell corner for even cell counts, so no sample is
+    singular)."""
+    c = geom.center
+
+    def fn(*mesh):
+        d2 = sum((mesh[d] - c[d]) ** 2 for d in range(geom.dim))
+        if power is None:
+            return -0.5 * scale * np.log(d2)
+        return scale * d2 ** (power / 2.0)
+
+    return GridField.from_function(geom, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -354,51 +372,40 @@ def verify_pointwise_osc(u: GridField, F: GridField, p: float, R: float,
 
 
 def verify_oscillation(u: GridField, F: GridField, p: float,
-                       x: Sequence[float], R: float,
-                       radii: Sequence[float] | None = None, *,
+                       x: Sequence[float], R: float, *,
                        residual_tol: float = 1e-5) -> VerificationReport:
-    """Oscillation decay estimate at every scale r ∈ [2h, R]:
+    """Oscillation decay estimate at the dyadic scales r = R/2, R/4, … ≥ 2h:
 
         ⨍_{B_r}|u − ⟨u⟩_{B_r}|
             ≤ C r [ (∫_r^R (⨍_{B_ρ}|F − ⟨F⟩|^{p'})^{1/p'} dρ/ρ)^{1/(p−1)}
                     + ⨍_{B_R}|∇u| ].
 
-    ``radii`` defaults to the dyadic scales R/2, R/4, … down to 2h.
+    Raises :class:`InsufficientRadii` when R < 4h leaves no scale.
     """
     res = _gate_pair(u, F, p, residual_tol)
     geom = u.geometry
     r_min = 2.0 * max(geom.spacing)
-    if radii is None:
-        radii = []
-        r = R / 2.0
-        while r >= r_min:
-            radii.append(r)
-            r /= 2.0
-    radii = sorted(float(r) for r in radii)
+    radii = []
+    r = R / 2.0
+    while r >= r_min:
+        radii.append(r)
+        r /= 2.0
+    radii.reverse()
     if not radii:
         raise InsufficientRadii(f"no radii in [{r_min:g}, {R:g}]")
-    if radii[0] < r_min * (1 - 1e-12) or radii[-1] > R * (1 + 1e-12):
-        raise BallBelowResolution(
-            f"radii must lie in [2h, R] = [{r_min:g}, {R:g}], got {radii}"
-        )
     pp = p / (p - 1.0)
     grad_mean = float(
         ball_average(gradient(u).magnitude(), Ball(tuple(x), R))[0]
     )
 
     # one distance-ordered view of F serves the quadratures of every scale
-    quads = [RadialQuadrature.log_spaced(r, R) if r < R * (1 - 1e-12) else None
-             for r in radii]
-    rhos = [rho for quad in quads if quad is not None for rho in quad.radii]
-    oscs = iter(nested_balls(F, x, rhos).oscillations(pp) if rhos else ())
+    quads = [RadialQuadrature.log_spaced(r, R) for r in radii]
+    oscs = iter(nested_balls(F, x, [rho for quad in quads for rho in quad.radii])
+                .oscillations(pp))
     samples = []
     for r, quad in zip(radii, quads):
         lhs = ball_oscillation(u, Ball(tuple(x), r), 1.0)
-        if quad is not None:
-            acc = sum(w * next(oscs) for w in quad.weights)
-            k_term = acc ** (1.0 / (p - 1.0))
-        else:
-            k_term = 0.0
+        k_term = sum(w * next(oscs) for w in quad.weights) ** (1.0 / (p - 1.0))
         rhs = r * (k_term + grad_mean)
         samples.append(_record(f"r={r:.6g}", lhs, rhs))
     return _assemble(
@@ -702,6 +709,11 @@ def verify_hardy(case: str, q: float, alpha: float, *, k: float = 2.0,
     if not (k >= 1):
         raise ParameterRangeViolation(f"quasi-increasing constant needs k >= 1, got {k}")
 
+    if family not in ("random", "ones"):
+        raise ParameterRangeViolation(
+            f"Hardy family must be 'random' or 'ones', got {family!r}"
+        )
+
     if family == "ones":
         top = 2.0 * a if case == "ii-near" else a
         phis = [_PiecewisePhi(np.array([0.0, top]), np.array([1.0]),
@@ -801,7 +813,7 @@ def verify_domination(geom: GridGeometry, alpha: float, s: float, *,
     """
     if not (alpha * s < geom.dim):
         raise InadmissibleParams(f"domination needs alpha*s < n, got {alpha * s}")
-    x = tuple(geom.origin[d] + 0.5 * geom.extent[d] for d in range(geom.dim))
+    x = geom.center
     R = 0.8 * max_admissible_radius(geom, x)
     params = PotentialParams(alpha, s, R)
     kinds = ("fourier", "bumps", "singular")
@@ -937,18 +949,6 @@ def _unit_geometry(cells: int) -> GridGeometry:
     return GridGeometry((cells, cells), (1.0, 1.0), (0.0, 0.0))
 
 
-def _radial_profile(geom: GridGeometry, power: float):
-    """x ↦ |x − x₀|^power with x₀ the domain center (a cell corner for
-    even cell counts, so no sample is singular)."""
-    x0 = tuple(geom.origin[d] + 0.5 * geom.extent[d] for d in range(geom.dim))
-
-    def fn(*mesh):
-        d2 = sum((mesh[d] - x0[d]) ** 2 for d in range(geom.dim))
-        return d2 ** (power / 2.0)
-
-    return x0, fn
-
-
 def _osc_slope(u: GridField, x0, R: float):
     """Least-squares slope of log ⨍_{B_r}|u − ⟨u⟩| against log r over at
     least four dyadic r."""
@@ -1006,11 +1006,10 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
                 f"{max(pp, n / (p - 1.0)):g}, got {q}"
             )
         kappa = 1.0 - n / (q * (p - 1.0))
-        x0, fn = _radial_profile(geom, kappa)
-        u = GridField.from_function(geom, fn)
+        u = radial_profile(geom, kappa)
         F = manufacture(u, p)
         res = _gate_pair(u, F, p, 1e-7)
-        slope, radii, oscs = _osc_slope(u, x0, R=0.25)
+        slope, radii, oscs = _osc_slope(u, geom.center, R=0.25)
         band = 0.15 * kappa
         extra = abs(slope - kappa) <= band
         notes.append(f"predicted exponent {kappa:.6g}, fitted slope {slope:.6g}")
@@ -1026,13 +1025,7 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
                 f"exponent (n-p)/p' is positive, got p={p}"
             )
         beta_star = (n - p) / pp
-        x0, _ = _radial_profile(geom, 1.0)
-
-        def fn(*mesh):
-            d2 = sum((mesh[d] - x0[d]) ** 2 for d in range(geom.dim))
-            return -0.5 * np.log(d2)
-
-        u = GridField.from_function(geom, fn)
+        u = radial_profile(geom, None)
         F = manufacture(u, p)
         res = _gate_pair(u, F, p, 1e-7)
         scan = campanato_seminorm(u, weight_one())
@@ -1050,16 +1043,15 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
             beta = 0.35 * (p - 1.0)
         if not (beta > 0):
             raise ParameterRangeViolation(f"Dini power weight needs beta > 0, got {beta}")
-        wt = weight_transforms(weight_power(beta), n, p)
-        x0, fn = _radial_profile(geom, 1.0 + beta / (p - 1.0))
-        u = GridField.from_function(geom, fn)
+        u = radial_profile(geom, 1.0 + beta / (p - 1.0))
         F = manufacture(u, p)
         res = _gate_pair(u, F, p, 1e-7)
-        slope, radii, oscs = _osc_slope(u, x0, R=0.25)
+        slope, radii, oscs = _osc_slope(u, geom.center, R=0.25)
         scan = campanato_seminorm(F, weight_power(beta), q=pp)
-        extra = wt.dini and slope >= 0.9 and math.isfinite(scan.value)
+        extra = slope >= 0.9 and math.isfinite(scan.value)
+        # the power weight r^beta is Dini exactly when beta > 0, checked above
         notes.append(
-            f"omega = r^{beta:g} is Dini: {wt.dini}; fitted slope {slope:.6g}; "
+            f"omega = r^{beta:g} is Dini: {beta > 0}; fitted slope {slope:.6g}; "
             f"datum Campanato seminorm {scan.value:.6g}"
         )
         for rr, oo in zip(radii, oscs):
@@ -1077,8 +1069,7 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
         gamma = n / (q * pp)
         Qstar = q * n * p / (n - q * p)
         expo = 1.0 - gamma * pp / p
-        x0, fn = _radial_profile(geom, expo)
-        u = GridField.from_function(geom, fn)
+        u = radial_profile(geom, expo)
         r = rearrange(u)
         total = r.total_measure
         # the level sets of the radial profile are disks inside the domain up

@@ -78,8 +78,7 @@ class SystemParams:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
     def stages(self) -> list[float]:
-        if self.p == 2.0:
-            return [0.0]
+        """Nominal ε schedule of the p ≠ 2 continuation."""
         out = []
         eps = self.eps_start
         while eps > self.eps_final * (1 + 1e-12):

@@ -87,8 +87,6 @@ class RadialQuadrature:
 
     radii: np.ndarray
     weights: np.ndarray
-    r_min: float
-    R: float
 
     @classmethod
     def log_spaced(cls, r_min: float, R: float) -> "RadialQuadrature":
@@ -103,7 +101,7 @@ class RadialQuadrature:
         weights = np.full(m, step)
         radii.flags.writeable = False
         weights.flags.writeable = False
-        return cls(radii, weights, float(r_min), float(R))
+        return cls(radii, weights)
 
 
 def _require_scalar_nonneg(f: GridField, what: str) -> None:

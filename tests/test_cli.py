@@ -145,6 +145,17 @@ def test_run_bad_option_value(tmp_path, capsys):
         ("extent = 1.0,1.0", "extent = -1.0,1.0", "extent"),
         ("theorems = telescoping-means, hardy-i", POINTWISE_AT + "1.5,0.5", "outside"),
         ("theorems = telescoping-means, hardy-i", POINTWISE_AT + "0.5", "coordinates"),
+        # a verification without samples has nothing to pass
+        ("samples = 4", "samples = 0", "[telescoping-means] no samples"),
+        ("samples = 6", "samples = 0", "[hardy-i] no samples"),
+        ("theorems = telescoping-means, hardy-i",
+         "theorems = wulff-riesz-domination\nsamples = 0",
+         "[wulff-riesz-domination] no samples"),
+        ("theorems = telescoping-means, hardy-i",
+         "theorems = potential-norms-A-i\nsamples = 0\nsigma = 1.5",
+         "[potential-norms-A-i] no samples"),
+        ("theorems = telescoping-means, hardy-i", POINTWISE_AT + ";",
+         "[pointwise-wulff] no samples"),
     ]:
         cfg = write_config(tmp_path / "bad.ini", RUN_CONFIG.replace(old, new))
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -404,6 +415,10 @@ def test_space_norm_grammar(tmp_path):
         _space_norm(f, "L")
     with pytest.raises(ConfigError):
         _space_norm(f, "noseparator")
+    # a missing or non-numeric index is a spec error, not a traceback
+    for spec in ("lorentz:2", "lorentz:abc,2", "campanato:x", "morrey:0.5,abc"):
+        with pytest.raises(ConfigError, match="bad space spec"):
+            _space_norm(f, spec)
 
 
 def test_potential_command(tmp_path, capsys):
@@ -539,7 +554,8 @@ def test_profile_vocabulary():
 
 
 def test_young_spec_parsing():
-    assert _young_from_spec("power,2").label == _young_from_spec("power, 2").label
+    a, b = _young_from_spec("power,2"), _young_from_spec("power, 2")
+    assert (a.tag, a.sigma) == (b.tag, b.sigma) == ("power", 2.0)
     assert _young_from_spec("zygmund,2,1")(1.0) > 0
     assert _young_from_spec("dexp")(1.0) > 0
     with pytest.raises(ConfigError):

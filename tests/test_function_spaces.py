@@ -3,11 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wulff_lab.errors import (
-    FinitenessFailure,
-    InadmissibleParams,
-    PRangeError,
-)
+from wulff_lab.errors import FinitenessFailure, InadmissibleParams
 from wulff_lab.field_grid import GridField, GridGeometry
 from wulff_lab.function_spaces import (
     LorentzParams,
@@ -22,12 +18,11 @@ from wulff_lab.function_spaces import (
     rearrange,
     weight_one,
     weight_power,
-    weight_transforms,
     young_exp,
     young_power,
     young_zygmund,
 )
-from wulff_lab.function_spaces import WeightFunction, YoungFunction
+from wulff_lab.function_spaces import YoungFunction
 
 
 def unit_grid(cells=16):
@@ -229,42 +224,6 @@ def test_transform_range_rejections():
 
 
 # ---------------------------------------------------------------------------
-# weights
-
-
-def test_weight_transforms_power_closed_forms():
-    wt = weight_transforms(weight_power(0.5), 2, 1.5)
-    assert wt.dini
-    assert wt.varpi(0.3) == pytest.approx(0.3**0.5 / 0.5)
-    # mu(r) = r * (int_r^1 rho^(beta - n/p' - 1) drho)^(1/(p-1))
-    c_exp = 0.5 - 2.0 / 3.0
-    inner = (1 - 0.3**c_exp) / c_exp
-    assert wt.mu(0.3) == pytest.approx(0.3 * inner ** (1 / 0.5))
-
-
-def test_weight_transforms_rejects_custom_weights():
-    # only power-tagged weights have transforms; there is no quadrature route
-    omega = WeightFunction(lambda r: np.asarray(r) ** 0.5, tag="custom")
-    with pytest.raises(InadmissibleParams):
-        weight_transforms(omega, 2, 1.5)
-    with pytest.raises(PRangeError):
-        weight_transforms(weight_power(0.5), 2, 1.0)
-
-
-def test_weight_borderline_log_modulus():
-    # beta = n/p' makes the inner integral logarithmic
-    n, p = 2, 2.0
-    wt = weight_transforms(weight_power(n / 2.0), n, p)
-    r = 0.25
-    assert wt.mu(r) == pytest.approx(r * math.log(1 / r), rel=1e-9)
-
-
-def test_non_dini_weight():
-    wt = weight_transforms(weight_one(), 2, 2.0)
-    assert not wt.dini
-
-
-# ---------------------------------------------------------------------------
 # Campanato / Morrey scans
 
 
@@ -314,14 +273,11 @@ def test_monotone_envelope_sandwich():
     rep = monotone_envelope([1.0, 0.8, 1.2, 1.1, 2.0], k=1.5)
     assert rep.quasi_increasing
     assert rep.max_ratio == pytest.approx(1.25)
-    assert np.all(rep.psi >= [1.0, 0.8, 1.2, 1.1, 2.0])
-    assert np.all(np.diff(rep.psi) >= 0)
 
 
 def test_monotone_envelope_detects_violation():
     rep = monotone_envelope([1.0, 0.1, 1.0], k=2.0)
     assert not rep.quasi_increasing
-    assert rep.violations == 1
     assert rep.max_ratio == pytest.approx(10.0)
 
 

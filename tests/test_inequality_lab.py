@@ -184,6 +184,8 @@ def test_hardy_parameter_ranges():
         verify_hardy("iii", 0.5, -2.0)
     with pytest.raises(ParameterRangeViolation):
         verify_hardy("ii-far", 0.5, -3.5, k=0.5)
+    with pytest.raises(ParameterRangeViolation):
+        verify_hardy("ii-near", 0.5, -2.0, family="one")  # 'random' or 'ones'
 
 
 def test_quasi_increasing_gate():
@@ -260,8 +262,6 @@ def test_oscillation_radii_validation():
     u, F = smooth_pair(2.0)
     with pytest.raises(InsufficientRadii):
         verify_oscillation(u, F, 2.0, (0.5, 0.5), 0.01)
-    with pytest.raises(BallBelowResolution):
-        verify_oscillation(u, F, 2.0, (0.5, 0.5), 0.25, radii=[0.5])
 
 
 def test_energy_inequalities():

@@ -43,7 +43,6 @@ def staggered_poisson_datum(geom):
 def test_params_validation_and_stages():
     with pytest.raises(Exception):
         SystemParams(p=1.0)
-    assert SystemParams(p=2.0).stages() == [0.0]
     stages = SystemParams(p=3.0, eps_start=1e-1, eps_final=1e-5).stages()
     assert stages[0] == pytest.approx(1e-1)
     assert stages[-1] == pytest.approx(1e-5)
