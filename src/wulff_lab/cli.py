@@ -680,6 +680,8 @@ def _space_norm(f: GridField, spec: str) -> float:
         raise ConfigError(f"bad space spec {spec!r}") from exc
     if head == "lorentz":
         return lorentz_zygmund_norm(f, params)
+    if not (math.isfinite(beta) and math.isfinite(q)):
+        raise ConfigError(f"bad space spec {spec!r}: beta and q must be finite")
     fn = campanato_seminorm if head == "campanato" else morrey_norm
     return float(fn(f, weight_power(beta), q=q))
 

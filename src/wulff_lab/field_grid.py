@@ -10,11 +10,15 @@ primitives the rest of the library is built from:
 * a co-located finite-difference gradient (centered in the interior,
   second-order one-sided at the boundary).
 
-This module alone decides which cells a ball holds, by one rule: a cell
-belongs to B_r(x) iff the squared distance d² from x to its center satisfies
-d² ≤ r² (``_ball_box``).  :func:`ball_cells` applies it to one ball;
-:func:`nested_balls` applies it to many concentric balls at once, sorting
-the samples of the largest ball by d² so that every smaller ball is a prefix.
+This module alone decides which cells a ball holds, by one rule written on
+cell offsets (``_ball_box``): with i₀ the cell that holds x and δ = x − (center
+of cell i₀), the cell i₀ + k belongs to B_r(x) iff
+d² = Σ_d (k_d·h_d − δ_d)² ≤ r².  At a cell center δ = 0, so no rounding of
+center coordinates enters and the cells depend on r alone:
+:func:`ball_stencil` lists them once per radius as flat index offsets.
+:func:`ball_cells` applies the rule to one ball; :func:`nested_balls`
+applies it to many concentric balls at once, sorting the samples of the
+largest ball by d² so that every smaller ball is a prefix.
 
 Balls are hard-rejected unless they fit inside Ω — the averaging operators
 never see extension artifacts.  Fields are immutable after construction and
@@ -50,6 +54,7 @@ __all__ = [
     "ball_average",
     "ball_oscillation",
     "ball_cells",
+    "ball_stencil",
     "nested_balls",
     "gradient",
     "value_at",
@@ -266,23 +271,57 @@ def _check_ball(geom: GridGeometry, ball: Ball) -> None:
         )
 
 
-def _ball_box(geom: GridGeometry, ball: Ball):
-    """Bounding-box slices of ``ball``, the squared distances d² from its
-    center to the cell centers in the box, and the inclusion mask d² ≤ r²."""
-    slices = []
-    for d in range(geom.dim):
-        h = geom.spacing[d]
-        lo = int(np.floor((ball.center[d] - ball.radius - geom.origin[d]) / h - 0.5))
-        hi = int(np.ceil((ball.center[d] + ball.radius - geom.origin[d]) / h - 0.5))
-        slices.append(slice(max(lo, 0), min(hi + 1, geom.cells[d])))
-    slices = tuple(slices)
-    dist2 = np.zeros(tuple(s.stop - s.start for s in slices))
-    for d in range(geom.dim):
-        ax = geom.axis_centers(d)[slices[d]] - ball.center[d]
+def _offset_dist2(geom: GridGeometry, lo: Sequence[int], hi: Sequence[int],
+                  delta: Sequence[float]) -> np.ndarray:
+    """Squared distances d² to the cells at offsets lo[d] .. hi[d]−1 per axis
+    from a point δ away from the center of offset 0; the axis term is
+    (k·h_d − δ_d)²."""
+    dist2 = np.zeros(tuple(b - a for a, b in zip(lo, hi)))
+    for d, h in enumerate(geom.spacing):
+        ax = np.arange(lo[d], hi[d]) * h - delta[d]
         shape = [1] * geom.dim
         shape[d] = ax.size
-        dist2 = dist2 + (ax.reshape(shape)) ** 2
-    return slices, dist2, dist2 <= ball.radius**2
+        dist2 = dist2 + ax.reshape(shape) ** 2
+    return dist2
+
+
+def _ball_box(geom: GridGeometry, ball: Ball):
+    """Bounding-box slices of ``ball``, the squared distances d² from its
+    center to the cell centers in the box, and the inclusion mask d² ≤ r².
+
+    Distances are taken on cell offsets from the cell i₀ that holds the
+    center, with δ the center's offset from the center of cell i₀; δ = 0 at
+    a cell center, so such a ball holds the cells of :func:`ball_stencil`.
+    """
+    slices, lo, hi, delta = [], [], [], []
+    for d in range(geom.dim):
+        h = geom.spacing[d]
+        x = ball.center[d]
+        start = max(int(np.floor((x - ball.radius - geom.origin[d]) / h - 0.5)), 0)
+        stop = min(int(np.ceil((x + ball.radius - geom.origin[d]) / h - 0.5)) + 1,
+                   geom.cells[d])
+        i0 = min(max(int(np.floor((x - geom.origin[d]) / h)), 0), geom.cells[d] - 1)
+        slices.append(slice(start, stop))
+        lo.append(start - i0)
+        hi.append(stop - i0)
+        delta.append(x - geom.axis_centers(d)[i0])
+    dist2 = _offset_dist2(geom, lo, hi, delta)
+    return tuple(slices), dist2, dist2 <= ball.radius**2
+
+
+@lru_cache(maxsize=64)
+def ball_stencil(geom: GridGeometry, r: float) -> np.ndarray:
+    """Flat (row-major) index offsets from a cell to the cells of the ball of
+    radius ``r`` around that cell's center, listed in row-major order
+    (cached, read-only).  The rule of :func:`ball_cells` with δ = 0, so it
+    does not depend on the center: cell ``c + offset`` is in B_r(center of c)."""
+    m = [int(r / h) + 1 for h in geom.spacing]
+    dist2 = _offset_dist2(geom, [-k for k in m], [k + 1 for k in m], [0.0] * geom.dim)
+    strides = [math.prod(geom.cells[d + 1:]) for d in range(geom.dim)]
+    inside = np.nonzero(dist2 <= r**2)
+    offsets = sum((i - k) * s for i, k, s in zip(inside, m, strides))
+    offsets.flags.writeable = False
+    return offsets
 
 
 def ball_cells(geom: GridGeometry, ball: Ball) -> tuple[tuple[slice, ...], np.ndarray]:
@@ -296,16 +335,28 @@ def ball_cells(geom: GridGeometry, ball: Ball) -> tuple[tuple[slice, ...], np.nd
     return slices, mask
 
 
-def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float) -> float:
-    """(⨍|v − mean|^q)^{1/q} over the sample columns of ``vals`` (ncomp, k),
-    with the deviation magnitude Euclidean across components."""
+def _root(x, q: float) -> np.ndarray:
+    """x^{1/q} value by value with the C library pow of scalar arithmetic:
+    numpy's vectorized power may differ from it in the last bit, and a batch
+    must give the values of one-at-a-time evaluation."""
+    if q == 1.0:
+        return x
+    x = np.asarray(x)
+    return np.array([v ** (1.0 / q) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float) -> np.ndarray:
+    """(⨍|v − mean|^q)^{1/q} over the last axis of ``vals`` (ncomp, ..., k)
+    with ``mean`` (ncomp, ...), one value per index of the batch axes ``...``;
+    the deviation magnitude is Euclidean across components."""
     if not (q >= 1.0):
         raise ValueError(f"oscillation exponent must satisfy q >= 1, got {q}")
-    dev = vals - mean[:, None]
-    mag = np.sqrt(np.einsum("ck,ck->k", dev, dev))
+    dev = vals - mean[..., None]
+    mag = np.einsum("c...k,c...k->...k", dev, dev)
+    np.sqrt(mag, out=mag)
     if q == 1.0:
-        return float(mag.mean())
-    return float((mag**q).mean() ** (1.0 / q))
+        return mag.mean(axis=-1)
+    return _root((mag**q).mean(axis=-1), q)
 
 
 def ball_average(f: GridField, ball: Ball) -> np.ndarray:
@@ -327,7 +378,7 @@ def ball_oscillation(f: GridField, ball: Ball, q: float = 1.0) -> float:
     """
     slices, mask = ball_cells(f.geometry, ball)
     box = f.values[(slice(None),) + slices][:, mask]
-    return _oscillation(box, box.mean(axis=1), q)
+    return float(_oscillation(box, box.mean(axis=1), q))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .errors import (
     QuadratureFailure,
     SearchRangeExhausted,
 )
-from .field_grid import Ball, GridField, ball_cells, ball_oscillation, max_admissible_radius
+from .field_grid import Ball, GridField, GridGeometry, _oscillation, _root, ball_stencil
 
 __all__ = [
     "Rearrangement",
@@ -555,6 +555,10 @@ def weight_one() -> WeightFunction:
 # Campanato / Morrey sup scans
 
 
+# Cell samples (times components) gathered per block of a Campanato/Morrey scan.
+_SCAN_BLOCK = 1 << 16
+
+
 @dataclass(frozen=True)
 class SupScanResult:
     """Sup-type norm value with the ball attaining it and the sample size."""
@@ -567,73 +571,98 @@ class SupScanResult:
         return self.value
 
 
-def _sample_balls(geom):
+def _sample_balls(geom: GridGeometry):
     """Deterministic ball sample: centers on every fourth cell per axis
     (starting at cell 2), dyadic radii from 2h up to the largest ball inside
-    the domain."""
+    the domain.
+
+    Returns the centers' flat cell indices and coordinates (row-major), the
+    radii, and the (centers, radii) mask of the balls that fit; read in
+    center-major, radius-minor order, the mask lists the sampled balls.
+    """
     h = max(geom.spacing)
-    mesh = geom.center_mesh()
-    idx_ranges = [range(2, c, 4) for c in geom.cells]
-    out = []
-    from itertools import product
+    grids = np.meshgrid(*[np.arange(2, c, 4) for c in geom.cells], indexing="ij")
+    idx = np.stack([g.ravel() for g in grids])
+    coords = np.stack([geom.axis_centers(d)[idx[d]] for d in range(geom.dim)], axis=1)
+    lo = np.min(coords - np.array(geom.origin), axis=1)
+    hi = np.min(np.array([o + e for o, e in zip(geom.origin, geom.extent)]) - coords, axis=1)
+    room = np.minimum(lo, hi) * (1 + 1e-12)
+    radii = []
+    r = 2.0 * h
+    while room.size and r <= room.max():
+        radii.append(r)
+        r *= 2.0
+    fits = np.array(radii)[None, :] <= room[:, None]
+    return np.ravel_multi_index(tuple(idx), geom.cells), coords, radii, fits
 
-    for idx in product(*idx_ranges):
-        center = tuple(float(mesh[d][tuple(idx) if geom.dim > 1 else idx])
-                       for d in range(geom.dim))
-        room = max_admissible_radius(geom, center)
-        r = 2.0 * h
-        while r <= room * (1 + 1e-12):
-            out.append(Ball(center, r))
-            r *= 2.0
-    return out
 
+def _sup_scan(geom: GridGeometry, omega: WeightFunction, data: np.ndarray,
+              ball_values: Callable[[np.ndarray], np.ndarray]) -> SupScanResult:
+    """sup of value(B)/ω(r) over the ball sample, skipping radii with ω ≤ 0.
 
-def _sup_scan(f: GridField, omega: WeightFunction,
-              value: Callable[[Ball], float]) -> SupScanResult:
-    """sup of value(B)/ω(r) over the ball sample, skipping zero weights."""
-    balls = _sample_balls(f.geometry)
-    if not balls:
+    ``ball_values`` maps the samples of ``data`` (ncomp, *cells) on a block
+    of balls of one radius, shape (ncomp, balls, cells of the stencil), to
+    one value per ball.  As in a loop over the balls in sample order, the
+    first strict maximum wins and a NaN ratio never does.
+    """
+    centers, coords, radii, fits = _sample_balls(geom)
+    if not fits.any():
         raise NoAdmissibleBalls("no sampled ball fits inside the domain")
-    best, best_ball = -math.inf, None
-    for b in balls:
-        w = float(omega(b.radius))
-        if w <= 0:
+    # one row of components per cell, as in a masked box f[:, mask]: the
+    # reductions over a ball then add in the order of one-ball evaluation
+    samples = np.ascontiguousarray(data.reshape(data.shape[0], -1).T)
+    ratio = np.full(fits.shape, -np.inf)
+    for j, r in enumerate(radii):
+        w = float(omega(r))
+        if not (w > 0):
             continue
-        val = value(b) / w
-        if val > best:
-            best, best_ball = val, b
-    if best_ball is None:
+        rows = np.flatnonzero(fits[:, j])
+        offsets = ball_stencil(geom, r)
+        block = max(1, _SCAN_BLOCK // (data.shape[0] * offsets.size))
+        for start in range(0, rows.size, block):
+            chunk = rows[start:start + block]
+            windows = np.take(samples, centers[chunk, None] + offsets, axis=0)
+            ratio[chunk, j] = ball_values(windows.transpose(2, 0, 1)) / w
+    ratio[np.isnan(ratio)] = -np.inf
+    best = int(np.argmax(ratio))
+    if ratio.flat[best] == -np.inf:
         raise NoAdmissibleBalls("weight vanished on every sampled radius")
-    return SupScanResult(float(best), best_ball, len(balls))
+    i, j = divmod(best, len(radii))
+    return SupScanResult(float(ratio.flat[best]), Ball(tuple(coords[i]), radii[j]),
+                         int(fits.sum()))
+
+
+def _check_scan_exponent(q: float) -> None:
+    if not (1.0 <= q < math.inf):
+        raise InadmissibleParams(f"need a finite q >= 1, got {q}")
 
 
 def campanato_seminorm(f: GridField, omega: WeightFunction,
                        q: float = 1.0) -> SupScanResult:
     """Campanato-type seminorm sup_B (1/ω(r)) (⨍_B |f − ⟨f⟩_B|^q)^{1/q}.
 
-    The sup runs over the deterministic ball sample of :func:`_sample_balls`;
-    the attaining ball is reported.  For nondecreasing ω the scan is
-    evaluated at q = 1 (the spaces for different q coincide by the
-    John–Nirenberg argument, and q = 1 keeps the scan cheap); ω ≡ 1 yields
-    the sampled mean-oscillation (BMO) value.
+    The sup runs over the deterministic ball sample of :func:`_sample_balls`,
+    one radius at a time: the cells of every ball come from the one
+    :func:`ball_stencil` of its radius, gathered for a block of centers at
+    once.  The attaining ball is reported.  q must be finite and ≥ 1.  For
+    nondecreasing ω the scan is evaluated at q = 1 (the spaces for different
+    q coincide by the John–Nirenberg argument, and q = 1 keeps the scan
+    cheap); ω ≡ 1 yields the sampled mean-oscillation (BMO) value.
     """
+    _check_scan_exponent(q)
     if omega.nondecreasing:
         q = 1.0
-    return _sup_scan(f, omega, lambda b: ball_oscillation(f, b, q))
+    return _sup_scan(f.geometry, omega, f.values,
+                     lambda s: _oscillation(s, s.mean(axis=-1), q))
 
 
 def morrey_norm(f: GridField, omega: WeightFunction, q: float = 1.0) -> SupScanResult:
-    """Morrey-type norm sup_B (1/ω(r)) (∫_B |f|^q)^{1/q} (non-averaged)."""
-    if not (q >= 1):
-        raise InadmissibleParams(f"need q >= 1, got {q}")
-    mag = f.magnitude().values[0]
+    """Morrey-type norm sup_B (1/ω(r)) (∫_B |f|^q)^{1/q} (non-averaged), over
+    the ball sample of :func:`campanato_seminorm`; q must be finite and ≥ 1."""
+    _check_scan_exponent(q)
     meas = f.geometry.cell_measure
-
-    def mass(b: Ball) -> float:
-        slices, mask = ball_cells(f.geometry, b)
-        return float((mag[slices][mask] ** q).sum() * meas) ** (1.0 / q)
-
-    return _sup_scan(f, omega, mass)
+    return _sup_scan(f.geometry, omega, f.magnitude().values ** q,
+                     lambda s: _root(s[0].sum(axis=-1) * meas, q))
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,11 @@ def test_norm_command_bad_space(tmp_path, capsys):
     _, path = field_file(tmp_path, lambda x, y: x)
     assert main(["norm", path, "--space", "sobolev:1"]) == 1
     assert "space" in capsys.readouterr().err
+    # a scan exponent q below 1 or infinite is an error, not a traceback or a value
+    for spec in ("campanato:-0.5,0.5", "campanato:-0.5,inf", "morrey:0.5,inf"):
+        assert main(["norm", path, "--space", spec]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.out == ""
     # a field file whose header declares a nonpositive extent
     bad = tmp_path / "neg.wlf"
     bad.write_bytes(open(path, "rb").read().replace(b"extent=1.0,1.0",
@@ -419,6 +424,13 @@ def test_space_norm_grammar(tmp_path):
     for spec in ("lorentz:2", "lorentz:abc,2", "campanato:x", "morrey:0.5,abc"):
         with pytest.raises(ConfigError, match="bad space spec"):
             _space_norm(f, spec)
+    # so is a non-finite scan index; L^inf and Lorentz q = inf stay valid
+    for spec in ("campanato:nan", "morrey:nan", "campanato:1,nan", "morrey:inf",
+                 "campanato:-0.5,inf", "morrey:0.5,inf"):
+        with pytest.raises(ConfigError, match="bad space spec"):
+            _space_norm(f, spec)
+    assert _space_norm(f, "Linf") > 0
+    assert _space_norm(f, "lorentz:inf,2") > 0
 
 
 def test_potential_command(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wulff_lab.errors import (
     BallBelowResolution,
@@ -18,6 +20,7 @@ from wulff_lab.field_grid import (
     ball_average,
     ball_cells,
     ball_oscillation,
+    ball_stencil,
     encode_field,
     gradient,
     max_admissible_radius,
@@ -26,6 +29,7 @@ from wulff_lab.field_grid import (
     value_at,
     write_field,
 )
+from wulff_lab.function_spaces import _sample_balls
 
 
 def unit_grid(cells=32):
@@ -149,14 +153,76 @@ def test_ball_oscillation_needs_q_at_least_one():
         ball_oscillation(f, Ball((0.5, 0.5), 0.2), 0.5)
 
 
+def _grid_mask(geom, ball):
+    """``ball_cells``' mask of ``ball`` spread over the whole grid."""
+    slices, mask = ball_cells(geom, ball)
+    full = np.zeros(geom.cells, dtype=bool)
+    full[slices] = mask
+    return full
+
+
+def _stencil_mask(geom, idx, r):
+    """``ball_stencil(geom, r)`` shifted to the cell ``idx``, over the whole grid."""
+    full = np.zeros(geom.cell_count, dtype=bool)
+    full[np.ravel_multi_index(idx, geom.cells) + ball_stencil(geom, r)] = True
+    return full.reshape(geom.cells)
+
+
 def test_ball_cells_mask_matches_distance():
     geom = unit_grid(32)
     ball = Ball((0.5, 0.5), 0.2)
-    slices, mask = ball_cells(geom, ball)
     mesh = geom.center_mesh()
-    dist = np.sqrt((mesh[0] - 0.5) ** 2 + (mesh[1] - 0.5) ** 2)
-    inside = dist[slices][mask]
-    assert inside.max() <= 0.2 * (1 + 1e-12)
+    dist2 = (mesh[0] - 0.5) ** 2 + (mesh[1] - 0.5) ** 2
+    # no cell center lies within rounding of the sphere, so any way of
+    # computing d² gives the same cells
+    assert np.abs(dist2 - 0.2**2).min() > 1e-9
+    # every cell with d² <= r² is in the mask, and no other cell is
+    np.testing.assert_array_equal(_grid_mask(geom, ball), dist2 <= 0.2**2)
+
+
+@pytest.mark.parametrize("geom", [
+    GridGeometry((96, 160), (1.0, 0.6), (-0.3, 0.2)),
+    GridGeometry((20, 9), (0.6, 0.5), (0.1, -0.3)),
+    GridGeometry((64, 64), (1.0, 1.0), (0.0, 0.0)),
+])
+def test_ball_stencil_is_ball_cells_at_every_sampled_ball(geom):
+    # On the (96, 160) grid the former rule, which took d from differences of
+    # cell-center coordinates, dropped the on-axis tie cells at ±2^k·h₁ from
+    # 2003 of the 2467 sampled balls; on offsets both rules include them.
+    centers, coords, radii, fits = _sample_balls(geom)
+    assert fits.any()
+    for i, j in zip(*np.nonzero(fits)):
+        idx = np.unravel_index(centers[i], geom.cells)
+        ball = Ball(tuple(coords[i]), radii[j])
+        np.testing.assert_array_equal(_stencil_mask(geom, idx, radii[j]),
+                                      _grid_mask(geom, ball))
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=st.tuples(st.integers(8, 40), st.integers(8, 40)),
+       h=st.floats(0.01, 0.5), aspect=st.floats(1 / 3, 3.0),
+       origin=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       pick=st.floats(0.0, 1.0), size=st.floats(0.0, 1.0),
+       axis=st.integers(0, 1), tie=st.booleans())
+def test_ball_stencil_is_ball_cells_property(cells, h, aspect, origin, pick, size,
+                                             axis, tie):
+    # any geometry, any cell center that holds a ball, any radius that fits;
+    # with ``tie`` the radius is a whole number of cells along one axis, so
+    # cells lie on the sphere
+    geom = GridGeometry(cells, (cells[0] * h, cells[1] * h * aspect), origin)
+    lo = max(geom.spacing)
+    mesh = geom.center_mesh()
+    room = np.minimum.reduce([np.minimum(m - o, o + e - m)
+                              for m, o, e in zip(mesh, geom.origin, geom.extent)])
+    fit = np.flatnonzero(room >= lo)
+    idx = np.unravel_index(fit[min(int(pick * fit.size), fit.size - 1)], cells)
+    x = tuple(float(m[idx]) for m in mesh)
+    r = lo + size * (max_admissible_radius(geom, x) - lo)
+    if tie:
+        r = max(math.floor(r / geom.spacing[axis]), 1) * geom.spacing[axis]
+    if not (lo <= r and geom.contains_ball(Ball(x, r))):
+        return
+    np.testing.assert_array_equal(_stencil_mask(geom, idx, r), _grid_mask(geom, Ball(x, r)))
 
 
 def _nested_counts_match_ball_cells(geom, wulff_stride=1):

@@ -1,12 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from wulff_lab.errors import FinitenessFailure, InadmissibleParams
-from wulff_lab.field_grid import GridField, GridGeometry
+from wulff_lab.errors import FinitenessFailure, InadmissibleParams, NoAdmissibleBalls
+from wulff_lab.field_grid import (
+    Ball,
+    GridField,
+    GridGeometry,
+    ball_cells,
+    ball_oscillation,
+    max_admissible_radius,
+)
 from wulff_lab.function_spaces import (
     LorentzParams,
+    SupScanResult,
+    WeightFunction,
     _lz_piece_integral,
     balance_report,
     campanato_seminorm,
@@ -23,6 +33,8 @@ from wulff_lab.function_spaces import (
     young_zygmund,
 )
 from wulff_lab.function_spaces import YoungFunction
+from wulff_lab.inequality_lab import radial_profile
+from wulff_lab.plaplace_solver import manufacture
 
 
 def unit_grid(cells=16):
@@ -265,6 +277,107 @@ def test_morrey_rejects_small_q():
         morrey_norm(f, weight_one(), q=0.5)
 
 
+@pytest.mark.parametrize("q", [0.5, math.inf, math.nan])
+@pytest.mark.parametrize("scan", [campanato_seminorm, morrey_norm])
+def test_scans_need_finite_q_at_least_one(scan, q):
+    # checked before campanato_seminorm sets q = 1 for a nondecreasing weight
+    f = GridField.from_function(unit_grid(32), lambda x, y: x)
+    for omega in (weight_one(), weight_power(-0.5)):
+        with pytest.raises(InadmissibleParams):
+            scan(f, omega, q=q)
+
+
+def _scan_oracle(f, omega, kind, q=1.0):
+    """The per-ball scan the stencil scans replaced: every sampled ball's
+    value from its own ``ball_cells`` mask, one ball at a time, keeping the
+    first strict maximum of value/ω(r)."""
+    geom = f.geometry
+    if kind == "campanato" and omega.nondecreasing:
+        q = 1.0
+    h = max(geom.spacing)
+    mesh = geom.center_mesh()
+    balls = []
+    for idx in itertools.product(*[range(2, c, 4) for c in geom.cells]):
+        center = tuple(float(m[idx]) for m in mesh)
+        room = max_admissible_radius(geom, center)
+        r = 2.0 * h
+        while r <= room * (1 + 1e-12):
+            balls.append(Ball(center, r))
+            r *= 2.0
+    mag = f.magnitude().values[0]
+
+    def value(b):
+        if kind == "campanato":
+            return ball_oscillation(f, b, q)
+        slices, mask = ball_cells(geom, b)
+        return float((mag[slices][mask] ** q).sum() * geom.cell_measure) ** (1.0 / q)
+
+    best, best_ball = -math.inf, None
+    for b in balls:
+        w = float(omega(b.radius))
+        if w <= 0:
+            continue
+        val = value(b) / w
+        if val > best:
+            best, best_ball = val, b
+    return SupScanResult(float(best), best_ball, len(balls))
+
+
+def _assert_scan_matches_oracle(f, omega, kind, q=1.0):
+    scan = campanato_seminorm if kind == "campanato" else morrey_norm
+    got = scan(f, omega, q=q)
+    want = _scan_oracle(f, omega, kind, q)
+    assert (got.value, got.ball, got.balls_scanned) == (
+        want.value, want.ball, want.balls_scanned)
+    return got
+
+
+@pytest.mark.parametrize("cells, scanned", [(64, 629), (256, 17877)])
+def test_bmo_pair_scans_match_oracle(cells, scanned):
+    # the pair of regularity-bmo at p = 1.5: u = -log|x - c| and its datum
+    p = 1.5
+    pp = p / (p - 1.0)
+    u = radial_profile(unit_grid(cells), None)
+    F = manufacture(u, p)
+    scan = _assert_scan_matches_oracle(u, weight_one(), "campanato")
+    datum = _assert_scan_matches_oracle(F, weight_power((2 - p) / pp), "morrey", pp)
+    assert scan.balls_scanned == datum.balls_scanned == scanned
+
+
+_SCAN_CASES = [
+    ("campanato", weight_one(), 3.0),
+    ("campanato", weight_power(1.0), 3.0),
+    ("campanato", weight_power(-0.5), 3.0),
+    ("morrey", weight_power(0.5), 1.0),
+    ("morrey", weight_power(0.5), 3.0),
+]
+
+
+@pytest.mark.parametrize("geom", [
+    GridGeometry((96, 160), (1.0, 0.6), (-0.3, 0.2)),
+    GridGeometry((20, 9), (0.6, 0.5), (0.1, -0.3)),
+])
+def test_scans_match_oracle_on_offset_grids(geom):
+    u = GridField.from_function(
+        geom, lambda x, y: np.stack([np.sin(5 * x) * y, x * x - np.cos(3 * y)]),
+        "vector", 2)
+    F = manufacture(u, 3.0)
+    assert F.kind == "matrix" and F.ncomp == 4
+    for f in (u, F):
+        for kind, omega, q in _SCAN_CASES:
+            _assert_scan_matches_oracle(f, omega, kind, q)
+
+
+def test_morrey_root_matches_scalar_pow():
+    # The winning mass here has a cube root on which numpy's vectorized power
+    # (SIMD builds with AVX-512) and the C library pow of scalar arithmetic
+    # differ in the last bit; the scan must give the per-ball value.
+    geom = GridGeometry((96, 160), (1.0, 0.6), (-0.3, 0.2))
+    rng = np.random.default_rng(11)
+    f = GridField(geom, rng.normal(size=(2, 96, 160)), "vector", 2)
+    _assert_scan_matches_oracle(f, weight_power(0.5), "morrey", 3.0)
+
+
 # ---------------------------------------------------------------------------
 # envelopes
 
@@ -286,3 +399,24 @@ def test_monotone_envelope_input_checks():
         monotone_envelope([1.0, -1.0], k=2.0)
     with pytest.raises(InadmissibleParams):
         monotone_envelope([1.0, 2.0], k=0.5)
+
+
+def test_scans_skip_vanishing_weights_and_nan_ratios():
+    # omega <= 0 skips a radius and a NaN ratio never wins, as in the loop
+    geom = GridGeometry((64, 48), (1.0, 0.75), (0.0, 0.0))
+    f = GridField.from_function(geom, lambda x, y: np.sin(4 * x) + y * y)
+    h = max(geom.spacing)
+    omega = WeightFunction(
+        lambda r: np.where(r < 3 * h, -1.0, np.where(r < 6 * h, np.nan, r)), False)
+    for kind in ("campanato", "morrey"):
+        got = _assert_scan_matches_oracle(f, omega, kind)
+        assert got.ball.radius >= 8 * h
+    # an overflowing mass over an infinite weight is a NaN ratio
+    big = GridField.constant(geom, 1e150)
+    inf_first = WeightFunction(lambda r: np.where(r < 3 * h, np.inf, 1.0), False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _assert_scan_matches_oracle(big, inf_first, "morrey", 3.0)
+    assert got.value == math.inf and got.ball.radius == 4 * h
+    dead = WeightFunction(lambda r: np.where(r < 6 * h, 0.0, np.nan), False)
+    with pytest.raises(NoAdmissibleBalls, match="weight vanished"):
+        morrey_norm(f, dead)
