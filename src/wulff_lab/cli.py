@@ -672,14 +672,14 @@ def _space_norm(f: GridField, spec: str) -> float:
         raise ConfigError(f"unknown space family {head!r} in {spec!r}")
     try:
         vals = [float(tok) for tok in rest.split(",")]
-        if head == "lorentz":
-            params = LorentzParams(vals[0], vals[1], vals[2] if len(vals) > 2 else 0.0)
-        else:
-            beta, q = vals[0], vals[1] if len(vals) > 1 else 1.0
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad space spec {spec!r}") from exc
+    lo, hi = (2, 3) if head == "lorentz" else (1, 2)
+    if not lo <= len(vals) <= hi:
+        raise ConfigError(f"bad space spec {spec!r}: {head} takes {lo} to {hi} indices")
     if head == "lorentz":
-        return lorentz_zygmund_norm(f, params)
+        return lorentz_zygmund_norm(f, LorentzParams(*vals))
+    beta, q = vals[0], vals[1] if len(vals) > 1 else 1.0
     if not (math.isfinite(beta) and math.isfinite(q)):
         raise ConfigError(f"bad space spec {spec!r}: beta and q must be finite")
     fn = campanato_seminorm if head == "campanato" else morrey_norm

@@ -91,7 +91,7 @@ __all__ = [
     "verify_regularity_exponents",
 ]
 
-FAMILY_VERSION = "fields-1"
+FAMILY_VERSION = "fields-2"
 
 
 # ---------------------------------------------------------------------------
@@ -198,12 +198,17 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
                  components: int = 1, shape: str = "scalar") -> GridField:
     """Seeded random field families used by the verifiers.
 
-    ``fourier``: trigonometric sums over the wave vectors 0 < |k| ≤ 6 with
-    amplitudes decaying like 1/(1 + |k|²);
+    ``fourier``: trigonometric sums Σ amp_k cos(2π k·x̂ + φ_k) over the wave
+    vectors k = (k₁, k₂) of the first two axes with 0 < |k| ≤ 6 and
+    amplitudes decaying like 1/(1 + |k|²), constant along further axes.  The
+    sum is separable, Re(E₁ᵀ C E₂) with E_d[k, i] = exp(2πi k x̂_d[i]) and
+    C = amp·e^{iφ}, and is evaluated as real cos/sin outer products;
     ``bumps``: sums of signed Gaussian bumps; ``singular``: a truncated
     radial power |x − x₀|^{-exponent} (always nonnegative).  Fields are
     deterministic in (geometry, seed, parameters); the family version is
-    :data:`FAMILY_VERSION`.
+    :data:`FAMILY_VERSION` (``fields-2``: the separable ``fourier``
+    evaluation, which draws the same random stream as the wave-vector sum of
+    ``fields-1`` and differs from it by round-off).
     """
     rng = np.random.default_rng(seed)
     mesh = geom.center_mesh()
@@ -212,18 +217,7 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
     comps = []
     for _ in range(ncomp):
         if kind == "fourier":
-            xhat = [(mesh[d] - geom.origin[d]) / geom.extent[d] for d in range(n)]
-            v = np.zeros(geom.cells)
-            for k1 in range(-6, 7):
-                for k2 in range(-6, 7):
-                    kk = (k1, k2) + (0,) * (n - 2)
-                    k2norm = k1 * k1 + k2 * k2
-                    if k2norm == 0 or k2norm > 36:
-                        continue
-                    amp = rng.normal() / (1.0 + k2norm)
-                    phase = rng.uniform(0.0, 2.0 * math.pi)
-                    arg = 2.0 * math.pi * sum(kk[d] * xhat[d] for d in range(n))
-                    v = v + amp * np.cos(arg + phase)
+            v = _fourier_sum(geom, rng)
         elif kind == "bumps":
             v = np.zeros(geom.cells)
             for _b in range(bumps):
@@ -248,6 +242,31 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
         comps.append(v)
     vals = np.stack(comps)
     return GridField(geom, vals, shape, codomain=components)
+
+
+def _fourier_sum(geom: GridGeometry, rng: np.random.Generator) -> np.ndarray:
+    """One ``fourier`` component: draws amp then φ per wave vector, k₁ and k₂
+    ascending from −6, and sums the waves through the 13×13 matrix C."""
+    amp = np.zeros((13, 13))
+    phase = np.zeros((13, 13))
+    for k1 in range(-6, 7):
+        for k2 in range(-6, 7):
+            k2norm = k1 * k1 + k2 * k2
+            if k2norm == 0 or k2norm > 36:
+                continue
+            amp[k1 + 6, k2 + 6] = rng.normal() / (1.0 + k2norm)
+            phase[k1 + 6, k2 + 6] = rng.uniform(0.0, 2.0 * math.pi)
+    c_re, c_im = amp * np.cos(phase), amp * np.sin(phase)
+    k = np.arange(-6, 7)
+    t1, t2 = (2.0 * math.pi * np.outer(k, (geom.axis_centers(d) - geom.origin[d])
+                                       / geom.extent[d]) for d in (0, 1))
+    cos2, sin2 = np.cos(t2), np.sin(t2)
+    # C·E₂ = (c_re + i·c_im)(cos t₂ + i·sin t₂); einsum keeps these small
+    # products off threaded BLAS
+    ce_re = np.einsum("kl,lj->kj", c_re, cos2) - np.einsum("kl,lj->kj", c_im, sin2)
+    ce_im = np.einsum("kl,lj->kj", c_re, sin2) + np.einsum("kl,lj->kj", c_im, cos2)
+    v = np.einsum("ki,kj->ij", np.cos(t1), ce_re) - np.einsum("ki,kj->ij", np.sin(t1), ce_im)
+    return np.broadcast_to(v.reshape(v.shape + (1,) * (geom.dim - 2)), geom.cells)
 
 
 def radial_profile(geom: GridGeometry, power: float | None,

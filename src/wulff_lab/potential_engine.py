@@ -28,20 +28,25 @@ to x, so each quadrature radius sums a prefix, with the inclusion rule of
 :func:`field_grid.ball_cells`.
 
 All pointwise evaluations are literal sums over cells.  The Riesz map
-computes the sums for every center at once via an FFT convolution with the
-exact kernel offset table; the test suite keeps the direct sum over cells as
-its oracle and checks the map against it to round-off.
+computes the sums for every center at once as a circular FFT convolution
+with the exact kernel offset table: the table is wrapped onto fast real-FFT
+lengths L_d ≥ 2c_d − 1, which is enough for no wrapped term to reach a cell
+of the grid, and its spectrum is cached per (geometry, α) (16 entries), so
+each map costs one forward FFT of the samples, one product and one inverse
+FFT.  The test suite keeps the direct sum over cells as its oracle and
+checks the map against it to round-off.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import AlphaOutOfRange, BallBelowResolution, NonNegativityViolation
 from .field_grid import GridField, GridGeometry, max_admissible_radius, nested_balls
@@ -178,26 +183,37 @@ def _singular_cell_integral(geom: GridGeometry, alpha: float) -> float:
     return _unit_sphere_area(geom.dim) * rho**alpha / alpha
 
 
+def _circular_shape(geom: GridGeometry) -> tuple[int, ...]:
+    """Fast real-FFT lengths L_d ≥ 2c_d − 1 of the circular Riesz convolution."""
+    return tuple(next_fast_len(2 * c - 1, real=True) for c in geom.cells)
+
+
+# held around the cached call, so exactly one thread builds each spectrum
+_KERNEL_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=16)
 def _kernel_table(geom: GridGeometry, alpha: float) -> np.ndarray:
-    """Kernel offset table K[Δ] = |Δ|^{α−n}·|cell| over all lattice offsets,
-    with the zero offset holding the exact inscribed-disk integral."""
+    """Read-only real-FFT spectrum of the kernel offset table
+    K[Δ] = |Δ|^{α−n}·|cell| over |Δ_d| ≤ c_d − 1 (the zero offset holding the
+    exact inscribed-disk integral), wrapped with offset m at m mod L_d."""
     n = geom.dim
-    axes = []
-    for d in range(n):
-        c = geom.cells[d]
-        axes.append(np.arange(-(c - 1), c) * geom.spacing[d])
+    shape = _circular_shape(geom)
+    offsets = [np.arange(-(c - 1), c) for c in geom.cells]
     dist2 = np.zeros(tuple(2 * c - 1 for c in geom.cells))
-    for d, ax in enumerate(axes):
-        shape = [1] * n
-        shape[d] = ax.size
-        dist2 = dist2 + ax.reshape(shape) ** 2
+    for d, m in enumerate(offsets):
+        axis = [1] * n
+        axis[d] = m.size
+        dist2 = dist2 + (m * geom.spacing[d]).reshape(axis) ** 2
     center = tuple(c - 1 for c in geom.cells)
     dist2[center] = 1.0
     table = dist2 ** ((alpha - n) / 2.0) * geom.cell_measure
     table[center] = _singular_cell_integral(geom, alpha)
-    table.flags.writeable = False
-    return table
+    wrapped = np.zeros(shape)
+    wrapped[np.ix_(*(m % L for m, L in zip(offsets, shape)))] = table
+    spectrum = rfftn(wrapped, axes=tuple(range(n)))
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def riesz_map(f: GridField, alpha: float) -> GridField:
@@ -207,13 +223,21 @@ def riesz_map(f: GridField, alpha: float) -> GridField:
     evaluation center contributes the exact kernel integral over its
     inscribed disk instead of the singular kernel value.  On a uniform
     lattice the kernel depends only on the index offset, so the map is the
-    convolution of the samples with the offset table.
+    convolution of the samples with the offset table: one real FFT of the
+    samples zero-padded to the circular length L_d ≥ 2c_d − 1, one product
+    with the cached kernel spectrum of :func:`_kernel_table`, one inverse
+    FFT, and the first c_d entries per axis.  One thread builds each
+    spectrum; concurrent callers on the same (geometry, α) wait for it.
     """
     _require_scalar_nonneg(f, "riesz_map")
     geom = f.geometry
     _check_alpha(alpha, geom.dim)
-    table = _kernel_table(geom, alpha)
-    out = fftconvolve(f.values[0], table, mode="same")
+    with _KERNEL_LOCK:
+        spectrum = _kernel_table(geom, alpha)
+    axes = tuple(range(geom.dim))
+    shape = _circular_shape(geom)
+    out = irfftn(rfftn(f.values[0], s=shape, axes=axes) * spectrum, s=shape, axes=axes)
+    out = out[tuple(slice(c) for c in geom.cells)]
     # convolving nonnegative data with a positive kernel: clip FFT round-off
     np.maximum(out, 0.0, out=out)
     return GridField(geom, out, "scalar")

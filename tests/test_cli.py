@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -398,7 +402,9 @@ def test_norm_command_bad_space(tmp_path, capsys):
     assert main(["norm", path, "--space", "sobolev:1"]) == 1
     assert "space" in capsys.readouterr().err
     # a scan exponent q below 1 or infinite is an error, not a traceback or a value
-    for spec in ("campanato:-0.5,0.5", "campanato:-0.5,inf", "morrey:0.5,inf"):
+    # so is a spec with more indices than its family takes
+    for spec in ("campanato:-0.5,0.5", "campanato:-0.5,inf", "morrey:0.5,inf",
+                 "campanato:1,2,3", "lorentz:2,2,0,5"):
         assert main(["norm", path, "--space", spec]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
@@ -411,6 +417,21 @@ def test_norm_command_bad_space(tmp_path, capsys):
     assert err.startswith("error:") and "extent" in err
 
 
+def test_cli_import_leaves_out_scipy_signal():
+    # the Riesz maps convolve through scipy.fft; scipy.signal would add ~0.7 s
+    # of import time to every command
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, wulff_lab.cli; print(sorted(m for m in sys.modules"
+         " if m == 'scipy.signal' or m.startswith('scipy.signal.')))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_space_norm_grammar(tmp_path):
     geom = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
     f = GridField.from_function(geom, lambda x, y: x)
@@ -420,8 +441,9 @@ def test_space_norm_grammar(tmp_path):
         _space_norm(f, "L")
     with pytest.raises(ConfigError):
         _space_norm(f, "noseparator")
-    # a missing or non-numeric index is a spec error, not a traceback
-    for spec in ("lorentz:2", "lorentz:abc,2", "campanato:x", "morrey:0.5,abc"):
+    # a missing, extra or non-numeric index is a spec error, not a traceback
+    for spec in ("lorentz:2", "lorentz:abc,2", "campanato:x", "morrey:0.5,abc",
+                 "campanato:1,2,3", "lorentz:2,2,0,5"):
         with pytest.raises(ConfigError, match="bad space spec"):
             _space_norm(f, spec)
     # so is a non-finite scan index; L^inf and Lorentz q = inf stay valid

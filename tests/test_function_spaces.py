@@ -107,6 +107,65 @@ def test_lorentz_params_admissibility():
     LorentzParams(2.0, 0.25)
 
 
+def _lorentz_oracle(f, params):
+    """The per-step Lorentz–Zygmund sum for ϱ < ∞: one scalar step integral
+    per positive rearrangement step, summed in order, inf at the first
+    divergent step."""
+    r = rearrange(f)
+    M = r.total_measure
+    a = params.rho * (0.0 if math.isinf(params.q) else 1.0 / params.q)
+    b = params.rho * params.beta
+
+    def piece(s0, s1):
+        if b == 0.0:
+            if a == 0.0:
+                return math.log(s1 / s0) if s0 > 0 else math.inf
+            return (s1**a - (s0**a if s0 > 0 else 0.0)) / a
+        if a == 0.0:
+            u1 = 1.0 + math.log(M / s1)
+            if s0 <= 0:
+                return math.inf if b >= -1 else -(u1 ** (b + 1.0)) / (b + 1.0)
+            u0 = 1.0 + math.log(M / s0)
+            if b == -1.0:
+                return math.log(u0 / u1)
+            return (u0 ** (b + 1.0) - u1 ** (b + 1.0)) / (b + 1.0)
+        return float(_lz_piece_integral(s0, s1, a, b, M))
+
+    total = 0.0
+    s_prev = 0.0
+    for v, s_next in zip(r.values, r.breakpoints):
+        if v > 0:
+            w = piece(s_prev, s_next)
+            if math.isinf(w):
+                return math.inf
+            total += v**params.rho * w
+        s_prev = s_next
+    return total ** (1.0 / params.rho)
+
+
+@pytest.mark.parametrize("indices", [
+    (1.0, 1.0, 0.0), (2.0, 2.0, 0.0), (3.5, 3.5, 0.0),  # (q, q, 0): L^q
+    (3.0, 1.5, 0.0), (2.0, 0.7, 0.0),                      # power steps, b = 0
+    (2.0, 3.0, 0.5), (4.0, 2.0, -1.0),                     # mixed: per-step quad
+    (math.inf, 2.0, -1.0), (math.inf, 3.0, -0.5),          # a = 0 log corner
+    (math.inf, 2.0, 0.0), (math.inf, 2.0, -0.25),          # diverge at s = 0:
+    (math.inf, 2.0, -0.5),                                 # b = 0, b > −1, b = −1
+])
+def test_lorentz_matches_per_step_sum(indices):
+    geom = unit_grid(32)
+    rng = np.random.default_rng(11)
+    vals = rng.uniform(-1.0, 1.0, size=(32, 32))
+    vals[rng.uniform(size=(32, 32)) < 0.2] = 0.0  # zero steps at the tail of f*
+    f = GridField(geom, vals)
+    params = LorentzParams(*indices)
+    want = _lorentz_oracle(f, params)
+    got = lorentz_zygmund_norm(f, params)
+    if math.isinf(want):
+        assert got == math.inf
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_piece_integral_against_sympy():
     sympy = pytest.importorskip("sympy")
     s = sympy.symbols("s", positive=True)

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from wulff_lab.inequality_lab import random_field
 from wulff_lab.potential_engine import (
     PotentialParams,
     RadialQuadrature,
+    _kernel_table,
     havin_mazya_map,
     max_admissible_radius,
     oscillation_potential,
@@ -217,6 +221,49 @@ def test_riesz_map_matches_direct_sum():
             assert mapped.values[0, i, j] == pytest.approx(
                 _riesz_oracle(f, 0.8, x), rel=1e-10
             )
+
+
+@pytest.mark.parametrize("geom", [
+    # 2c − 1 = 73 and 39 are not 5-smooth (circular lengths 75 and 40), and
+    # c − 1 = 19 is prime
+    GridGeometry((37, 20), (1.0, 0.6), (-0.3, 0.2)),
+    # 2c − 1 = 61 and 127 are prime (circular lengths 64 and 128), spacing
+    # h = (0.7/31, 1.3/64)
+    GridGeometry((31, 64), (0.7, 1.3), (0.0, 0.0)),
+])
+def test_riesz_map_matches_direct_sum_at_every_cell(geom):
+    rng = np.random.default_rng(17)
+    f = GridField(geom, rng.uniform(0.0, 1.0, size=geom.cells))
+    mesh = geom.center_mesh()
+    for alpha in (0.4, 1.3):
+        mapped = riesz_map(f, alpha).values[0]
+        want = np.array([_riesz_oracle(f, alpha, (x, y))
+                         for x, y in zip(mesh[0].ravel(), mesh[1].ravel())])
+        np.testing.assert_allclose(mapped.ravel(), want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 1.1, 1.5])
+def test_kernel_spectrum_built_once_by_concurrent_maps(alpha):
+    geom = GridGeometry((160, 144), (1.0, 0.8), (0.0, 0.0))
+    f = GridField(geom, np.random.default_rng(2).uniform(0.0, 1.0, size=geom.cells))
+    barrier = threading.Barrier(8)
+
+    def call():
+        barrier.wait(timeout=30)
+        return riesz_map(f, alpha).values
+
+    _kernel_table.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(call) for _ in range(8)]
+            maps = [fut.result(timeout=60) for fut in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    info = _kernel_table.cache_info()
+    assert (info.misses, info.hits) == (1, 7)
+    assert all(np.array_equal(m, maps[0]) for m in maps)
 
 
 def test_riesz_alpha_range():
