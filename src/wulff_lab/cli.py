@@ -152,6 +152,11 @@ class RunConfig:
         for hm in self.heatmaps:
             if hm not in ("u", "F"):
                 raise ConfigError(f"[output] heatmaps entries must be 'u' or 'F', got {hm!r}")
+            if not self.u_spec:
+                raise ConfigError(f"heatmap source {hm!r} needs [data] u")
+        if self.heatmaps and self.geometry.dim != 2:
+            raise ConfigError(f"[output] heatmaps need a 2-D [grid], got "
+                              f"{self.geometry.dim} cell counts")
 
         self.base_dir = base_dir
 
@@ -507,25 +512,37 @@ _COLOR_STOPS = (
     (0.75, (94, 201, 98)),
     (1.00, (253, 231, 37)),
 )
+_STOP_T = np.array([t for t, _ in _COLOR_STOPS])
+_STOP_RGB = np.array([rgb for _, rgb in _COLOR_STOPS], dtype=np.float64)
 
 
-def _color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    for (t0, c0), (t1, c1) in zip(_COLOR_STOPS[:-1], _COLOR_STOPS[1:]):
-        if t <= t1:
-            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            rgb = tuple(round(a + w * (b - a)) for a, b in zip(c0, c1))
-            return "#{:02x}{:02x}{:02x}".format(*rgb)
-    return "#{:02x}{:02x}{:02x}".format(*_COLOR_STOPS[-1][1])
+def _colors(t: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """Colormap of an array of positions: the distinct ``#rrggbb`` strings
+    and, per position, the index of its string.
+
+    t is clipped to [0, 1]; its segment ends at the first stop >= t and each
+    channel is rint(a + w·(b − a)), the IEEE operations and half-to-even
+    rounding of Python's ``round`` on the same floats.  NaN (from a span
+    that overflows) takes the last stop, as t = 1 does."""
+    t = np.clip(np.nan_to_num(t, nan=1.0), 0.0, 1.0)
+    seg = np.searchsorted(_STOP_T[1:], t, side="left")
+    t0, t1 = _STOP_T[seg], _STOP_T[seg + 1]
+    w = ((t - t0) / (t1 - t0))[..., None]
+    a, b = _STOP_RGB[seg], _STOP_RGB[seg + 1]
+    rgb = np.rint(a + w * (b - a))
+    packed = (rgb.astype(np.int64) * (1 << 16, 1 << 8, 1)).sum(axis=-1)
+    codes, index = np.unique(packed, return_inverse=True)
+    return [f"#{c:06x}" for c in codes.tolist()], index.reshape(packed.shape)
 
 
 def render_heatmap(f: GridField, path: str) -> None:
-    """Write a scalar field as an SVG heatmap: one rect per cell, 5-stop
+    """Write a scalar 2-D field as an SVG heatmap: one rect per cell, 5-stop
     linear colormap, min/max legend.  Byte-deterministic for fixed input."""
-    if f.ncomp != 1:
-        raise ConfigError("heatmaps require a scalar field (take magnitude() first)")
+    if f.ncomp != 1 or f.geometry.dim != 2:
+        raise ConfigError("heatmaps require a scalar field on a 2-D grid "
+                          "(take magnitude() first)")
     vals = f.values[0]
-    c1, c2 = vals.shape[0], vals.shape[1]
+    c1, c2 = vals.shape
     vmin, vmax = float(vals.min()), float(vals.max())
     span = vmax - vmin
     px = max(2, 640 // max(c1, c2))
@@ -536,24 +553,27 @@ def render_heatmap(f: GridField, path: str) -> None:
         f'width="{width + legend_w + 60}" height="{height}" '
         f'viewBox="0 0 {width + legend_w + 60} {height}">'
     ]
+    with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows
+        t = np.full(vals.shape, 0.5) if span == 0.0 else (vals - vmin) / span
+    hexes, index = _colors(t)
+    # cell (i, j) sits at x = i·px, y = (c2 − 1 − j)·px; one joined string
+    # per grid column i keeps at most c2 rect strings alive at once
+    rows = [f'{(c2 - 1 - j) * px}" width="{px}" height="{px}" fill="'
+            for j in range(c2)]
     for i in range(c1):
-        for j in range(c2):
-            t = 0.5 if span == 0.0 else (float(vals[i, j]) - vmin) / span
-            x = i * px
-            y = (c2 - 1 - j) * px
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{px}" height="{px}" '
-                f'fill="{_color(t)}"/>'
-            )
+        head = f'<rect x="{i * px}" y="'
+        parts.append("\n".join([
+            f'{head}{row}{hexes[k]}"/>' for row, k in zip(rows, index[i].tolist())
+        ]))
     # legend: vertical bar, max at the top
     bar_x = width + 12
     steps = 32
     bar_h = height / steps
+    hexes, index = _colors(1.0 - (np.arange(steps) + 0.5) / steps)
     for k in range(steps):
-        t = 1.0 - (k + 0.5) / steps
         parts.append(
             f'<rect x="{bar_x}" y="{format(k * bar_h, ".6g")}" width="16" '
-            f'height="{format(bar_h + 0.5, ".6g")}" fill="{_color(t)}"/>'
+            f'height="{format(bar_h + 0.5, ".6g")}" fill="{hexes[index[k]]}"/>'
         )
     parts.append(
         f'<text x="{bar_x + 20}" y="12" font-size="11" '
@@ -607,13 +627,9 @@ def _cmd_run(args) -> int:
     _atomic_write(os.path.join(out_dir, cfg.csv_name), _csv_bytes(reports))
 
     if cfg.heatmaps:
-        u, F = (None, None)
-        if cfg.u_spec:
-            u, F = _load_pair(cfg)
+        u, F = _load_pair(cfg)
         for source in cfg.heatmaps:
             fld = u if source == "u" else F
-            if fld is None:
-                raise ConfigError(f"heatmap source {source!r} needs [data] u")
             render_heatmap(fld.magnitude(), os.path.join(out_dir, f"{source}.svg"))
 
     for rep in reports:
@@ -702,6 +718,9 @@ def _cmd_potential(args) -> int:
         value = wulff_potential(f, PotentialParams(args.alpha, args.s, radius), x)
         print(format(value, ".12g"))
         return 0
+    if args.out and geom.dim != 2:
+        raise ConfigError(f"--out writes a heatmap, which needs a 2-D field, "
+                          f"got {geom.dim} cell counts")
     if args.kind == "riesz":
         field_map = riesz_map(f, args.alpha)
     else:

@@ -18,6 +18,7 @@ version so archived numbers stay reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -91,7 +92,7 @@ __all__ = [
     "verify_regularity_exponents",
 ]
 
-FAMILY_VERSION = "fields-2"
+FAMILY_VERSION = "fields-3"
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +207,12 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
     ``bumps``: sums of signed Gaussian bumps; ``singular``: a truncated
     radial power |x − x₀|^{-exponent} (always nonnegative).  Fields are
     deterministic in (geometry, seed, parameters); the family version is
-    :data:`FAMILY_VERSION` (``fields-2``: the separable ``fourier``
-    evaluation, which draws the same random stream as the wave-vector sum of
-    ``fields-1`` and differs from it by round-off).
+    :data:`FAMILY_VERSION` (``fields-3``: ``fourier`` and ``bumps`` are
+    evaluated separably, as outer products of per-axis factors; they draw
+    the same random stream as the full-mesh sums of ``fields-1`` and differ
+    from them by round-off).
     """
     rng = np.random.default_rng(seed)
-    mesh = geom.center_mesh()
     n = geom.dim
     ncomp = GridField._ncomp_for(shape, components, n)
     comps = []
@@ -219,15 +220,9 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
         if kind == "fourier":
             v = _fourier_sum(geom, rng)
         elif kind == "bumps":
-            v = np.zeros(geom.cells)
-            for _b in range(bumps):
-                c = [geom.origin[d] + geom.extent[d] * rng.uniform(0.15, 0.85)
-                     for d in range(n)]
-                w = rng.uniform(0.04, 0.18) * min(geom.extent)
-                amp = rng.normal()
-                d2 = sum((mesh[d] - c[d]) ** 2 for d in range(n))
-                v = v + amp * np.exp(-d2 / (2.0 * w * w))
+            v = _bumps_sum(geom, rng, bumps)
         elif kind == "singular":
+            mesh = geom.center_mesh()
             c = [geom.origin[d] + geom.extent[d] * rng.uniform(0.35, 0.65)
                  for d in range(n)]
             d2 = sum((mesh[d] - c[d]) ** 2 for d in range(n))
@@ -242,6 +237,23 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
         comps.append(v)
     vals = np.stack(comps)
     return GridField(geom, vals, shape, codomain=components)
+
+
+def _bumps_sum(geom: GridGeometry, rng: np.random.Generator, bumps: int) -> np.ndarray:
+    """One ``bumps`` component: draws the center, width and amplitude of each
+    bump in turn and adds amp·exp(−|x − c|²/2w²) as the outer product of the
+    per-axis factors exp(−(x_d − c_d)²/2w²)."""
+    v = np.zeros(geom.cells)
+    for _b in range(bumps):
+        c = [geom.origin[d] + geom.extent[d] * rng.uniform(0.15, 0.85)
+             for d in range(geom.dim)]
+        w = rng.uniform(0.04, 0.18) * min(geom.extent)
+        amp = rng.normal()
+        factors = [np.exp(-(geom.axis_centers(d) - c[d]) ** 2 / (2.0 * w * w))
+                   for d in range(geom.dim)]
+        factors[0] = amp * factors[0]
+        v += functools.reduce(np.multiply.outer, factors)
+    return v
 
 
 def _fourier_sum(geom: GridGeometry, rng: np.random.Generator) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from wulff_lab.cli import (
-    _color,
+    _COLOR_STOPS,
     _profile_field,
     THEOREMS,
     _space_norm,
@@ -137,6 +138,40 @@ def test_run_bad_heatmap_source(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.ini", body)
     assert main(["run", cfg]) == 1
     assert "heatmaps" in capsys.readouterr().err
+
+
+def test_run_heatmap_source_without_data_fails_before_reports(tmp_path, capsys):
+    body = """\
+[grid]
+cells = 32,32
+
+[verify]
+theorems = hardy-i
+
+[verify.hardy-i]
+samples = 6
+
+[output]
+heatmaps = u
+"""
+    cfg = write_config(tmp_path / "nodata.ini", body)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: heatmap source 'u' needs [data] u")
+    assert captured.out == ""
+    assert not (out / "report.json").exists() and not (out / "report.csv").exists()
+
+
+def test_run_heatmaps_need_a_2d_grid(tmp_path, capsys):
+    body = (RUN_CONFIG.replace("cells = 48,48", "cells = 8,8,4")
+            .replace("extent = 1.0,1.0", "extent = 1.0,1.0,1.0"))
+    cfg = write_config(tmp_path / "cube.ini", body)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [output] heatmaps need a 2-D [grid]")
+    assert captured.out == "" and not out.exists()
 
 
 POINTWISE_AT = "theorems = pointwise-wulff\n\n[verify.pointwise-wulff]\npoints = "
@@ -359,6 +394,15 @@ def test_solve_json_stages_sum_to_iterations(tmp_path):
     assert sum(s["iterations"] for s in stages) == summary["iterations"]
 
 
+def test_solve_heatmaps_need_a_2d_grid(tmp_path, capsys):
+    cfg = write_config(tmp_path / "solve.ini",
+                       SOLVE_CONFIG.replace("cells = 32,32", "cells = 8,8,4"))
+    assert main(["solve", cfg, "--out", str(tmp_path / "sol")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [output] heatmaps need a 2-D [grid]")
+    assert captured.out == "" and not (tmp_path / "sol").exists()
+
+
 @pytest.mark.parametrize("value", ["abc", "nan"])
 def test_solve_rejects_bad_boundary(tmp_path, capsys, value):
     cfg = write_config(tmp_path / "solve.ini",
@@ -482,8 +526,79 @@ def test_potential_command(tmp_path, capsys):
     assert err.startswith("error:") and "coordinates" in err
 
 
+@pytest.mark.parametrize("kind", ["riesz", "havin-mazya"])
+def test_potential_out_needs_a_2d_field(tmp_path, capsys, kind):
+    geom = GridGeometry((8, 8, 4), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    path = tmp_path / "f3.wlf"
+    write_field(GridField.from_function(geom, lambda x, y, z: 1.0 + x), str(path))
+    out = tmp_path / "o3"
+    assert main(["potential", str(path), "--kind", kind, "--alpha", "0.5",
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out writes a heatmap, which needs a 2-D field")
+    assert captured.out == "" and not out.exists()
+    # without --out the 3-d map is still evaluated at a point
+    assert main(["potential", str(path), "--kind", kind, "--alpha", "0.5"]) == 0
+    assert float(capsys.readouterr().out) > 0
+
+
 # ---------------------------------------------------------------------------
 # heatmap rendering
+
+
+def _color(t: float) -> str:
+    """The colormap one position at a time, as the heatmap writer computed
+    it per cell before it worked on arrays."""
+    t = min(max(t, 0.0), 1.0)
+    for (t0, c0), (t1, c1) in zip(_COLOR_STOPS[:-1], _COLOR_STOPS[1:]):
+        if t <= t1:
+            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+            rgb = tuple(round(a + w * (b - a)) for a, b in zip(c0, c1))
+            return "#{:02x}{:02x}{:02x}".format(*rgb)
+    return "#{:02x}{:02x}{:02x}".format(*_COLOR_STOPS[-1][1])
+
+
+def _heatmap_oracle(f: GridField) -> bytes:
+    """The SVG bytes of the per-cell heatmap writer: one ``_color`` call and
+    one rect string per cell."""
+    vals = f.values[0]
+    c1, c2 = vals.shape[0], vals.shape[1]
+    vmin, vmax = float(vals.min()), float(vals.max())
+    span = vmax - vmin
+    px = max(2, 640 // max(c1, c2))
+    width, height = c1 * px, c2 * px
+    legend_w = 56
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" '
+        f'width="{width + legend_w + 60}" height="{height}" '
+        f'viewBox="0 0 {width + legend_w + 60} {height}">'
+    ]
+    for i in range(c1):
+        for j in range(c2):
+            t = 0.5 if span == 0.0 else (float(vals[i, j]) - vmin) / span
+            parts.append(
+                f'<rect x="{i * px}" y="{(c2 - 1 - j) * px}" width="{px}" '
+                f'height="{px}" fill="{_color(t)}"/>'
+            )
+    bar_x = width + 12
+    steps = 32
+    bar_h = height / steps
+    for k in range(steps):
+        t = 1.0 - (k + 0.5) / steps
+        parts.append(
+            f'<rect x="{bar_x}" y="{format(k * bar_h, ".6g")}" width="16" '
+            f'height="{format(bar_h + 0.5, ".6g")}" fill="{_color(t)}"/>'
+        )
+    parts.append(
+        f'<text x="{bar_x + 20}" y="12" font-size="11" '
+        f'font-family="monospace">{format(vmax, ".6g")}</text>'
+    )
+    parts.append(
+        f'<text x="{bar_x + 20}" y="{height - 2}" font-size="11" '
+        f'font-family="monospace">{format(vmin, ".6g")}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts).encode() + b"\n"
 
 
 CELL_RECT = re.compile(r'<rect x="(\d+)" y="(\d+)" width="\d+" height="\d+" '
@@ -544,11 +659,100 @@ def test_heatmap_radial_potential_decreases_along_ray(tmp_path):
         assert fills[16][16 + k] == _color(t)
 
 
+def _levels(shape, n, seed):
+    """Integer levels 0..n−1: with n − 1 = 4 every t is a stop, with
+    n − 1 = 8 every odd level is a segment midpoint, where the channels of
+    the first segment are exact halves before rounding (63.5, 41.5, 111.5)."""
+    return np.random.default_rng(seed).integers(0, n, size=shape).astype(float)
+
+
+_ORACLE_FIELDS = {
+    "random-64x64": lambda: np.random.default_rng(0).normal(size=(64, 64)),
+    "random-256x256": lambda: np.random.default_rng(1).uniform(-3.0, 5.0, size=(256, 256)),
+    "stops-40x40": lambda: _levels((40, 40), 5, 2),
+    "midpoints-40x40": lambda: _levels((40, 40), 9, 3),
+    "fine-levels-33x33": lambda: _levels((33, 33), 4001, 4),
+    "constant-8x8": lambda: np.full((8, 8), -2.5),
+    "random-37x20": lambda: np.random.default_rng(5).normal(size=(37, 20)),
+    "random-700x300": lambda: np.random.default_rng(6).normal(size=(700, 300)),
+    "random-3x2": lambda: np.random.default_rng(7).normal(size=(3, 2)),
+    # vmax − vmin overflows: t is NaN at the extremes and 0 elsewhere
+    "overflowing-span-6x5": lambda: np.concatenate(
+        [[1.7e308, -1.7e308], np.random.default_rng(8).normal(size=28)]).reshape(6, 5),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(_ORACLE_FIELDS))
+def test_heatmap_matches_per_cell_oracle(tmp_path, name):
+    vals = _ORACLE_FIELDS[name]()
+    geom = GridGeometry(vals.shape, (1.0, 1.0), (0.0, 0.0))
+    f = GridField(geom, vals[None], "scalar")
+    path = tmp_path / "h.svg"
+    render_heatmap(f, str(path))
+    assert path.read_bytes() == _heatmap_oracle(f)
+
+
+def test_heatmap_midpoint_channels_round_half_to_even():
+    # t = 0.125 sits halfway along the first segment: 68 − 4.5, 1 + 40.5 and
+    # 84 + 27.5 round half to even
+    assert _color(0.125) == "#402a70"
+
+
+# sha256 of u.svg and F.svg that the per-cell writer made for the README
+# config (64², seed 7)
+README_CONFIG = """\
+[grid]
+cells = 64,64
+extent = 1.0,1.0
+origin = 0.0,0.0
+
+[system]
+p = 2.0
+
+[data]
+u = profile:sinsin
+F = manufactured
+seed = 7
+
+[verify]
+theorems = telescoping-means, pointwise-wulff, hardy-i
+samples = 8
+
+[verify.hardy-i]
+samples = 25
+
+[output]
+dir = out
+json = report.json
+csv = report.csv
+heatmaps = u,F
+"""
+_README_SVG_DIGESTS = {
+    "u.svg": "349d3cbe332a3554ad5ca45a745ff94b327929ae1343e7f291f7b6faa7c13ec8",
+    "F.svg": "170210b36647e1276e230a79c40557e939f1d6b6077e074963ebc1621cca1562",
+}
+
+
+def test_readme_config_heatmaps_keep_their_bytes(tmp_path, capsys):
+    cfg = write_config(tmp_path / "readme.ini", README_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    for name, digest in _README_SVG_DIGESTS.items():
+        assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest
+
+
 def test_heatmap_rejects_vector_fields(tmp_path):
     geom = GridGeometry((8, 8), (1.0, 1.0), (0.0, 0.0))
     f = GridField(geom, np.zeros((2, 8, 8)), "vector", codomain=2)
     with pytest.raises(ConfigError):
         render_heatmap(f, str(tmp_path / "v.svg"))
+
+
+def test_heatmap_rejects_3d_fields(tmp_path):
+    geom = GridGeometry((8, 8, 4), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    with pytest.raises(ConfigError, match="2-D grid"):
+        render_heatmap(GridField.constant(geom, 1.0), str(tmp_path / "c.svg"))
 
 
 # ---------------------------------------------------------------------------

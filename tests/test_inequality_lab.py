@@ -124,12 +124,59 @@ def test_fourier_matches_wave_vector_loop(geom, shape, ncomp):
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def _bumps_oracle(geom, seed, ncomp=1):
+    """The ``bumps`` family as the fields-1 full-mesh sum: one Gaussian
+    exp(−|x − c|²/2w²) over the whole cell-center mesh per bump."""
+    rng = np.random.default_rng(seed)
+    mesh = geom.center_mesh()
+    n = geom.dim
+    comps = []
+    for _ in range(ncomp):
+        v = np.zeros(geom.cells)
+        for _b in range(5):
+            c = [geom.origin[d] + geom.extent[d] * rng.uniform(0.15, 0.85)
+                 for d in range(n)]
+            w = rng.uniform(0.04, 0.18) * min(geom.extent)
+            amp = rng.normal()
+            d2 = sum((mesh[d] - c[d]) ** 2 for d in range(n))
+            v = v + amp * np.exp(-d2 / (2.0 * w * w))
+        comps.append(v)
+    return np.stack(comps)
+
+
+# sha256 of the float64 samples of random_field(unit_grid(32), 7, "bumps",
+# shape=shape) as the fields-1 and fields-2 generators wrote them
+_FIELDS_1_BUMPS_DIGESTS = {
+    "scalar": "b6826748d49355b66c46754c3af5265c91519aa8dfb847f839fdfc8184c317ce",
+    "matrix": "154ed58241bcf7a7d9dd042cb088d893c658ee8ba3cce2207c257c41d0adc49a",
+}
+
+
+@pytest.mark.parametrize("geom, shape, ncomp", [
+    (unit_grid(32), "scalar", 1),
+    (unit_grid(32), "matrix", 2),
+    (unit_grid(128), "scalar", 1),
+    (GridGeometry((96, 160), (1.0, 0.6), (-0.3, 0.2)), "scalar", 1),
+    (GridGeometry((700, 300), (3.0, 0.01), (0.0, 0.0)), "scalar", 1),
+    (GridGeometry((20, 16, 6), (1.0, 0.8, 0.3), (0.0, -0.4, 0.1)), "scalar", 1),
+])
+def test_bumps_matches_per_bump_sum(geom, shape, ncomp):
+    want = _bumps_oracle(geom, 7, ncomp)
+    if geom == unit_grid(32):
+        # the oracle is the generator of fields-1 and fields-2, byte for byte
+        assert hashlib.sha256(want.tobytes()).hexdigest() == _FIELDS_1_BUMPS_DIGESTS[shape]
+    got = random_field(geom, 7, "bumps", shape=shape).values
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 # sha256 of the float64 samples of random_field(unit_grid(32), 7, kind,
-# shape=shape), as the fields-1 generator wrote them: these families draw and
-# evaluate as before, so their samples stay byte-identical
+# shape=shape): ``singular`` as the fields-1 generator wrote it (it draws and
+# evaluates as before, so its samples stay byte-identical), ``bumps`` as the
+# separable fields-3 evaluation writes it
 _FIELD_DIGESTS = {
-    ("bumps", "scalar"): "b6826748d49355b66c46754c3af5265c91519aa8dfb847f839fdfc8184c317ce",
-    ("bumps", "matrix"): "154ed58241bcf7a7d9dd042cb088d893c658ee8ba3cce2207c257c41d0adc49a",
+    ("bumps", "scalar"): "7678934439cd9b7786c9f46b5321c155e152c557de3e69f4066dcc83d2ff34d1",
+    ("bumps", "matrix"): "f15725953c9920c68752d094e866998996ce97fe1fa2dbded5c479eb906a70c6",
     ("singular", "scalar"): "31584ef1d1c2655fef103d81ae64a80ee1e5fc6fb0e67ee169e7bb84b25a4dad",
     ("singular", "matrix"): "8d704e621f103161ec4bb842f19a3a9a966b390e3122dd5361341de17e35caae",
 }
