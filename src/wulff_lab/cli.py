@@ -269,7 +269,8 @@ def _opt_int(opts, key, default) -> int:
 
 
 def _merge(theorem: str, params: dict, reports) -> iq.VerificationReport:
-    """Flatten per-field reports into one (labels prefixed by field index)."""
+    """Flatten per-field reports into one (labels prefixed by field index);
+    the fields are :func:`random_field` draws, so the merged report is seeded."""
     samples = []
     notes = []
     for i, rep in enumerate(reports):
@@ -281,7 +282,7 @@ def _merge(theorem: str, params: dict, reports) -> iq.VerificationReport:
             if note not in notes:
                 notes.append(note)
     return iq._assemble(theorem, params, samples, notes,
-                        extra_pass=all(r.passed for r in reports))
+                        extra_pass=all(r.passed for r in reports), seeded=True)
 
 
 def _run_telescope(cfg, opts, seed, threads):
@@ -617,12 +618,11 @@ def _cmd_run(args) -> int:
             raise WulffLabError(f"[{name}] {exc}") from exc
     all_passed = all(r.passed for r in reports)
 
-    payload = {
-        "seed": seed,
-        "family_version": iq.FAMILY_VERSION,
-        "all_passed": all_passed,
-        "reports": [r.to_dict() for r in reports],
-    }
+    payload = {"seed": seed}
+    if any(r.family_version is not None for r in reports):
+        payload["family_version"] = iq.FAMILY_VERSION
+    payload["all_passed"] = all_passed
+    payload["reports"] = [r.to_dict() for r in reports]
     _atomic_write(os.path.join(out_dir, cfg.json_name), _json_bytes(payload))
     _atomic_write(os.path.join(out_dir, cfg.csv_name), _csv_bytes(reports))
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     FinitenessFailure,
@@ -160,6 +159,7 @@ def _lz_piece_integral(s0, s1, a: float, b: float, M: float) -> np.ndarray:
 
 def _lz_quad_piece(s0: float, s1: float, a: float, b: float, M: float) -> float:
     """One mixed-case step of :func:`_lz_piece_integral` by adaptive quadrature."""
+    from scipy import integrate
 
     def fn(s):
         return s ** (a - 1.0) * (1.0 + math.log(M / s)) ** b
@@ -367,6 +367,8 @@ def _power_transform(coeff: float, power: float) -> _Transform:
 
 
 def _quad_zero_to(fn: Callable[[float], float], t: float) -> float:
+    from scipy import integrate
+
     # ask quad for more than the check below demands: at its default 1.49e-8
     # relative accuracy the returned error estimate often exceeds 1e-8
     val, err = integrate.quad(fn, 0.0, t, limit=400, epsabs=0.0, epsrel=1e-10)

@@ -12,8 +12,9 @@ measures the weak residual first and refuses to proceed above tolerance
 (:class:`ResidualTooLarge`), so a bound can never look "verified" against
 data that does not solve the system.
 
-Random test families are seeded and versioned; reports embed the family
-version so archived numbers stay reproducible.
+Random test families are seeded and versioned; reports whose samples come
+from :func:`random_field` embed the family version so archived numbers stay
+reproducible.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     BallBelowResolution,
@@ -122,10 +122,13 @@ class VerificationReport:
     trace: tuple[float, ...]
     passed: bool
     notes: tuple[str, ...]
-    family_version: str = FAMILY_VERSION
+    # set only when the samples come from random_field
+    family_version: str | None = None
 
     def to_dict(self) -> dict:
         d = asdict(self)
+        if self.family_version is None:
+            del d["family_version"]
         d["samples"] = [asdict(s) for s in self.samples]
         d["trace"] = list(self.trace)
         d["notes"] = list(self.notes)
@@ -151,7 +154,10 @@ def _record(label: str, lhs: float, rhs: float) -> SampleRecord:
 
 
 def _assemble(theorem: str, params: dict, samples: list[SampleRecord],
-              notes: list[str], extra_pass: bool = True) -> VerificationReport:
+              notes: list[str], extra_pass: bool = True,
+              seeded: bool = False) -> VerificationReport:
+    """Report with C* = max ratio; ``seeded`` marks samples drawn by
+    :func:`random_field`, which stamps :data:`FAMILY_VERSION` on it."""
     if not samples:
         raise ParameterRangeViolation("no samples to verify")
     c_star = max(s.ratio for s in samples)
@@ -165,6 +171,7 @@ def _assemble(theorem: str, params: dict, samples: list[SampleRecord],
         trace=(float(c_star),),
         passed=passed,
         notes=tuple(notes),
+        family_version=FAMILY_VERSION if seeded else None,
     )
 
 
@@ -614,6 +621,8 @@ def _hardy_lhs(phi: _PiecewisePhi, q: float, alpha: float,
                 a1 = alpha + 1.0
                 total += A * (hi - lo) - val / a1 * _pow_int(lo, hi, a1)
         else:
+            from scipy import integrate
+
             piece, err = integrate.quad(lambda s: J(s) ** q, lo, hi, limit=200,
                                         epsabs=1e-12, epsrel=1e-10)
             if err > 1e-6 * max(abs(piece), 1e-8):
@@ -862,6 +871,7 @@ def verify_domination(geom: GridGeometry, alpha: float, s: float, *,
          "cells": geom.cells},
         records,
         [],
+        seeded=True,
     )
 
 
@@ -969,6 +979,7 @@ def verify_potential_norm_maps(part: str, alpha: float, s: float,
          "samples": samples, "cells": geom.cells},
         records,
         notes,
+        seeded=True,
     )
 
 

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from .errors import DegenerateGrid, NonConvergence, ShapeMismatch
 from .field_grid import GridField, GridGeometry
@@ -314,6 +313,8 @@ def _poisson_step(v, Fl, geom, ring, trace):
     λ_{d,k} = (2 − 2cos(πk/(c_d − 1)))/h_d².  All components are transformed
     in one call.  Returns ‖G‖ after the step.
     """
+    from scipy.fft import dstn, idstn
+
     _, G, _, _ = _energy_and_grad(v, Fl, 2.0, 0.0, geom, ring)
     lam = [(2.0 - 2.0 * np.cos(np.pi * np.arange(1, c - 1) / (c - 1))) / h**2
            for c, h in zip(geom.cells, geom.spacing)]

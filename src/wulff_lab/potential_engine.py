@@ -46,7 +46,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
 
 from .errors import AlphaOutOfRange, BallBelowResolution, NonNegativityViolation
 from .field_grid import GridField, GridGeometry, max_admissible_radius, nested_balls
@@ -185,6 +184,8 @@ def _singular_cell_integral(geom: GridGeometry, alpha: float) -> float:
 
 def _circular_shape(geom: GridGeometry) -> tuple[int, ...]:
     """Fast real-FFT lengths L_d ≥ 2c_d − 1 of the circular Riesz convolution."""
+    from scipy.fft import next_fast_len
+
     return tuple(next_fast_len(2 * c - 1, real=True) for c in geom.cells)
 
 
@@ -197,6 +198,8 @@ def _kernel_table(geom: GridGeometry, alpha: float) -> np.ndarray:
     """Read-only real-FFT spectrum of the kernel offset table
     K[Δ] = |Δ|^{α−n}·|cell| over |Δ_d| ≤ c_d − 1 (the zero offset holding the
     exact inscribed-disk integral), wrapped with offset m at m mod L_d."""
+    from scipy.fft import rfftn
+
     n = geom.dim
     shape = _circular_shape(geom)
     offsets = [np.arange(-(c - 1), c) for c in geom.cells]
@@ -234,6 +237,9 @@ def riesz_map(f: GridField, alpha: float) -> GridField:
     _check_alpha(alpha, geom.dim)
     with _KERNEL_LOCK:
         spectrum = _kernel_table(geom, alpha)
+    # the first import of scipy.fft happened under the lock, in _kernel_table
+    from scipy.fft import irfftn, rfftn
+
     axes = tuple(range(geom.dim))
     shape = _circular_shape(geom)
     out = irfftn(rfftn(f.values[0], s=shape, axes=axes) * spectrum, s=shape, axes=axes)

@@ -27,8 +27,8 @@ from wulff_lab.field_grid import (
     write_field,
 )
 from wulff_lab.function_spaces import LorentzParams, lorentz_zygmund_norm
-from wulff_lab.inequality_lab import _threads
-from wulff_lab.potential_engine import riesz_map
+from wulff_lab.inequality_lab import FAMILY_VERSION, _threads
+from wulff_lab.potential_engine import havin_mazya_map, riesz_map
 
 
 def write_config(path, body):
@@ -91,6 +91,11 @@ def test_run_passes_and_is_deterministic(tmp_path, capsys):
     assert {r["theorem"] for r in payload["reports"]} == {
         "telescoping-means", "hardy-i"
     }
+    # only the telescope draws random_field samples
+    assert payload["family_version"] == FAMILY_VERSION
+    assert {r["theorem"]: r.get("family_version") for r in payload["reports"]} == {
+        "telescoping-means": FAMILY_VERSION, "hardy-i": None
+    }
     csv_text = read_bytes(out1, "report.csv").decode()
     assert csv_text.splitlines()[0] == "theorem,sample,lhs,rhs,ratio,passed"
 
@@ -103,6 +108,13 @@ def test_run_seed_flag_overrides_config(tmp_path):
     assert main(["run", cfg, "--out", str(o3), "--seed", "1"]) == 0
     assert read_bytes(o1, "report.json") != read_bytes(o2, "report.json")
     assert read_bytes(o1, "report.json") == read_bytes(o3, "report.json")
+
+
+def test_run_without_seeded_fields_has_no_family_version(tmp_path, capsys):
+    body = RUN_CONFIG.replace("telescoping-means, hardy-i", "hardy-i")
+    cfg = write_config(tmp_path / "job.ini", body)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert b"family_version" not in read_bytes(tmp_path / "o", "report.json")
 
 
 def test_run_verification_failure_exits_2(tmp_path, capsys):
@@ -461,19 +473,134 @@ def test_norm_command_bad_space(tmp_path, capsys):
     assert err.startswith("error:") and "extent" in err
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # the Riesz maps convolve through scipy.fft; scipy.signal would add ~0.7 s
-    # of import time to every command
+def _fresh_python(code, cwd=None):
+    """stdout of ``code`` run in a new interpreter that imports the package
+    from this checkout."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, wulff_lab.cli; print(sorted(m for m in sys.modules"
-         " if m == 'scipy.signal' or m.startswith('scipy.signal.')))"],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+    out = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+_SCIPY_LOADED = ("sorted({'.'.join(m.split('.')[:2]) for m in sys.modules"
+                 " if m == 'scipy' or m.startswith('scipy.')})")
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy loads only inside the functions that call it: the Riesz maps and
+    # the p = 2 solve (scipy.fft) and adaptive quadrature (scipy.integrate)
+    out = _fresh_python(f"import sys, wulff_lab.cli; print({_SCIPY_LOADED})")
+    assert out.strip() == "[]"
+
+
+BALLS_CONFIG = """\
+[grid]
+cells = 48,48
+
+[system]
+p = 1.5
+
+[data]
+u = profile:sinsin
+F = manufactured
+
+[verify]
+theorems = pointwise-wulff, pointwise-oscillation, oscillation-decay,
+    energy-caccioppoli, regularity-bmo
+
+[verify.regularity-bmo]
+cells = 48
+
+[output]
+heatmaps = u,F
+"""
+
+
+def _solve_config(p):
+    return (SOLVE_CONFIG.replace("p = 2.0", f"p = {p}")
+            .replace("tol = 1e-10", "tol = 1e-8"))
+
+
+# expected: which of scipy.fft and scipy.integrate the call loads; an empty
+# set means no scipy module at all
+@pytest.mark.parametrize("config, argv, expected", [
+    (BALLS_CONFIG, ["run", "job.ini", "--out", "o"], set()),
+    (_solve_config(3.0), ["solve", "job.ini", "--out", "o"], set()),
+    (_solve_config(2.0), ["solve", "job.ini", "--out", "o"], {"scipy.fft"}),
+    (None, ["potential", "f.wlf", "--kind", "riesz", "--alpha", "0.5"], {"scipy.fft"}),
+    # (q, rho, beta) = (2, 2, 0.5) is the mixed case: steps by adaptive
+    # quadrature; scipy.integrate itself imports scipy.fft
+    (None, ["norm", "f.wlf", "--space", "lorentz:2,2,0.5"],
+     {"scipy.fft", "scipy.integrate"}),
+], ids=["run-balls", "solve-p3", "solve-p2", "potential-riesz", "norm-lorentz-mixed"])
+def test_commands_load_only_the_scipy_they_run(tmp_path, config, argv, expected):
+    if config is None:
+        field_file(tmp_path, lambda x, y: 1.0 + np.sin(np.pi * x) * y, cells=24)
+    else:
+        write_config(tmp_path / "job.ini", config)
+    out = _fresh_python(
+        "import json, sys, wulff_lab.cli as c\n"
+        f"rc = c.main({argv!r})\n"
+        f"print(json.dumps([rc, {_SCIPY_LOADED}]))",
+        cwd=tmp_path,
     )
-    assert out.stdout.strip() == "[]"
+    rc, mods = json.loads(out.splitlines()[-1])
+    assert rc == 0
+    assert set(mods) & {"scipy.fft", "scipy.integrate"} == expected, mods
+    if not expected:
+        assert mods == []
+
+
+_FIRST_CALLS = """\
+import hashlib, sys, threading
+import numpy as np
+from wulff_lab.field_grid import GridField, GridGeometry
+from wulff_lab.function_spaces import LorentzParams, lorentz_zygmund_norm
+from wulff_lab.potential_engine import havin_mazya_map
+
+assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+geom = GridGeometry((48, 40), (1.0, 0.8), (0.0, 0.0))
+f = GridField(geom, np.random.default_rng(4).uniform(0.0, 1.0, size=geom.cells))
+calls = {
+    "map": lambda: hashlib.sha256(havin_mazya_map(f, 0.5, 3.0).values.tobytes()).hexdigest(),
+    "norm": lambda: repr(lorentz_zygmund_norm(f, LorentzParams(2.0, 2.0, 0.5))),
+}
+barrier = threading.Barrier(len(calls))
+out = {}
+
+def first_call(key):
+    barrier.wait(timeout=60)
+    try:
+        out[key] = calls[key]()
+    except Exception as exc:
+        out[key] = f"{type(exc).__name__}: {exc}"
+
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=first_call, args=(k,)) for k in calls]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=120)
+assert not any(t.is_alive() for t in threads)
+print(out["map"], out["norm"])
+"""
+
+
+def test_first_scipy_imports_from_two_threads():
+    # both threads import scipy for the first time at once: the Riesz map
+    # (scipy.fft, under the kernel lock) and a mixed-case Lorentz-Zygmund
+    # norm (scipy.integrate, through adaptive quadrature)
+    geom = GridGeometry((48, 40), (1.0, 0.8), (0.0, 0.0))
+    f = GridField(geom, np.random.default_rng(4).uniform(0.0, 1.0, size=geom.cells))
+    serial = "{} {!r}".format(
+        hashlib.sha256(havin_mazya_map(f, 0.5, 3.0).values.tobytes()).hexdigest(),
+        lorentz_zygmund_norm(f, LorentzParams(2.0, 2.0, 0.5)),
+    )
+    for _ in range(4):
+        assert _fresh_python(_FIRST_CALLS).strip() == serial
 
 
 def test_space_norm_grammar(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -52,8 +53,10 @@ def smooth_pair(p, cells=48):
 
 def test_report_shapes_and_version():
     rep = verify_telescope(random_field(unit_grid(32), 0), (0.5, 0.5), 0.1, 0.4)
-    assert rep.family_version == FAMILY_VERSION
+    # the field comes from the caller, so the report carries no family version
+    assert rep.family_version is None
     d = rep.to_dict()
+    assert "family_version" not in d
     assert d["theorem"] == "telescoping-means"
     assert len(d["samples"]) == 2 and isinstance(d["samples"][0], dict)
     rows = rep.csv_rows()
@@ -330,6 +333,28 @@ def test_pointwise_report_and_scale_invariance():
         assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
 
 
+_OSC_POINTS = [(0.4, 0.55), (0.6, 0.35), (0.5, 0.5)]
+
+
+@functools.lru_cache(maxsize=None)
+def _osc_base(p):
+    u, F = smooth_pair(p)
+    return u, F, verify_pointwise_osc(u, F, p, 0.2, _OSC_POINTS)
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=st.sampled_from([1.5, 2.0, 3.0]), lam=st.floats(0.25, 4.0))
+def test_pointwise_osc_scale_invariance(p, lam):
+    # both sides are 1-homogeneous under (u, F) -> (lam u, lam^(p-1) F)
+    u, F, base = _osc_base(p)
+    rep = verify_pointwise_osc(u.with_values(lam * u.values),
+                               F.with_values(lam ** (p - 1.0) * F.values),
+                               p, 0.2, _OSC_POINTS)
+    assert rep.passed and base.passed
+    for a, b in zip(base.samples, rep.samples):
+        assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
+
+
 def test_pointwise_osc_dominated_by_wulff():
     u, F = smooth_pair(2.0)
     rep = verify_pointwise_osc(u, F, 2.0, 0.2, [(0.5, 0.5), (0.3, 0.6)])
@@ -393,6 +418,9 @@ def test_domination_small_ensemble():
 def test_domination_threads_equivalence():
     a = verify_domination(unit_grid(32), 0.5, 3.0, samples=3, seed=1, threads=1)
     b = verify_domination(unit_grid(32), 0.5, 3.0, samples=3, seed=1, threads=2)
+    # its samples are random_field draws
+    assert a.family_version == FAMILY_VERSION
+    assert a.to_dict()["family_version"] == FAMILY_VERSION
     assert [s.ratio for s in a.samples] == [s.ratio for s in b.samples]
 
 
