@@ -80,17 +80,39 @@ def _boundary(text: str):
     return value
 
 
+# keys of the fixed sections; [verify] and [verify.<id>] hold theorem options
+_SECTION_KEYS = {"grid": ("cells", "extent", "origin"), "system": ("p",),
+                 "data": ("u", "F", "boundary", "seed"),
+                 "solver": ("tol", "max_iters", "eps_start", "eps_final"),
+                 "output": ("dir", "json", "csv", "heatmaps", "field")}
+
+
+def _check_names(parser) -> None:
+    """Reject a section or key that the run would not read, such as a typo."""
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]: its keys would reach every section")
+    for name in parser.sections():
+        if name in _SECTION_KEYS:
+            extra = sorted(set(parser[name]) - {k.lower() for k in _SECTION_KEYS[name]})
+            if extra:
+                raise ConfigError(f"unknown key {extra[0]!r} in [{name}]; known keys: "
+                                  f"{', '.join(_SECTION_KEYS[name])}")
+        elif name != "verify" and name not in {f"verify.{t}" for t in THEOREMS}:
+            raise ConfigError(f"unknown section [{name}]")
+
+
 class RunConfig:
     """Validated run description.
 
-    Validation is front-loaded: geometry shape, exponent range, solver
-    settings, theorem ids, heatmap sources and the existence of every
-    referenced file are checked at parse time, before any computation
-    starts.  Points and balls are checked against the domain when each
-    theorem runs.
+    Validation is front-loaded: section and key names, geometry shape,
+    exponent range, solver settings, theorem ids, heatmap sources and the
+    existence of every referenced file are checked at parse time, before
+    any computation starts.  Points and balls are checked against the domain
+    when each theorem runs.
     """
 
     def __init__(self, parser, base_dir: str):
+        _check_names(parser)
         if "grid" not in parser:
             raise ConfigError("missing required [grid] section")
         g = parser["grid"]
@@ -714,6 +736,9 @@ def _cmd_potential(args) -> int:
     geom = f.geometry
     x = _floats(args.point) if args.point else geom.center
     if args.kind == "wulff":
+        if args.out:
+            raise ConfigError("--out writes the map of --kind riesz or havin-mazya; "
+                              "--kind wulff evaluates one point")
         radius = args.radius if args.radius is not None else math.inf
         value = wulff_potential(f, PotentialParams(args.alpha, args.s, radius), x)
         print(format(value, ".12g"))

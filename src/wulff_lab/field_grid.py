@@ -11,13 +11,14 @@ primitives the rest of the library is built from:
   second-order one-sided at the boundary).
 
 This module alone decides which cells a ball holds, by one rule written on
-cell offsets (``_ball_box``): with i₀ the cell that holds x and δ = x − (center
-of cell i₀), the cell i₀ + k belongs to B_r(x) iff
-d² = Σ_d (k_d·h_d − δ_d)² ≤ r².  At a cell center δ = 0, so no rounding of
-center coordinates enters and the cells depend on r alone:
+cell offsets (``_ball_offsets``): with i₀ the cell that holds x and
+δ = x − (center of cell i₀) (``_cell_of``), the cell i₀ + k belongs to
+B_r(x) iff d² = Σ_d (k_d·h_d − δ_d)² ≤ r².  Every ball is a list of flat
+row-major cell indices built by this rule.  At a cell center δ = 0, so no
+rounding of center coordinates enters and the cells depend on r alone:
 :func:`ball_stencil` lists them once per radius as flat index offsets.
 :func:`ball_cells` applies the rule to one ball; :func:`nested_balls`
-applies it to many concentric balls at once, sorting the samples of the
+applies it to many concentric balls at once, sorting the cells of the
 largest ball by d² so that every smaller ball is a prefix.
 
 Balls are hard-rejected unless they fit inside Ω — the averaging operators
@@ -245,22 +246,22 @@ class GridField:
 # ball calculus
 
 
+def _check_point(geom: GridGeometry, x: Sequence[float]) -> None:
+    if len(x) != geom.dim:
+        raise DimensionMismatch(f"point {tuple(x)} has {len(x)} coordinates "
+                                f"on a {geom.dim}-d grid")
+
+
 def max_admissible_radius(geom: GridGeometry, x: Sequence[float]) -> float:
     """Largest radius r with B_r(x) contained in the domain box."""
-    if len(x) != geom.dim:
-        raise DimensionMismatch(
-            f"point {tuple(x)} has {len(x)} coordinates on a {geom.dim}-d grid"
-        )
+    _check_point(geom, x)
     lo = min(x[d] - geom.origin[d] for d in range(geom.dim))
     hi = min(geom.origin[d] + geom.extent[d] - x[d] for d in range(geom.dim))
     return min(lo, hi)
 
 
 def _check_ball(geom: GridGeometry, ball: Ball) -> None:
-    if len(ball.center) != geom.dim:
-        raise DimensionMismatch(
-            f"ball center has {len(ball.center)} coordinates on a {geom.dim}-d grid"
-        )
+    _check_point(geom, ball.center)
     if ball.radius < max(geom.spacing):
         raise BallBelowResolution(
             f"radius {ball.radius:g} is below the grid spacing {max(geom.spacing):g}"
@@ -271,42 +272,33 @@ def _check_ball(geom: GridGeometry, ball: Ball) -> None:
         )
 
 
-def _offset_dist2(geom: GridGeometry, lo: Sequence[int], hi: Sequence[int],
-                  delta: Sequence[float]) -> np.ndarray:
-    """Squared distances d² to the cells at offsets lo[d] .. hi[d]−1 per axis
-    from a point δ away from the center of offset 0; the axis term is
-    (k·h_d − δ_d)²."""
-    dist2 = np.zeros(tuple(b - a for a, b in zip(lo, hi)))
+def _cell_of(geom: GridGeometry, x: Sequence[float]) -> tuple[int, tuple[float, ...]]:
+    """The flat row-major index of the cell i₀ that holds ``x`` (floor per
+    axis, clamped to the grid) and δ = x − (center of i₀) per axis."""
+    flat, delta = 0, []
     for d, h in enumerate(geom.spacing):
-        ax = np.arange(lo[d], hi[d]) * h - delta[d]
+        i = min(max(math.floor((x[d] - geom.origin[d]) / h), 0), geom.cells[d] - 1)
+        flat = flat * geom.cells[d] + i
+        delta.append(x[d] - (geom.origin[d] + (i + 0.5) * h))
+    return flat, tuple(delta)
+
+
+def _ball_offsets(geom: GridGeometry, r: float,
+                  delta: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Flat row-major offsets k from a cell i₀ to the cells with
+    d² = Σ_d (k_d·h_d − δ_d)² ≤ r², in row-major order, and their d²: the one
+    rule that decides which cells B_r(center of i₀ + δ) holds.  |δ_d| < h_d,
+    so |k_d| ≤ r/h_d + 1 covers the ball."""
+    flat, dist2 = 0, 0.0
+    for d, h in enumerate(geom.spacing):
+        m = int(r / h) + 1
         shape = [1] * geom.dim
-        shape[d] = ax.size
-        dist2 = dist2 + ax.reshape(shape) ** 2
-    return dist2
-
-
-def _ball_box(geom: GridGeometry, ball: Ball):
-    """Bounding-box slices of ``ball``, the squared distances d² from its
-    center to the cell centers in the box, and the inclusion mask d² ≤ r².
-
-    Distances are taken on cell offsets from the cell i₀ that holds the
-    center, with δ the center's offset from the center of cell i₀; δ = 0 at
-    a cell center, so such a ball holds the cells of :func:`ball_stencil`.
-    """
-    slices, lo, hi, delta = [], [], [], []
-    for d in range(geom.dim):
-        h = geom.spacing[d]
-        x = ball.center[d]
-        start = max(int(np.floor((x - ball.radius - geom.origin[d]) / h - 0.5)), 0)
-        stop = min(int(np.ceil((x + ball.radius - geom.origin[d]) / h - 0.5)) + 1,
-                   geom.cells[d])
-        i0 = min(max(int(np.floor((x - geom.origin[d]) / h)), 0), geom.cells[d] - 1)
-        slices.append(slice(start, stop))
-        lo.append(start - i0)
-        hi.append(stop - i0)
-        delta.append(x - geom.axis_centers(d)[i0])
-    dist2 = _offset_dist2(geom, lo, hi, delta)
-    return tuple(slices), dist2, dist2 <= ball.radius**2
+        shape[d] = 2 * m + 1
+        k = np.arange(-m, m + 1).reshape(shape)
+        flat = flat * geom.cells[d] + k
+        dist2 = dist2 + (k * h - delta[d]) ** 2
+    inside = dist2 <= r**2
+    return flat[inside], dist2[inside]
 
 
 @lru_cache(maxsize=64)
@@ -315,24 +307,24 @@ def ball_stencil(geom: GridGeometry, r: float) -> np.ndarray:
     radius ``r`` around that cell's center, listed in row-major order
     (cached, read-only).  The rule of :func:`ball_cells` with δ = 0, so it
     does not depend on the center: cell ``c + offset`` is in B_r(center of c)."""
-    m = [int(r / h) + 1 for h in geom.spacing]
-    dist2 = _offset_dist2(geom, [-k for k in m], [k + 1 for k in m], [0.0] * geom.dim)
-    strides = [math.prod(geom.cells[d + 1:]) for d in range(geom.dim)]
-    inside = np.nonzero(dist2 <= r**2)
-    offsets = sum((i - k) * s for i, k, s in zip(inside, m, strides))
+    offsets, _ = _ball_offsets(geom, r, (0.0,) * geom.dim)
     offsets.flags.writeable = False
     return offsets
 
 
-def ball_cells(geom: GridGeometry, ball: Ball) -> tuple[tuple[slice, ...], np.ndarray]:
-    """Bounding-box slices and an inclusion mask for the cells of a ball."""
+def ball_cells(geom: GridGeometry, ball: Ball) -> np.ndarray:
+    """Flat row-major indices of the cells of a ball, in row-major order.
+
+    The ball lies in the domain, so every cell it holds is a grid cell and
+    no offset wraps into another row."""
     _check_ball(geom, ball)
-    slices, _, mask = _ball_box(geom, ball)
-    if not mask.any():
+    i0, delta = _cell_of(geom, ball.center)
+    offsets, _ = _ball_offsets(geom, ball.radius, delta)
+    if not offsets.size:
         raise BallBelowResolution(
             f"ball B_{ball.radius:g}({ball.center}) contains no cell centers"
         )
-    return slices, mask
+    return i0 + offsets
 
 
 def _root(x, q: float) -> np.ndarray:
@@ -365,9 +357,7 @@ def ball_average(f: GridField, ball: Ball) -> np.ndarray:
     Deterministic for a fixed grid: the uniform cell measure cancels, so this
     is the plain mean of the included samples, one entry per component.
     """
-    slices, mask = ball_cells(f.geometry, ball)
-    box = f.values[(slice(None),) + slices]
-    return box[:, mask].mean(axis=1)
+    return f.values.reshape(f.ncomp, -1)[:, ball_cells(f.geometry, ball)].mean(axis=1)
 
 
 def ball_oscillation(f: GridField, ball: Ball, q: float = 1.0) -> float:
@@ -376,9 +366,8 @@ def ball_oscillation(f: GridField, ball: Ball, q: float = 1.0) -> float:
     The deviation magnitude is Euclidean across components, so vector and
     matrix fields oscillate as a whole rather than componentwise.
     """
-    slices, mask = ball_cells(f.geometry, ball)
-    box = f.values[(slice(None),) + slices][:, mask]
-    return float(_oscillation(box, box.mean(axis=1), q))
+    vals = f.values.reshape(f.ncomp, -1)[:, ball_cells(f.geometry, ball)]
+    return float(_oscillation(vals, vals.mean(axis=1), q))
 
 
 @dataclass(frozen=True)
@@ -406,17 +395,18 @@ def nested_balls(f: GridField, x: Sequence[float], radii: Sequence[float]) -> Ne
 
     Every radius passes the checks of :func:`ball_cells`, and a right-sided
     search in the sorted d² counts the cells with d² ≤ r², so ``counts[i]``
-    equals the mask sum of ``ball_cells`` for B_{radii[i]}(x), ties included.
+    is the number of ``ball_cells`` of B_{radii[i]}(x), ties included.
     """
     geom = f.geometry
     balls = [Ball(tuple(x), float(r)) for r in radii]
     for ball in balls:
         _check_ball(geom, ball)
-    slices, dist2, mask = _ball_box(geom, max(balls, key=lambda b: b.radius))
-    inner = dist2[mask]
-    order = np.argsort(inner, kind="stable")
-    values = f.values[(slice(None),) + slices][:, mask][:, order]
-    counts = np.searchsorted(inner[order], [b.radius**2 for b in balls], side="right")
+    largest = max(balls, key=lambda b: b.radius)
+    i0, delta = _cell_of(geom, largest.center)
+    offsets, dist2 = _ball_offsets(geom, largest.radius, delta)
+    order = np.argsort(dist2, kind="stable")
+    values = f.values.reshape(f.ncomp, -1)[:, i0 + offsets[order]]
+    counts = np.searchsorted(dist2[order], [b.radius**2 for b in balls], side="right")
     if counts.min() == 0:
         raise BallBelowResolution(f"a ball around {tuple(x)} contains no cell centers")
     return NestedBalls(values, counts)
@@ -425,17 +415,10 @@ def nested_balls(f: GridField, x: Sequence[float], radii: Sequence[float]) -> Ne
 def value_at(f: GridField, x: Sequence[float]) -> np.ndarray:
     """Sample values of the cell containing ``x`` (one entry per component)."""
     geom = f.geometry
-    if len(x) != geom.dim:
-        raise DimensionMismatch(
-            f"point {tuple(x)} has {len(x)} coordinates on a {geom.dim}-d grid"
-        )
+    _check_point(geom, x)
     if not geom.contains_point(x):
         raise BallOutsideDomain(f"point {tuple(x)} lies outside the domain")
-    idx = tuple(
-        min(int((x[d] - geom.origin[d]) / geom.spacing[d]), geom.cells[d] - 1)
-        for d in range(geom.dim)
-    )
-    return f.values[(slice(None),) + idx]
+    return f.values.reshape(f.ncomp, -1)[:, _cell_of(geom, x)[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -610,7 +610,7 @@ def _sup_scan(geom: GridGeometry, omega: WeightFunction, data: np.ndarray,
     centers, coords, radii, fits = _sample_balls(geom)
     if not fits.any():
         raise NoAdmissibleBalls("no sampled ball fits inside the domain")
-    # one row of components per cell, as in a masked box f[:, mask]: the
+    # one row of components per cell, as in a gathered ball f[:, cells]: the
     # reductions over a ball then add in the order of one-ball evaluation
     samples = np.ascontiguousarray(data.reshape(data.shape[0], -1).T)
     ratio = np.full(fits.shape, -np.inf)

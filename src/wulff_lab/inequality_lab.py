@@ -119,7 +119,6 @@ class VerificationReport:
     params: dict
     samples: tuple[SampleRecord, ...]
     c_star: float
-    trace: tuple[float, ...]
     passed: bool
     notes: tuple[str, ...]
     # set only when the samples come from random_field
@@ -130,7 +129,6 @@ class VerificationReport:
         if self.family_version is None:
             del d["family_version"]
         d["samples"] = [asdict(s) for s in self.samples]
-        d["trace"] = list(self.trace)
         d["notes"] = list(self.notes)
         return d
 
@@ -168,7 +166,6 @@ def _assemble(theorem: str, params: dict, samples: list[SampleRecord],
         params=dict(params),
         samples=tuple(samples),
         c_star=float(c_star),
-        trace=(float(c_star),),
         passed=passed,
         notes=tuple(notes),
         family_version=FAMILY_VERSION if seeded else None,
@@ -321,8 +318,7 @@ def _gate_pair(u: GridField, F: GridField, p: float, tol: float) -> float:
 
 def _ball_qmean(mag: GridField, ball: Ball, q: float) -> float:
     """(⨍_B m^q)^{1/q} of a nonnegative scalar field m."""
-    slices, mask = ball_cells(mag.geometry, ball)
-    chunk = mag.values[0][slices][mask]
+    chunk = mag.values.reshape(mag.ncomp, -1)[:, ball_cells(mag.geometry, ball)]
     return float(np.mean(chunk**q) ** (1.0 / q))
 
 

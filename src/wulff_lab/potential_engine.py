@@ -23,9 +23,9 @@ for divergence-form data.
 
 The pointwise Wulff and oscillation potentials read every ball mean from one
 distance-ordered view of the largest ball (:func:`field_grid.nested_balls`):
-the cells of B_r(x) are the prefix of the samples sorted by squared distance
-to x, so each quadrature radius sums a prefix, with the inclusion rule of
-:func:`field_grid.ball_cells`.
+its flat cell indices are stable-sorted by squared distance to x, so the
+cells of B_r(x) are a prefix and each quadrature radius sums a prefix, with
+the one inclusion rule of :func:`field_grid.ball_cells`.
 
 All pointwise evaluations are literal sums over cells.  The Riesz map
 computes the sums for every center at once as a circular FFT convolution

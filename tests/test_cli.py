@@ -130,6 +130,38 @@ def test_run_missing_config(tmp_path, capsys):
     assert "does not exist" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, message", [
+    # a misspelt key: the default tol would run in its place
+    ("[output]", "[solver]\ntolerance = 1e-30\n\n[output]",
+     "error: unknown key 'tolerance' in [solver]"),
+    # a misspelt theorem section: its 'samples' would never be read
+    ("[verify.hardy-i]", "[verify.hardy-1]", "error: unknown section [verify.hardy-1]"),
+    # 'heatmap' for 'heatmaps': no SVG would be written
+    ("heatmaps = u,F", "heatmap = u", "error: unknown key 'heatmap' in [output]"),
+    # [DEFAULT] keys reach every section
+    ("[grid]", "[DEFAULT]\nsamples = 3\n\n[grid]", "error: unknown section [DEFAULT]"),
+    ("[grid]", "[grids]\ncells = 8,8\n\n[grid]", "error: unknown section [grids]"),
+    # a theorem id is a section only under [verify.<id>]
+    ("[verify.hardy-i]", "[hardy-i]", "error: unknown section [hardy-i]"),
+], ids=["solver-key", "verify-section", "output-key", "default-section",
+        "unknown-section", "bare-theorem-section"])
+def test_run_rejects_config_typos(tmp_path, capsys, old, new, message):
+    cfg = write_config(tmp_path / "typo.ini", RUN_CONFIG.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.out == "" and not out.exists()
+
+
+def test_config_keys_are_case_insensitive(tmp_path, capsys):
+    # configparser folds key case, so 'f' and 'TOL' name the known keys
+    body = RUN_CONFIG.replace("F = manufactured", "f = manufactured").replace(
+        "[output]", "[solver]\nTOL = 1e-8\n\n[output]")
+    cfg = write_config(tmp_path / "case.ini", body)
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_run_missing_field_file(tmp_path, capsys):
     body = RUN_CONFIG.replace("profile:sinsin", "missing.wlf")
     cfg = write_config(tmp_path / "bad.ini", body)
@@ -651,6 +683,16 @@ def test_potential_command(tmp_path, capsys):
     assert main(["potential", path, "--alpha", "0.5", "--point", "0.5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "coordinates" in err
+
+
+def test_potential_wulff_rejects_out(tmp_path, capsys):
+    # a pointwise Wulff value has no map to write
+    _, path = field_file(tmp_path, lambda x, y: np.ones_like(x))
+    out = tmp_path / "o"
+    assert main(["potential", path, "--alpha", "0.5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --out writes the map of --kind riesz")
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("kind", ["riesz", "havin-mazya"])

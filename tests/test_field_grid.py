@@ -153,9 +153,35 @@ def test_ball_oscillation_needs_q_at_least_one():
         ball_oscillation(f, Ball((0.5, 0.5), 0.2), 0.5)
 
 
+def _ball_box(geom, ball):
+    """Oracle for the cells of a ball, the bounding-box rule the flat offset
+    rule replaced: the box slices, the squared distances d² from the center
+    to the cell centers in the box, and the inclusion mask d² ≤ r².
+
+    Distances are taken on cell offsets from the cell i₀ that holds the
+    center, with δ the center's offset from the center of cell i₀; the axis
+    term is (k·h_d − δ_d)²."""
+    slices, axes = [], []
+    for d in range(geom.dim):
+        h = geom.spacing[d]
+        x = ball.center[d]
+        start = max(int(np.floor((x - ball.radius - geom.origin[d]) / h - 0.5)), 0)
+        stop = min(int(np.ceil((x + ball.radius - geom.origin[d]) / h - 0.5)) + 1,
+                   geom.cells[d])
+        i0 = min(max(int(np.floor((x - geom.origin[d]) / h)), 0), geom.cells[d] - 1)
+        slices.append(slice(start, stop))
+        axes.append(np.arange(start - i0, stop - i0) * h - (x - geom.axis_centers(d)[i0]))
+    dist2 = np.zeros(tuple(ax.size for ax in axes))
+    for d, ax in enumerate(axes):
+        shape = [1] * geom.dim
+        shape[d] = ax.size
+        dist2 = dist2 + ax.reshape(shape) ** 2
+    return tuple(slices), dist2, dist2 <= ball.radius**2
+
+
 def _grid_mask(geom, ball):
-    """``ball_cells``' mask of ``ball`` spread over the whole grid."""
-    slices, mask = ball_cells(geom, ball)
+    """The oracle's cells of ``ball`` as a mask over the whole grid."""
+    slices, _, mask = _ball_box(geom, ball)
     full = np.zeros(geom.cells, dtype=bool)
     full[slices] = mask
     return full
@@ -176,8 +202,10 @@ def test_ball_cells_mask_matches_distance():
     # no cell center lies within rounding of the sphere, so any way of
     # computing d² gives the same cells
     assert np.abs(dist2 - 0.2**2).min() > 1e-9
-    # every cell with d² <= r² is in the mask, and no other cell is
-    np.testing.assert_array_equal(_grid_mask(geom, ball), dist2 <= 0.2**2)
+    # every cell with d² <= r² is in the ball, and no other cell is
+    inside = dist2 <= 0.2**2
+    np.testing.assert_array_equal(ball_cells(geom, ball), np.flatnonzero(inside))
+    np.testing.assert_array_equal(_grid_mask(geom, ball), inside)
 
 
 @pytest.mark.parametrize("geom", [
@@ -194,8 +222,39 @@ def test_ball_stencil_is_ball_cells_at_every_sampled_ball(geom):
     for i, j in zip(*np.nonzero(fits)):
         idx = np.unravel_index(centers[i], geom.cells)
         ball = Ball(tuple(coords[i]), radii[j])
-        np.testing.assert_array_equal(_stencil_mask(geom, idx, radii[j]),
-                                      _grid_mask(geom, ball))
+        want = _grid_mask(geom, ball)
+        np.testing.assert_array_equal(_stencil_mask(geom, idx, radii[j]), want)
+        np.testing.assert_array_equal(ball_cells(geom, ball), np.flatnonzero(want))
+
+
+@pytest.mark.parametrize("geom", [
+    GridGeometry((96, 160), (1.0, 0.6), (-0.3, 0.2)),
+    GridGeometry((20, 9), (0.6, 0.5), (0.1, -0.3)),
+])
+def test_off_center_ball_cells_match_oracle(geom):
+    # the sampled balls moved off their cell centers by δ, with δ = ±h/2 (x on
+    # a cell boundary) or drawn inside the cell, at the sample's tie radii
+    centers, coords, radii, fits = _sample_balls(geom)
+    rng = np.random.default_rng(5)
+    h = np.array(geom.spacing)
+    f = GridField.constant(geom, 0.0)
+    compared = 0
+    for i in range(len(centers)):
+        for frac in ([0.5, -0.5], [-0.5, 0.5], rng.uniform(-0.5, 0.5, 2)):
+            x = tuple(float(c) for c in coords[i] + np.asarray(frac) * h)
+            fit = [r for r in radii if geom.contains_ball(Ball(x, r))]
+            for r in fit:
+                want = _grid_mask(geom, Ball(x, r))
+                np.testing.assert_array_equal(ball_cells(geom, Ball(x, r)),
+                                              np.flatnonzero(want))
+            if fit:
+                expected = [int(_grid_mask(geom, Ball(x, r)).sum()) for r in fit]
+                assert nested_balls(f, x, fit).counts.tolist() == expected
+                compared += len(fit)
+    assert compared >= fits.sum()
+
+
+_FRAC = st.one_of(st.sampled_from([-0.5, 0.0, 0.5]), st.floats(-0.5, 0.5))
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,12 +262,14 @@ def test_ball_stencil_is_ball_cells_at_every_sampled_ball(geom):
        h=st.floats(0.01, 0.5), aspect=st.floats(1 / 3, 3.0),
        origin=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
        pick=st.floats(0.0, 1.0), size=st.floats(0.0, 1.0),
-       axis=st.integers(0, 1), tie=st.booleans())
+       axis=st.integers(0, 1), tie=st.booleans(), frac=st.tuples(_FRAC, _FRAC))
 def test_ball_stencil_is_ball_cells_property(cells, h, aspect, origin, pick, size,
-                                             axis, tie):
-    # any geometry, any cell center that holds a ball, any radius that fits;
-    # with ``tie`` the radius is a whole number of cells along one axis, so
-    # cells lie on the sphere
+                                             axis, tie, frac):
+    # any geometry, any point x = (cell center) + δ with δ_d = frac_d·h_d in
+    # [−h_d/2, h_d/2] (cell boundaries included), any radius that fits; with
+    # ``tie`` the radius is the distance from x to the center of a cell a
+    # whole number of cells away along one axis, so that cell lies on the
+    # sphere (exactly at δ = 0)
     geom = GridGeometry(cells, (cells[0] * h, cells[1] * h * aspect), origin)
     lo = max(geom.spacing)
     mesh = geom.center_mesh()
@@ -216,17 +277,25 @@ def test_ball_stencil_is_ball_cells_property(cells, h, aspect, origin, pick, siz
                               for m, o, e in zip(mesh, geom.origin, geom.extent)])
     fit = np.flatnonzero(room >= lo)
     idx = np.unravel_index(fit[min(int(pick * fit.size), fit.size - 1)], cells)
-    x = tuple(float(m[idx]) for m in mesh)
+    delta = [fd * hd for fd, hd in zip(frac, geom.spacing)]
+    x = tuple(float(m[idx]) + dd for m, dd in zip(mesh, delta))
     r = lo + size * (max_admissible_radius(geom, x) - lo)
     if tie:
-        r = max(math.floor(r / geom.spacing[axis]), 1) * geom.spacing[axis]
+        k = [0, 0]
+        k[axis] = max(math.floor(r / geom.spacing[axis]), 1)
+        r = math.hypot(*(kd * hd - dd for kd, hd, dd in zip(k, geom.spacing, delta)))
     if not (lo <= r and geom.contains_ball(Ball(x, r))):
         return
-    np.testing.assert_array_equal(_stencil_mask(geom, idx, r), _grid_mask(geom, Ball(x, r)))
+    want = _grid_mask(geom, Ball(x, r))
+    np.testing.assert_array_equal(ball_cells(geom, Ball(x, r)), np.flatnonzero(want))
+    counts = nested_balls(GridField.constant(geom, 0.0), x, [r, lo]).counts
+    assert counts.tolist() == [int(want.sum()), int(_grid_mask(geom, Ball(x, lo)).sum())]
+    if frac == (0.0, 0.0):
+        np.testing.assert_array_equal(_stencil_mask(geom, idx, r), want)
 
 
 def _nested_counts_match_ball_cells(geom, wulff_stride=1):
-    """Compare ``nested_balls`` counts with ``ball_cells`` mask sums at every
+    """Compare ``nested_balls`` counts with the oracle's mask sums at every
     admissible cell center, for r in {2h, 5h, 2|spacing|}, and for the
     default Wulff quadrature radii at every ``wulff_stride``-th center per
     axis.  Returns the number of balls compared."""
@@ -246,7 +315,7 @@ def _nested_counts_match_ball_cells(geom, wulff_stride=1):
         if not radii:
             continue
         counts = nested_balls(f, x, radii).counts
-        expected = [int(ball_cells(geom, Ball(x, r))[1].sum()) for r in radii]
+        expected = [int(_grid_mask(geom, Ball(x, r)).sum()) for r in radii]
         assert counts.tolist() == expected, (x, radii)
         compared += len(radii)
     return compared

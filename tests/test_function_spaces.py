@@ -9,7 +9,6 @@ from wulff_lab.field_grid import (
     Ball,
     GridField,
     GridGeometry,
-    ball_cells,
     ball_oscillation,
     max_admissible_radius,
 )
@@ -35,6 +34,8 @@ from wulff_lab.function_spaces import (
 from wulff_lab.function_spaces import YoungFunction
 from wulff_lab.inequality_lab import radial_profile
 from wulff_lab.plaplace_solver import manufacture
+
+from test_field_grid import _ball_box
 
 
 def unit_grid(cells=16):
@@ -348,8 +349,9 @@ def test_scans_need_finite_q_at_least_one(scan, q):
 
 def _scan_oracle(f, omega, kind, q=1.0):
     """The per-ball scan the stencil scans replaced: every sampled ball's
-    value from its own ``ball_cells`` mask, one ball at a time, keeping the
-    first strict maximum of value/ω(r)."""
+    value from its own cells, one ball at a time, keeping the first strict
+    maximum of value/ω(r).  The Morrey value takes its cells from the
+    bounding-box oracle of ``test_field_grid``."""
     geom = f.geometry
     if kind == "campanato" and omega.nondecreasing:
         q = 1.0
@@ -368,7 +370,7 @@ def _scan_oracle(f, omega, kind, q=1.0):
     def value(b):
         if kind == "campanato":
             return ball_oscillation(f, b, q)
-        slices, mask = ball_cells(geom, b)
+        slices, _, mask = _ball_box(geom, b)
         return float((mag[slices][mask] ** q).sum() * geom.cell_measure) ** (1.0 / q)
 
     best, best_ball = -math.inf, None
