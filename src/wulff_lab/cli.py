@@ -101,13 +101,30 @@ def _check_names(parser) -> None:
             raise ConfigError(f"unknown section [{name}]")
 
 
+def _check_options(parser, names) -> None:
+    """Reject a theorem option that no theorem would read, such as a typo: a
+    ``[verify.<id>]`` key must be an option of that theorem, and a ``[verify]``
+    key must be ``theorems`` or an option of a selected theorem."""
+    for name, (_, _, options) in THEOREMS.items():
+        section = f"verify.{name}"
+        extra = sorted(set(parser[section]) - set(options)) if section in parser else []
+        if extra:
+            raise ConfigError(f"unknown option {extra[0]!r} in [{section}]; known "
+                              f"options: {', '.join(options)}")
+    read = {"theorems"}.union(*(THEOREMS[name][2] for name in names))
+    extra = sorted(set(parser["verify"]) - read) if "verify" in parser else []
+    if extra:
+        raise ConfigError(f"option {extra[0]!r} in [verify] is read by none of the "
+                          "selected theorems")
+
+
 class RunConfig:
     """Validated run description.
 
     Validation is front-loaded: section and key names, geometry shape,
-    exponent range, solver settings, theorem ids, heatmap sources and the
-    existence of every referenced file are checked at parse time, before
-    any computation starts.  Points and balls are checked against the domain
+    exponent range, solver settings, theorem ids and option names, heatmap
+    sources and the existence of every referenced file are checked at parse
+    time, before any computation starts.  Points and balls are checked against the domain
     when each theorem runs.
     """
 
@@ -158,6 +175,7 @@ class RunConfig:
             if name not in THEOREMS:
                 known = ", ".join(sorted(THEOREMS))
                 raise ConfigError(f"unknown theorem id {name!r}; known ids: {known}")
+        _check_options(parser, names)
         shared = dict(v)
         self.theorems = [
             (name, {**shared,
@@ -439,44 +457,55 @@ def _regularity_runner(kind):
     return run
 
 
-# theorem id -> (summary, runner); runners take (cfg, opts, seed, threads)
+# option keys each runner family reads
+_PAIR_OPTS = ("points", "r_ball", "residual_tol")
+_HARDY_OPTS = ("q", "alpha", "k", "a", "samples", "family")
+_NORM_MAP_OPTS = ("sigma", "rho", "samples", "alpha", "s")
+_REGULARITY_OPTS = ("q", "beta", "cells")
+
+# theorem id -> (summary, runner, option keys the runner reads); runners take
+# (cfg, opts, seed, threads)
 THEOREMS = {
     "telescoping-means": (
-        "two-mean comparison with constants 2^(2n+2) and 2^(2n+3)", _run_telescope),
+        "two-mean comparison with constants 2^(2n+2) and 2^(2n+3)", _run_telescope,
+        ("x", "samples", "r_outer", "r_inner", "allowance")),
     "pointwise-wulff": (
         "|u(x)| bounded by the truncated Wulff potential of |F|^p' plus a mean",
-        _run_pointwise),
+        _run_pointwise, _PAIR_OPTS),
     "pointwise-oscillation": (
         "|u(x)| bounded by the mean-oscillation potential of F plus a mean",
-        _run_pointwise_osc),
+        _run_pointwise_osc, _PAIR_OPTS),
     "oscillation-decay": (
         "mean oscillation of u at scale r controlled by a Dini-type F term",
-        _run_oscillation),
+        _run_oscillation, ("x", "r_ball", "residual_tol")),
     "energy-caccioppoli": (
-        "reverse Hoelder and Caccioppoli inequalities on nested balls", _run_energy),
-    "hardy-i": ("weighted Hardy inequality, q >= 1", _hardy_runner("i")),
+        "reverse Hoelder and Caccioppoli inequalities on nested balls", _run_energy,
+        ("x", "r_ball", "residual_tol", "q")),
+    "hardy-i": ("weighted Hardy inequality, q >= 1", _hardy_runner("i"), _HARDY_OPTS),
     "hardy-ii-far": ("weighted Hardy inequality, q < 1, alpha < -1-1/q",
-                     _hardy_runner("ii-far")),
+                     _hardy_runner("ii-far"), _HARDY_OPTS),
     "hardy-ii-near": ("weighted Hardy inequality, q < 1, truncated range",
-                      _hardy_runner("ii-near")),
+                      _hardy_runner("ii-near"), _HARDY_OPTS),
     "wulff-riesz-domination": (
-        "Wulff potential dominated by the composed Riesz potential", _run_domination),
+        "Wulff potential dominated by the composed Riesz potential", _run_domination,
+        ("alpha", "s", "samples")),
     "potential-norms-A-i": ("Lorentz-to-Lorentz potential boundedness",
-                            _norm_map_runner("A-i")),
+                            _norm_map_runner("A-i"), _NORM_MAP_OPTS),
     "potential-norms-A-iii": ("borderline Lorentz-Zygmund boundedness",
-                              _norm_map_runner("A-iii")),
+                              _norm_map_runner("A-iii"), _NORM_MAP_OPTS),
     "potential-norms-A-iv": ("small second index gives boundedness into L^inf",
-                             _norm_map_runner("A-iv")),
+                             _norm_map_runner("A-iv"), _NORM_MAP_OPTS),
     "potential-norms-B": ("Orlicz-to-Orlicz boundedness under the balance condition",
-                          _norm_map_runner("B")),
+                          _norm_map_runner("B"),
+                          _NORM_MAP_OPTS + ("young_a", "young_b", "t0")),
     "regularity-holder": ("fitted Hoelder exponent against 1 - n/(q(p-1))",
-                          _regularity_runner("holder")),
+                          _regularity_runner("holder"), _REGULARITY_OPTS),
     "regularity-bmo": ("borderline Morrey datum keeps the BMO seminorm finite",
-                       _regularity_runner("bmo")),
+                       _regularity_runner("bmo"), _REGULARITY_OPTS),
     "regularity-lipschitz": ("Dini datum modulus forces a Lipschitz solution",
-                             _regularity_runner("lipschitz")),
+                             _regularity_runner("lipschitz"), _REGULARITY_OPTS),
     "regularity-lorentz": ("rearrangement tail exponent of the marginal datum",
-                           _regularity_runner("lorentz")),
+                           _regularity_runner("lorentz"), _REGULARITY_OPTS),
 }
 
 
@@ -622,7 +651,7 @@ def _cmd_list_theorems() -> int:
     width = max(len(t) for t in THEOREMS)
     print(f"{'theorem id':<{width}}  description")
     print(f"{'-' * width}  {'-' * 11}")
-    for ident, (summary, _) in THEOREMS.items():
+    for ident, (summary, _, _) in THEOREMS.items():
         print(f"{ident:<{width}}  {summary}")
     return 0
 
@@ -679,6 +708,9 @@ def _cmd_solve(args) -> int:
         "cells": list(cfg.geometry.cells),
         "stages": result.stage_log,
     }
+    if cfg.p != 2.0:
+        # p = 2 is one direct solve, with no warm start to count
+        summary["warm_start_iterations"] = result.warm_start_iterations
     _atomic_write(os.path.join(out_dir, "solve.json"), _json_bytes(summary))
     if cfg.heatmaps:
         for source in cfg.heatmaps:

@@ -20,9 +20,12 @@ transform diagonalizes (also for h₁ ≠ h₂): the minimizer is one direct
 fast-Poisson solve (Buzbee–Golub–Nielson, SIAM J. Numer. Anal. 1970), with
 the Dirichlet ring entering through the energy gradient.  For p ≠ 2,
 minimization is a damped inexact Newton method run through a decreasing-ε
-continuation.  Each Newton system uses the exact Hessian of the regularized
-energy, applied matrix-free with the same staggered stencil, and is solved by
-plain CG; an Armijo backtracking search on the energy damps the step.
+continuation from the discrete harmonic extension of the boundary ring.
+Each Newton system uses the exact Hessian of the regularized energy, applied
+matrix-free, and is solved by conjugate gradients preconditioned with its
+exact diagonal (Jacobi), which follows the weight s^{p−2} across the decades
+it spans where ∇u vanishes; an Armijo backtracking search on the energy damps
+the step.
 """
 
 from __future__ import annotations
@@ -52,7 +55,8 @@ class SystemParams:
 
     ``tol`` is the relative energy-gradient tolerance of the final stage and
     the bound on its weak residual; ``max_iters`` bounds the Hessian-vector
-    products (inner CG iterations) over all stages.  The ε-continuation runs
+    products (inner CG iterations) over the harmonic warm start and all
+    stages.  The ε-continuation runs
     geometrically from ``eps_start`` down to ``eps_final``; while the weak
     residual of the last stage stays above ``tol``, ``solve`` divides ε by 10
     again, down to ε = 1e-16.  For p = 2 there is no continuation (ε only
@@ -121,6 +125,7 @@ class SolveResult:
     iterations: int
     residual: float
     grad_norm: float
+    warm_start_iterations: int
     energy_trace: list[float] = field(repr=False, default_factory=list)
     stage_log: list[dict] = field(repr=False, default_factory=list)
 
@@ -260,24 +265,64 @@ def _energy_and_grad(v: np.ndarray, Fl: np.ndarray, p: float, eps: float,
     return J, G, g, s2
 
 
-def _hessian_product(g: np.ndarray, s2: np.ndarray, p: float,
-                     geom: GridGeometry, ring: np.ndarray):
-    """d ↦ Dᵀ[W·I + (p−2)s^{p−4} g⊗g]D d, W = s^{p−2}: the exact Hessian of the
-    energy at g = Dv, matrix-free.  g⊗g contracts over components and
-    directions together, so a system's components (N > 1) stay coupled."""
-    h1, h2 = geom.spacing
-    W = s2 ** ((p - 2.0) / 2.0)
-    C = (p - 2.0) * s2 ** ((p - 4.0) / 2.0)
+def _hessian_product(g: np.ndarray, s2: np.ndarray, p: float, geom: GridGeometry):
+    """Exact Hessian Dᵀ[W·I + (p−2)s^{p−4} g⊗g]D·|cell| of the energy at g = Dv,
+    W = s^{p−2}, as (apply, diag): a matrix-free product on the interior and
+    its diagonal (1 on the ring, where the product is 0).
+
+    g⊗g contracts over components and directions together, so a system's
+    components (N > 1) stay coupled.  With raw forward differences Δ_d of the
+    argument, the lattice flux is S_d = A_d·Δ_d + B·(Σ q·Δ)·q_d, built from
+    A_d = W·|cell|/h_d², B = (p−2)·s^{p−4}·|cell| and q_d = g_d/h_d, and the
+    product at an interior cell is S₀[i−1,j] − S₀[i,j] + S₁[i,j−1] − S₁[i,j].
+
+    ``apply`` works on flat row-major indices, so every array operation is
+    contiguous: lattice point (i, j) is k = i·c₂ + j, its differences are
+    d[k + c₂] − d[k] and d[k + 1] − d[k] for k < (c₁−1)·c₂, and the
+    coefficients are zero in the last column, where k + 1 wraps to the next
+    row.  It returns one reused buffer, overwritten by the next call.
+    """
+    N = g.shape[0]
+    c1, c2 = geom.cells
+    K = (c1 - 1) * c2
+    h = np.array(geom.spacing)[:, np.newaxis, np.newaxis]
+    A = (geom.cell_measure / h**2) * s2 ** ((p - 2.0) / 2.0)
+    B = ((p - 2.0) * geom.cell_measure) * s2 ** ((p - 4.0) / 2.0)
+    q = g / h
+
+    # diagonal: the unit vector at (c, i, j) has differences (−1, −1) at
+    # lattice point (i, j), +1 along axis 0 at (i−1, j), +1 along axis 1 at (i, j−1)
+    P0 = A[0] + B * q[:, 0] ** 2
+    P1 = A[1] + B * q[:, 1] ** 2
+    P01 = A[0] + A[1] + B * (q[:, 0] + q[:, 1]) ** 2
+    diag = np.ones((N,) + geom.cells)
+    diag[:, 1:-1, 1:-1] = P0[:, :-1, 1:] + P1[:, 1:, :-1] + P01[:, 1:, 1:]
+
+    def flat(a: np.ndarray) -> np.ndarray:
+        out = np.zeros(a.shape[:-2] + (c1 - 1, c2))
+        out[..., :-1] = a
+        return out.reshape(a.shape[:-2] + (K,))
+
+    A_k, q_k, Bq_k = flat(A), flat(q), flat(B * q)
+    out = np.zeros((N,) + geom.cells)
+    # rows 1 … c₁−2; their two ring cells are reset after each product
+    inner = out.reshape(N, -1)[:, c2:K]
+    delta = np.empty((N, 2, K))
+    S = np.empty((N, 2, K))
 
     def apply(d: np.ndarray) -> np.ndarray:
-        gd = _stag_values(d, h1, h2)
-        T = W * gd
-        T += (C * np.einsum("cdij,cdij->ij", g, gd)) * g
-        out = _divergence_gap(T, geom)
-        out[:, ring] = 0.0
+        d = d.reshape(N, -1)
+        np.subtract(d[:, c2:], d[:, :K], out=delta[:, 0])
+        np.subtract(d[:, 1:K + 1], d[:, :K], out=delta[:, 1])
+        np.multiply(A_k, delta, out=S)
+        np.add(S, (Bq_k * delta).sum(axis=(0, 1)) * q_k, out=S)
+        np.subtract(S[:, 0, :K - c2], S[:, 0, c2:], out=inner)
+        np.add(inner, S[:, 1, c2 - 1:K - 1], out=inner)
+        np.subtract(inner, S[:, 1, c2:], out=inner)
+        out[:, :, 0] = out[:, :, -1] = 0.0
         return out
 
-    return apply
+    return apply, diag
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -286,22 +331,28 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("cij,cij->", a, b))
 
 
-def _cg(apply, b: np.ndarray, atol: float, budget: int):
-    """Plain conjugate gradients for H x = b from x = 0, stopped once
-    ‖b − Hx‖ ≤ atol or after ``budget`` products; returns (x, products)."""
+def _pcg(hessian, b: np.ndarray, atol: float, budget: int):
+    """Jacobi-preconditioned conjugate gradients for H x = b from x = 0, with
+    ``hessian = (apply, diag)``; stopped once the true residual ‖b − Hx‖ is at
+    most ``atol`` or after ``budget`` products.  Returns (x, products)."""
+    apply, diag = hessian
+    inv = 1.0 / diag
     x = np.zeros_like(b)
     r = b.copy()
-    d = r.copy()
-    rr = _dot(r, r)
+    z = inv * r
+    d = z.copy()
+    rz = _dot(r, z)
     k = 0
-    while k < budget and math.sqrt(rr) > atol:
+    while k < budget and math.sqrt(_dot(r, r)) > atol:
         Hd = apply(d)
         k += 1
-        a = rr / _dot(d, Hd)
+        a = rz / _dot(d, Hd)
         x += a * d
         r -= a * Hd
-        rr, rr_old = _dot(r, r), rr
-        d = r + (rr / rr_old) * d
+        np.multiply(inv, r, out=z)
+        rz, rz_old = _dot(r, z), rz
+        d *= rz / rz_old
+        d += z
     return x, k
 
 
@@ -340,7 +391,7 @@ def _newton_stage(v, Fl, p, eps, geom, ring, gtol, scale, budget, trace, accept)
     while used < budget and not (gnorm <= gtol and accept(v)):
         # forcing term η = min(0.1, ‖G‖/scale)
         atol = min(0.1, gnorm / scale) * gnorm
-        s, k = _cg(_hessian_product(g, s2, p, geom, ring), -G, atol, budget - used)
+        s, k = _pcg(_hessian_product(g, s2, p, geom), -G, atol, budget - used)
         used += k
         slope = _dot(G, s)
         if not slope < 0:
@@ -352,7 +403,9 @@ def _newton_stage(v, Fl, p, eps, geom, ring, gtol, scale, budget, trace, accept)
             trial_norm = math.sqrt(_dot(trial[1], trial[1]))
             # near the minimizer energy decreases fall below round-off, so a
             # full step that halves ‖G‖ is accepted on the gradient alone
-            if (trial[0] <= J + 1e-4 * t * slope
+            # a step that leaves the computed energy unchanged is no decrease:
+            # accepting it lets a stage spin at the energy's round-off floor
+            if (trial[0] < J and trial[0] <= J + 1e-4 * t * slope
                     or (t == 1.0 and trial_norm <= 0.5 * gnorm)):
                 break
             t *= 0.5
@@ -370,6 +423,22 @@ def _newton_stage(v, Fl, p, eps, geom, ring, gtol, scale, budget, trace, accept)
 
 # smallest ε of the continuation, reached only while the residual gate fails
 _EPS_FLOOR = 1e-16
+# relative residual to which the harmonic warm start solves its Laplace system
+_WARM_RTOL = 0.1
+
+
+def _harmonic_start(v, geom, ring, budget):
+    """Move the interior of v (in place) towards the discrete harmonic extension
+    of its ring: one Newton step of the p = 2 energy with F = 0, solved by
+    Jacobi-PCG to relative residual ``_WARM_RTOL``.  Returns the products used
+    (0 for a constant ring: the start is then already harmonic)."""
+    zero = np.zeros((v.shape[0], 2) + tuple(c - 1 for c in geom.cells))
+    # at p = 2 the weight is 1 for every ε; ε = 1 keeps s^{p−4} finite where g = 0
+    _, G, g, s2 = _energy_and_grad(v, zero, 2.0, 1.0, geom, ring)
+    step, used = _pcg(_hessian_product(g, s2, 2.0, geom), -G,
+                      _WARM_RTOL * math.sqrt(_dot(G, G)), budget)
+    v += step
+    return used
 
 
 def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
@@ -378,13 +447,17 @@ def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
     The boundary ring carries the Dirichlet data exactly throughout.  For
     p = 2 one direct DST-I solve minimizes the energy; a second one refines
     the result if its weak residual is above ``tol``, and ``iterations`` is 0.
-    For p ≠ 2 each ε-stage runs damped Newton until the gradient falls below
-    max(1e-5, ``tol``) relative to the initial one; the final stage runs until
-    it falls below ``tol`` and the weak residual (unregularized flux) is at
-    most ``tol``.  While that residual stays above ``tol`` and budget remains,
-    further stages follow at ε/10, down to ε = 1e-16.  ``iterations`` counts
-    Hessian-vector products, the budget of ``max_iters``.  Raises
-    :class:`NonConvergence` if the residual ends above tolerance.
+    For p ≠ 2 the interior starts from the discrete harmonic extension of the
+    ring, solved to relative residual 0.1 (no work for a constant ring).  Each
+    ε-stage then runs damped Newton until the gradient falls below
+    max(1e-5, ``tol``) relative to the gradient after the warm start; the
+    final stage runs until it falls below ``tol`` and the weak residual
+    (unregularized flux) is at most ``tol``.  While that residual stays above
+    ``tol`` and budget remains, further stages follow at ε/10, down to
+    ε = 1e-16.  ``iterations`` counts Hessian-vector products, the budget of
+    ``max_iters``: those of the warm start (``warm_start_iterations``) plus
+    those of every stage in ``stage_log``.  Raises :class:`NonConvergence` if
+    the residual ends above tolerance.
     """
     geom = problem.geometry
     if min(geom.cells) < 16:
@@ -404,7 +477,7 @@ def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
 
     kind = "scalar" if N == 1 else "vector"
     budget = params.max_iters
-    used = 0
+    used = warm = 0
     trace: list[float] = []
     log: list[dict] = []
 
@@ -421,9 +494,11 @@ def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
         log.append({"eps": 0.0, "iterations": 0, "newton_steps": steps,
                     "grad_norm": gnorm})
     else:
+        warm = used = _harmonic_start(v, geom, ring, budget)
         stages = params.stages()
         _, G0, _, _ = _energy_and_grad(v, Fl, p, stages[0], geom, ring)
-        scale = math.sqrt(_dot(G0, G0)) or 1.0
+        gnorm = math.sqrt(_dot(G0, G0))
+        scale = gnorm or 1.0
         k = 0
         while used < budget:
             eps = stages[k] if k < len(stages) else eps / 10.0
@@ -455,6 +530,7 @@ def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
         u=u,
         converged=True,
         iterations=used,
+        warm_start_iterations=warm,
         residual=res,
         grad_norm=gnorm,
         energy_trace=trace,

@@ -16,6 +16,7 @@ from wulff_lab.cli import (
     _space_norm,
     _young_from_spec,
     main,
+    parse_config,
     render_heatmap,
 )
 from wulff_lab.errors import ConfigError
@@ -152,6 +153,70 @@ def test_run_rejects_config_typos(tmp_path, capsys, old, new, message):
     captured = capsys.readouterr()
     assert captured.err.startswith(message)
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # a misspelt option: hardy-i would run its default 100 samples
+    ("[verify.hardy-i]\n", "[verify.hardy-i]\nsampels = 3\n",
+     "error: unknown option 'sampels' in [verify.hardy-i]"),
+    # an option of another theorem: telescoping-means reads no alpha
+    ("[verify.telescoping-means]\n", "[verify.telescoping-means]\nalpha = 0.5\n",
+     "error: unknown option 'alpha' in [verify.telescoping-means]"),
+    # a shared option that neither selected theorem reads
+    ("theorems = telescoping-means, hardy-i\n",
+     "theorems = telescoping-means, hardy-i\nr_ball = 0.1\n",
+     "error: option 'r_ball' in [verify] is read by none of the selected theorems"),
+], ids=["misspelt", "other-theorem", "shared-unread"])
+def test_run_rejects_unread_theorem_options(tmp_path, capsys, old, new, message):
+    cfg = write_config(tmp_path / "typo.ini", RUN_CONFIG.replace(old, new))
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.out == "" and not out.exists()
+
+
+def test_shared_option_needs_one_selected_reader(tmp_path):
+    # 'allowance' is read by telescoping-means only, 'points' by no theorem here
+    body = RUN_CONFIG.replace("theorems = telescoping-means, hardy-i\n",
+                              "theorems = telescoping-means, hardy-i\nallowance = 0.2\n")
+    cfg = parse_config(write_config(tmp_path / "ok.ini", body))
+    assert dict(cfg.theorems)["telescoping-means"]["allowance"] == "0.2"
+    with pytest.raises(ConfigError, match="'points' in \\[verify\\]"):
+        parse_config(write_config(tmp_path / "bad.ini",
+                                  body.replace("allowance = 0.2", "points = 0.5,0.5")))
+
+
+class _ReadLog(dict):
+    """Empty options that log every key a runner asks for."""
+
+    def __init__(self):
+        super().__init__()
+        self.keys_read = set()
+
+    def __contains__(self, key):
+        self.keys_read.add(key)
+        return False
+
+    def get(self, key, default=None):
+        self.keys_read.add(key)
+        return default
+
+
+@pytest.mark.parametrize("name", list(THEOREMS))
+def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, name):
+    # the verifiers are stubbed out: only the option reads of the runner run
+    import wulff_lab.cli as cli
+
+    for attr in dir(cli.iq):
+        if attr.startswith("verify_") or attr == "_parallel_map":
+            monkeypatch.setattr(cli.iq, attr, lambda *args, **kwargs: [])
+    monkeypatch.setattr(cli, "_load_pair", lambda cfg: (None, None))
+    monkeypatch.setattr(cli, "_merge", lambda *args: None)
+    cfg = parse_config(write_config(tmp_path / "job.ini", RUN_CONFIG))
+    opts = _ReadLog()
+    THEOREMS[name][1](cfg, opts, 0, 1)
+    assert opts.keys_read == set(THEOREMS[name][2])
 
 
 def test_config_keys_are_case_insensitive(tmp_path, capsys):
@@ -406,6 +471,8 @@ def test_solve_roundtrip(tmp_path, capsys):
     summary = json.loads(read_bytes(out, "solve.json"))
     assert summary["converged"] is True
     assert summary["residual"] <= 1e-10
+    # the direct p = 2 solve has no warm start, and solve.json keeps its keys
+    assert "warm_start_iterations" not in summary
     assert (out / "u.svg").exists()
 
 
@@ -435,7 +502,10 @@ def test_solve_json_stages_sum_to_iterations(tmp_path):
     assert all(set(s) == {"eps", "iterations", "newton_steps", "grad_norm"}
                for s in stages)
     assert summary["iterations"] > 0
-    assert sum(s["iterations"] for s in stages) == summary["iterations"]
+    # the sin·sin ring is not constant, so the harmonic warm start does work
+    assert summary["warm_start_iterations"] > 0
+    assert (sum(s["iterations"] for s in stages) + summary["warm_start_iterations"]
+            == summary["iterations"])
 
 
 def test_solve_heatmaps_need_a_2d_grid(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -11,8 +12,10 @@ from wulff_lab.inequality_lab import random_field
 from wulff_lab.plaplace_solver import (
     DirichletProblem,
     SystemParams,
+    _divergence_gap,
     _energy_and_grad,
     _hessian_product,
+    _stag_values,
     manufacture,
     solve,
     staggered_gradient,
@@ -274,9 +277,97 @@ def test_hessian_product_matches_gradient_difference(p, N):
     Fl = rng.standard_normal((N, 2, 15, 15))
     eps = 0.0 if p == 2.0 else 0.1
     _, _, g, s2 = _energy_and_grad(v, Fl, p, eps, geom, ring)
-    Hd = _hessian_product(g, s2, p, geom, ring)(d)
+    apply, _ = _hessian_product(g, s2, p, geom)
+    Hd = apply(d)
     tau = 1e-5
     G_plus = _energy_and_grad(v + tau * d, Fl, p, eps, geom, ring)[1]
     G_minus = _energy_and_grad(v - tau * d, Fl, p, eps, geom, ring)[1]
     fd = (G_plus - G_minus) / (2 * tau)
     assert np.linalg.norm(Hd - fd) <= 1e-6 * np.linalg.norm(Hd)
+
+
+def _hessian_oracle(g, s2, p, geom, d):
+    """Dᵀ[W·I + (p−2)s^{p−4} g⊗g]D d on the (N, 2, c₁−1, c₂−1) lattice, as the
+    solver applied it before its flat-index product; ring cells set to 0."""
+    gd = _stag_values(d, *geom.spacing)
+    T = s2 ** ((p - 2.0) / 2.0) * gd
+    T += ((p - 2.0) * s2 ** ((p - 4.0) / 2.0) * np.einsum("cdij,cdij->ij", g, gd)) * g
+    out = _divergence_gap(T, geom)
+    out[:, [0, -1], :] = 0.0
+    out[:, :, [0, -1]] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_hessian_diagonal_and_product_match_unit_vectors_and_oracle(p, N):
+    # h1 = 1/16 and h2 = 0.075
+    geom = GridGeometry((16, 12), (1.0, 0.9), (0.0, 0.0))
+    ring = np.zeros(geom.cells, dtype=bool)
+    ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
+    rng = np.random.default_rng([N, int(10 * p), 7])
+    v = rng.standard_normal((N, 16, 12))
+    Fl = rng.standard_normal((N, 2, 15, 11))
+    eps = 0.0 if p == 2.0 else 0.1
+    _, _, g, s2 = _energy_and_grad(v, Fl, p, eps, geom, ring)
+    apply, diag = _hessian_product(g, s2, p, geom)
+    assert diag.shape == (N, 16, 12)
+    assert np.all(diag[:, ring] == 1.0)
+    e = np.zeros((N, 16, 12))
+    for c in range(N):
+        for i in range(1, 15):
+            for j in range(1, 11):
+                e[c, i, j] = 1.0
+                He = apply(e)
+                e[c, i, j] = 0.0
+                assert He[c, i, j] == pytest.approx(diag[c, i, j], rel=1e-13)
+                assert np.all(He[:, ring] == 0.0)
+    for _ in range(3):
+        d = rng.standard_normal((N, 16, 12))
+        d[:, ring] = 0.0
+        expected = _hessian_oracle(g, s2, p, geom, d)
+        assert np.abs(apply(d) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("p", [1.3, 1.2])
+def test_singular_p_at_most_1_3_fails_at_the_round_off_floor_not_the_budget(p):
+    # sin·sin is flat at the lattice point between the four centre cells, and
+    # the discrete solution carries a flux of 4e-7 (p = 1.2) to 2e-6 (p = 1.3)
+    # through it; |g|^{p−1} reaches that only at |g| < 1e-18, far below the
+    # ~7e-15 spacing of representable gradients there, so no float64 u meets
+    # tol 1e-8.  The solve must end at the ε floor with most of its budget
+    # unspent: steps that leave the energy unchanged do not count as descent
+    geom = unit_grid(64)
+    F = manufacture(trig_field(geom), p)
+    with pytest.raises(NonConvergence) as info:
+        solve(DirichletProblem(F, 0.0), SystemParams(p=p))
+    used = int(re.search(r"after (\d+) iterations", str(info.value)).group(1))
+    assert used <= 15_000
+    assert info.value.residual > 1e-8
+
+
+def test_p3_warm_start_counts_in_iterations():
+    geom = unit_grid(64)
+    u = GridField.from_function(
+        geom,
+        lambda x, y: 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y) + 2 * x + y,
+    )
+    F = manufacture(u, 3.0)
+    result = solve(DirichletProblem(F, u), SystemParams(p=3.0, tol=2e-6))
+    assert result.warm_start_iterations > 0
+    # 562 products; CG without the Jacobi scaling needs 925
+    assert result.iterations <= 700
+    assert result.iterations == (sum(s["iterations"] for s in result.stage_log)
+                                 + result.warm_start_iterations)
+    assert len(result.stage_log) == len(SystemParams(p=3.0).stages())
+    # a constant ring is already harmonic: the warm start is a no-op
+    flat = solve(DirichletProblem(F, 1.5), SystemParams(p=3.0, tol=2e-6))
+    assert flat.warm_start_iterations == 0
+
+
+def test_warm_start_obeys_the_budget():
+    geom = unit_grid(32)
+    u = GridField.from_function(geom, lambda x, y: np.sin(3 * x) + y * y)
+    with pytest.raises(NonConvergence) as info:
+        solve(DirichletProblem(manufacture(u, 3.0), u), SystemParams(p=3.0, max_iters=3))
+    assert "after 3 iterations" in str(info.value)
