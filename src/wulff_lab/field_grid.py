@@ -18,8 +18,9 @@ row-major cell indices built by this rule.  At a cell center δ = 0, so no
 rounding of center coordinates enters and the cells depend on r alone:
 :func:`ball_stencil` lists them once per radius as flat index offsets.
 :func:`ball_cells` applies the rule to one ball; :func:`nested_balls`
-applies it to many concentric balls at once, sorting the cells of the
-largest ball by d² so that every smaller ball is a prefix.
+applies it to many concentric balls at once, ordering the cells of the
+largest ball shell by shell (by the smallest requested r² ≥ d²) so that
+every smaller ball is a prefix.
 
 Balls are hard-rejected unless they fit inside Ω — the averaging operators
 never see extension artifacts.  Fields are immutable after construction and
@@ -127,12 +128,16 @@ class GridGeometry:
 
     def contains_ball(self, ball: "Ball") -> bool:
         """Whether ``ball`` lies in the box, up to 1e-12 of the largest extent."""
+        return bool(self._contains(ball.center, [ball.radius])[0])
+
+    def _contains(self, center: Sequence[float], radii) -> np.ndarray:
+        """:meth:`contains_ball` for the balls B_r(center), r in ``radii``, at once."""
         pad = 1e-12 * max(self.extent)
-        return all(
-            ball.center[d] - ball.radius >= self.origin[d] - pad
-            and ball.center[d] + ball.radius <= self.origin[d] + self.extent[d] + pad
-            for d in range(self.dim)
-        )
+        c = np.array(center, dtype=float)[:, None]
+        o = np.array(self.origin)[:, None]
+        r = np.asarray(radii, dtype=float)
+        return ((c - r >= o - pad)
+                & (c + r <= o + np.array(self.extent)[:, None] + pad)).all(axis=0)
 
     def contains_point(self, x: Sequence[float]) -> bool:
         return all(
@@ -260,16 +265,18 @@ def max_admissible_radius(geom: GridGeometry, x: Sequence[float]) -> float:
     return min(lo, hi)
 
 
-def _check_ball(geom: GridGeometry, ball: Ball) -> None:
-    _check_point(geom, ball.center)
-    if ball.radius < max(geom.spacing):
-        raise BallBelowResolution(
-            f"radius {ball.radius:g} is below the grid spacing {max(geom.spacing):g}"
-        )
-    if not geom.contains_ball(ball):
-        raise BallOutsideDomain(
-            f"ball B_{ball.radius:g}({ball.center}) is not contained in the domain"
-        )
+def _check_balls(geom: GridGeometry, x: Sequence[float], radii) -> None:
+    """Check the balls B_r(x), r in ``radii``, in one pass: the first one in
+    input order that is below the resolution or leaves Ω raises."""
+    _check_point(geom, x)
+    r = np.asarray(radii, dtype=float)
+    below = r < max(geom.spacing)
+    for i in np.flatnonzero(below | ~geom._contains(x, r))[:1]:  # the first failure
+        if below[i]:
+            raise BallBelowResolution(
+                f"radius {r[i]:g} is below the grid spacing {max(geom.spacing):g}")
+        raise BallOutsideDomain(f"ball B_{r[i]:g}({tuple(float(c) for c in x)}) "
+                                f"is not contained in the domain")
 
 
 def _cell_of(geom: GridGeometry, x: Sequence[float]) -> tuple[int, tuple[float, ...]]:
@@ -317,7 +324,7 @@ def ball_cells(geom: GridGeometry, ball: Ball) -> np.ndarray:
 
     The ball lies in the domain, so every cell it holds is a grid cell and
     no offset wraps into another row."""
-    _check_ball(geom, ball)
+    _check_balls(geom, ball.center, [ball.radius])
     i0, delta = _cell_of(geom, ball.center)
     offsets, _ = _ball_offsets(geom, ball.radius, delta)
     if not offsets.size:
@@ -337,18 +344,25 @@ def _root(x, q: float) -> np.ndarray:
     return np.array([v ** (1.0 / q) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float) -> np.ndarray:
+def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float,
+                 scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """(⨍|v − mean|^q)^{1/q} over the last axis of ``vals`` (ncomp, ..., k)
     with ``mean`` (ncomp, ...), one value per index of the batch axes ``...``;
-    the deviation magnitude is Euclidean across components."""
+    the deviation magnitude is Euclidean across components (|v − mean| for
+    one component).  ``scratch``, arrays of the shapes of ``vals`` and
+    ``vals[0]``, takes the deviations and their magnitudes in place."""
     if not (q >= 1.0):
         raise ValueError(f"oscillation exponent must satisfy q >= 1, got {q}")
-    dev = vals - mean[..., None]
-    mag = np.einsum("c...k,c...k->...k", dev, dev)
-    np.sqrt(mag, out=mag)
-    if q == 1.0:
-        return mag.mean(axis=-1)
-    return _root((mag**q).mean(axis=-1), q)
+    dev, mag = scratch if scratch is not None else (None, None)
+    dev = np.subtract(vals, mean[..., None], out=dev)
+    if len(dev) == 1:
+        mag = np.abs(dev[0], out=mag)
+    else:
+        mag = np.einsum("c...k,c...k->...k", dev, dev, out=mag)
+        np.sqrt(mag, out=mag)
+    if q != 1.0:
+        mag **= q
+    return _root(mag.mean(axis=-1), q)
 
 
 def ball_average(f: GridField, ball: Ball) -> np.ndarray:
@@ -373,8 +387,9 @@ def ball_oscillation(f: GridField, ball: Ball, q: float = 1.0) -> float:
 @dataclass(frozen=True)
 class NestedBalls:
     """A field's samples on concentric balls B_r(x): ``values`` (ncomp, K)
-    holds the samples of the largest ball stable-sorted by d², so the cells
-    of B_{radii[i]}(x) are the first ``counts[i]`` columns."""
+    holds the samples of the largest ball ordered shell by shell (see
+    :func:`nested_balls`), so the cells of B_{radii[i]}(x) are the first
+    ``counts[i]`` columns."""
 
     values: np.ndarray
     counts: np.ndarray
@@ -384,32 +399,42 @@ class NestedBalls:
         return np.cumsum(self.values, axis=1)[:, self.counts - 1] / self.counts
 
     def oscillations(self, q: float = 1.0) -> np.ndarray:
-        """q-mean oscillations (⨍_{B_r}|f − ⟨f⟩_{B_r}|^q)^{1/q}, one per radius."""
+        """q-mean oscillations (⨍_{B_r}|f − ⟨f⟩_{B_r}|^q)^{1/q}, one per radius,
+        in one sweep over the prefixes: the deviations and magnitudes of every
+        radius go into one pair of buffers sized to the largest of them."""
         means = self.means()
-        return np.array([_oscillation(self.values[:, :k], means[:, i], q)
+        n, k_max = len(self.values), self.counts.max()
+        # C-contiguous views, as a fresh ``vals − mean`` of the C-ordered
+        # ``values`` (np.take) is, so einsum sums both alike
+        dev, mag = np.empty(n * k_max), np.empty(k_max)
+        return np.array([_oscillation(self.values[:, :k], means[:, i], q,
+                                      (dev[:n * k].reshape(n, k), mag[:k]))
                          for i, k in enumerate(self.counts)])
 
 
 def nested_balls(f: GridField, x: Sequence[float], radii: Sequence[float]) -> NestedBalls:
     """Samples of ``f`` on the balls B_r(x), r in ``radii`` (any order).
 
-    Every radius passes the checks of :func:`ball_cells`, and a right-sided
-    search in the sorted d² counts the cells with d² ≤ r², so ``counts[i]``
-    is the number of ``ball_cells`` of B_{radii[i]}(x), ties included.
+    Every radius passes the checks of :func:`ball_cells`.  A cell's shell is
+    the index of the smallest requested r² ≥ its d²; a stable sort of these
+    small integers orders the cells shell by shell, so ``counts[i]``, a
+    prefix sum of shell sizes, counts the ``ball_cells`` of B_{radii[i]}(x).
     """
     geom = f.geometry
-    balls = [Ball(tuple(x), float(r)) for r in radii]
-    for ball in balls:
-        _check_ball(geom, ball)
-    largest = max(balls, key=lambda b: b.radius)
-    i0, delta = _cell_of(geom, largest.center)
-    offsets, dist2 = _ball_offsets(geom, largest.radius, delta)
-    order = np.argsort(dist2, kind="stable")
-    values = f.values.reshape(f.ncomp, -1)[:, i0 + offsets[order]]
-    counts = np.searchsorted(dist2[order], [b.radius**2 for b in balls], side="right")
+    r = np.array(radii, dtype=float)
+    Ball(tuple(x), r.min())  # the ValueError of a radius that is not positive
+    _check_balls(geom, x, r)
+    r2 = [v**2 for v in r.tolist()]  # the r² of _ball_offsets, to the bit
+    i0, delta = _cell_of(geom, tuple(float(c) for c in x))
+    offsets, dist2 = _ball_offsets(geom, float(r.max()), delta)
+    levels = np.unique(r2)
+    shell = np.searchsorted(levels, dist2).astype(np.min_scalar_type(levels.size - 1))
+    counts = np.cumsum(np.bincount(shell, minlength=levels.size))[np.searchsorted(levels, r2)]
     if counts.min() == 0:
         raise BallBelowResolution(f"a ball around {tuple(x)} contains no cell centers")
-    return NestedBalls(values, counts)
+    order = np.argsort(shell, kind="stable")
+    return NestedBalls(np.take(f.values.reshape(f.ncomp, -1), i0 + offsets[order], axis=1),
+                       counts)
 
 
 def value_at(f: GridField, x: Sequence[float]) -> np.ndarray:

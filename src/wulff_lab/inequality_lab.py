@@ -432,7 +432,7 @@ def verify_oscillation(u: GridField, F: GridField, p: float,
         ball_average(gradient(u).magnitude(), Ball(tuple(x), R))[0]
     )
 
-    # one distance-ordered view of F serves the quadratures of every scale
+    # one shell-ordered view of F serves the quadratures of every scale
     quads = [RadialQuadrature.log_spaced(r, R) for r in radii]
     oscs = iter(nested_balls(F, x, [rho for quad in quads for rho in quad.radii])
                 .oscillations(pp))
@@ -464,7 +464,7 @@ def verify_telescope(f: GridField, x: Sequence[float], r: float, R: float, *,
 
     These are the only absolute-constant checks in the library: pass requires
     both to hold after the ``allowance`` for ball-quadrature bias.  Every
-    ball mean comes from one distance-ordered view of B_R(x)
+    ball mean comes from one shell-ordered view of B_R(x)
     (:func:`nested_balls`), with the inclusion rule of :func:`ball_cells`.
     """
     geom = f.geometry
@@ -482,7 +482,8 @@ def verify_telescope(f: GridField, x: Sequence[float], r: float, R: float, *,
     mags = np.sqrt(np.einsum("ck,ck->k", balls.values, balls.values))
     mean_abs = NestedBalls(mags[np.newaxis], balls.counts).means()[0]
     if quad is not None:
-        osc = balls.oscillations(1.0)[2:]
+        # only the quadrature radii: the sweep at R would cover all of B_R(x)
+        osc = NestedBalls(balls.values, balls.counts[2:]).oscillations(1.0)
         integral = float(sum(w * o for w, o in zip(quad.weights, osc)))
     else:
         integral = 0.0

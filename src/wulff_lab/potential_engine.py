@@ -22,10 +22,11 @@ full-grid maps, and the mean-oscillation potential
 for divergence-form data.
 
 The pointwise Wulff and oscillation potentials read every ball mean from one
-distance-ordered view of the largest ball (:func:`field_grid.nested_balls`):
-its flat cell indices are stable-sorted by squared distance to x, so the
-cells of B_r(x) are a prefix and each quadrature radius sums a prefix, with
-the one inclusion rule of :func:`field_grid.ball_cells`.
+shell-ordered view of the largest ball (:func:`field_grid.nested_balls`):
+its flat cell indices are grouped by the smallest quadrature radius whose
+ball holds them, so the cells of B_r(x) are a prefix and each quadrature
+radius sums a prefix, with the one inclusion rule of
+:func:`field_grid.ball_cells`.
 
 All pointwise evaluations are literal sums over cells.  The Riesz map
 computes the sums for every center at once as a circular FFT convolution

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wulff_lab.errors import (
@@ -17,6 +17,8 @@ from wulff_lab.field_grid import (
     Ball,
     GridField,
     GridGeometry,
+    NestedBalls,
+    _oscillation,
     ball_average,
     ball_cells,
     ball_oscillation,
@@ -358,10 +360,128 @@ def test_nested_balls_checks_every_radius():
         nested_balls(f, (0.5, 0.5), [0.2, 0.01])
     with pytest.raises(BallOutsideDomain):
         nested_balls(f, (0.7, 0.5), [0.1, 0.4])
+    # the first failing radius in input order decides the error
+    with pytest.raises(BallOutsideDomain):
+        nested_balls(f, (0.7, 0.5), [0.45, 0.01])
+    with pytest.raises(BallBelowResolution):
+        nested_balls(f, (0.7, 0.5), [0.01, 0.45])
+    for bad in ([0.2, 0.0], [-0.1, 0.2], [0.2, float("nan")]):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            nested_balls(f, (0.5, 0.5), bad)
     with pytest.raises(DimensionMismatch):
         nested_balls(f, (0.5, 0.5, 0.5), [0.2])
     with pytest.raises(ValueError):
         nested_balls(f, (0.5, 0.5), [0.2]).oscillations(0.5)
+    # a ball that leaves the box by less than the 1e-12 pad is accepted, as
+    # by ``contains_ball``; one that leaves it by more is not
+    inside_pad, outside_pad = 0.5 + 5e-13, 0.5 + 2e-12
+    assert geom.contains_ball(Ball((0.5, 0.5), inside_pad))
+    assert not geom.contains_ball(Ball((0.5, 0.5), outside_pad))
+    assert nested_balls(f, (0.5, 0.5), [0.1, inside_pad]).counts[1] == ball_cells(
+        geom, Ball((0.5, 0.5), inside_pad)).size
+    with pytest.raises(BallOutsideDomain):
+        nested_balls(f, (0.5, 0.5), [0.1, outside_pad])
+
+
+def _oscillations_oracle(balls, q):
+    """The per-radius loop that ``NestedBalls.oscillations`` replaced: a fresh
+    ``_oscillation`` of every prefix, with its own temporaries."""
+    means = balls.means()
+    return np.array([_oscillation(balls.values[:, :k], means[:, i], q)
+                     for i, k in enumerate(balls.counts)])
+
+
+@pytest.mark.parametrize("ncomp", [1, 2, 3, 4])
+def test_oscillation_sweep_is_the_per_radius_loop_bit_for_bit(ncomp):
+    from wulff_lab.potential_engine import RadialQuadrature
+
+    geom = GridGeometry((96, 80), (1.0, 0.8), (0.0, 0.0))
+    rng = np.random.default_rng(ncomp)
+    f = GridField(geom, rng.uniform(-2.0, 3.0, (ncomp,) + geom.cells),
+                  "scalar" if ncomp == 1 else "vector", ncomp)
+    r_min = 2.0 * max(geom.spacing)
+    radii = [0.3, r_min, *RadialQuadrature.log_spaced(r_min, 0.3).radii]
+    balls = nested_balls(f, (0.47, 0.41), radii)
+    # the telescope's sweep over the quadrature radii alone
+    tail = NestedBalls(balls.values, balls.counts[2:])
+    for q in (1.0, 1.5, 2.0, 3.0):
+        sweep = balls.oscillations(q)
+        assert sweep.tobytes() == _oscillations_oracle(balls, q).tobytes()
+        assert tail.oscillations(q).tobytes() == sweep[2:].tobytes()
+
+
+def test_scalar_deviation_magnitude_is_abs_bit_for_bit():
+    # one component: |dev| replaced sqrt(dev·dev), which it equals to the bit
+    # wherever dev² neither underflows nor overflows
+    rng = np.random.default_rng(3)
+    dev = rng.choice([-1.0, 1.0], (16, 512)) * 10.0 ** rng.uniform(-150, 150, (16, 512))
+    dev[0, :4] = [1e-150, -1e-150, 1e150, -1e150]
+    vals = dev[np.newaxis]
+    np.testing.assert_array_equal(np.abs(dev),
+                                  np.sqrt(np.einsum("c...k,c...k->...k", vals, vals)))
+    zero = np.zeros((1, 16))
+    for q in (1.0, 1.5):
+        mag = np.sqrt(np.einsum("c...k,c...k->...k", vals, vals))
+        want = mag.mean(axis=-1) if q == 1.0 else np.array(
+            [v ** (1.0 / q) for v in (mag**q).mean(axis=-1)])
+        assert _oscillation(vals, zero, q).tobytes() == want.tobytes()
+
+
+def _nested_case(dim, data):
+    """A random geometry (anisotropic, 2-D or 3-D), a point x = (cell center)
+    + δ with δ_d in [−h_d/2, h_d/2], and unsorted radii that fit: random
+    sizes, lattice tie distances from x and repeats."""
+    top = 24 if dim == 2 else 11
+    cells = data.draw(st.tuples(*[st.integers(6, top)] * dim))
+    h = data.draw(st.floats(0.01, 0.5))
+    aspect = data.draw(st.tuples(*[st.floats(0.5, 2.0)] * dim))
+    origin = data.draw(st.tuples(*[st.floats(-3.0, 3.0)] * dim))
+    geom = GridGeometry(cells, tuple(c * h * a for c, a in zip(cells, aspect)), origin)
+    lo = max(geom.spacing)
+    mesh = geom.center_mesh()
+    room = np.minimum.reduce([np.minimum(m - o, o + e - m)
+                              for m, o, e in zip(mesh, geom.origin, geom.extent)])
+    fit = np.flatnonzero(room >= lo)
+    assume(fit.size)
+    idx = np.unravel_index(fit[data.draw(st.integers(0, fit.size - 1))], cells)
+    delta = [fd * hd for fd, hd in zip(data.draw(st.tuples(*[_FRAC] * dim)), geom.spacing)]
+    x = tuple(float(m[idx]) + dd for m, dd in zip(mesh, delta))
+    top_r = max_admissible_radius(geom, x)
+    radii = [lo + t * (top_r - lo)
+             for t in data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))]
+    # the distance from x to the center of the cell k steps along one axis,
+    # so that cell lies on the sphere (exactly at δ = 0)
+    for axis, k in data.draw(st.lists(st.tuples(st.integers(0, dim - 1),
+                                                st.integers(1, 6)), max_size=3)):
+        step = [0] * dim
+        step[axis] = k
+        radii.append(math.hypot(*(s * hd - dd
+                                  for s, hd, dd in zip(step, geom.spacing, delta))))
+    radii = [r for r in radii if lo <= r and geom.contains_ball(Ball(x, r))]
+    assume(radii)
+    radii += data.draw(st.lists(st.sampled_from(radii), max_size=2))
+    return geom, x, data.draw(st.permutations(radii))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dim=st.sampled_from([2, 3]), ncomp=st.sampled_from([1, 2, 3]),
+       q=st.sampled_from([1.0, 1.5, 3.0]), seed=st.integers(0, 2**16), data=st.data())
+def test_nested_balls_match_single_ball_oracle_property(dim, ncomp, q, seed, data):
+    geom, x, radii = _nested_case(dim, data)
+    values = np.random.default_rng(seed).uniform(1.0, 3.0, (ncomp,) + geom.cells)
+    f = GridField(geom, values, "scalar" if ncomp == 1 else "vector", ncomp)
+    index = GridField(geom, np.arange(geom.cell_count, dtype=float).reshape(geom.cells))
+    balls = nested_balls(f, x, radii)
+    cells = nested_balls(index, x, radii).values[0]
+    means, oscs = balls.means(), balls.oscillations(q)
+    for i, r in enumerate(radii):
+        ball = Ball(x, r)
+        want = ball_cells(geom, ball)
+        # the prefix holds exactly the ball's cells
+        assert balls.counts[i] == want.size
+        np.testing.assert_array_equal(np.sort(cells[:balls.counts[i]]), want)
+        np.testing.assert_allclose(means[:, i], ball_average(f, ball), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(oscs[i], ball_oscillation(f, ball, q), rtol=1e-12, atol=0)
 
 
 def test_value_at_picks_containing_cell():

@@ -5,6 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wulff_lab.errors import (
     AlphaOutOfRange,
@@ -84,6 +86,41 @@ def test_wulff_homogeneity_and_monotonicity():
     W4 = wulff_potential(GridField(geom, 4 * base), params, x)
     assert W4 == pytest.approx(4.0 ** (1 / 2.0) * Wf, rel=1e-12)
     assert wulff_potential(g, params, x) >= Wf
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.1, 1.5), s=st.floats(1.2, 5.0), lam=st.floats(0.25, 4.0),
+       R=st.floats(0.1, 0.3), seed=st.integers(0, 2**16),
+       x=st.tuples(st.floats(0.35, 0.65), st.floats(0.35, 0.65)))
+def test_wulff_homogeneity_and_monotonicity_property(alpha, s, lam, R, seed, x):
+    # W(λf) = λ^{1/(s−1)} W(f), and W(f + g) >= W(f) for g >= 0
+    geom = unit_grid(48)
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.0, 1.0, geom.cells)
+    params = PotentialParams(alpha, s, R)
+    Wf = wulff_potential(GridField(geom, base), params, x)
+    W_lam = wulff_potential(GridField(geom, lam * base), params, x)
+    assert W_lam == pytest.approx(lam ** (1.0 / (s - 1.0)) * Wf, rel=1e-12, abs=0)
+    bump = rng.uniform(0.0, 1.0, geom.cells) * (rng.uniform(size=geom.cells) < 0.2)
+    assert wulff_potential(GridField(geom, base + bump), params, x) >= Wf
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.floats(1.2, 4.0), shape=st.sampled_from(["scalar", "matrix"]),
+       kind=st.sampled_from(["fourier", "bumps"]), R=st.floats(0.1, 0.3),
+       seed=st.integers(0, 2**16),
+       x=st.tuples(st.floats(0.35, 0.65), st.floats(0.35, 0.65)))
+def test_oscillation_potential_dominated_by_wulff_property(p, shape, kind, R, seed, x):
+    # ⨍|F − ⟨F⟩|^{p'} <= 2^{p'} ⨍|F|^{p'} radius by radius, so on the common
+    # quadrature the oscillation potential is at most 2^{1/(p−1)} times
+    # W_{p/(p+1), p+1}(|F|^{p'})
+    geom = unit_grid(48)
+    F = random_field(geom, seed, kind, shape=shape)
+    pp = p / (p - 1.0)
+    mag = F.magnitude()
+    W = wulff_potential(mag.with_values(mag.values**pp),
+                        PotentialParams(p / (p + 1.0), p + 1.0, R), x)
+    assert oscillation_potential(F, p, R, x) <= 2.0 ** (1.0 / (p - 1.0)) * W * (1 + 1e-12)
 
 
 def test_wulff_infinite_radius_windows_to_domain():
