@@ -97,6 +97,7 @@ from .plaplace_solver import (
 from .potential_engine import (
     PotentialParams,
     RadialQuadrature,
+    havin_mazya_at,
     havin_mazya_map,
     max_admissible_radius,
     oscillation_potential,

@@ -371,7 +371,8 @@ def ball_average(f: GridField, ball: Ball) -> np.ndarray:
     Deterministic for a fixed grid: the uniform cell measure cancels, so this
     is the plain mean of the included samples, one entry per component.
     """
-    return f.values.reshape(f.ncomp, -1)[:, ball_cells(f.geometry, ball)].mean(axis=1)
+    return np.take(f.values.reshape(f.ncomp, -1), ball_cells(f.geometry, ball),
+                   axis=1).mean(axis=1)
 
 
 def ball_oscillation(f: GridField, ball: Ball, q: float = 1.0) -> float:
@@ -380,7 +381,7 @@ def ball_oscillation(f: GridField, ball: Ball, q: float = 1.0) -> float:
     The deviation magnitude is Euclidean across components, so vector and
     matrix fields oscillate as a whole rather than componentwise.
     """
-    vals = f.values.reshape(f.ncomp, -1)[:, ball_cells(f.geometry, ball)]
+    vals = np.take(f.values.reshape(f.ncomp, -1), ball_cells(f.geometry, ball), axis=1)
     return float(_oscillation(vals, vals.mean(axis=1), q))
 
 
@@ -437,13 +438,17 @@ def nested_balls(f: GridField, x: Sequence[float], radii: Sequence[float]) -> Ne
                        counts)
 
 
-def value_at(f: GridField, x: Sequence[float]) -> np.ndarray:
-    """Sample values of the cell containing ``x`` (one entry per component)."""
-    geom = f.geometry
+def _containing_cell(geom: GridGeometry, x: Sequence[float]) -> int:
+    """The flat index :func:`_cell_of` gives a point ``x`` of the domain."""
     _check_point(geom, x)
     if not geom.contains_point(x):
         raise BallOutsideDomain(f"point {tuple(x)} lies outside the domain")
-    return f.values.reshape(f.ncomp, -1)[:, _cell_of(geom, x)[0]]
+    return _cell_of(geom, x)[0]
+
+
+def value_at(f: GridField, x: Sequence[float]) -> np.ndarray:
+    """Sample values of the cell containing ``x`` (one entry per component)."""
+    return f.values.reshape(f.ncomp, -1)[:, _containing_cell(f.geometry, x)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ Everything here reduces a sampled field to scalar summaries:
 * decreasing rearrangement f* as an exact step function over cell measures,
 * Lorentz–Zygmund quasi-norms  ‖ s^{1/q−1/ϱ}(1 + log(|Ω|/s))^β f*(s) ‖_{L^ϱ(0,|Ω|)}
   with exact piecewise integration over the rearrangement steps,
-* Orlicz (Luxemburg) norms  inf{λ : ∫ A(|f|/λ) ≤ 1}  by bisection,
+* Orlicz (Luxemburg) norms  inf{λ : ∫ A(|f|/λ) ≤ 1}  by a bracketed secant
+  in log λ,
 * the Young-function transforms that govern the Orlicz-target regularity of
   the p-Laplace system, together with a balance report that decides whether
   F(E(t)/γ) ≤ γ A(t)/t is satisfiable for some finite γ,
@@ -281,8 +282,14 @@ def young_dexp() -> YoungFunction:
 
 
 def luxemburg_norm(f: GridField, A: YoungFunction) -> float:
-    """Luxemburg norm inf{λ > 0 : ∫_Ω A(|f|/λ) ≤ 1} by bisection, to a
-    relative bracket width of 1e-10.
+    """Luxemburg norm inf{λ > 0 : ∫_Ω A(|f|/λ) ≤ 1}, to a relative bracket
+    width of 1e-10.
+
+    A doubling search brackets the root, modular(lo) > 1 ≥ modular(hi); then
+    Illinois regula falsi on log modular against log λ shrinks the bracket,
+    each step clamped a quarter of the tolerance inside it, with a step to
+    the log-midpoint where an end's modular is 0 or ∞.  For A(t) = t^q the
+    log modular is linear in log λ, so the secant lands on the root at once.
 
     Returns ``math.inf`` when no λ in the search range admits the unit
     integral (the structurally infinite case); raises
@@ -302,7 +309,8 @@ def luxemburg_norm(f: GridField, A: YoungFunction) -> float:
 
     hi = top
     for _ in range(300):
-        if modular(hi) <= 1.0:
+        m_hi = modular(hi)
+        if m_hi <= 1.0:
             break
         hi *= 2.0
     else:
@@ -316,20 +324,41 @@ def luxemburg_norm(f: GridField, A: YoungFunction) -> float:
     for _ in range(2000):
         if lo <= 0.0:
             return 0.0
-        if modular(lo) > 1.0:
+        m_lo = modular(lo)
+        if m_lo > 1.0:
             break
-        hi = lo
+        hi, m_hi = lo, m_lo
         lo /= 2.0
     else:
         return 0.0
 
+    g_lo, g_hi = _log(m_lo), _log(m_hi)  # g_lo > 0 >= g_hi
+    last = None  # the end the previous step moved
     while hi - lo > 1e-10 * hi:
-        mid = 0.5 * (lo + hi)
-        if modular(mid) <= 1.0:
-            hi = mid
+        if math.isfinite(g_lo) and math.isfinite(g_hi):
+            u_lo, u_hi = math.log(lo), math.log(hi)
+            lam = math.exp(u_hi - g_hi * (u_hi - u_lo) / (g_hi - g_lo))
         else:
-            lo = mid
+            lam = lo * math.sqrt(hi / lo)
+        quarter = 0.25e-10 * hi
+        lam = min(max(lam, lo + quarter), hi - quarter)
+        g = _log(modular(lam))
+        # Illinois: an end kept twice in a row has its log modular halved
+        if g <= 0.0:
+            hi, g_hi = lam, g
+            if last == "hi":
+                g_lo *= 0.5
+            last = "hi"
+        else:
+            lo, g_lo = lam, g
+            if last == "lo":
+                g_hi *= 0.5
+            last = "lo"
     return 0.5 * (lo + hi)
+
+
+def _log(m: float) -> float:
+    return math.log(m) if m > 0.0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -610,9 +639,9 @@ def _sup_scan(geom: GridGeometry, omega: WeightFunction, data: np.ndarray,
     centers, coords, radii, fits = _sample_balls(geom)
     if not fits.any():
         raise NoAdmissibleBalls("no sampled ball fits inside the domain")
-    # one row of components per cell, as in a gathered ball f[:, cells]: the
+    # component-major, as in a gathered ball np.take(f, cells, axis=1): the
     # reductions over a ball then add in the order of one-ball evaluation
-    samples = np.ascontiguousarray(data.reshape(data.shape[0], -1).T)
+    samples = data.reshape(data.shape[0], -1)
     ratio = np.full(fits.shape, -np.inf)
     for j, r in enumerate(radii):
         w = float(omega(r))
@@ -623,8 +652,8 @@ def _sup_scan(geom: GridGeometry, omega: WeightFunction, data: np.ndarray,
         block = max(1, _SCAN_BLOCK // (data.shape[0] * offsets.size))
         for start in range(0, rows.size, block):
             chunk = rows[start:start + block]
-            windows = np.take(samples, centers[chunk, None] + offsets, axis=0)
-            ratio[chunk, j] = ball_values(windows.transpose(2, 0, 1)) / w
+            windows = np.take(samples, centers[chunk, None] + offsets, axis=1)
+            ratio[chunk, j] = ball_values(windows) / w
     ratio[np.isnan(ratio)] = -np.inf
     best = int(np.argmax(ratio))
     if ratio.flat[best] == -np.inf:

@@ -69,6 +69,7 @@ from .plaplace_solver import manufacture, weak_residual
 from .potential_engine import (
     PotentialParams,
     RadialQuadrature,
+    havin_mazya_at,
     havin_mazya_map,
     max_admissible_radius,
     oscillation_potential,
@@ -858,7 +859,7 @@ def verify_domination(geom: GridGeometry, alpha: float, s: float, *,
     def one(i: int) -> SampleRecord:
         f = random_field(geom, seed + i, kinds[i % len(kinds)], nonneg=True)
         W = wulff_potential(f, params, x)
-        V = float(value_at(havin_mazya_map(f, alpha, s), x)[0])
+        V = havin_mazya_at(f, alpha, s, x)
         return _record(f"f[{i}]", W, V)
 
     records = _parallel_map(one, range(samples), threads)

@@ -28,14 +28,19 @@ ball holds them, so the cells of B_r(x) are a prefix and each quadrature
 radius sums a prefix, with the one inclusion rule of
 :func:`field_grid.ball_cells`.
 
-All pointwise evaluations are literal sums over cells.  The Riesz map
-computes the sums for every center at once as a circular FFT convolution
-with the exact kernel offset table: the table is wrapped onto fast real-FFT
-lengths L_d ≥ 2c_d − 1, which is enough for no wrapped term to reach a cell
-of the grid, and its spectrum is cached per (geometry, α) (16 entries), so
-each map costs one forward FFT of the samples, one product and one inverse
-FFT.  The test suite keeps the direct sum over cells as its oracle and
-checks the map against it to round-off.
+All pointwise evaluations are literal sums over cells.  On a uniform lattice
+the Riesz kernel depends only on the index offset Δ, so one offset table
+K[Δ], |Δ_d| ≤ c_d − 1, holds every term (``_offset_table``, cached per
+(geometry, α), 16 entries).  The Riesz map computes the sums for every
+center at once as a circular FFT convolution with that table: wrapped onto
+fast real-FFT lengths L_d ≥ 2c_d − 1, which is enough for no wrapped term to
+reach a cell of the grid, its spectrum is cached as well (``_kernel_table``,
+16 entries), so each map costs one forward FFT of the samples, one product
+and one inverse FFT.  Where only one value of V_{α,s} f is read,
+:func:`havin_mazya_at` maps the inner potential and takes the outer one as a
+single dot with the window of the offset table centred on that cell.  The
+test suite keeps the direct sum over cells as its oracle and checks both
+paths against it to round-off.
 """
 
 from __future__ import annotations
@@ -49,7 +54,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlphaOutOfRange, BallBelowResolution, NonNegativityViolation
-from .field_grid import GridField, GridGeometry, max_admissible_radius, nested_balls
+from .field_grid import (
+    GridField,
+    GridGeometry,
+    _containing_cell,
+    max_admissible_radius,
+    nested_balls,
+)
 
 __all__ = [
     "PotentialParams",
@@ -58,6 +69,7 @@ __all__ = [
     "wulff_potential",
     "riesz_map",
     "havin_mazya_map",
+    "havin_mazya_at",
     "oscillation_potential",
 ]
 
@@ -190,32 +202,40 @@ def _circular_shape(geom: GridGeometry) -> tuple[int, ...]:
     return tuple(next_fast_len(2 * c - 1, real=True) for c in geom.cells)
 
 
-# held around the cached call, so exactly one thread builds each spectrum
+# held around the cached calls, so exactly one thread builds each table
 _KERNEL_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=16)
-def _kernel_table(geom: GridGeometry, alpha: float) -> np.ndarray:
-    """Read-only real-FFT spectrum of the kernel offset table
-    K[Δ] = |Δ|^{α−n}·|cell| over |Δ_d| ≤ c_d − 1 (the zero offset holding the
-    exact inscribed-disk integral), wrapped with offset m at m mod L_d."""
-    from scipy.fft import rfftn
-
+def _offset_table(geom: GridGeometry, alpha: float) -> np.ndarray:
+    """Read-only kernel offset table K[Δ] = |Δ|^{α−n}·|cell| over
+    |Δ_d| ≤ c_d − 1, stored at index Δ + c − 1, with the exact integral over
+    the inscribed disk at Δ = 0."""
     n = geom.dim
-    shape = _circular_shape(geom)
-    offsets = [np.arange(-(c - 1), c) for c in geom.cells]
     dist2 = np.zeros(tuple(2 * c - 1 for c in geom.cells))
-    for d, m in enumerate(offsets):
+    for d, c in enumerate(geom.cells):
         axis = [1] * n
-        axis[d] = m.size
-        dist2 = dist2 + (m * geom.spacing[d]).reshape(axis) ** 2
+        axis[d] = 2 * c - 1
+        dist2 = dist2 + (np.arange(-(c - 1), c) * geom.spacing[d]).reshape(axis) ** 2
     center = tuple(c - 1 for c in geom.cells)
     dist2[center] = 1.0
     table = dist2 ** ((alpha - n) / 2.0) * geom.cell_measure
     table[center] = _singular_cell_integral(geom, alpha)
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=16)
+def _kernel_table(geom: GridGeometry, alpha: float) -> np.ndarray:
+    """Read-only real-FFT spectrum of :func:`_offset_table`, wrapped with
+    offset m at m mod L_d."""
+    from scipy.fft import rfftn
+
+    shape = _circular_shape(geom)
+    wrap = np.ix_(*(np.arange(-(c - 1), c) % L for c, L in zip(geom.cells, shape)))
     wrapped = np.zeros(shape)
-    wrapped[np.ix_(*(m % L for m, L in zip(offsets, shape)))] = table
-    spectrum = rfftn(wrapped, axes=tuple(range(n)))
+    wrapped[wrap] = _offset_table(geom, alpha)
+    spectrum = rfftn(wrapped, axes=tuple(range(geom.dim)))
     spectrum.flags.writeable = False
     return spectrum
 
@@ -250,8 +270,9 @@ def riesz_map(f: GridField, alpha: float) -> GridField:
     return GridField(geom, out, "scalar")
 
 
-def havin_mazya_map(f: GridField, alpha: float, s: float) -> GridField:
-    """V_{α,s} f = I_α((I_α f)^{1/(s−1)}) at every cell center, αs < n."""
+def _havin_mazya_inner(f: GridField, alpha: float, s: float) -> GridField:
+    """The inner map (I_α f)^{1/(s−1)} of V_{α,s} f, after the checks
+    0 < α < n, s > 1 and αs < n."""
     geom = f.geometry
     _check_alpha(alpha, geom.dim)
     if not (s > 1):
@@ -261,4 +282,26 @@ def havin_mazya_map(f: GridField, alpha: float, s: float) -> GridField:
             f"composed potential needs alpha*s < n, got {alpha * s} >= {geom.dim}"
         )
     inner = riesz_map(f, alpha)
-    return riesz_map(inner.with_values(inner.values ** (1.0 / (s - 1.0))), alpha)
+    return inner.with_values(inner.values ** (1.0 / (s - 1.0)))
+
+
+def havin_mazya_map(f: GridField, alpha: float, s: float) -> GridField:
+    """V_{α,s} f = I_α((I_α f)^{1/(s−1)}) at every cell center, αs < n."""
+    return riesz_map(_havin_mazya_inner(f, alpha, s), alpha)
+
+
+def havin_mazya_at(f: GridField, alpha: float, s: float, x: Sequence[float]) -> float:
+    """V_{α,s} f at the cell that holds ``x`` (the value :func:`value_at`
+    reads from :func:`havin_mazya_map`), αs < n.
+
+    The inner map is a full Riesz map; the outer potential at cell i₀ is one
+    dot of it with the window K[j − i₀], j over the grid, of the cached
+    offset table.
+    """
+    geom = f.geometry
+    i0 = np.unravel_index(_containing_cell(geom, x), geom.cells)
+    inner = _havin_mazya_inner(f, alpha, s)
+    with _KERNEL_LOCK:
+        table = _offset_table(geom, alpha)
+    window = table[tuple(slice(c - 1 - i, 2 * c - 1 - i) for c, i in zip(geom.cells, i0))]
+    return float((inner.values[0] * window).sum())

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -626,18 +627,34 @@ def _solve_config(p):
             .replace("tol = 1e-10", "tol = 1e-8"))
 
 
+DOMINATION_CONFIG = """\
+[grid]
+cells = 32,32
+
+[verify]
+theorems = wulff-riesz-domination
+
+[verify.wulff-riesz-domination]
+samples = 3
+"""
+
+
 # expected: which of scipy.fft and scipy.integrate the call loads; an empty
-# set means no scipy module at all
+# set means no scipy module at all.  Any other scipy module the call loads
+# must come with these two (a root finder must not pull in scipy.optimize).
 @pytest.mark.parametrize("config, argv, expected", [
     (BALLS_CONFIG, ["run", "job.ini", "--out", "o"], set()),
     (_solve_config(3.0), ["solve", "job.ini", "--out", "o"], set()),
     (_solve_config(2.0), ["solve", "job.ini", "--out", "o"], {"scipy.fft"}),
+    (DOMINATION_CONFIG, ["run", "job.ini", "--out", "o"], {"scipy.fft"}),
     (None, ["potential", "f.wlf", "--kind", "riesz", "--alpha", "0.5"], {"scipy.fft"}),
     # (q, rho, beta) = (2, 2, 0.5) is the mixed case: steps by adaptive
     # quadrature; scipy.integrate itself imports scipy.fft
     (None, ["norm", "f.wlf", "--space", "lorentz:2,2,0.5"],
      {"scipy.fft", "scipy.integrate"}),
-], ids=["run-balls", "solve-p3", "solve-p2", "potential-riesz", "norm-lorentz-mixed"])
+    (None, ["norm", "f.wlf", "--space", "orlicz:power,1.5"], set()),
+], ids=["run-balls", "solve-p3", "solve-p2", "run-domination", "potential-riesz",
+        "norm-lorentz-mixed", "norm-orlicz"])
 def test_commands_load_only_the_scipy_they_run(tmp_path, config, argv, expected):
     if config is None:
         field_file(tmp_path, lambda x, y: 1.0 + np.sin(np.pi * x) * y, cells=24)
@@ -652,8 +669,10 @@ def test_commands_load_only_the_scipy_they_run(tmp_path, config, argv, expected)
     rc, mods = json.loads(out.splitlines()[-1])
     assert rc == 0
     assert set(mods) & {"scipy.fft", "scipy.integrate"} == expected, mods
-    if not expected:
-        assert mods == []
+    imported = _fresh_python(
+        "import sys\n" + "".join(f"import {m}\n" for m in sorted(expected))
+        + f"print({_SCIPY_LOADED})")
+    assert set(mods) <= set(ast.literal_eval(imported.strip())), mods
 
 
 _FIRST_CALLS = """\

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from wulff_lab.errors import FinitenessFailure, InadmissibleParams, NoAdmissibleBalls
+from wulff_lab.errors import (
+    FinitenessFailure,
+    InadmissibleParams,
+    NoAdmissibleBalls,
+    SearchRangeExhausted,
+)
 from wulff_lab.field_grid import (
     Ball,
     GridField,
@@ -27,12 +32,13 @@ from wulff_lab.function_spaces import (
     rearrange,
     weight_one,
     weight_power,
+    young_dexp,
     young_exp,
     young_power,
     young_zygmund,
 )
 from wulff_lab.function_spaces import YoungFunction
-from wulff_lab.inequality_lab import radial_profile
+from wulff_lab.inequality_lab import radial_profile, random_field
 from wulff_lab.plaplace_solver import manufacture
 
 from test_field_grid import _ball_box
@@ -223,6 +229,121 @@ def test_luxemburg_homogeneity():
     base = luxemburg_norm(f, A)
     scaled = luxemburg_norm(f.with_values(7.0 * f.values), A)
     assert scaled == pytest.approx(7.0 * base, rel=1e-8)
+
+
+# Reference Luxemburg norm: the bracket search of ``luxemburg_norm``, then
+# bisection to the same relative bracket width.
+
+
+def _luxemburg_bracket(f, A):
+    """(modular, lo, hi, evaluations) of the doubling search, with
+    modular(lo) > 1 >= modular(hi); None for the zero field."""
+    mag = f.magnitude().values[0].ravel()
+    meas = f.geometry.cell_measure
+    top = float(mag.max())
+    if top == 0.0:
+        return None
+    calls = [0]
+
+    def modular(lam):
+        calls[0] += 1
+        with np.errstate(over="ignore", divide="ignore"):
+            vals = A(mag / lam)
+        return float(np.sum(vals) * meas) if np.all(np.isfinite(vals)) else math.inf
+
+    hi = top
+    while modular(hi) > 1.0:
+        hi *= 2.0
+    lo = hi / 2.0
+    while modular(lo) <= 1.0:
+        hi = lo
+        lo /= 2.0
+    return modular, lo, hi, calls[0]
+
+
+def _luxemburg_oracle(f, A):
+    bracket = _luxemburg_bracket(f, A)
+    if bracket is None:
+        return 0.0
+    modular, lo, hi, _ = bracket
+    while hi - lo > 1e-10 * hi:
+        mid = 0.5 * (lo + hi)
+        if modular(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def _counted(A):
+    """``A`` wrapped so that ``calls[0]`` counts its evaluations."""
+    calls = [0]
+
+    def fn(t):
+        calls[0] += 1
+        return A(t)
+
+    return YoungFunction(fn, A.tag, A.sigma, A.logexp), calls
+
+
+LUX_FAMILIES = {
+    "power-1.5": young_power(1.5),
+    "power-3": young_power(3.0),
+    "zygmund": young_zygmund(1.5, 1.0),
+    "exp": young_exp(1.0),
+    "exp-2": young_exp(2.0),
+    "dexp": young_dexp(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LUX_FAMILIES))
+def test_luxemburg_root_matches_bisection_oracle(name):
+    A = LUX_FAMILIES[name]
+    geom = GridGeometry((40, 24), (1.3, 0.7), (-0.2, 0.1))
+    for seed, kind in enumerate(["fourier", "bumps", "singular"] * 3):
+        f = random_field(geom, 60 + seed, kind, nonneg=True)
+        # scales that put the norm well below, near and above max|f|
+        for scale in (1e-3, 1.0, 40.0):
+            g = f.with_values(scale * f.values)
+            counted, calls = _counted(A)
+            assert luxemburg_norm(g, counted) == pytest.approx(
+                _luxemburg_oracle(g, A), rel=1e-9, abs=0)
+            # bisection needs 33 steps from a bracket [λ/2, λ] to width 1e-10·λ
+            assert calls[0] - _luxemburg_bracket(g, A)[3] <= 12
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
+def test_luxemburg_power_root_takes_two_steps_after_the_bracket(q):
+    # log modular is linear in log λ for t^q: after the doubling search the
+    # secant lands on the root, and one step a quarter-tolerance away closes
+    # the bracket
+    geom = GridGeometry((128, 128), (1.0, 1.0), (0.0, 0.0))
+    for seed, kind in enumerate(["fourier", "bumps", "singular"] * 4):
+        f = random_field(geom, seed, kind, nonneg=True)
+        A, calls = _counted(young_power(q))
+        got = luxemburg_norm(f, A)
+        bracket_calls = _luxemburg_bracket(f, young_power(q))[3]
+        assert calls[0] <= bracket_calls + 2, (kind, seed)
+        if kind != "singular":  # the doubling search takes at most 3 here
+            assert calls[0] <= 8, (kind, seed)
+        exact = float(np.sum(f.values**q) * geom.cell_measure) ** (1 / q)
+        assert got == pytest.approx(exact, rel=1e-10)
+
+
+def test_luxemburg_root_keeps_infinite_and_exhausted_outcomes():
+    f = step_field([(2.0, 9), (0.75, 40)])
+    # A = ∞ for t > 0: no λ admits the unit integral
+    infinite = YoungFunction(lambda t: np.where(t > 0, np.inf, 0.0))
+    assert luxemburg_norm(f, infinite) == math.inf
+    # A ≥ 2 on a measure-one domain: finite modular that never reaches 1
+    with pytest.raises(SearchRangeExhausted):
+        luxemburg_norm(f, YoungFunction(lambda t: t + 2.0))
+    # exp(t^20) − 1 overflows at t = 2: the bracket [max|f|/2, max|f|] starts
+    # from an infinite modular at lo, so the first steps go to log-midpoints
+    A = young_exp(20.0)
+    modular, lo, hi, _ = _luxemburg_bracket(f, A)
+    assert (lo, hi) == (1.0, 2.0) and modular(lo) == math.inf
+    assert luxemburg_norm(f, A) == pytest.approx(_luxemburg_oracle(f, A), rel=1e-9)
 
 
 def _is_convex(A: YoungFunction) -> bool:

@@ -11,14 +11,23 @@ from hypothesis import strategies as st
 from wulff_lab.errors import (
     AlphaOutOfRange,
     BallOutsideDomain,
+    DimensionMismatch,
     NonNegativityViolation,
 )
-from wulff_lab.field_grid import Ball, GridField, GridGeometry, ball_average, ball_oscillation
+from wulff_lab.field_grid import (
+    Ball,
+    GridField,
+    GridGeometry,
+    ball_average,
+    ball_oscillation,
+    value_at,
+)
 from wulff_lab.inequality_lab import random_field
 from wulff_lab.potential_engine import (
     PotentialParams,
     RadialQuadrature,
     _kernel_table,
+    havin_mazya_at,
     havin_mazya_map,
     max_admissible_radius,
     oscillation_potential,
@@ -334,3 +343,50 @@ def test_havin_mazya_map_nonnegative():
     f = GridField(geom, rng.uniform(0.0, 0.5, size=(32, 32)))
     v = havin_mazya_map(f, 0.4, 2.0)
     assert np.all(v.values >= 0.0)
+
+
+# the composed potential at one cell: square, anisotropic (h₁ ≠ h₂) and 3-D
+POINT_GRIDS = [
+    (GridGeometry((24, 24), (1.0, 1.0), (0.0, 0.0)), 0.5, 3.0),
+    (GridGeometry((21, 13), (1.0, 0.45), (-0.3, 0.2)), 0.7, 2.2),
+    (GridGeometry((9, 7, 6), (0.9, 0.6, 0.5), (0.0, -0.2, 0.1)), 1.1, 2.5),
+]
+
+
+@pytest.mark.parametrize("geom, alpha, s", POINT_GRIDS, ids=["square", "aniso", "3d"])
+def test_havin_mazya_at_matches_direct_sums(geom, alpha, s):
+    rng = np.random.default_rng(11)
+    f = GridField(geom, rng.uniform(0.0, 1.0, size=geom.cells))
+    mesh = geom.center_mesh()
+    centers = np.stack([m.ravel() for m in mesh], axis=1)
+    inner = np.array([_riesz_oracle(f, alpha, c) for c in centers]) ** (1.0 / (s - 1.0))
+    inner = f.with_values(inner.reshape(geom.cells))
+    v_map = havin_mazya_map(f, alpha, s)
+    last = np.array(geom.cells) - 1
+    picks = [np.zeros(geom.dim, int), last, np.where(np.arange(geom.dim) == 0, 0, last),
+             np.where(np.arange(geom.dim) == 0, last // 2, 0)]  # corners and an edge
+    picks += [rng.integers(0, geom.cells) for _ in range(6)]
+    for idx in picks:
+        c = centers[np.ravel_multi_index(tuple(idx), geom.cells)]
+        # anywhere in the cell: the value is the cell's
+        x = tuple(c + rng.uniform(-0.45, 0.45, geom.dim) * np.array(geom.spacing))
+        got = havin_mazya_at(f, alpha, s, x)
+        assert got == pytest.approx(_riesz_oracle(inner, alpha, c), rel=1e-12, abs=0)
+        assert got == pytest.approx(float(value_at(v_map, x)[0]), rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("geom, alpha, s", POINT_GRIDS, ids=["square", "aniso", "3d"])
+def test_havin_mazya_at_raises_the_errors_of_the_map_path(geom, alpha, s):
+    f = GridField(geom, np.random.default_rng(4).uniform(0.0, 1.0, size=geom.cells))
+    outside = tuple(o + e + 0.1 for o, e in zip(geom.origin, geom.extent))
+    cases = [(outside, alpha, s, BallOutsideDomain),
+             (geom.center[:-1], alpha, s, DimensionMismatch),
+             ((*geom.center, 0.0), alpha, s, DimensionMismatch),
+             (geom.center, alpha, geom.dim / alpha, AlphaOutOfRange),  # alpha*s = n
+             (geom.center, alpha, 1.0, AlphaOutOfRange),
+             (geom.center, geom.dim, s, AlphaOutOfRange)]
+    for x, a, q, err in cases:
+        with pytest.raises(err):
+            value_at(havin_mazya_map(f, a, q), x)
+        with pytest.raises(err):
+            havin_mazya_at(f, a, q, x)
