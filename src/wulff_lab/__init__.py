@@ -91,7 +91,6 @@ from .plaplace_solver import (
     SystemParams,
     manufacture,
     solve,
-    staggered_gradient,
     weak_residual,
 )
 from .potential_engine import (

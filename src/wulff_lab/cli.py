@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -39,6 +40,7 @@ from .function_spaces import (
 from .plaplace_solver import DirichletProblem, SystemParams, manufacture, solve
 from .potential_engine import (
     PotentialParams,
+    havin_mazya_at,
     havin_mazya_map,
     riesz_map,
     wulff_potential,
@@ -63,8 +65,35 @@ def _ints(text: str) -> tuple[int, ...]:
     return out
 
 
+def _parse(key: str, text: str, parse):
+    """``parse(text)`` for the option or key ``key``; a malformed number is a
+    config error."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        kind = "an integer" if parse is int else "a number"
+        raise ConfigError(f"option {key!r} must be {kind}, got {text!r}") from exc
+
+
 def _points(text: str) -> list[tuple[float, ...]]:
     return [_floats(part) for part in text.split(";") if part.strip()]
+
+
+def _young_from_spec(spec: str):
+    parts = [tok.strip() for tok in spec.split(",")]
+    name = parts[0]
+    try:
+        if name == "power":
+            return young_power(float(parts[1]))
+        if name == "zygmund":
+            return young_zygmund(float(parts[1]), float(parts[2]))
+        if name == "exp":
+            return young_exp(float(parts[1]))
+        if name == "dexp":
+            return young_dexp()
+    except (IndexError, ValueError) as exc:
+        raise ConfigError(f"bad Young function spec {spec!r}") from exc
+    raise ConfigError(f"unknown Young function {name!r} in {spec!r}")
 
 
 def _boundary(text: str):
@@ -88,34 +117,23 @@ _SECTION_KEYS = {"grid": ("cells", "extent", "origin"), "system": ("p",),
 
 
 def _check_names(parser) -> None:
-    """Reject a section or key that the run would not read, such as a typo."""
+    """Reject a section or key that the run would not read, such as a typo: a
+    ``[verify.<id>]`` key must be an option of that theorem."""
     if parser.defaults():
         raise ConfigError("unknown section [DEFAULT]: its keys would reach every section")
     for name in parser.sections():
         if name in _SECTION_KEYS:
-            extra = sorted(set(parser[name]) - {k.lower() for k in _SECTION_KEYS[name]})
-            if extra:
-                raise ConfigError(f"unknown key {extra[0]!r} in [{name}]; known keys: "
-                                  f"{', '.join(_SECTION_KEYS[name])}")
-        elif name != "verify" and name not in {f"verify.{t}" for t in THEOREMS}:
+            what, known = "key", _SECTION_KEYS[name]
+        elif name.startswith("verify.") and name[7:] in THEOREMS:
+            what, known = "option", THEOREMS[name[7:]][2]
+        elif name == "verify":
+            continue
+        else:
             raise ConfigError(f"unknown section [{name}]")
-
-
-def _check_options(parser, names) -> None:
-    """Reject a theorem option that no theorem would read, such as a typo: a
-    ``[verify.<id>]`` key must be an option of that theorem, and a ``[verify]``
-    key must be ``theorems`` or an option of a selected theorem."""
-    for name, (_, _, options) in THEOREMS.items():
-        section = f"verify.{name}"
-        extra = sorted(set(parser[section]) - set(options)) if section in parser else []
+        extra = sorted(set(parser[name]) - {k.lower() for k in known})
         if extra:
-            raise ConfigError(f"unknown option {extra[0]!r} in [{section}]; known "
-                              f"options: {', '.join(options)}")
-    read = {"theorems"}.union(*(THEOREMS[name][2] for name in names))
-    extra = sorted(set(parser["verify"]) - read) if "verify" in parser else []
-    if extra:
-        raise ConfigError(f"option {extra[0]!r} in [verify] is read by none of the "
-                          "selected theorems")
+            raise ConfigError(f"unknown {what} {extra[0]!r} in [{name}]; known "
+                              f"{what}s: {', '.join(known)}")
 
 
 class RunConfig:
@@ -142,7 +160,7 @@ class RunConfig:
             raise ConfigError(f"bad [grid] section: {exc}") from exc
 
         sys_sec = parser["system"] if "system" in parser else {}
-        self.p = _opt_float(sys_sec, "p", 2.0)
+        self.p = _parse("p", sys_sec.get("p", "2.0"), float)
         if not (self.p > 1.0):
             raise ConfigError(f"[system] p must be > 1, got {self.p}")
 
@@ -150,7 +168,7 @@ class RunConfig:
         self.u_spec = d.get("u", "").strip()
         self.f_spec = d.get("F", "").strip()
         self.boundary = _boundary(d.get("boundary", "0").strip())
-        self.seed = _opt_int(d, "seed", 0)
+        self.seed = _parse("seed", d.get("seed", "0"), int)
         for spec in (self.u_spec, self.f_spec):
             if spec and not spec.startswith("profile:") and spec != "manufactured":
                 path = os.path.join(base_dir, spec)
@@ -161,10 +179,10 @@ class RunConfig:
         try:
             self.solver = SystemParams(
                 p=self.p,
-                tol=_opt_float(s, "tol", 1e-8),
-                max_iters=_opt_int(s, "max_iters", 60000),
-                eps_start=_opt_float(s, "eps_start", 1e-1),
-                eps_final=_opt_float(s, "eps_final", 1e-6),
+                tol=_parse("tol", s.get("tol", "1e-8"), float),
+                max_iters=_parse("max_iters", s.get("max_iters", "60000"), int),
+                eps_start=_parse("eps_start", s.get("eps_start", "1e-1"), float),
+                eps_final=_parse("eps_final", s.get("eps_final", "1e-6"), float),
             )
         except ValueError as exc:
             raise ConfigError(f"bad [solver] section: {exc}") from exc
@@ -175,7 +193,12 @@ class RunConfig:
             if name not in THEOREMS:
                 known = ", ".join(sorted(THEOREMS))
                 raise ConfigError(f"unknown theorem id {name!r}; known ids: {known}")
-        _check_options(parser, names)
+        # a [verify] key reaches every selected theorem, so one of them must read it
+        read = {"theorems"}.union(*(THEOREMS[name][2] for name in names))
+        extra = sorted(set(v) - read)
+        if extra:
+            raise ConfigError(f"option {extra[0]!r} in [verify] is read by none of the "
+                              "selected theorems")
         shared = dict(v)
         self.theorems = [
             (name, {**shared,
@@ -199,6 +222,23 @@ class RunConfig:
                               f"{self.geometry.dim} cell counts")
 
         self.base_dir = base_dir
+        self._pair = None
+
+    def pair(self) -> tuple[GridField, GridField]:
+        """The (u, F) pair of ``[data]``, loaded on first use and kept for the
+        command: F is read from its file or manufactured from u."""
+        if self._pair is None:
+            if not self.u_spec:
+                raise ConfigError("[data] u is required for this theorem")
+            if self.u_spec.startswith("profile:"):
+                u = _profile_field(self.geometry, self.u_spec)
+            else:
+                u = _read_on_grid(self, self.u_spec, "u")
+            if self.f_spec == "manufactured" or not self.f_spec:
+                self._pair = u, manufacture(u, self.p)
+            else:
+                self._pair = u, _read_on_grid(self, self.f_spec, "F")
+        return self._pair
 
 
 def parse_config(path: str) -> RunConfig:
@@ -261,51 +301,49 @@ def _profile_field(geom: GridGeometry, spec: str) -> GridField:
     return GridField.from_function(geom, fn)
 
 
-def _load_u(cfg: RunConfig) -> GridField:
-    if not cfg.u_spec:
-        raise ConfigError("[data] u is required for this theorem")
-    if cfg.u_spec.startswith("profile:"):
-        return _profile_field(cfg.geometry, cfg.u_spec)
-    f = read_field(os.path.join(cfg.base_dir, cfg.u_spec))
+def _read_on_grid(cfg: RunConfig, spec: str, name: str) -> GridField:
+    f = read_field(os.path.join(cfg.base_dir, spec))
     if f.geometry != cfg.geometry:
-        raise ConfigError("[data] u geometry does not match the [grid] section")
+        raise ConfigError(f"[data] {name} geometry does not match the [grid] section")
     return f
 
 
-def _load_pair(cfg: RunConfig) -> tuple[GridField, GridField]:
-    u = _load_u(cfg)
-    if cfg.f_spec == "manufactured" or not cfg.f_spec:
-        return u, manufacture(u, cfg.p)
-    F = read_field(os.path.join(cfg.base_dir, cfg.f_spec))
-    if F.geometry != cfg.geometry:
-        raise ConfigError("[data] F geometry does not match the [grid] section")
-    return u, F
-
-
 # ---------------------------------------------------------------------------
-# theorem registry
+# theorem registry: each theorem declares its options once, as
+# name -> (parser, default).  A default is config text, parsed like a given
+# value; None, which leaves the choice to the verifier; or a function of the
+# grid and the options parsed before it.  Runners look the verifiers up on
+# ``iq`` when they run, so that a wrapper set on the module (a tracer, a test
+# stub) takes effect.
 
 
-def _opt_point(opts, key, default):
-    return _floats(opts[key]) if key in opts else default
+def _run_theorem(cfg: RunConfig, name: str, given, seed: int, threads):
+    """Run theorem ``name`` with each of its options parsed from the config
+    text in ``given``, or else set to its default."""
+    _, runner, options = THEOREMS[name]
+    values = {}
+    for key, (parse, default) in options.items():
+        if key in given:
+            values[key] = _parse(key, given[key], parse)
+        elif callable(default):
+            values[key] = default(cfg.geometry, values)
+        else:
+            values[key] = default if default is None else _parse(key, default, parse)
+    return runner(cfg, seed, threads, **values)
 
 
-def _opt_float(opts, key, default) -> float:
-    if key not in opts:
-        return float(default)
-    try:
-        return float(opts[key])
-    except ValueError as exc:
-        raise ConfigError(f"option {key!r} must be a number, got {opts[key]!r}") from exc
+def _center(geom, got):
+    return geom.center
 
 
-def _opt_int(opts, key, default) -> int:
-    if key not in opts:
-        return int(default)
-    try:
-        return int(opts[key])
-    except ValueError as exc:
-        raise ConfigError(f"option {key!r} must be an integer, got {opts[key]!r}") from exc
+def _r_ball(geom, got):
+    return 0.25 * min(geom.extent)
+
+
+def _lattice(geom, got):
+    """The 3^n points at 0.35, 0.5 and 0.65 of each axis, last axis fastest."""
+    return [tuple(o + t * e for o, t, e in zip(geom.origin, ts, geom.extent))
+            for ts in itertools.product((0.35, 0.5, 0.65), repeat=geom.dim)]
 
 
 def _merge(theorem: str, params: dict, reports) -> iq.VerificationReport:
@@ -325,205 +363,116 @@ def _merge(theorem: str, params: dict, reports) -> iq.VerificationReport:
                         extra_pass=all(r.passed for r in reports), seeded=True)
 
 
-def _run_telescope(cfg, opts, seed, threads):
-    geom = cfg.geometry
-    x = _opt_point(opts, "x", geom.center)
-    n_fields = _opt_int(opts, "samples", 100)
-    R = _opt_float(opts, "r_outer", 0.4 * min(geom.extent))
-    r = _opt_float(opts, "r_inner", max(R / 8.0, 2.0 * max(geom.spacing)))
-    allowance = _opt_float(opts, "allowance", 0.10)
+def _run_telescope(cfg, seed, threads, x, samples, r_outer, r_inner, allowance):
     kinds = ("fourier", "bumps")
 
     def one(i):
-        f = iq.random_field(geom, seed + i, kinds[i % 2])
-        return iq.verify_telescope(f, x, r, R, allowance=allowance)
+        f = iq.random_field(cfg.geometry, seed + i, kinds[i % 2])
+        return iq.verify_telescope(f, x, r_inner, r_outer, allowance=allowance)
 
-    reports = iq._parallel_map(one, range(n_fields), threads)
-    return _merge(
-        "telescoping-means",
-        {"x": x, "r": r, "R": R, "samples": n_fields, "seed": seed,
-         "allowance": allowance},
-        reports,
-    )
+    reports = iq._parallel_map(one, range(samples), threads)
+    return _merge("telescoping-means", {"x": x, "r": r_inner, "R": r_outer,
+                                        "samples": samples, "seed": seed,
+                                        "allowance": allowance}, reports)
 
 
-def _pair_points(cfg, opts):
-    geom = cfg.geometry
-    R = _opt_float(opts, "r_ball", 0.25 * min(geom.extent))
-    if "points" in opts:
-        points = _points(opts["points"])
-    else:
-        fracs = (0.35, 0.5, 0.65)
-        points = [
-            tuple(geom.origin[d] + t[d] * geom.extent[d] for d in range(geom.dim))
-            for t in [(a, b) for a in fracs for b in fracs]
-        ]
-    tol = _opt_float(opts, "residual_tol", 1e-5)
-    return points, R, tol
+def _pointwise(summary, osc):
+    def run(cfg, seed, threads, points, r_ball, residual_tol):
+        verify = iq.verify_pointwise_osc if osc else iq.verify_pointwise
+        return verify(*cfg.pair(), cfg.p, r_ball, points, residual_tol=residual_tol)
+
+    return summary, run, {"points": (_points, _lattice), "r_ball": (float, _r_ball),
+                          "residual_tol": (float, "1e-5")}
 
 
-def _run_pointwise(cfg, opts, seed, threads):
-    u, F = _load_pair(cfg)
-    points, R, tol = _pair_points(cfg, opts)
-    return iq.verify_pointwise(u, F, cfg.p, R, points, residual_tol=tol)
+def _run_oscillation(cfg, seed, threads, x, r_ball, residual_tol):
+    return iq.verify_oscillation(*cfg.pair(), cfg.p, x, r_ball, residual_tol=residual_tol)
 
 
-def _run_pointwise_osc(cfg, opts, seed, threads):
-    u, F = _load_pair(cfg)
-    points, R, tol = _pair_points(cfg, opts)
-    return iq.verify_pointwise_osc(u, F, cfg.p, R, points, residual_tol=tol)
+def _run_energy(cfg, seed, threads, x, r_ball, residual_tol, q):
+    return iq.verify_energy_inequalities(*cfg.pair(), cfg.p, x, r_ball, q=q,
+                                         residual_tol=residual_tol)
 
 
-def _run_oscillation(cfg, opts, seed, threads):
-    u, F = _load_pair(cfg)
-    geom = cfg.geometry
-    x = _opt_point(opts, "x", geom.center)
-    R = _opt_float(opts, "r_ball", 0.25 * min(geom.extent))
-    tol = _opt_float(opts, "residual_tol", 1e-5)
-    return iq.verify_oscillation(u, F, cfg.p, x, R, residual_tol=tol)
+def _hardy(summary, case):
+    def run(cfg, seed, threads, **options):
+        return iq.verify_hardy(case, seed=seed, **options)
+
+    return summary, run, {"q": (float, "1.0"), "alpha": (float, "0.0"),
+                          "k": (float, "2.0"), "a": (float, "1.0"),
+                          "samples": (int, "100"), "family": (str, "random")}
 
 
-def _run_energy(cfg, opts, seed, threads):
-    u, F = _load_pair(cfg)
-    geom = cfg.geometry
-    x = _opt_point(opts, "x", geom.center)
-    R = _opt_float(opts, "r_ball", 0.25 * min(geom.extent))
-    tol = _opt_float(opts, "residual_tol", 1e-5)
-    q = _opt_float(opts, "q", None) if "q" in opts else None
-    return iq.verify_energy_inequalities(u, F, cfg.p, x, R, q=q, residual_tol=tol)
+def _run_domination(cfg, seed, threads, **options):
+    return iq.verify_domination(cfg.geometry, seed=seed, threads=threads, **options)
 
 
-def _hardy_runner(case):
-    def run(cfg, opts, seed, threads):
-        return iq.verify_hardy(
-            case,
-            _opt_float(opts, "q", 1.0),
-            _opt_float(opts, "alpha", 0.0),
-            k=_opt_float(opts, "k", 2.0),
-            a=_opt_float(opts, "a", 1.0),
-            samples=_opt_int(opts, "samples", 100),
-            seed=seed,
-            family=opts.get("family", "random"),
-        )
+def _norm_maps(summary, part, **extra):
+    def run(cfg, seed, threads, young_a=None, young_b=None, **options):
+        return iq.verify_potential_norm_maps(part, geom=cfg.geometry, A=young_a,
+                                             B=young_b, seed=seed, threads=threads,
+                                             **options)
 
-    return run
+    return summary, run, {"sigma": (float, None), "rho": (float, "2.0"),
+                          "samples": (int, "20"), "alpha": (float, "0.5"),
+                          "s": (float, "2.0"), **extra}
 
 
-def _run_domination(cfg, opts, seed, threads):
-    return iq.verify_domination(
-        cfg.geometry,
-        _opt_float(opts, "alpha", 0.5),
-        _opt_float(opts, "s", 3.0),
-        samples=_opt_int(opts, "samples", 100),
-        seed=seed,
-        threads=threads,
-    )
+def _regularity(summary, kind):
+    def run(cfg, seed, threads, **options):
+        return iq.verify_regularity_exponents(kind, cfg.p, **options)
+
+    return summary, run, {"q": (float, None), "beta": (float, None),
+                          "cells": (int, lambda geom, got: geom.cells[0])}
 
 
-def _norm_map_runner(part):
-    def run(cfg, opts, seed, threads):
-        kwargs = {
-            "sigma": _opt_float(opts, "sigma", None) if "sigma" in opts else None,
-            "rho": _opt_float(opts, "rho", 2.0),
-            "samples": _opt_int(opts, "samples", 20),
-            "seed": seed,
-            "threads": threads,
-        }
-        if part == "B":
-            kwargs["A"] = _young_from_spec(opts.get("young_a", "power,2"))
-            kwargs["B"] = _young_from_spec(opts.get("young_b", "power,2"))
-            kwargs["t0"] = _opt_float(opts, "t0", 1.0)
-        return iq.verify_potential_norm_maps(
-            part,
-            _opt_float(opts, "alpha", 0.5),
-            _opt_float(opts, "s", 2.0),
-            cfg.geometry,
-            **kwargs,
-        )
-
-    return run
-
-
-def _regularity_runner(kind):
-    def run(cfg, opts, seed, threads):
-        return iq.verify_regularity_exponents(
-            kind,
-            cfg.p,
-            q=_opt_float(opts, "q", None) if "q" in opts else None,
-            beta=_opt_float(opts, "beta", None) if "beta" in opts else None,
-            cells=_opt_int(opts, "cells", cfg.geometry.cells[0]),
-        )
-
-    return run
-
-
-# option keys each runner family reads
-_PAIR_OPTS = ("points", "r_ball", "residual_tol")
-_HARDY_OPTS = ("q", "alpha", "k", "a", "samples", "family")
-_NORM_MAP_OPTS = ("sigma", "rho", "samples", "alpha", "s")
-_REGULARITY_OPTS = ("q", "beta", "cells")
-
-# theorem id -> (summary, runner, option keys the runner reads); runners take
-# (cfg, opts, seed, threads)
+# theorem id -> (summary, runner, options); a runner takes
+# (cfg, seed, threads, **parsed options)
 THEOREMS = {
     "telescoping-means": (
         "two-mean comparison with constants 2^(2n+2) and 2^(2n+3)", _run_telescope,
-        ("x", "samples", "r_outer", "r_inner", "allowance")),
-    "pointwise-wulff": (
-        "|u(x)| bounded by the truncated Wulff potential of |F|^p' plus a mean",
-        _run_pointwise, _PAIR_OPTS),
-    "pointwise-oscillation": (
-        "|u(x)| bounded by the mean-oscillation potential of F plus a mean",
-        _run_pointwise_osc, _PAIR_OPTS),
+        {"x": (_floats, _center), "samples": (int, "100"),
+         "r_outer": (float, lambda geom, got: 0.4 * min(geom.extent)),
+         "r_inner": (float, lambda geom, got: max(got["r_outer"] / 8.0,
+                                                  2.0 * max(geom.spacing))),
+         "allowance": (float, "0.10")}),
+    "pointwise-wulff": _pointwise(
+        "|u(x)| bounded by the truncated Wulff potential of |F|^p' plus a mean", False),
+    "pointwise-oscillation": _pointwise(
+        "|u(x)| bounded by the mean-oscillation potential of F plus a mean", True),
     "oscillation-decay": (
         "mean oscillation of u at scale r controlled by a Dini-type F term",
-        _run_oscillation, ("x", "r_ball", "residual_tol")),
+        _run_oscillation, {"x": (_floats, _center), "r_ball": (float, _r_ball),
+                           "residual_tol": (float, "1e-5")}),
     "energy-caccioppoli": (
         "reverse Hoelder and Caccioppoli inequalities on nested balls", _run_energy,
-        ("x", "r_ball", "residual_tol", "q")),
-    "hardy-i": ("weighted Hardy inequality, q >= 1", _hardy_runner("i"), _HARDY_OPTS),
-    "hardy-ii-far": ("weighted Hardy inequality, q < 1, alpha < -1-1/q",
-                     _hardy_runner("ii-far"), _HARDY_OPTS),
-    "hardy-ii-near": ("weighted Hardy inequality, q < 1, truncated range",
-                      _hardy_runner("ii-near"), _HARDY_OPTS),
+        {"x": (_floats, _center), "r_ball": (float, _r_ball),
+         "residual_tol": (float, "1e-5"), "q": (float, None)}),
+    "hardy-i": _hardy("weighted Hardy inequality, q >= 1", "i"),
+    "hardy-ii-far": _hardy("weighted Hardy inequality, q < 1, alpha < -1-1/q", "ii-far"),
+    "hardy-ii-near": _hardy("weighted Hardy inequality, q < 1, truncated range",
+                            "ii-near"),
     "wulff-riesz-domination": (
         "Wulff potential dominated by the composed Riesz potential", _run_domination,
-        ("alpha", "s", "samples")),
-    "potential-norms-A-i": ("Lorentz-to-Lorentz potential boundedness",
-                            _norm_map_runner("A-i"), _NORM_MAP_OPTS),
-    "potential-norms-A-iii": ("borderline Lorentz-Zygmund boundedness",
-                              _norm_map_runner("A-iii"), _NORM_MAP_OPTS),
-    "potential-norms-A-iv": ("small second index gives boundedness into L^inf",
-                             _norm_map_runner("A-iv"), _NORM_MAP_OPTS),
-    "potential-norms-B": ("Orlicz-to-Orlicz boundedness under the balance condition",
-                          _norm_map_runner("B"),
-                          _NORM_MAP_OPTS + ("young_a", "young_b", "t0")),
-    "regularity-holder": ("fitted Hoelder exponent against 1 - n/(q(p-1))",
-                          _regularity_runner("holder"), _REGULARITY_OPTS),
-    "regularity-bmo": ("borderline Morrey datum keeps the BMO seminorm finite",
-                       _regularity_runner("bmo"), _REGULARITY_OPTS),
-    "regularity-lipschitz": ("Dini datum modulus forces a Lipschitz solution",
-                             _regularity_runner("lipschitz"), _REGULARITY_OPTS),
-    "regularity-lorentz": ("rearrangement tail exponent of the marginal datum",
-                           _regularity_runner("lorentz"), _REGULARITY_OPTS),
+        {"alpha": (float, "0.5"), "s": (float, "3.0"), "samples": (int, "100")}),
+    "potential-norms-A-i": _norm_maps("Lorentz-to-Lorentz potential boundedness", "A-i"),
+    "potential-norms-A-iii": _norm_maps("borderline Lorentz-Zygmund boundedness",
+                                        "A-iii"),
+    "potential-norms-A-iv": _norm_maps("small second index gives boundedness into L^inf",
+                                       "A-iv"),
+    "potential-norms-B": _norm_maps(
+        "Orlicz-to-Orlicz boundedness under the balance condition", "B",
+        young_a=(_young_from_spec, "power,2"), young_b=(_young_from_spec, "power,2"),
+        t0=(float, "1.0")),
+    "regularity-holder": _regularity("fitted Hoelder exponent against 1 - n/(q(p-1))",
+                                     "holder"),
+    "regularity-bmo": _regularity("borderline Morrey datum keeps the BMO seminorm finite",
+                                  "bmo"),
+    "regularity-lipschitz": _regularity("Dini datum modulus forces a Lipschitz solution",
+                                        "lipschitz"),
+    "regularity-lorentz": _regularity("rearrangement tail exponent of the marginal datum",
+                                      "lorentz"),
 }
-
-
-def _young_from_spec(spec: str):
-    parts = [tok.strip() for tok in spec.split(",")]
-    name = parts[0]
-    try:
-        if name == "power":
-            return young_power(float(parts[1]))
-        if name == "zygmund":
-            return young_zygmund(float(parts[1]), float(parts[2]))
-        if name == "exp":
-            return young_exp(float(parts[1]))
-        if name == "dexp":
-            return young_dexp()
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"bad Young function spec {spec!r}") from exc
-    raise ConfigError(f"unknown Young function {name!r} in {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +613,12 @@ def _cmd_run(args) -> int:
     reports = []
     for name, opts in cfg.theorems:
         try:
-            reports.append(THEOREMS[name][1](cfg, opts, seed, args.threads))
+            reports.append(_run_theorem(cfg, name, opts, seed, args.threads))
         except WulffLabError as exc:
             raise WulffLabError(f"[{name}] {exc}") from exc
     all_passed = all(r.passed for r in reports)
+    # loaded before the first write, so that a bad pair leaves no report behind
+    fields = dict(zip("uF", cfg.pair())) if cfg.heatmaps else {}
 
     payload = {"seed": seed}
     if any(r.family_version is not None for r in reports):
@@ -677,11 +628,8 @@ def _cmd_run(args) -> int:
     _atomic_write(os.path.join(out_dir, cfg.json_name), _json_bytes(payload))
     _atomic_write(os.path.join(out_dir, cfg.csv_name), _csv_bytes(reports))
 
-    if cfg.heatmaps:
-        u, F = _load_pair(cfg)
-        for source in cfg.heatmaps:
-            fld = u if source == "u" else F
-            render_heatmap(fld.magnitude(), os.path.join(out_dir, f"{source}.svg"))
+    for source in cfg.heatmaps:
+        render_heatmap(fields[source].magnitude(), os.path.join(out_dir, f"{source}.svg"))
 
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"
@@ -693,7 +641,7 @@ def _cmd_run(args) -> int:
 def _cmd_solve(args) -> int:
     cfg = parse_config(args.config)
     out_dir = args.out or cfg.out_dir
-    u0, F = _load_pair(cfg)
+    u0, F = cfg.pair()
     problem = DirichletProblem(F, u0 if cfg.boundary == "u" else cfg.boundary)
     result = solve(problem, cfg.solver)
 
@@ -780,8 +728,11 @@ def _cmd_potential(args) -> int:
                           f"got {geom.dim} cell counts")
     if args.kind == "riesz":
         field_map = riesz_map(f, args.alpha)
-    else:
+    elif args.out:
         field_map = havin_mazya_map(f, args.alpha, args.s)
+    else:  # V at one cell costs one inner map, not two
+        print(format(havin_mazya_at(f, args.alpha, args.s, x), ".12g"))
+        return 0
     print(format(float(value_at(field_map, x)[0]), ".12g"))
     if args.out:
         _write_field_atomic(field_map, os.path.join(args.out, f"{args.kind}.wlf"))

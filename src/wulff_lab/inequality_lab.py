@@ -332,6 +332,26 @@ def _power_field(f: GridField, power: float) -> GridField:
 # pointwise estimates
 
 
+def _pointwise_terms(u: GridField, F: GridField, p: float, R: float,
+                     points: Sequence[Sequence[float]], residual_tol: float):
+    """The gated residual of the pair and, per point x, (x, |u(x)|, W, ⨍|u|)
+    with W = W^R_{p/(p+1), p+1}(|F|^{p'})(x) and the mean over B_R(x): the
+    terms both pointwise bounds share."""
+    res = _gate_pair(u, F, p, residual_tol)
+    data = _power_field(F, p / (p - 1.0))
+    absu = u.magnitude()
+    params = PotentialParams(p / (p + 1.0), p + 1.0, R)
+    return res, [
+        (x, float(np.linalg.norm(value_at(u, x))), wulff_potential(data, params, x),
+         float(ball_average(absu, Ball(tuple(x), R))[0]))
+        for x in points
+    ]
+
+
+def _point_label(x: Sequence[float]) -> str:
+    return f"x={tuple(float(c) for c in x)}"
+
+
 def verify_pointwise(u: GridField, F: GridField, p: float, R: float,
                      points: Sequence[Sequence[float]], *,
                      residual_tol: float = 1e-5) -> VerificationReport:
@@ -343,17 +363,8 @@ def verify_pointwise(u: GridField, F: GridField, p: float, R: float,
     the domain.  Both sides are 1-homogeneous under the p-Laplace rescaling
     (u, F) → (λu, λ^{p−1}F), so the fitted C* is scale-free.
     """
-    res = _gate_pair(u, F, p, residual_tol)
-    pp = p / (p - 1.0)
-    data = _power_field(F, pp)
-    absu = u.magnitude()
-    params = PotentialParams(p / (p + 1.0), p + 1.0, R)
-    samples = []
-    for x in points:
-        lhs = float(np.linalg.norm(value_at(u, x)))
-        W = wulff_potential(data, params, x)
-        mean_u = float(ball_average(absu, Ball(tuple(x), R))[0])
-        samples.append(_record(f"x={tuple(float(c) for c in x)}", lhs, W + mean_u))
+    res, terms = _pointwise_terms(u, F, p, R, points, residual_tol)
+    samples = [_record(_point_label(x), lhs, W + mean_u) for x, lhs, W, mean_u in terms]
     return _assemble(
         "pointwise-wulff",
         {"p": p, "R": R, "residual": res, "points": len(samples)},
@@ -375,24 +386,15 @@ def verify_pointwise_osc(u: GridField, F: GridField, p: float, R: float,
     comparison is re-checked here on every sample and a violation fails the
     report.
     """
-    res = _gate_pair(u, F, p, residual_tol)
-    pp = p / (p - 1.0)
-    data = _power_field(F, pp)
-    absu = u.magnitude()
-    params = PotentialParams(p / (p + 1.0), p + 1.0, R)
+    res, terms = _pointwise_terms(u, F, p, R, points, residual_tol)
     factor = 2.0 ** (1.0 / (p - 1.0))
     samples = []
     comparison_ok = True
-    for x in points:
-        lhs = float(np.linalg.norm(value_at(u, x)))
+    for x, lhs, W, mean_u in terms:
         osc_pot = oscillation_potential(F, p, R, x)
-        W = wulff_potential(data, params, x)
-        mean_u = float(ball_average(absu, Ball(tuple(x), R))[0])
         if osc_pot > factor * W * (1.0 + 1e-9):
             comparison_ok = False
-        samples.append(
-            _record(f"x={tuple(float(c) for c in x)}", lhs, osc_pot + mean_u)
-        )
+        samples.append(_record(_point_label(x), lhs, osc_pot + mean_u))
     notes = [
         f"oscillation potential <= 2^(1/(p-1)) = {factor:.6g} x Wulff potential "
         f"checked on all samples: {'ok' if comparison_ok else 'VIOLATED'}"

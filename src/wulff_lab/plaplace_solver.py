@@ -42,7 +42,6 @@ __all__ = [
     "SystemParams",
     "DirichletProblem",
     "SolveResult",
-    "staggered_gradient",
     "weak_residual",
     "manufacture",
     "solve",
@@ -140,17 +139,13 @@ def _as_components(u: GridField) -> np.ndarray:
     return u.values
 
 
-def staggered_gradient(u: GridField) -> np.ndarray:
-    """Forward-difference gradient on the (c₁−1)×(c₂−1) collocation lattice.
+def _stag_values(v: np.ndarray, h1: float, h2: float) -> np.ndarray:
+    """Forward-difference gradient of samples v of shape (N, c₁, c₂) on the
+    (c₁−1)×(c₂−1) collocation lattice.
 
     Returns an array of shape (N, 2, c₁−1, c₂−1); entry (c, d, i, j) is the
     forward difference of component c along axis d anchored at cell (i, j).
     """
-    return _stag_values(_as_components(u), *u.geometry.spacing)
-
-
-def _stag_values(v: np.ndarray, h1: float, h2: float) -> np.ndarray:
-    """:func:`staggered_gradient` of raw samples of shape (N, c₁, c₂)."""
     g0 = (v[:, 1:, :] - v[:, :-1, :]) / h1
     g1 = (v[:, :, 1:] - v[:, :, :-1]) / h2
     return np.stack([g0[:, :, :-1], g1[:, :-1, :]], axis=1)
@@ -218,7 +213,7 @@ def weak_residual(u: GridField, F: GridField, p: float) -> float:
         raise ValueError(f"need p > 1, got {p}")
     N = _check_pair(u, F)
     geom = u.geometry
-    T = _flux(staggered_gradient(u), p) - _lattice_datum(F, N)
+    T = _flux(_stag_values(_as_components(u), *geom.spacing), p) - _lattice_datum(F, N)
     G = _divergence_gap(T, geom)
     h1, h2 = geom.spacing
     norm = geom.cell_measure * (2.0 / h1 + 2.0 / h2)
@@ -242,7 +237,7 @@ def manufacture(u: GridField, p: float) -> GridField:
         raise DegenerateGrid("manufacture is implemented for n = 2")
     geom = u.geometry
     N = u.ncomp
-    A = _flux(staggered_gradient(u), p)
+    A = _flux(_stag_values(_as_components(u), *geom.spacing), p)
     full = np.pad(A, ((0, 0), (0, 0), (0, 1), (0, 1)), mode="edge")
     c1, c2 = geom.cells
     return GridField(geom, full.reshape(N * 2, c1, c2), "matrix", codomain=N)

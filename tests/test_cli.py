@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -28,7 +29,11 @@ from wulff_lab.field_grid import (
     value_at,
     write_field,
 )
-from wulff_lab.function_spaces import LorentzParams, lorentz_zygmund_norm
+from wulff_lab.function_spaces import (
+    LorentzParams,
+    YoungFunction,
+    lorentz_zygmund_norm,
+)
 from wulff_lab.inequality_lab import FAMILY_VERSION, _threads
 from wulff_lab.potential_engine import havin_mazya_map, riesz_map
 
@@ -188,36 +193,112 @@ def test_shared_option_needs_one_selected_reader(tmp_path):
                                   body.replace("allowance = 0.2", "points = 0.5,0.5")))
 
 
-class _ReadLog(dict):
-    """Empty options that log every key a runner asks for."""
+# config text for every theorem option that differs from each of its defaults
+# on the 48x48 unit grid of RUN_CONFIG
+_NON_DEFAULT = {
+    "x": "0.3,0.6", "points": "0.4,0.4; 0.6,0.5", "samples": "7", "r_outer": "0.3",
+    "r_inner": "0.08", "allowance": "0.2", "r_ball": "0.2", "residual_tol": "1e-3",
+    "q": "3.5", "alpha": "-0.75", "k": "3", "a": "2", "family": "other", "s": "2.5",
+    "sigma": "1.25", "rho": "3", "young_a": "power,3", "young_b": "zygmund,2,1",
+    "t0": "0.5", "beta": "0.25", "cells": "40",
+}
 
-    def __init__(self):
-        super().__init__()
-        self.keys_read = set()
 
-    def __contains__(self, key):
-        self.keys_read.add(key)
-        return False
-
-    def get(self, key, default=None):
-        self.keys_read.add(key)
-        return default
+def _plain(value):
+    """A comparable copy of a verifier argument: functions (closures made per
+    call) compare equal, Young functions by their exponents."""
+    if isinstance(value, YoungFunction):
+        return ("young", value.tag, value.sigma, value.logexp)
+    if callable(value):
+        return "<function>"
+    if isinstance(value, (list, tuple, range)):
+        return (type(value).__name__, *map(_plain, value))
+    if isinstance(value, dict):
+        return sorted((k, _plain(v)) for k, v in value.items())
+    return value
 
 
 @pytest.mark.parametrize("name", list(THEOREMS))
 def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, name):
-    # the verifiers are stubbed out: only the option reads of the runner run
+    # the verifiers are stubbed out and record their arguments: each declared
+    # option, set away from its default, must change what a verifier receives
     import wulff_lab.cli as cli
+
+    calls = []
+
+    def stub(label):
+        def record(*args, **kwargs):
+            calls.append((label, _plain(args), _plain(kwargs)))
+            return []
+        return record
 
     for attr in dir(cli.iq):
         if attr.startswith("verify_") or attr == "_parallel_map":
-            monkeypatch.setattr(cli.iq, attr, lambda *args, **kwargs: [])
-    monkeypatch.setattr(cli, "_load_pair", lambda cfg: (None, None))
-    monkeypatch.setattr(cli, "_merge", lambda *args: None)
+            monkeypatch.setattr(cli.iq, attr, stub(attr))
+    monkeypatch.setattr(cli, "_merge", stub("_merge"))
+    monkeypatch.setattr(cli.RunConfig, "pair", lambda self: ("u", "F"))
     cfg = parse_config(write_config(tmp_path / "job.ini", RUN_CONFIG))
-    opts = _ReadLog()
-    THEOREMS[name][1](cfg, opts, 0, 1)
-    assert opts.keys_read == set(THEOREMS[name][2])
+
+    def verifier_calls(given):
+        calls.clear()
+        cli._run_theorem(cfg, name, given, 0, 1)
+        return list(calls)
+
+    default = verifier_calls({})
+    assert default
+    for key in THEOREMS[name][2]:
+        assert verifier_calls({key: _NON_DEFAULT[key]}) != default, key
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_option_table():
+    """{theorem id: [(option, default text or None for 'unset')]} from the
+    options table of the README's run section."""
+    lines = README.read_text().splitlines()
+    start = lines.index("| theorems | options = defaults |") + 2
+    table = {}
+    for line in itertools.takewhile(lambda ln: ln.startswith("|"), lines[start:]):
+        ids, options = line.strip("|").split("|")
+        declared = [(key, text or None) for key, _, text in
+                    re.findall(r"`(\w+)` = (`([^`]*)`|unset)", options)]
+        for name in re.findall(r"`([\w-]+)`", ids):
+            assert name not in table, name
+            table[name] = declared
+    return table
+
+
+def _lattice_oracle(geom):
+    def lattice(*fracs):
+        points = [()]
+        for o, e in zip(geom.origin, geom.extent):
+            points = [pt + (o + t * e,) for pt in points for t in fracs]
+        return points
+    return lattice
+
+
+@pytest.mark.parametrize("geom", [
+    GridGeometry((48, 32), (1.5, 0.8), (0.1, -0.2)),
+    GridGeometry((8, 8, 4), (1.0, 1.0, 0.5), (0.0, 0.0, 0.0)),
+], ids=["2d", "3d"])
+def test_readme_option_table_matches_the_declarations(geom):
+    table = _readme_option_table()
+    assert set(table) == set(THEOREMS)
+    names = {"center": geom.center, "extent": geom.extent, "spacing": geom.spacing,
+             "cells": geom.cells, "lattice": _lattice_oracle(geom), "min": min,
+             "max": max}
+    for name, (_, _, options) in THEOREMS.items():
+        assert [key for key, _ in table[name]] == list(options), name
+        got = {}
+        for key, text in table[name]:
+            _, default = options[key]
+            if callable(default):
+                formula = eval(text, {"__builtins__": {}}, {**names, **got})
+                got[key] = default(geom, got)
+                assert formula == got[key], (name, key)
+            else:
+                assert text == default, (name, key)
 
 
 def test_config_keys_are_case_insensitive(tmp_path, capsys):
@@ -387,6 +468,96 @@ def test_run_every_theorem_id(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("pass  ")]
     assert [ln.split()[1] for ln in lines] == list(THEOREMS)
+
+
+PAIR_CONFIG = """\
+[grid]
+cells = 32,32
+
+[system]
+p = 1.5
+
+[data]
+u = profile:sinsin
+F = manufactured
+
+[verify]
+theorems = pointwise-wulff, pointwise-oscillation, oscillation-decay,
+    energy-caccioppoli
+
+[output]
+heatmaps = u,F
+"""
+# the outputs of PAIR_CONFIG when every pair theorem built its own pair
+_PAIR_DIGESTS = {
+    "report.json": "44b309d21910fa314e8db8b255f470e8da3a60371958399c46a85d1c5c3f8960",
+    "report.csv": "37a30449fa07220cd546433d8daee773345eca807ac8e1867b6898ed22f294b8",
+    "u.svg": "dd685379c48e0a20f61b1b4dc4a2e6881294fa3b20718dd50ea35b29a0290122",
+    "F.svg": "daca813d2dfd563be213446e8411cdc8cf18631b658db5b69d660a67804f5137",
+}
+
+
+def test_run_builds_the_pair_once(tmp_path, monkeypatch, capsys):
+    import wulff_lab.cli as cli
+
+    calls = []
+    real = cli.manufacture
+    monkeypatch.setattr(cli, "manufacture", lambda *a: calls.append(a) or real(*a))
+    cfg = write_config(tmp_path / "pair.ini", PAIR_CONFIG)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    for name, digest in _PAIR_DIGESTS.items():
+        assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest, name
+
+
+def test_run_reads_the_pair_only_for_a_pair_theorem(tmp_path, capsys):
+    # u.wlf is on a 16x16 grid, the run on 32x32
+    field_file(tmp_path, lambda x, y: x * y, cells=16, name="u.wlf")
+    body = PAIR_CONFIG.replace("profile:sinsin", "u.wlf").replace(
+        "theorems = pointwise-wulff", "theorems = hardy-i, pointwise-wulff")
+    pair_free = body.replace(", pointwise-wulff, pointwise-oscillation, oscillation-decay,"
+                             "\n    energy-caccioppoli", "")
+    mismatch = "[data] u geometry does not match the [grid] section"
+    for name, text, err in [
+        ("pair.ini", body.replace("heatmaps = u,F", ""), f"[pointwise-wulff] {mismatch}"),
+        ("heatmaps.ini", pair_free, mismatch),
+    ]:
+        out = tmp_path / "o"
+        assert main(["run", write_config(tmp_path / name, text), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {err}"), name
+        assert captured.out == "" and not out.exists()
+    # with no pair theorem and no heatmap, [data] is never read
+    cfg = write_config(tmp_path / "nopair.ini", pair_free.replace("heatmaps = u,F", ""))
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("theorem", ["pointwise-wulff", "pointwise-oscillation"])
+def test_pointwise_default_points_on_a_3d_grid(tmp_path, capsys, theorem):
+    # the default 3^n lattice reaches the verifier, whose gate is 2-D only
+    geom = GridGeometry((8, 8, 8), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+    write_field(GridField.from_function(geom, lambda x, y, z: x * y * z),
+                str(tmp_path / "u.wlf"))
+    write_field(GridField(geom, np.zeros((3, 8, 8, 8)), "matrix", codomain=1),
+                str(tmp_path / "F.wlf"))
+    body = f"""\
+[grid]
+cells = 8,8,8
+
+[data]
+u = u.wlf
+F = F.wlf
+
+[verify]
+theorems = {theorem}
+"""
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path / "cube.ini", body), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: [{theorem}] weak-form operators are implemented "
+                            "for n = 2\n")
+    assert captured.out == "" and not out.exists()
 
 
 NORMS_B_CONFIG = """\
@@ -679,7 +850,11 @@ _FIRST_CALLS = """\
 import hashlib, sys, threading
 import numpy as np
 from wulff_lab.field_grid import GridField, GridGeometry
-from wulff_lab.function_spaces import LorentzParams, lorentz_zygmund_norm
+from wulff_lab.function_spaces import (
+    LorentzParams,
+    YoungFunction,
+    lorentz_zygmund_norm,
+)
 from wulff_lab.potential_engine import havin_mazya_map
 
 assert not [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
@@ -798,6 +973,31 @@ def test_potential_out_needs_a_2d_field(tmp_path, capsys, kind):
     # without --out the 3-d map is still evaluated at a point
     assert main(["potential", str(path), "--kind", kind, "--alpha", "0.5"]) == 0
     assert float(capsys.readouterr().out) > 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_potential_havin_mazya_prints_one_cell(tmp_path, capsys, monkeypatch, dim):
+    # without --out only the value at the point is computed, not the V map
+    import wulff_lab.cli as cli
+
+    if dim == 2:
+        f, path = field_file(tmp_path, lambda x, y: 1.0 + np.sin(np.pi * x) * y, cells=24)
+    else:  # the field of test_potential_out_needs_a_2d_field
+        geom = GridGeometry((8, 8, 4), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
+        f = GridField.from_function(geom, lambda x, y, z: 1.0 + x)
+        path = str(tmp_path / "f3.wlf")
+        write_field(f, path)
+    x = (0.3, 0.55, 0.4)[:dim]
+    expected = float(value_at(havin_mazya_map(f, 0.5, 3.0), x)[0])
+
+    def no_map(*args):
+        raise AssertionError("havin_mazya_map called")
+
+    monkeypatch.setattr(cli, "havin_mazya_map", no_map)
+    argv = ["potential", path, "--kind", "havin-mazya", "--alpha", "0.5", "--s", "3.0",
+            "--point", ",".join(map(str, x))]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == format(expected, ".12g") + "\n"
 
 
 # ---------------------------------------------------------------------------
