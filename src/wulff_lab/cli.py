@@ -65,14 +65,44 @@ def _ints(text: str) -> tuple[int, ...]:
     return out
 
 
+def _u64(text: str) -> int:
+    """A seed: an integer in [0, 2^64)."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise ValueError(f"{value} does not fit in u64")
+    return value
+
+
+_KINDS = {int: "an integer", _u64: "an integer that fits in u64"}
+
+
 def _parse(key: str, text: str, parse):
     """``parse(text)`` for the option or key ``key``; a malformed number is a
     config error."""
     try:
         return parse(text)
     except ValueError as exc:
-        kind = "an integer" if parse is int else "a number"
+        kind = _KINDS.get(parse, "a number")
         raise ConfigError(f"option {key!r} must be {kind}, got {text!r}") from exc
+
+
+def _options(table: dict, given, geom=None) -> dict:
+    """Each option of ``table`` parsed from its text in ``given`` (keys in lower
+    case, as configparser folds them) or else set to its default."""
+    values = {}
+    for key, (parse, default) in table.items():
+        text = given.get(key.lower())
+        if text is not None:
+            values[key] = _parse(key, text, parse)
+        elif callable(default):
+            values[key] = default(geom, values)
+        else:
+            values[key] = default if default is None else _parse(key, default, parse)
+    return values
+
+
+def _names(text: str) -> list[str]:
+    return [t.strip() for t in text.split(",") if t.strip()]
 
 
 def _points(text: str) -> list[tuple[float, ...]]:
@@ -109,11 +139,25 @@ def _boundary(text: str):
     return value
 
 
-# keys of the fixed sections; [verify] and [verify.<id>] hold theorem options
-_SECTION_KEYS = {"grid": ("cells", "extent", "origin"), "system": ("p",),
-                 "data": ("u", "F", "boundary", "seed"),
-                 "solver": ("tol", "max_iters", "eps_start", "eps_final"),
-                 "output": ("dir", "json", "csv", "heatmaps", "field")}
+# config sections: each key declared once as name -> (parser, default).  A
+# default is config text, parsed like a given value; None, which leaves the
+# choice to the reader (SystemParams, a verifier); or a function of the grid
+# and the values parsed before it.  [verify] and [verify.<id>] also hold
+# theorem options (THEOREMS).
+SECTIONS = {
+    "grid": {"cells": (_ints, "128,128"),
+             "extent": (_floats, lambda geom, got: (1.0,) * len(got["cells"])),
+             "origin": (_floats, lambda geom, got: (0.0,) * len(got["cells"]))},
+    "system": {"p": (float, "2.0")},
+    "data": {"u": (str, ""), "F": (str, ""), "boundary": (_boundary, "0"),
+             "seed": (_u64, "0")},
+    "solver": {"tol": (float, None), "max_iters": (int, None),
+               "eps_start": (float, None), "eps_final": (float, None)},
+    "verify": {"theorems": (_names, "")},
+    "output": {"dir": (str, "out"), "json": (str, "report.json"),
+               "csv": (str, "report.csv"), "heatmaps": (_names, ""),
+               "field": (str, "u.wlf")},
+}
 
 
 def _check_names(parser) -> None:
@@ -122,12 +166,12 @@ def _check_names(parser) -> None:
     if parser.defaults():
         raise ConfigError("unknown section [DEFAULT]: its keys would reach every section")
     for name in parser.sections():
-        if name in _SECTION_KEYS:
-            what, known = "key", _SECTION_KEYS[name]
+        if name == "verify":
+            continue  # its shared options depend on the selected theorems
+        if name in SECTIONS:
+            what, known = "key", SECTIONS[name]
         elif name.startswith("verify.") and name[7:] in THEOREMS:
             what, known = "option", THEOREMS[name[7:]][2]
-        elif name == "verify":
-            continue
         else:
             raise ConfigError(f"unknown section [{name}]")
         extra = sorted(set(parser[name]) - {k.lower() for k in known})
@@ -150,68 +194,55 @@ class RunConfig:
         _check_names(parser)
         if "grid" not in parser:
             raise ConfigError("missing required [grid] section")
-        g = parser["grid"]
-        cells = _ints(g.get("cells", "128,128"))
-        extent = _floats(g.get("extent", ",".join(["1.0"] * len(cells))))
-        origin = _floats(g.get("origin", ",".join(["0.0"] * len(cells))))
+
+        def given(name):
+            return dict(parser[name]) if name in parser else {}
+
+        def section(name):
+            return _options(SECTIONS[name], given(name))
+
+        g = section("grid")
         try:
-            self.geometry = GridGeometry(cells, extent, origin)
+            self.geometry = GridGeometry(g["cells"], g["extent"], g["origin"])
         except WulffLabError as exc:
             raise ConfigError(f"bad [grid] section: {exc}") from exc
 
-        sys_sec = parser["system"] if "system" in parser else {}
-        self.p = _parse("p", sys_sec.get("p", "2.0"), float)
+        self.p = section("system")["p"]
         if not (self.p > 1.0):
             raise ConfigError(f"[system] p must be > 1, got {self.p}")
 
-        d = parser["data"] if "data" in parser else {}
-        self.u_spec = d.get("u", "").strip()
-        self.f_spec = d.get("F", "").strip()
-        self.boundary = _boundary(d.get("boundary", "0").strip())
-        self.seed = _parse("seed", d.get("seed", "0"), int)
+        d = section("data")
+        self.u_spec, self.f_spec = d["u"], d["F"]
+        self.boundary, self.seed = d["boundary"], d["seed"]
         for spec in (self.u_spec, self.f_spec):
             if spec and not spec.startswith("profile:") and spec != "manufactured":
                 path = os.path.join(base_dir, spec)
                 if not os.path.exists(path):
                     raise ConfigError(f"referenced field file does not exist: {path}")
 
-        s = parser["solver"] if "solver" in parser else {}
+        solver = {k: v for k, v in section("solver").items() if v is not None}
         try:
-            self.solver = SystemParams(
-                p=self.p,
-                tol=_parse("tol", s.get("tol", "1e-8"), float),
-                max_iters=_parse("max_iters", s.get("max_iters", "60000"), int),
-                eps_start=_parse("eps_start", s.get("eps_start", "1e-1"), float),
-                eps_final=_parse("eps_final", s.get("eps_final", "1e-6"), float),
-            )
+            self.solver = SystemParams(p=self.p, **solver)
         except ValueError as exc:
             raise ConfigError(f"bad [solver] section: {exc}") from exc
 
-        v = parser["verify"] if "verify" in parser else {}
-        names = [t.strip() for t in v.get("theorems", "").split(",") if t.strip()]
+        names = section("verify")["theorems"]
         for name in names:
             if name not in THEOREMS:
                 known = ", ".join(sorted(THEOREMS))
                 raise ConfigError(f"unknown theorem id {name!r}; known ids: {known}")
         # a [verify] key reaches every selected theorem, so one of them must read it
-        read = {"theorems"}.union(*(THEOREMS[name][2] for name in names))
-        extra = sorted(set(v) - read)
+        shared = given("verify")
+        read = set(SECTIONS["verify"]).union(*(THEOREMS[name][2] for name in names))
+        extra = sorted(set(shared) - read)
         if extra:
             raise ConfigError(f"option {extra[0]!r} in [verify] is read by none of the "
                               "selected theorems")
-        shared = dict(v)
-        self.theorems = [
-            (name, {**shared,
-                    **(dict(parser[f"verify.{name}"]) if f"verify.{name}" in parser else {})})
-            for name in names
-        ]
+        self.theorems = [(name, {**shared, **given(f"verify.{name}")}) for name in names]
 
-        o = parser["output"] if "output" in parser else {}
-        self.out_dir = o.get("dir", "out")
-        self.json_name = o.get("json", "report.json")
-        self.csv_name = o.get("csv", "report.csv")
-        self.heatmaps = [t.strip() for t in o.get("heatmaps", "").split(",") if t.strip()]
-        self.field_name = o.get("field", "u.wlf")
+        o = section("output")
+        self.out_dir, self.json_name, self.csv_name = o["dir"], o["json"], o["csv"]
+        self.heatmaps, self.field_name = o["heatmaps"], o["field"]
         for hm in self.heatmaps:
             if hm not in ("u", "F"):
                 raise ConfigError(f"[output] heatmaps entries must be 'u' or 'F', got {hm!r}")
@@ -264,17 +295,12 @@ def _profile_field(geom: GridGeometry, spec: str) -> GridField:
     parts = spec.split(":")
     name = parts[1] if len(parts) > 1 else ""
     kv = {}
-    if len(parts) > 2:
-        for item in parts[2].split(","):
-            if not item.strip():
-                continue
-            if "=" not in item:
-                raise ConfigError(f"bad profile option {item!r} in {spec!r}")
-            key, val = item.split("=", 1)
-            try:
-                kv[key.strip()] = float(val)
-            except ValueError as exc:
-                raise ConfigError(f"bad profile option {item!r} in {spec!r}") from exc
+    for item in filter(str.strip, parts[2].split(",") if len(parts) > 2 else []):
+        key, _, val = item.partition("=")  # no '=' leaves val empty: an error
+        try:
+            kv[key.strip()] = float(val)
+        except ValueError as exc:
+            raise ConfigError(f"bad profile option {item!r} in {spec!r}") from exc
     if name == "power":
         return iq.radial_profile(geom, kv.get("expo", 0.5), kv.get("scale", 1.0))
     if name == "log":
@@ -309,27 +335,21 @@ def _read_on_grid(cfg: RunConfig, spec: str, name: str) -> GridField:
 
 
 # ---------------------------------------------------------------------------
-# theorem registry: each theorem declares its options once, as
-# name -> (parser, default).  A default is config text, parsed like a given
-# value; None, which leaves the choice to the verifier; or a function of the
-# grid and the options parsed before it.  Runners look the verifiers up on
-# ``iq`` when they run, so that a wrapper set on the module (a tracer, a test
-# stub) takes effect.
+# theorem registry: each theorem declares the options its verifier reads,
+# once, in the form of SECTIONS.  Runners look the verifiers up on ``iq`` when
+# they run, so that a wrapper set on the module (a tracer, a test stub) takes
+# effect.
 
 
 def _run_theorem(cfg: RunConfig, name: str, given, seed: int, threads):
-    """Run theorem ``name`` with each of its options parsed from the config
-    text in ``given``, or else set to its default."""
+    """Run theorem ``name`` with its options parsed from the text in ``given``."""
     _, runner, options = THEOREMS[name]
-    values = {}
-    for key, (parse, default) in options.items():
-        if key in given:
-            values[key] = _parse(key, given[key], parse)
-        elif callable(default):
-            values[key] = default(cfg.geometry, values)
-        else:
-            values[key] = default if default is None else _parse(key, default, parse)
-    return runner(cfg, seed, threads, **values)
+    return runner(cfg, seed, threads, **_options(options, given, cfg.geometry))
+
+
+def _entry(summary, runner, options, drop):
+    """A THEOREMS entry of a family: the family's options without ``drop``."""
+    return summary, runner, {k: v for k, v in options.items() if k not in drop}
 
 
 def _center(geom, got):
@@ -394,36 +414,37 @@ def _run_energy(cfg, seed, threads, x, r_ball, residual_tol, q):
                                          residual_tol=residual_tol)
 
 
-def _hardy(summary, case):
+def _hardy(summary, case, drop=()):
     def run(cfg, seed, threads, **options):
         return iq.verify_hardy(case, seed=seed, **options)
 
-    return summary, run, {"q": (float, "1.0"), "alpha": (float, "0.0"),
-                          "k": (float, "2.0"), "a": (float, "1.0"),
-                          "samples": (int, "100"), "family": (str, "random")}
+    return _entry(summary, run, {"q": (float, "1.0"), "alpha": (float, "0.0"),
+                                 "k": (float, "2.0"), "a": (float, "1.0"),
+                                 "samples": (int, "100"), "family": (str, "random")},
+                  drop)
 
 
 def _run_domination(cfg, seed, threads, **options):
     return iq.verify_domination(cfg.geometry, seed=seed, threads=threads, **options)
 
 
-def _norm_maps(summary, part, **extra):
+def _norm_maps(summary, part, drop=(), **extra):
     def run(cfg, seed, threads, young_a=None, young_b=None, **options):
         return iq.verify_potential_norm_maps(part, geom=cfg.geometry, A=young_a,
                                              B=young_b, seed=seed, threads=threads,
                                              **options)
 
-    return summary, run, {"sigma": (float, None), "rho": (float, "2.0"),
-                          "samples": (int, "20"), "alpha": (float, "0.5"),
-                          "s": (float, "2.0"), **extra}
+    return _entry(summary, run, {"sigma": (float, None), "rho": (float, "2.0"),
+                                 "samples": (int, "20"), "alpha": (float, "0.5"),
+                                 "s": (float, "2.0"), **extra}, drop)
 
 
-def _regularity(summary, kind):
+def _regularity(summary, kind, drop):
     def run(cfg, seed, threads, **options):
         return iq.verify_regularity_exponents(kind, cfg.p, **options)
 
-    return summary, run, {"q": (float, None), "beta": (float, None),
-                          "cells": (int, lambda geom, got: geom.cells[0])}
+    return _entry(summary, run, {"q": (float, None), "beta": (float, None),
+                                 "cells": (int, lambda geom, got: geom.cells[0])}, drop)
 
 
 # theorem id -> (summary, runner, options); a runner takes
@@ -448,7 +469,7 @@ THEOREMS = {
         "reverse Hoelder and Caccioppoli inequalities on nested balls", _run_energy,
         {"x": (_floats, _center), "r_ball": (float, _r_ball),
          "residual_tol": (float, "1e-5"), "q": (float, None)}),
-    "hardy-i": _hardy("weighted Hardy inequality, q >= 1", "i"),
+    "hardy-i": _hardy("weighted Hardy inequality, q >= 1", "i", drop=("k",)),
     "hardy-ii-far": _hardy("weighted Hardy inequality, q < 1, alpha < -1-1/q", "ii-far"),
     "hardy-ii-near": _hardy("weighted Hardy inequality, q < 1, truncated range",
                             "ii-near"),
@@ -457,21 +478,21 @@ THEOREMS = {
         {"alpha": (float, "0.5"), "s": (float, "3.0"), "samples": (int, "100")}),
     "potential-norms-A-i": _norm_maps("Lorentz-to-Lorentz potential boundedness", "A-i"),
     "potential-norms-A-iii": _norm_maps("borderline Lorentz-Zygmund boundedness",
-                                        "A-iii"),
+                                        "A-iii", drop=("sigma",)),
     "potential-norms-A-iv": _norm_maps("small second index gives boundedness into L^inf",
-                                       "A-iv"),
+                                       "A-iv", drop=("sigma",)),
     "potential-norms-B": _norm_maps(
         "Orlicz-to-Orlicz boundedness under the balance condition", "B",
-        young_a=(_young_from_spec, "power,2"), young_b=(_young_from_spec, "power,2"),
-        t0=(float, "1.0")),
+        drop=("sigma", "rho"), young_a=(_young_from_spec, "power,2"),
+        young_b=(_young_from_spec, "power,2"), t0=(float, "1.0")),
     "regularity-holder": _regularity("fitted Hoelder exponent against 1 - n/(q(p-1))",
-                                     "holder"),
+                                     "holder", drop=("beta",)),
     "regularity-bmo": _regularity("borderline Morrey datum keeps the BMO seminorm finite",
-                                  "bmo"),
+                                  "bmo", drop=("q", "beta")),
     "regularity-lipschitz": _regularity("Dini datum modulus forces a Lipschitz solution",
-                                        "lipschitz"),
+                                        "lipschitz", drop=("q",)),
     "regularity-lorentz": _regularity("rearrangement tail exponent of the marginal datum",
-                                      "lorentz"),
+                                      "lorentz", drop=("beta",)),
 }
 
 
@@ -606,6 +627,7 @@ def _cmd_list_theorems() -> int:
 
 
 def _cmd_run(args) -> int:
+    threads = iq._threads(args.threads)
     cfg = parse_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seed
     out_dir = args.out or cfg.out_dir
@@ -613,7 +635,7 @@ def _cmd_run(args) -> int:
     reports = []
     for name, opts in cfg.theorems:
         try:
-            reports.append(_run_theorem(cfg, name, opts, seed, args.threads))
+            reports.append(_run_theorem(cfg, name, opts, seed, threads))
         except WulffLabError as exc:
             raise WulffLabError(f"[{name}] {exc}") from exc
     all_passed = all(r.passed for r in reports)
@@ -660,10 +682,9 @@ def _cmd_solve(args) -> int:
         # p = 2 is one direct solve, with no warm start to count
         summary["warm_start_iterations"] = result.warm_start_iterations
     _atomic_write(os.path.join(out_dir, "solve.json"), _json_bytes(summary))
-    if cfg.heatmaps:
-        for source in cfg.heatmaps:
-            fld = result.u if source == "u" else F
-            render_heatmap(fld.magnitude(), os.path.join(out_dir, f"{source}.svg"))
+    for source in cfg.heatmaps:
+        fld = result.u if source == "u" else F
+        render_heatmap(fld.magnitude(), os.path.join(out_dir, f"{source}.svg"))
     print(
         f"solved p={cfg.p} on {'x'.join(map(str, cfg.geometry.cells))}: "
         f"iterations={result.iterations} residual={result.residual:.3e}"
@@ -744,14 +765,15 @@ def _cmd_potential(args) -> int:
 # entry point
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="RNG seed (u64); overrides the config seed")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker threads (fallback: WULFF_LAB_THREADS)")
+_FLAGS = {
+    "--seed": {"help": "RNG seed (u64); overrides the config seed"},
+    "--out": {"help": "output directory"},
+    "--threads": {"type": int, "help": "worker threads, at least 1 "
+                                       "(fallback: WULFF_LAB_THREADS)"},
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wulff-lab",
         description="potential-estimate verification lab for the p-Laplace system",
@@ -760,24 +782,26 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print the theorem-id table and exit")
     sub = parser.add_subparsers(dest="command")
 
-    p_run = sub.add_parser("run", parents=[common],
-                           help="run the verifications declared in a config")
-    p_run.add_argument("config")
+    def command(name, cmd, help, source, *flags):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(cmd=cmd)
+        p.add_argument(source)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
 
-    p_solve = sub.add_parser("solve", parents=[common],
-                             help="solve the Dirichlet problem declared in a config")
-    p_solve.add_argument("config")
-
-    p_norm = sub.add_parser("norm", parents=[common],
-                            help="evaluate a function-space norm of a field file")
-    p_norm.add_argument("field")
+    command("run", _cmd_run, "run the verifications declared in a config", "config",
+            "--seed", "--out", "--threads")
+    command("solve", _cmd_solve, "solve the Dirichlet problem declared in a config",
+            "config", "--seed", "--out")
+    p_norm = command("norm", _cmd_norm, "evaluate a function-space norm of a field file",
+                     "field")
     p_norm.add_argument("--space", required=True,
                         help="Lq | lorentz:q,rho[,beta] | orlicz:<young> | "
                              "campanato:beta[,q] | morrey:beta[,q]")
 
-    p_pot = sub.add_parser("potential", parents=[common],
-                           help="evaluate a potential of a nonnegative field")
-    p_pot.add_argument("field")
+    p_pot = command("potential", _cmd_potential,
+                    "evaluate a potential of a nonnegative field", "field", "--out")
     p_pot.add_argument("--alpha", type=float, required=True)
     p_pot.add_argument("--s", type=float, default=2.0)
     p_pot.add_argument("--radius", type=float, default=None)
@@ -789,28 +813,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; a usage error is a config error
+        return 1 if exc.code else 0
     if args.list_theorems:
         return _cmd_list_theorems()
     if args.command is None:
         parser.print_help()
         return 1
-    if getattr(args, "seed", None) is not None and not (0 <= args.seed < 2**64):
-        print("error: --seed must fit in u64", file=sys.stderr)
-        return 1
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "norm":
-            return _cmd_norm(args)
-        if args.command == "potential":
-            return _cmd_potential(args)
+        if getattr(args, "seed", None) is not None:
+            args.seed = _parse("--seed", args.seed, _u64)
+        return args.cmd(args)
     except (WulffLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

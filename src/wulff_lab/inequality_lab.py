@@ -175,7 +175,7 @@ def _assemble(theorem: str, params: dict, samples: list[SampleRecord],
 
 def _threads(threads: int | None) -> int:
     """Worker count: ``threads`` if given, else ``WULFF_LAB_THREADS`` (unset
-    or empty means 1); never below 1."""
+    or empty means 1); a count below 1 is an error."""
     if threads is None:
         env = os.environ.get("WULFF_LAB_THREADS", "")
         try:
@@ -184,7 +184,9 @@ def _threads(threads: int | None) -> int:
             raise ConfigError(
                 f"WULFF_LAB_THREADS must be an integer, got {env!r}"
             ) from None
-    return max(1, threads)
+    if threads < 1:
+        raise ConfigError(f"worker threads must be at least 1, got {threads}")
+    return threads
 
 
 def _parallel_map(fn, items, threads: int | None):
@@ -641,21 +643,9 @@ def _hardy_lhs(phi: _PiecewisePhi, q: float, alpha: float,
 
 def _hardy_rhs(phi: _PiecewisePhi, q: float, alpha: float, upper: float) -> float:
     """(∫_0^upper φ(s)^q s^{q(α+1)} ds)^{1/q}, exact per piece."""
-    e = q * (alpha + 1.0)
-    b, v = phi.breaks, phi.values
-    total = 0.0
-    prev = float(b[0])
-    # leading zero piece (0, b[0]] contributes nothing
-    for val, nxt in zip(v, b[1:]):
-        hi = min(float(nxt), upper)
-        if hi > prev and val > 0:
-            total += val**q * _pow_int(prev, hi, e)
-        prev = float(nxt)
-        if prev >= upper:
-            break
-    if phi.tail > 0 and upper > b[-1]:
-        total += phi.tail**q * _pow_int(float(b[-1]), upper, e)
-    return total ** (1.0 / q)
+    phi_q = _PiecewisePhi(phi.breaks, np.array([val**q for val in phi.values]),
+                          phi.tail**q)
+    return _phi_inner_from(phi_q, q * (alpha + 1.0), 0.0, upper) ** (1.0 / q)
 
 
 def _check_quasi_increasing(phi: _PiecewisePhi, k: float) -> None:

@@ -250,6 +250,88 @@ def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, na
         assert verifier_calls({key: _NON_DEFAULT[key]}) != default, key
 
 
+# admissible options per theorem for the real verifiers on a 32x32 grid at p = 1.5
+_REAL_BASE = {
+    "telescoping-means": {"samples": "2"},
+    "pointwise-wulff": {"points": "0.5,0.5"},
+    "pointwise-oscillation": {"points": "0.5,0.5"},
+    "hardy-i": {"samples": "3"},
+    "hardy-ii-far": {"q": "0.5", "alpha": "-3.5", "samples": "3"},
+    "hardy-ii-near": {"q": "0.5", "alpha": "-2.5", "samples": "3"},
+    "wulff-riesz-domination": {"samples": "2"},
+    "potential-norms-A-i": {"sigma": "1.5", "samples": "2"},
+    "potential-norms-A-iii": {"rho": "3", "samples": "2"},
+    "potential-norms-A-iv": {"rho": "0.5", "samples": "2"},
+    "potential-norms-B": {"young_a": "power,1.5", "young_b": "power,3", "samples": "2"},
+    "regularity-holder": {"q": "8", "cells": "128"},
+    "regularity-bmo": {"cells": "128"},
+    "regularity-lipschitz": {"cells": "128"},
+    "regularity-lorentz": {"q": "1.2", "cells": "128"},
+}
+# a second admissible value of each option, replaced per theorem by
+# _REAL_SECOND_FOR where it is out of range; residual_tol 1e-7 is below the
+# pair's weak residual 2.8e-7
+_REAL_SECOND = {
+    "x": "0.4,0.6", "points": "0.4,0.5", "samples": "4", "r_outer": "0.3",
+    "r_inner": "0.1", "allowance": "0.2", "r_ball": "0.2", "residual_tol": "1e-7",
+    "q": "2", "alpha": "0.4", "k": "3", "a": "2", "family": "ones", "s": "2.5",
+    "sigma": "1.25", "rho": "3", "young_a": "power,1.25", "young_b": "power,4",
+    "t0": "0.5", "beta": "0.2", "cells": "136",
+}
+_REAL_SECOND_FOR = {
+    "hardy-ii-far": {"q": "0.6", "alpha": "-4"},
+    "hardy-ii-near": {"q": "0.6", "alpha": "-2"},
+    "potential-norms-A-iii": {"rho": "4"},
+    "potential-norms-A-iv": {"rho": "0.6"},
+    "regularity-holder": {"q": "10"},
+    "regularity-lorentz": {"q": "1.3"},
+}
+
+
+@pytest.mark.parametrize("name", list(THEOREMS))
+def test_every_theorem_option_changes_the_report(tmp_path, name):
+    # the real verifiers: each declared option, moved to a second admissible
+    # value, must change the samples, notes or pass flag, or whether the
+    # theorem raises; an option that only reaches 'params' is one the user
+    # could set without changing what was checked
+    import wulff_lab.cli as cli
+    from wulff_lab.errors import WulffLabError
+    from wulff_lab.plaplace_solver import manufacture
+
+    geom = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
+    F = manufacture(_profile_field(geom, "profile:sinsin"), 1.5)
+    # off the manufactured datum by a factor 1 + 1e-6: weak residual 2.8e-7
+    write_field(GridField(geom, F.values * (1 + 1e-6), F.kind, codomain=F.codomain),
+                str(tmp_path / "F.wlf"))
+    cfg = parse_config(write_config(tmp_path / "job.ini", """\
+[grid]
+cells = 32,32
+
+[system]
+p = 1.5
+
+[data]
+u = profile:sinsin
+F = F.wlf
+"""))
+
+    def outcome(given):
+        try:
+            report = cli._run_theorem(cfg, name, given, 0, 1).to_dict()
+        except WulffLabError as exc:
+            return type(exc).__name__
+        report.pop("params")
+        return report
+
+    base = _REAL_BASE.get(name, {})
+    default = outcome(base)
+    assert isinstance(default, dict), default
+    seconds = {**_REAL_SECOND, **_REAL_SECOND_FOR.get(name, {})}
+    unchanged = [key for key in THEOREMS[name][2]
+                 if outcome({**base, key: seconds[key]}) == default]
+    assert unchanged == []
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -299,6 +381,18 @@ def test_readme_option_table_matches_the_declarations(geom):
                 assert formula == got[key], (name, key)
             else:
                 assert text == default, (name, key)
+
+
+def test_readme_section_keys_match_the_declarations():
+    from wulff_lab.cli import SECTIONS
+
+    text = " ".join(README.read_text().split())
+    listing = text.split("raised before any work: ", 1)[1].split(". ", 1)[0]
+    table = {}
+    for part in listing.split(";"):
+        section, *keys = re.findall(r"`\[?([\w.]+)\]?`", part)
+        table[section] = keys
+    assert table == {name: list(keys) for name, keys in SECTIONS.items()}
 
 
 def test_config_keys_are_case_insensitive(tmp_path, capsys):
@@ -404,6 +498,22 @@ def test_bad_seed_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "job.ini", RUN_CONFIG)
     assert main(["run", cfg, "--seed", "-1"]) == 1
     assert "u64" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "18446744073709551616"])
+@pytest.mark.parametrize("where", ["key", "flag"])
+def test_seed_must_fit_in_u64(tmp_path, capsys, where, value):
+    # the [data] seed key and the --seed flag share one check, before any work
+    body = RUN_CONFIG.replace("seed = 5", f"seed = {value}" if where == "key" else "")
+    argv = ["run", write_config(tmp_path / "job.ini", body), "--out", str(tmp_path / "o")]
+    if where == "flag":
+        argv += ["--seed", value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    name = "seed" if where == "key" else "--seed"
+    assert captured.err == (f"error: option {name!r} must be an integer that fits "
+                            f"in u64, got {value!r}\n")
+    assert captured.out == "" and not (tmp_path / "o").exists()
 
 
 ALL_THEOREMS_CONFIG = """\
@@ -601,6 +711,42 @@ def test_list_theorems_and_help(capsys):
                   "potential-norms-B", "regularity-lorentz"):
         assert ident in out
     assert main([]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["potential", "f.wlf", "--alpha", "abc"],
+    ["run"],
+    ["frobnicate"],
+    # each subcommand takes only the flags it reads
+    ["norm", "f.wlf", "--space", "L2", "--seed", "1"],
+    ["norm", "f.wlf", "--space", "L2", "--out", "o"],
+    ["norm", "f.wlf", "--space", "L2", "--threads", "2"],
+    ["potential", "f.wlf", "--alpha", "0.5", "--seed", "1"],
+    ["potential", "f.wlf", "--alpha", "0.5", "--threads", "2"],
+    ["solve", "job.ini", "--threads", "2"],
+], ids=["bad-number", "no-config", "unknown-command", "norm-seed", "norm-out",
+        "norm-threads", "potential-seed", "potential-threads", "solve-threads"])
+def test_usage_errors_exit_1(capsys, argv):
+    # exit 2 means a failed verification, so a usage error is a config error
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["norm", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_rejected(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path / "job.ini", RUN_CONFIG)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out), "--threads", threads]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: worker threads must be at least 1, got {threads}\n"
+    assert captured.out == "" and not out.exists()
 
 
 # ---------------------------------------------------------------------------
