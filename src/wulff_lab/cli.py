@@ -414,14 +414,13 @@ def _run_energy(cfg, seed, threads, x, r_ball, residual_tol, q):
                                          residual_tol=residual_tol)
 
 
-def _hardy(summary, case, drop=()):
+def _hardy(summary, case, q, alpha, drop=()):
+    """A Hardy entry whose default (q, alpha) lie in ``case``."""
     def run(cfg, seed, threads, **options):
         return iq.verify_hardy(case, seed=seed, **options)
 
-    return _entry(summary, run, {"q": (float, "1.0"), "alpha": (float, "0.0"),
-                                 "k": (float, "2.0"), "a": (float, "1.0"),
-                                 "samples": (int, "100"), "family": (str, "random")},
-                  drop)
+    return _entry(summary, run, {"q": (float, q), "alpha": (float, alpha),
+                                 "k": (float, "2.0"), "samples": (int, "100")}, drop)
 
 
 def _run_domination(cfg, seed, threads, **options):
@@ -469,10 +468,12 @@ THEOREMS = {
         "reverse Hoelder and Caccioppoli inequalities on nested balls", _run_energy,
         {"x": (_floats, _center), "r_ball": (float, _r_ball),
          "residual_tol": (float, "1e-5"), "q": (float, None)}),
-    "hardy-i": _hardy("weighted Hardy inequality, q >= 1", "i", drop=("k",)),
-    "hardy-ii-far": _hardy("weighted Hardy inequality, q < 1, alpha < -1-1/q", "ii-far"),
+    "hardy-i": _hardy("weighted Hardy inequality, q >= 1", "i", "1.0", "0.0",
+                      drop=("k",)),
+    "hardy-ii-far": _hardy("weighted Hardy inequality, q < 1, alpha < -1-1/q", "ii-far",
+                           "0.5", "-3.5"),
     "hardy-ii-near": _hardy("weighted Hardy inequality, q < 1, truncated range",
-                            "ii-near"),
+                            "ii-near", "0.5", "-2.0"),
     "wulff-riesz-domination": (
         "Wulff potential dominated by the composed Riesz potential", _run_domination,
         {"alpha": (float, "0.5"), "s": (float, "3.0"), "samples": (int, "100")}),
@@ -733,15 +734,23 @@ def _cmd_norm(args) -> int:
 
 
 def _cmd_potential(args) -> int:
+    # a flag that the chosen kind would not read is an error before any work
+    if args.kind == "wulff" and args.out:
+        raise ConfigError("--out writes the map of --kind riesz or havin-mazya; "
+                          "--kind wulff evaluates one point")
+    if args.kind != "wulff" and args.radius is not None:
+        raise ConfigError(f"--radius truncates --kind wulff; --kind {args.kind} "
+                          "does not read it")
+    if args.kind == "riesz" and args.s is not None:
+        raise ConfigError("--s is an exponent of --kind wulff or havin-mazya; "
+                          "--kind riesz does not read it")
+    s = 2.0 if args.s is None else args.s
     f = read_field(args.field)
     geom = f.geometry
     x = _floats(args.point) if args.point else geom.center
     if args.kind == "wulff":
-        if args.out:
-            raise ConfigError("--out writes the map of --kind riesz or havin-mazya; "
-                              "--kind wulff evaluates one point")
         radius = args.radius if args.radius is not None else math.inf
-        value = wulff_potential(f, PotentialParams(args.alpha, args.s, radius), x)
+        value = wulff_potential(f, PotentialParams(args.alpha, s, radius), x)
         print(format(value, ".12g"))
         return 0
     if args.out and geom.dim != 2:
@@ -750,9 +759,9 @@ def _cmd_potential(args) -> int:
     if args.kind == "riesz":
         field_map = riesz_map(f, args.alpha)
     elif args.out:
-        field_map = havin_mazya_map(f, args.alpha, args.s)
+        field_map = havin_mazya_map(f, args.alpha, s)
     else:  # V at one cell costs one inner map, not two
-        print(format(havin_mazya_at(f, args.alpha, args.s, x), ".12g"))
+        print(format(havin_mazya_at(f, args.alpha, s, x), ".12g"))
         return 0
     print(format(float(value_at(field_map, x)[0]), ".12g"))
     if args.out:
@@ -768,8 +777,7 @@ def _cmd_potential(args) -> int:
 _FLAGS = {
     "--seed": {"help": "RNG seed (u64); overrides the config seed"},
     "--out": {"help": "output directory"},
-    "--threads": {"type": int, "help": "worker threads, at least 1 "
-                                       "(fallback: WULFF_LAB_THREADS)"},
+    "--threads": {"type": int, "help": "worker threads, at least 1 (default 1)"},
 }
 
 
@@ -793,7 +801,7 @@ def _build_parser() -> argparse.ArgumentParser:
     command("run", _cmd_run, "run the verifications declared in a config", "config",
             "--seed", "--out", "--threads")
     command("solve", _cmd_solve, "solve the Dirichlet problem declared in a config",
-            "config", "--seed", "--out")
+            "config", "--out")
     p_norm = command("norm", _cmd_norm, "evaluate a function-space norm of a field file",
                      "field")
     p_norm.add_argument("--space", required=True,
@@ -803,8 +811,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pot = command("potential", _cmd_potential,
                     "evaluate a potential of a nonnegative field", "field", "--out")
     p_pot.add_argument("--alpha", type=float, required=True)
-    p_pot.add_argument("--s", type=float, default=2.0)
-    p_pot.add_argument("--radius", type=float, default=None)
+    p_pot.add_argument("--s", type=float, default=None,
+                       help="exponent of wulff and havin-mazya (default 2.0)")
+    p_pot.add_argument("--radius", type=float, default=None,
+                       help="truncation radius of wulff (default: largest ball "
+                            "inside the domain)")
     p_pot.add_argument("--kind", choices=("wulff", "riesz", "havin-mazya"),
                        default="wulff")
     p_pot.add_argument("--point", default=None, help="evaluation point 'x1,x2'")

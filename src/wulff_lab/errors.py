@@ -128,5 +128,5 @@ class InsufficientRadii(WulffLabError):
 
 
 class ConfigError(WulffLabError):
-    """A run configuration (config file or ``WULFF_LAB_THREADS``) is
-    malformed or violates a precondition."""
+    """A run configuration (config file or command-line flags) is malformed,
+    violates a precondition, or sets a value that nothing would read."""

@@ -548,6 +548,8 @@ def balance_report(pair: TransformPair, t0: float = 1.0) -> BalanceReport:
     else:
         for _ in range(80):
             mid = math.sqrt(lo * hi)
+            if mid in (lo, hi):
+                break  # no float strictly between: every later step repeats this one
             if holds(mid):
                 hi = mid
             else:

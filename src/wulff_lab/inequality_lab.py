@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -174,16 +173,10 @@ def _assemble(theorem: str, params: dict, samples: list[SampleRecord],
 
 
 def _threads(threads: int | None) -> int:
-    """Worker count: ``threads`` if given, else ``WULFF_LAB_THREADS`` (unset
-    or empty means 1); a count below 1 is an error."""
+    """Worker count: ``threads`` if given, else 1; a count below 1 is an
+    error."""
     if threads is None:
-        env = os.environ.get("WULFF_LAB_THREADS", "")
-        try:
-            threads = int(env) if env else 1
-        except ValueError:
-            raise ConfigError(
-                f"WULFF_LAB_THREADS must be an integer, got {env!r}"
-            ) from None
+        return 1
     if threads < 1:
         raise ConfigError(f"worker threads must be at least 1, got {threads}")
     return threads
@@ -564,9 +557,8 @@ def _phi_inner_from(phi: _PiecewisePhi, alpha: float, s: float,
     return total
 
 
-def _hardy_lhs(phi: _PiecewisePhi, q: float, alpha: float,
-               inner_upper: float, outer_upper: float) -> float:
-    """(∫_0^outer (∫_s^inner φ r^α dr)^q ds)^{1/q} with exact piecewise forms.
+def _hardy_lhs(phi: _PiecewisePhi, q: float, alpha: float, upper: float) -> float:
+    """(∫_0^upper (∫_s^upper φ r^α dr)^q ds)^{1/q} with exact piecewise forms.
 
     On every φ-piece the inner integral is A + B s^{α+1} (A + B log s when
     α = −1); for q = 1 the outer integral is elementary, otherwise each piece
@@ -576,12 +568,9 @@ def _hardy_lhs(phi: _PiecewisePhi, q: float, alpha: float,
 
     # piece edges for the outer variable: 0, b[0], ..., capped at the last
     # break; any remaining tail segment is handled in closed form below
-    finite_top = float(b[-1]) if math.isinf(outer_upper) else float(outer_upper)
+    finite_top = float(b[-1]) if math.isinf(upper) else float(upper)
     edges = [0.0] + [float(x) for x in b if x < finite_top] + [finite_top]
     total = 0.0
-
-    def inner_at(s: float) -> float:
-        return _phi_inner_from(phi, alpha, min(s, inner_upper), inner_upper)
 
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi <= lo:
@@ -594,9 +583,7 @@ def _hardy_lhs(phi: _PiecewisePhi, q: float, alpha: float,
             val = phi.tail
         else:
             val = float(v[np.searchsorted(b[1:], mid, side="left")])
-        if mid >= inner_upper:
-            val = 0.0  # inner integral constant (zero) beyond its upper limit
-        J_hi = inner_at(hi)
+        J_hi = _phi_inner_from(phi, alpha, hi, upper)
         if val == 0.0:
             total += J_hi**q * (hi - lo) if J_hi > 0 else 0.0
             continue
@@ -632,7 +619,7 @@ def _hardy_lhs(phi: _PiecewisePhi, q: float, alpha: float,
                     f"Hardy outer integral error {err:g} on ({lo:g}, {hi:g})"
                 )
             total += piece
-    if math.isinf(outer_upper) and phi.tail > 0:
+    if math.isinf(upper) and phi.tail > 0:
         # beyond the last break J(s) = tail·∫_s^∞ r^α dr = tail·s^{α+1}/(−α−1)
         # (α < −1 − 1/q in the only case with a tail, so both powers converge)
         a1 = alpha + 1.0
@@ -668,9 +655,9 @@ def _check_quasi_increasing(phi: _PiecewisePhi, k: float) -> None:
         )
 
 
-def _hardy_family(case: str, k: float, a: float, samples: int, seed: int,
-                  alpha: float):
-    """Seeded piecewise-constant φ ensembles per case.
+def _hardy_family(case: str, k: float, samples: int, seed: int, alpha: float):
+    """Seeded piecewise-constant φ ensembles per case, supported in (0, 2] for
+    case ii-near and in (0, 1] (plus the constant tail of ii-far) otherwise.
 
     Quasi-increasing members are built as a nondecreasing envelope times a
     bounded oscillation in [1/k, 1], which satisfies the k-sandwich by
@@ -678,7 +665,7 @@ def _hardy_family(case: str, k: float, a: float, samples: int, seed: int,
     the weight exponent is at or beyond its integrable limit.
     """
     rng = np.random.default_rng(seed)
-    top = 2.0 * a if case == "ii-near" else a
+    top = 2.0 if case == "ii-near" else 1.0
     out = []
     need_zero_start = (case == "i" and alpha <= -1.0) or case != "i"
     for _ in range(samples):
@@ -699,8 +686,7 @@ def _hardy_family(case: str, k: float, a: float, samples: int, seed: int,
 
 
 def verify_hardy(case: str, q: float, alpha: float, *, k: float = 2.0,
-                 a: float = 1.0, samples: int = 100, seed: int = 0,
-                 family: str = "random") -> VerificationReport:
+                 samples: int = 100, seed: int = 0) -> VerificationReport:
     """One-dimensional weighted Hardy inequalities for the inner kernel
     ∫_s φ(r) r^α dr.
 
@@ -709,11 +695,10 @@ def verify_hardy(case: str, q: float, alpha: float, *, k: float = 2.0,
       sides are computed in closed form and Fubini forces every ratio to 1.
     * ``case="ii-far"``: q ∈ (0,1), α < −1 − 1/q, quasi-increasing φ with
       constant k (checked), integrals over (0, ∞) with a constant tail.
-    * ``case="ii-near"``: q ∈ (0,1), −1 − 1/q ≤ α < −1, LHS over (0, a) and
-      RHS over (0, 2a), quasi-increasing φ on (0, 2a).
+    * ``case="ii-near"``: q ∈ (0,1), −1 − 1/q ≤ α < −1, LHS over (0, 1) and
+      RHS over (0, 2), quasi-increasing φ on (0, 2).
 
-    ``family="ones"`` replaces the random ensemble by φ ≡ 1 (used for the
-    closed-form Beta-function instance of case ii-near).
+    Both sides scale alike under r → a·r, so the unit scale loses nothing.
     """
     if case == "i":
         if not (q >= 1):
@@ -732,41 +717,22 @@ def verify_hardy(case: str, q: float, alpha: float, *, k: float = 2.0,
             raise ParameterRangeViolation(
                 f"case ii-near needs -1 - 1/q <= alpha < -1, got {alpha}"
             )
-        if not (a > 0):
-            raise ParameterRangeViolation(f"case ii-near needs a > 0, got {a}")
     else:
         raise ParameterRangeViolation(f"unknown Hardy case {case!r}")
     if not (k >= 1):
         raise ParameterRangeViolation(f"quasi-increasing constant needs k >= 1, got {k}")
 
-    if family not in ("random", "ones"):
-        raise ParameterRangeViolation(
-            f"Hardy family must be 'random' or 'ones', got {family!r}"
-        )
-
-    if family == "ones":
-        top = 2.0 * a if case == "ii-near" else a
-        phis = [_PiecewisePhi(np.array([0.0, top]), np.array([1.0]),
-                              tail=1.0 if case == "ii-far" else 0.0)]
-    else:
-        phis = _hardy_family(case, k, a, samples, seed, alpha)
-
-    if case == "ii-near":
-        inner_up, outer_up, rhs_up = a, a, 2.0 * a
-    else:
-        inner_up = outer_up = rhs_up = math.inf
-
+    upper, rhs_up = (1.0, 2.0) if case == "ii-near" else (math.inf, math.inf)
     records = []
-    for i, phi in enumerate(phis):
+    for i, phi in enumerate(_hardy_family(case, k, samples, seed, alpha)):
         if case != "i":
             _check_quasi_increasing(phi, k)
-        lhs = _hardy_lhs(phi, q, alpha, inner_up, outer_up)
+        lhs = _hardy_lhs(phi, q, alpha, upper)
         rhs = _hardy_rhs(phi, q, alpha, rhs_up)
         records.append(_record(f"phi[{i}]", lhs, rhs))
     return _assemble(
         f"hardy-{case}",
-        {"q": q, "alpha": alpha, "k": k, "a": a, "family": family,
-         "seed": seed, "samples": len(records)},
+        {"q": q, "alpha": alpha, "k": k, "seed": seed, "samples": len(records)},
         records,
         [],
     )

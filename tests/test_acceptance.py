@@ -33,6 +33,7 @@ from wulff_lab.inequality_lab import (
     verify_regularity_exponents,
     verify_telescope,
 )
+from wulff_lab.inequality_lab import _hardy_lhs, _PiecewisePhi
 from wulff_lab.plaplace_solver import (
     DirichletProblem,
     SystemParams,
@@ -79,8 +80,9 @@ def test_criterion_2_hardy_fubini_and_beta():
     rep = verify_hardy("i", 1.0, 0.0, samples=50, seed=0)
     fubini_ok = all(abs(s.ratio - 1.0) <= 1e-8 for s in rep.samples)
 
-    beta = verify_hardy("ii-near", 0.5, -2.0, a=1.0, family="ones")
-    lhs = beta.samples[0].lhs
+    # φ ≡ 1 on (0, 2], case ii-near, q = 1/2, α = −2: a Beta integral
+    lhs = _hardy_lhs(_PiecewisePhi(np.array([0.0, 2.0]), np.array([1.0])),
+                     0.5, -2.0, 1.0)
     target = (math.pi / 2.0) ** 2
     beta_ok = abs(lhs - target) <= 1e-3
     check(

@@ -198,7 +198,7 @@ def test_shared_option_needs_one_selected_reader(tmp_path):
 _NON_DEFAULT = {
     "x": "0.3,0.6", "points": "0.4,0.4; 0.6,0.5", "samples": "7", "r_outer": "0.3",
     "r_inner": "0.08", "allowance": "0.2", "r_ball": "0.2", "residual_tol": "1e-3",
-    "q": "3.5", "alpha": "-0.75", "k": "3", "a": "2", "family": "other", "s": "2.5",
+    "q": "3.5", "alpha": "-0.75", "k": "3", "s": "2.5",
     "sigma": "1.25", "rho": "3", "young_a": "power,3", "young_b": "zygmund,2,1",
     "t0": "0.5", "beta": "0.25", "cells": "40",
 }
@@ -255,9 +255,10 @@ _REAL_BASE = {
     "telescoping-means": {"samples": "2"},
     "pointwise-wulff": {"points": "0.5,0.5"},
     "pointwise-oscillation": {"points": "0.5,0.5"},
-    "hardy-i": {"samples": "3"},
-    "hardy-ii-far": {"q": "0.5", "alpha": "-3.5", "samples": "3"},
-    "hardy-ii-near": {"q": "0.5", "alpha": "-2.5", "samples": "3"},
+    # at q = 1 Fubini makes every hardy-i ratio 1 whatever alpha is
+    "hardy-i": {"q": "2", "samples": "3"},
+    "hardy-ii-far": {"samples": "3"},
+    "hardy-ii-near": {"samples": "3"},
     "wulff-riesz-domination": {"samples": "2"},
     "potential-norms-A-i": {"sigma": "1.5", "samples": "2"},
     "potential-norms-A-iii": {"rho": "3", "samples": "2"},
@@ -274,13 +275,14 @@ _REAL_BASE = {
 _REAL_SECOND = {
     "x": "0.4,0.6", "points": "0.4,0.5", "samples": "4", "r_outer": "0.3",
     "r_inner": "0.1", "allowance": "0.2", "r_ball": "0.2", "residual_tol": "1e-7",
-    "q": "2", "alpha": "0.4", "k": "3", "a": "2", "family": "ones", "s": "2.5",
+    "q": "2", "alpha": "0.4", "k": "3", "s": "2.5",
     "sigma": "1.25", "rho": "3", "young_a": "power,1.25", "young_b": "power,4",
     "t0": "0.5", "beta": "0.2", "cells": "136",
 }
 _REAL_SECOND_FOR = {
+    "hardy-i": {"q": "3"},
     "hardy-ii-far": {"q": "0.6", "alpha": "-4"},
-    "hardy-ii-near": {"q": "0.6", "alpha": "-2"},
+    "hardy-ii-near": {"q": "0.6", "alpha": "-2.5"},
     "potential-norms-A-iii": {"rho": "4"},
     "potential-norms-A-iv": {"rho": "0.6"},
     "regularity-holder": {"q": "10"},
@@ -288,12 +290,27 @@ _REAL_SECOND_FOR = {
 }
 
 
+def _same_check(a, b):
+    """Whether two outcomes, each a report or the name of the error raised,
+    check the same thing: sample labels, ratios and C* (rtol 1e-9), pass flag
+    and notes.  lhs and rhs alone are left out, since a change of units moves
+    them and not the check."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return ([s.label for s in a.samples] == [s.label for s in b.samples]
+            and (a.passed, a.notes) == (b.passed, b.notes)
+            and np.allclose([s.ratio for s in a.samples] + [a.c_star],
+                            [s.ratio for s in b.samples] + [b.c_star],
+                            rtol=1e-9, atol=0.0))
+
+
 @pytest.mark.parametrize("name", list(THEOREMS))
 def test_every_theorem_option_changes_the_report(tmp_path, name):
     # the real verifiers: each declared option, moved to a second admissible
-    # value, must change the samples, notes or pass flag, or whether the
-    # theorem raises; an option that only reaches 'params' is one the user
-    # could set without changing what was checked
+    # value, must change what is checked (sample labels, ratios, C*, notes or
+    # pass flag) or whether the theorem raises; an option that only reaches
+    # 'params', or only rescales both sides, is one the user could set
+    # without changing what was checked
     import wulff_lab.cli as cli
     from wulff_lab.errors import WulffLabError
     from wulff_lab.plaplace_solver import manufacture
@@ -317,18 +334,16 @@ F = F.wlf
 
     def outcome(given):
         try:
-            report = cli._run_theorem(cfg, name, given, 0, 1).to_dict()
+            return cli._run_theorem(cfg, name, given, 0, 1)
         except WulffLabError as exc:
             return type(exc).__name__
-        report.pop("params")
-        return report
 
     base = _REAL_BASE.get(name, {})
     default = outcome(base)
-    assert isinstance(default, dict), default
+    assert not isinstance(default, str), default
     seconds = {**_REAL_SECOND, **_REAL_SECOND_FOR.get(name, {})}
     unchanged = [key for key in THEOREMS[name][2]
-                 if outcome({**base, key: seconds[key]}) == default]
+                 if _same_check(outcome({**base, key: seconds[key]}), default)]
     assert unchanged == []
 
 
@@ -580,6 +595,20 @@ def test_run_every_theorem_id(tmp_path, capsys):
     assert [ln.split()[1] for ln in lines] == list(THEOREMS)
 
 
+def test_hardy_ii_runs_on_its_defaults(tmp_path, capsys):
+    # no option set: the default q and alpha of each case lie in that case
+    cfg = write_config(tmp_path / "hardy.ini", """\
+[grid]
+cells = 8,8
+
+[verify]
+theorems = hardy-ii-far, hardy-ii-near
+""")
+    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert "pass  hardy-ii-far" in out and "pass  hardy-ii-near" in out
+
+
 PAIR_CONFIG = """\
 [grid]
 cells = 32,32
@@ -724,8 +753,14 @@ def test_list_theorems_and_help(capsys):
     ["potential", "f.wlf", "--alpha", "0.5", "--seed", "1"],
     ["potential", "f.wlf", "--alpha", "0.5", "--threads", "2"],
     ["solve", "job.ini", "--threads", "2"],
+    ["solve", "job.ini", "--seed", "1"],
+    # and a potential flag that the chosen --kind does not read is an error too
+    ["potential", "f.wlf", "--alpha", "0.5", "--kind", "riesz", "--radius", "0.01"],
+    ["potential", "f.wlf", "--alpha", "0.5", "--kind", "havin-mazya", "--radius", "0.01"],
+    ["potential", "f.wlf", "--alpha", "0.5", "--kind", "riesz", "--s", "7"],
 ], ids=["bad-number", "no-config", "unknown-command", "norm-seed", "norm-out",
-        "norm-threads", "potential-seed", "potential-threads", "solve-threads"])
+        "norm-threads", "potential-seed", "potential-threads", "solve-threads",
+        "solve-seed", "riesz-radius", "havin-mazya-radius", "riesz-s"])
 def test_usage_errors_exit_1(capsys, argv):
     # exit 2 means a failed verification, so a usage error is a config error
     assert main(argv) == 1
@@ -886,7 +921,7 @@ def test_norm_command_bad_space(tmp_path, capsys):
         assert captured.err.startswith("error:") and captured.out == ""
     # a field file whose header declares a nonpositive extent
     bad = tmp_path / "neg.wlf"
-    bad.write_bytes(open(path, "rb").read().replace(b"extent=1.0,1.0",
+    bad.write_bytes(Path(path).read_bytes().replace(b"extent=1.0,1.0",
                                                     b"extent=-1.0,1.0"))
     assert main(["norm", str(bad), "--space", "L2"]) == 1
     err = capsys.readouterr().err
@@ -1103,6 +1138,22 @@ def test_potential_wulff_rejects_out(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --out writes the map of --kind riesz")
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("kind, flags", [
+    ("riesz", ["--radius", "0.01"]),
+    ("havin-mazya", ["--radius", "0.01"]),
+    ("riesz", ["--s", "7"]),
+], ids=["riesz-radius", "havin-mazya-radius", "riesz-s"])
+def test_potential_rejects_flags_its_kind_does_not_read(tmp_path, capsys, kind, flags):
+    # on a readable field, so that only the unread flag can fail the command
+    _, path = field_file(tmp_path, lambda x, y: np.ones_like(x))
+    argv = ["potential", path, "--alpha", "0.5", "--kind", kind]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flags[0]} ") and captured.out == ""
 
 
 @pytest.mark.parametrize("kind", ["riesz", "havin-mazya"])
@@ -1338,12 +1389,29 @@ _README_SVG_DIGESTS = {
 }
 
 
+# sha256 of the reports of the README config; report.json lost the hardy-i
+# params 'a' and 'family' when those options were removed, report.csv is
+# unchanged
+_README_REPORT_DIGESTS = {
+    "report.json": "a667dbc25cb98eb8471faf312fa85d4ff670ea8dad68bc36e59da9ce3fc26172",
+    "report.csv": "bc613198f71e3ac42a24ec19d2b6cef59413eaec60a116fcf45c7afa4f45ec72",
+}
+
+
 def test_readme_config_heatmaps_keep_their_bytes(tmp_path, capsys):
     cfg = write_config(tmp_path / "readme.ini", README_CONFIG)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
     for name, digest in _README_SVG_DIGESTS.items():
         assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest
+
+
+def test_readme_config_reports_keep_their_bytes(tmp_path, capsys):
+    cfg = write_config(tmp_path / "readme.ini", README_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    for name, digest in _README_REPORT_DIGESTS.items():
+        assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest, name
 
 
 def test_heatmap_rejects_vector_fields(tmp_path):
@@ -1363,21 +1431,12 @@ def test_heatmap_rejects_3d_fields(tmp_path):
 # plumbing
 
 
-def test_threads_resolution(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("WULFF_LAB_THREADS", "3")
+def test_threads_resolution():
+    # --threads is the one way to set the worker count; without it runs are serial
     assert _threads(2) == 2
-    monkeypatch.delenv("WULFF_LAB_THREADS")
     assert _threads(None) == 1
-    monkeypatch.setenv("WULFF_LAB_THREADS", "3")
-    assert _threads(None) == 3
-    monkeypatch.setenv("WULFF_LAB_THREADS", "")
-    assert _threads(None) == 1
-    monkeypatch.setenv("WULFF_LAB_THREADS", "abc")
-    with pytest.raises(ConfigError, match="WULFF_LAB_THREADS"):
-        _threads(None)
-    cfg = write_config(tmp_path / "job.ini", RUN_CONFIG)
-    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "WULFF_LAB_THREADS" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="at least 1"):
+        _threads(0)
 
 
 def test_profile_vocabulary():
