@@ -63,7 +63,6 @@ from .function_spaces import (
     morrey_norm,
     potential_young_transforms,
     rearrange,
-    weight_one,
     weight_power,
     young_dexp,
     young_exp,
@@ -72,8 +71,10 @@ from .function_spaces import (
 )
 from .inequality_lab import (
     FAMILY_VERSION,
+    GatedPair,
     SampleRecord,
     VerificationReport,
+    gate_pair,
     random_field,
     verify_domination,
     verify_energy_inequalities,

@@ -150,9 +150,8 @@ SECTIONS = {
              "origin": (_floats, lambda geom, got: (0.0,) * len(got["cells"]))},
     "system": {"p": (float, "2.0")},
     "data": {"u": (str, ""), "F": (str, ""), "boundary": (_boundary, "0"),
-             "seed": (_u64, "0")},
-    "solver": {"tol": (float, None), "max_iters": (int, None),
-               "eps_start": (float, None), "eps_final": (float, None)},
+             "seed": (_u64, "0"), "residual_tol": (float, "1e-5")},
+    "solver": {"tol": (float, None), "max_iters": (int, None)},
     "verify": {"theorems": (_names, "")},
     "output": {"dir": (str, "out"), "json": (str, "report.json"),
                "csv": (str, "report.csv"), "heatmaps": (_names, ""),
@@ -214,6 +213,9 @@ class RunConfig:
         d = section("data")
         self.u_spec, self.f_spec = d["u"], d["F"]
         self.boundary, self.seed = d["boundary"], d["seed"]
+        self.residual_tol = d["residual_tol"]
+        if not (self.residual_tol > 0):  # a nan would pass every pair
+            raise ConfigError(f"[data] residual_tol must be > 0, got {self.residual_tol}")
         for spec in (self.u_spec, self.f_spec):
             if spec and not spec.startswith("profile:") and spec != "manufactured":
                 path = os.path.join(base_dir, spec)
@@ -253,7 +255,7 @@ class RunConfig:
                               f"{self.geometry.dim} cell counts")
 
         self.base_dir = base_dir
-        self._pair = None
+        self._pair = self._gated = None
 
     def pair(self) -> tuple[GridField, GridField]:
         """The (u, F) pair of ``[data]``, loaded on first use and kept for the
@@ -270,6 +272,14 @@ class RunConfig:
             else:
                 self._pair = u, _read_on_grid(self, self.f_spec, "F")
         return self._pair
+
+    def gated_pair(self) -> iq.GatedPair:
+        """The pair of :meth:`pair`, gated once for the command at
+        ``[data] residual_tol``.  The pair theorems take this one; heatmaps
+        and ``solve`` take :meth:`pair`, which need not be a solution."""
+        if self._gated is None:
+            self._gated = iq.gate_pair(*self.pair(), self.p, self.residual_tol)
+        return self._gated
 
 
 def parse_config(path: str) -> RunConfig:
@@ -397,21 +407,19 @@ def _run_telescope(cfg, seed, threads, x, samples, r_outer, r_inner, allowance):
 
 
 def _pointwise(summary, osc):
-    def run(cfg, seed, threads, points, r_ball, residual_tol):
+    def run(cfg, seed, threads, points, r_ball):
         verify = iq.verify_pointwise_osc if osc else iq.verify_pointwise
-        return verify(*cfg.pair(), cfg.p, r_ball, points, residual_tol=residual_tol)
+        return verify(cfg.gated_pair(), r_ball, points)
 
-    return summary, run, {"points": (_points, _lattice), "r_ball": (float, _r_ball),
-                          "residual_tol": (float, "1e-5")}
-
-
-def _run_oscillation(cfg, seed, threads, x, r_ball, residual_tol):
-    return iq.verify_oscillation(*cfg.pair(), cfg.p, x, r_ball, residual_tol=residual_tol)
+    return summary, run, {"points": (_points, _lattice), "r_ball": (float, _r_ball)}
 
 
-def _run_energy(cfg, seed, threads, x, r_ball, residual_tol, q):
-    return iq.verify_energy_inequalities(*cfg.pair(), cfg.p, x, r_ball, q=q,
-                                         residual_tol=residual_tol)
+def _run_oscillation(cfg, seed, threads, x, r_ball):
+    return iq.verify_oscillation(cfg.gated_pair(), x, r_ball)
+
+
+def _run_energy(cfg, seed, threads, x, r_ball, q):
+    return iq.verify_energy_inequalities(cfg.gated_pair(), x, r_ball, q=q)
 
 
 def _hardy(summary, case, q, alpha, drop=()):
@@ -462,12 +470,10 @@ THEOREMS = {
         "|u(x)| bounded by the mean-oscillation potential of F plus a mean", True),
     "oscillation-decay": (
         "mean oscillation of u at scale r controlled by a Dini-type F term",
-        _run_oscillation, {"x": (_floats, _center), "r_ball": (float, _r_ball),
-                           "residual_tol": (float, "1e-5")}),
+        _run_oscillation, {"x": (_floats, _center), "r_ball": (float, _r_ball)}),
     "energy-caccioppoli": (
         "reverse Hoelder and Caccioppoli inequalities on nested balls", _run_energy,
-        {"x": (_floats, _center), "r_ball": (float, _r_ball),
-         "residual_tol": (float, "1e-5"), "q": (float, None)}),
+        {"x": (_floats, _center), "r_ball": (float, _r_ball), "q": (float, None)}),
     "hardy-i": _hardy("weighted Hardy inequality, q >= 1", "i", "1.0", "0.0",
                       drop=("k",)),
     "hardy-ii-far": _hardy("weighted Hardy inequality, q < 1, alpha < -1-1/q", "ii-far",

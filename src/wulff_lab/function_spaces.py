@@ -54,7 +54,6 @@ __all__ = [
     "balance_report",
     "WeightFunction",
     "weight_power",
-    "weight_one",
     "SupScanResult",
     "campanato_seminorm",
     "morrey_norm",
@@ -173,27 +172,9 @@ def _lz_quad_piece(s0: float, s1: float, a: float, b: float, M: float) -> float:
     return val
 
 
-def _lz_weight_sup(s0: float, s1: float, c: float, beta: float, M: float) -> float:
-    """sup of s^c (1 + log(M/s))^β over [s0, s1] (s0 may be 0)."""
-
-    def w(s: float) -> float:
-        return s**c * (1.0 + math.log(M / s)) ** beta
-
-    cands = [w(s1)]
-    if s0 > 0:
-        cands.append(w(s0))
-    else:
-        if c > 0:
-            cands.append(0.0)
-        elif c == 0:
-            cands.append(math.inf if beta > 0 else (1.0 if beta == 0 else 0.0))
-        else:
-            cands.append(math.inf)
-    if c != 0 and beta != 0 and beta / c > 0:
-        s_star = M * math.exp(1.0 - beta / c)
-        if (s0 if s0 > 0 else 0.0) < s_star < s1:
-            cands.append(w(s_star))
-    return max(cands)
+def _lz_weight(s: np.ndarray, c: float, beta: float, M: float) -> np.ndarray:
+    """s^c (1 + log(M/s))^β at the points 0 < s ≤ M."""
+    return s**c * (1.0 + np.log(M / s)) ** beta
 
 
 def lorentz_zygmund_norm(f: GridField, params: LorentzParams) -> float:
@@ -201,8 +182,9 @@ def lorentz_zygmund_norm(f: GridField, params: LorentzParams) -> float:
 
     For ϱ < ∞ the integral is a finite sum over rearrangement steps, each
     step contributing its value times an exact (or adaptively quadratured)
-    weight integral; for ϱ = ∞ the sup is resolved per step including the
-    interior critical point of the weight.  With (q, q, 0) this reproduces
+    weight integral; for ϱ = ∞ the sup over each step is the largest of the
+    weight at its two ends (at s = 0, the limit) and at the interior critical
+    point of the weight.  With (q, q, 0) this reproduces
     the Lebesgue norm exactly, since the weight integrates to step widths.
     """
     r = rearrange(f)
@@ -211,18 +193,24 @@ def lorentz_zygmund_norm(f: GridField, params: LorentzParams) -> float:
     values = r.values
     inv_q = 0.0 if math.isinf(q) else 1.0 / q
 
-    if math.isinf(rho):
-        best = 0.0
-        s_prev = 0.0
-        for v, s_next in zip(values, r.breakpoints):
-            if v > 0:
-                best = max(best, v * _lz_weight_sup(s_prev, s_next, inv_q, beta, M))
-            s_prev = s_next
-        return best
-
     # f* is nonincreasing, so the steps with v > 0 are a prefix
     k = int(np.count_nonzero(values > 0))
     steps = np.arange(k + 1) * r.cell_measure  # 0 and the first k breakpoints
+    if math.isinf(rho):
+        if k == 0:
+            return 0.0
+        right = _lz_weight(steps[1:], inv_q, beta, M)
+        # the weight as s -> 0, where c = 1/q >= 0
+        at_zero = 0.0 if inv_q > 0 else (math.inf if beta > 0 else float(beta == 0))
+        sup = np.maximum(right, np.concatenate(([at_zero], right[:-1])))
+        if inv_q != 0 and beta / inv_q > 0:
+            # s* = M e^{1−β/c} maximizes the weight; clipped into each step it
+            # is an end of every step but the one that holds it
+            s_star = M * math.exp(1.0 - beta / inv_q)
+            sup = np.maximum(sup, _lz_weight(np.clip(s_star, steps[:-1], steps[1:]),
+                                             inv_q, beta, M))
+        return float(np.max(values[:k] * sup))
+
     pieces = _lz_piece_integral(steps[:-1], steps[1:], rho * inv_q, rho * beta, M)
     if np.isinf(pieces).any():
         return math.inf
@@ -574,14 +562,9 @@ class WeightFunction:
 
 
 def weight_power(beta: float) -> WeightFunction:
-    """ω(r) = r^β (nondecreasing for β ≥ 0)."""
+    """ω(r) = r^β (nondecreasing for β ≥ 0); β = 0 makes the Campanato scan
+    the sampled mean-oscillation seminorm."""
     return WeightFunction(lambda r: r**beta, nondecreasing=beta >= 0)
-
-
-def weight_one() -> WeightFunction:
-    """ω ≡ 1: Campanato scan becomes the sampled mean-oscillation seminorm."""
-    return WeightFunction(lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                          nondecreasing=True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ existential constants, so except for the telescoping lemma (whose constants
 2^{2n+2} and 2^{2n+3} are explicit) a verifier asserts finiteness and
 stability of C*, never its magnitude.
 
-Pairs (u, F) must be discrete weak solutions: every solution-based verifier
-measures the weak residual first and refuses to proceed above tolerance
-(:class:`ResidualTooLarge`), so a bound can never look "verified" against
-data that does not solve the system.
+Pairs (u, F) must be discrete weak solutions: every pair check takes a
+:class:`GatedPair`, which only :func:`gate_pair` builds, after measuring the
+weak residual and refusing a pair above tolerance (:class:`ResidualTooLarge`).
+So a bound can never look "verified" against data that does not solve the
+system, and a pair checked by several verifiers is gated once.
 
 Random test families are seeded and versioned; reports whose samples come
 from :func:`random_field` embed the family version so archived numbers stay
@@ -61,7 +62,6 @@ from .function_spaces import (
     morrey_norm,
     potential_young_transforms,
     rearrange,
-    weight_one,
     weight_power,
 )
 from .plaplace_solver import manufacture, weak_residual
@@ -77,8 +77,10 @@ from .potential_engine import (
 
 __all__ = [
     "FAMILY_VERSION",
+    "GatedPair",
     "SampleRecord",
     "VerificationReport",
+    "gate_pair",
     "random_field",
     "radial_profile",
     "verify_pointwise",
@@ -301,7 +303,20 @@ def radial_profile(geom: GridGeometry, power: float | None,
 # residual gate and small ball helpers
 
 
-def _gate_pair(u: GridField, F: GridField, p: float, tol: float) -> float:
+@dataclass(frozen=True)
+class GatedPair:
+    """A pair (u, F) whose weak residual at exponent p passed the gate of
+    :func:`gate_pair`; the pair verifiers take nothing else."""
+
+    u: GridField
+    F: GridField
+    p: float
+    residual: float
+
+
+def gate_pair(u: GridField, F: GridField, p: float, tol: float) -> GatedPair:
+    """The pair with its weak residual, or :class:`ResidualTooLarge` when the
+    residual exceeds ``tol``."""
     res = weak_residual(u, F, p)
     if res > tol:
         raise ResidualTooLarge(
@@ -309,7 +324,7 @@ def _gate_pair(u: GridField, F: GridField, p: float, tol: float) -> float:
             "refusing to verify estimates against a non-solution",
             residual=res,
         )
-    return res
+    return GatedPair(u, F, p, res)
 
 
 def _ball_qmean(mag: GridField, ball: Ball, q: float) -> float:
@@ -327,16 +342,14 @@ def _power_field(f: GridField, power: float) -> GridField:
 # pointwise estimates
 
 
-def _pointwise_terms(u: GridField, F: GridField, p: float, R: float,
-                     points: Sequence[Sequence[float]], residual_tol: float):
-    """The gated residual of the pair and, per point x, (x, |u(x)|, W, ⨍|u|)
-    with W = W^R_{p/(p+1), p+1}(|F|^{p'})(x) and the mean over B_R(x): the
-    terms both pointwise bounds share."""
-    res = _gate_pair(u, F, p, residual_tol)
-    data = _power_field(F, p / (p - 1.0))
+def _pointwise_terms(pair: GatedPair, R: float, points: Sequence[Sequence[float]]):
+    """Per point x, (x, |u(x)|, W, ⨍|u|) with W = W^R_{p/(p+1), p+1}(|F|^{p'})(x)
+    and the mean over B_R(x): the terms both pointwise bounds share."""
+    u, p = pair.u, pair.p
+    data = _power_field(pair.F, p / (p - 1.0))
     absu = u.magnitude()
     params = PotentialParams(p / (p + 1.0), p + 1.0, R)
-    return res, [
+    return [
         (x, float(np.linalg.norm(value_at(u, x))), wulff_potential(data, params, x),
          float(ball_average(absu, Ball(tuple(x), R))[0]))
         for x in points
@@ -347,30 +360,28 @@ def _point_label(x: Sequence[float]) -> str:
     return f"x={tuple(float(c) for c in x)}"
 
 
-def verify_pointwise(u: GridField, F: GridField, p: float, R: float,
-                     points: Sequence[Sequence[float]], *,
-                     residual_tol: float = 1e-5) -> VerificationReport:
+def verify_pointwise(pair: GatedPair, R: float,
+                     points: Sequence[Sequence[float]]) -> VerificationReport:
     """Pointwise Wulff-potential bound for weak solutions:
 
         |u(x)| ≤ C [ W^R_{p/(p+1), p+1}(|F|^{p'})(x) + ⨍_{B_R(x)}|u| ].
 
-    The pair is gated on its weak residual; every sample ball must fit in
-    the domain.  Both sides are 1-homogeneous under the p-Laplace rescaling
-    (u, F) → (λu, λ^{p−1}F), so the fitted C* is scale-free.
+    Every sample ball must fit in the domain.  Both sides are 1-homogeneous
+    under the p-Laplace rescaling (u, F) → (λu, λ^{p−1}F), so the fitted C*
+    is scale-free.
     """
-    res, terms = _pointwise_terms(u, F, p, R, points, residual_tol)
+    terms = _pointwise_terms(pair, R, points)
     samples = [_record(_point_label(x), lhs, W + mean_u) for x, lhs, W, mean_u in terms]
     return _assemble(
         "pointwise-wulff",
-        {"p": p, "R": R, "residual": res, "points": len(samples)},
+        {"p": pair.p, "R": R, "residual": pair.residual, "points": len(samples)},
         samples,
         [],
     )
 
 
-def verify_pointwise_osc(u: GridField, F: GridField, p: float, R: float,
-                         points: Sequence[Sequence[float]], *,
-                         residual_tol: float = 1e-5) -> VerificationReport:
+def verify_pointwise_osc(pair: GatedPair, R: float,
+                         points: Sequence[Sequence[float]]) -> VerificationReport:
     """Pointwise bound with the smaller mean-oscillation potential:
 
         |u(x)| ≤ C [ ∫₀^R (⨍_{B_ρ(x)}|F − ⟨F⟩|^{p'})^{1/p} dρ + ⨍_{B_R(x)}|u| ].
@@ -381,12 +392,13 @@ def verify_pointwise_osc(u: GridField, F: GridField, p: float, R: float,
     comparison is re-checked here on every sample and a violation fails the
     report.
     """
-    res, terms = _pointwise_terms(u, F, p, R, points, residual_tol)
+    terms = _pointwise_terms(pair, R, points)
+    p = pair.p
     factor = 2.0 ** (1.0 / (p - 1.0))
     samples = []
     comparison_ok = True
     for x, lhs, W, mean_u in terms:
-        osc_pot = oscillation_potential(F, p, R, x)
+        osc_pot = oscillation_potential(pair.F, p, R, x)
         if osc_pot > factor * W * (1.0 + 1e-9):
             comparison_ok = False
         samples.append(_record(_point_label(x), lhs, osc_pot + mean_u))
@@ -396,16 +408,15 @@ def verify_pointwise_osc(u: GridField, F: GridField, p: float, R: float,
     ]
     return _assemble(
         "pointwise-oscillation",
-        {"p": p, "R": R, "residual": res, "points": len(samples)},
+        {"p": p, "R": R, "residual": pair.residual, "points": len(samples)},
         samples,
         notes,
         extra_pass=comparison_ok,
     )
 
 
-def verify_oscillation(u: GridField, F: GridField, p: float,
-                       x: Sequence[float], R: float, *,
-                       residual_tol: float = 1e-5) -> VerificationReport:
+def verify_oscillation(pair: GatedPair, x: Sequence[float],
+                       R: float) -> VerificationReport:
     """Oscillation decay estimate at the dyadic scales r = R/2, R/4, … ≥ 2h:
 
         ⨍_{B_r}|u − ⟨u⟩_{B_r}|
@@ -414,7 +425,7 @@ def verify_oscillation(u: GridField, F: GridField, p: float,
 
     Raises :class:`InsufficientRadii` when R < 4h leaves no scale.
     """
-    res = _gate_pair(u, F, p, residual_tol)
+    u, p = pair.u, pair.p
     geom = u.geometry
     r_min = 2.0 * max(geom.spacing)
     radii = []
@@ -432,7 +443,7 @@ def verify_oscillation(u: GridField, F: GridField, p: float,
 
     # one shell-ordered view of F serves the quadratures of every scale
     quads = [RadialQuadrature.log_spaced(r, R) for r in radii]
-    oscs = iter(nested_balls(F, x, [rho for quad in quads for rho in quad.radii])
+    oscs = iter(nested_balls(pair.F, x, [rho for quad in quads for rho in quad.radii])
                 .oscillations(pp))
     samples = []
     for r, quad in zip(radii, quads):
@@ -442,7 +453,7 @@ def verify_oscillation(u: GridField, F: GridField, p: float,
         samples.append(_record(f"r={r:.6g}", lhs, rhs))
     return _assemble(
         "oscillation-decay",
-        {"p": p, "R": R, "x": tuple(float(c) for c in x), "residual": res,
+        {"p": p, "R": R, "x": tuple(float(c) for c in x), "residual": pair.residual,
          "radii": len(samples)},
         samples,
         [],
@@ -742,10 +753,8 @@ def verify_hardy(case: str, q: float, alpha: float, *, k: float = 2.0,
 # energy inequalities
 
 
-def verify_energy_inequalities(u: GridField, F: GridField, p: float,
-                               x: Sequence[float], R: float, *,
-                               q: float | None = None,
-                               residual_tol: float = 1e-5) -> VerificationReport:
+def verify_energy_inequalities(pair: GatedPair, x: Sequence[float], R: float, *,
+                               q: float | None = None) -> VerificationReport:
     """Interior energy estimates on the nested balls B = B_{R/2} ⊂ 2B = B_R:
 
     reverse Hölder   (⨍_B |∇u|^p)^{1/p} ≤ C[⨍_{2B}|∇u| + (⨍_{2B}|F−⟨F⟩|^{p'})^{1/p}],
@@ -754,7 +763,7 @@ def verify_energy_inequalities(u: GridField, F: GridField, p: float,
 
     with diam(B) = R and q ∈ (1, n/(n−p)] (capped at 2 when p ≥ n).
     """
-    res = _gate_pair(u, F, p, residual_tol)
+    u, p = pair.u, pair.p
     geom = u.geometry
     n = geom.dim
     x = tuple(float(c) for c in x)
@@ -769,7 +778,7 @@ def verify_energy_inequalities(u: GridField, F: GridField, p: float,
     grad_mag = gradient(u).magnitude()
     absu = u.magnitude()
     pp = p / (p - 1.0)
-    f_term = ball_oscillation(F, outer, pp) ** (pp / p)
+    f_term = ball_oscillation(pair.F, outer, pp) ** (pp / p)
 
     lhs_grad = _ball_qmean(grad_mag, inner, p)
     rhs_revh = float(ball_average(grad_mag, outer)[0]) + f_term
@@ -787,7 +796,7 @@ def verify_energy_inequalities(u: GridField, F: GridField, p: float,
     ]
     return _assemble(
         "energy-caccioppoli",
-        {"p": p, "R": R, "x": x, "q": q, "residual": res},
+        {"p": p, "R": R, "x": x, "q": q, "residual": pair.residual},
         samples,
         [],
     )
@@ -1006,7 +1015,7 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
         kappa = 1.0 - n / (q * (p - 1.0))
         u = radial_profile(geom, kappa)
         F = manufacture(u, p)
-        res = _gate_pair(u, F, p, 1e-7)
+        res = gate_pair(u, F, p, 1e-7).residual
         slope, radii, oscs = _osc_slope(u, geom.center, R=0.25)
         band = 0.15 * kappa
         extra = abs(slope - kappa) <= band
@@ -1025,8 +1034,8 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
         beta_star = (n - p) / pp
         u = radial_profile(geom, None)
         F = manufacture(u, p)
-        res = _gate_pair(u, F, p, 1e-7)
-        scan = campanato_seminorm(u, weight_one())
+        res = gate_pair(u, F, p, 1e-7).residual
+        scan = campanato_seminorm(u, weight_power(0.0))
         datum = morrey_norm(F, weight_power(beta_star), q=pp)
         samples.append(_record("bmo-seminorm", scan.value, 1.0))
         samples.append(_record("datum-morrey-norm", datum.value, 1.0))
@@ -1043,7 +1052,7 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
             raise ParameterRangeViolation(f"Dini power weight needs beta > 0, got {beta}")
         u = radial_profile(geom, 1.0 + beta / (p - 1.0))
         F = manufacture(u, p)
-        res = _gate_pair(u, F, p, 1e-7)
+        res = gate_pair(u, F, p, 1e-7).residual
         slope, radii, oscs = _osc_slope(u, geom.center, R=0.25)
         scan = campanato_seminorm(F, weight_power(beta), q=pp)
         extra = slope >= 0.9 and math.isfinite(scan.value)

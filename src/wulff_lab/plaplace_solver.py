@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 
+# first and last ε of the nominal continuation schedule
+_EPS_START = 1e-1
+_EPS_FINAL = 1e-6
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Solver controls: exponent p > 1, regularization schedule, tolerances.
@@ -55,10 +60,9 @@ class SystemParams:
     ``tol`` is the relative energy-gradient tolerance of the final stage and
     the bound on its weak residual; ``max_iters`` bounds the Hessian-vector
     products (inner CG iterations) over the harmonic warm start and all
-    stages.  The ε-continuation runs
-    geometrically from ``eps_start`` down to ``eps_final``; while the weak
-    residual of the last stage stays above ``tol``, ``solve`` divides ε by 10
-    again, down to ε = 1e-16.  For p = 2 there is no continuation (ε only
+    stages.  The ε-continuation runs geometrically from ε = 1e-1 down to
+    1e-6; while the weak residual of the last stage stays above ``tol``,
+    ``solve`` divides ε by 10 again, down to ε = 1e-16.  For p = 2 there is no continuation (ε only
     shifts the energy by a constant): the solve is direct and uses none of
     the ``max_iters`` budget.
     """
@@ -66,14 +70,10 @@ class SystemParams:
     p: float
     tol: float = 1e-8
     max_iters: int = 60_000
-    eps_start: float = 1e-1
-    eps_final: float = 1e-6
 
     def __post_init__(self):
         if not (self.p > 1):
             raise ValueError(f"p-Laplace exponent must satisfy p > 1, got {self.p}")
-        if not (0 < self.eps_final <= self.eps_start):
-            raise ValueError("need 0 < eps_final <= eps_start")
         if not (self.tol > 0):
             raise ValueError("tol must be positive")
         if not (self.max_iters >= 1):
@@ -82,11 +82,11 @@ class SystemParams:
     def stages(self) -> list[float]:
         """Nominal ε schedule of the p ≠ 2 continuation."""
         out = []
-        eps = self.eps_start
-        while eps > self.eps_final * (1 + 1e-12):
+        eps = _EPS_START
+        while eps > _EPS_FINAL * (1 + 1e-12):
             out.append(eps)
             eps /= 10.0
-        out.append(self.eps_final)
+        out.append(_EPS_FINAL)
         return out
 
 
@@ -506,7 +506,7 @@ def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
             used += it
             log.append({"eps": eps, "iterations": it, "newton_steps": steps,
                         "grad_norm": gnorm})
-            # past eps_final, ε keeps falling while the residual gate fails;
+            # past _EPS_FINAL, ε keeps falling while the residual gate fails;
             # the slack absorbs the round-off of repeated division by 10
             if last and (eps / 10.0 < _EPS_FLOOR * (1 - 1e-12)
                          or residual(v) <= params.tol):

@@ -24,6 +24,7 @@ from wulff_lab.function_spaces import (
     young_zygmund,
 )
 from wulff_lab.inequality_lab import (
+    gate_pair,
     random_field,
     verify_domination,
     verify_hardy,
@@ -173,11 +174,10 @@ def test_criterion_5_main_theorem_batteries():
     for cells in (64, 128):
         for label, u, F, p in _battery_pairs(cells):
             pts = _nine_points(u.geometry)
-            rp = verify_pointwise(u, F, p, R, pts)
-            ro = verify_pointwise_osc(u, F, p, R, pts)
-            rd_cs = max(
-                verify_oscillation(u, F, p, x, R).c_star for x in pts
-            )
+            pair = gate_pair(u, F, p, 1e-5)
+            rp = verify_pointwise(pair, R, pts)
+            ro = verify_pointwise_osc(pair, R, pts)
+            rd_cs = max(verify_oscillation(pair, x, R).c_star for x in pts)
             assert rp.passed and ro.passed
             cstars.setdefault(label, {})[cells] = (rp.c_star, ro.c_star, rd_cs)
     ok = True

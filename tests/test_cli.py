@@ -197,7 +197,7 @@ def test_shared_option_needs_one_selected_reader(tmp_path):
 # on the 48x48 unit grid of RUN_CONFIG
 _NON_DEFAULT = {
     "x": "0.3,0.6", "points": "0.4,0.4; 0.6,0.5", "samples": "7", "r_outer": "0.3",
-    "r_inner": "0.08", "allowance": "0.2", "r_ball": "0.2", "residual_tol": "1e-3",
+    "r_inner": "0.08", "allowance": "0.2", "r_ball": "0.2",
     "q": "3.5", "alpha": "-0.75", "k": "3", "s": "2.5",
     "sigma": "1.25", "rho": "3", "young_a": "power,3", "young_b": "zygmund,2,1",
     "t0": "0.5", "beta": "0.25", "cells": "40",
@@ -237,6 +237,7 @@ def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, na
             monkeypatch.setattr(cli.iq, attr, stub(attr))
     monkeypatch.setattr(cli, "_merge", stub("_merge"))
     monkeypatch.setattr(cli.RunConfig, "pair", lambda self: ("u", "F"))
+    monkeypatch.setattr(cli.RunConfig, "gated_pair", lambda self: "pair")
     cfg = parse_config(write_config(tmp_path / "job.ini", RUN_CONFIG))
 
     def verifier_calls(given):
@@ -270,11 +271,10 @@ _REAL_BASE = {
     "regularity-lorentz": {"q": "1.2", "cells": "128"},
 }
 # a second admissible value of each option, replaced per theorem by
-# _REAL_SECOND_FOR where it is out of range; residual_tol 1e-7 is below the
-# pair's weak residual 2.8e-7
+# _REAL_SECOND_FOR where it is out of range
 _REAL_SECOND = {
     "x": "0.4,0.6", "points": "0.4,0.5", "samples": "4", "r_outer": "0.3",
-    "r_inner": "0.1", "allowance": "0.2", "r_ball": "0.2", "residual_tol": "1e-7",
+    "r_inner": "0.1", "allowance": "0.2", "r_ball": "0.2",
     "q": "2", "alpha": "0.4", "k": "3", "s": "2.5",
     "sigma": "1.25", "rho": "3", "young_a": "power,1.25", "young_b": "power,4",
     "t0": "0.5", "beta": "0.2", "cells": "136",
@@ -304,23 +304,16 @@ def _same_check(a, b):
                             rtol=1e-9, atol=0.0))
 
 
-@pytest.mark.parametrize("name", list(THEOREMS))
-def test_every_theorem_option_changes_the_report(tmp_path, name):
-    # the real verifiers: each declared option, moved to a second admissible
-    # value, must change what is checked (sample labels, ratios, C*, notes or
-    # pass flag) or whether the theorem raises; an option that only reaches
-    # 'params', or only rescales both sides, is one the user could set
-    # without changing what was checked
-    import wulff_lab.cli as cli
-    from wulff_lab.errors import WulffLabError
+def _near_solution_config(tmp_path, extra=""):
+    """A config for sin·sin on 32x32 at p = 1.5 with its manufactured datum
+    scaled by 1 + 1e-6 (weak residual 2.77e-7), plus the text ``extra``."""
     from wulff_lab.plaplace_solver import manufacture
 
     geom = GridGeometry((32, 32), (1.0, 1.0), (0.0, 0.0))
     F = manufacture(_profile_field(geom, "profile:sinsin"), 1.5)
-    # off the manufactured datum by a factor 1 + 1e-6: weak residual 2.8e-7
     write_field(GridField(geom, F.values * (1 + 1e-6), F.kind, codomain=F.codomain),
                 str(tmp_path / "F.wlf"))
-    cfg = parse_config(write_config(tmp_path / "job.ini", """\
+    return write_config(tmp_path / "job.ini", """\
 [grid]
 cells = 32,32
 
@@ -330,7 +323,20 @@ p = 1.5
 [data]
 u = profile:sinsin
 F = F.wlf
-"""))
+""" + extra)
+
+
+@pytest.mark.parametrize("name", list(THEOREMS))
+def test_every_theorem_option_changes_the_report(tmp_path, name):
+    # the real verifiers: each declared option, moved to a second admissible
+    # value, must change what is checked (sample labels, ratios, C*, notes or
+    # pass flag) or whether the theorem raises; an option that only reaches
+    # 'params', or only rescales both sides, is one the user could set
+    # without changing what was checked
+    import wulff_lab.cli as cli
+    from wulff_lab.errors import WulffLabError
+
+    cfg = parse_config(_near_solution_config(tmp_path))
 
     def outcome(given):
         try:
@@ -345,6 +351,48 @@ F = F.wlf
     unchanged = [key for key in THEOREMS[name][2]
                  if _same_check(outcome({**base, key: seconds[key]}), default)]
     assert unchanged == []
+
+
+def test_data_residual_tol_gates_the_pair(tmp_path, capsys):
+    # the 2.77e-7 pair passes the default residual_tol 1e-5 above and fails
+    # 1e-7, in the first pair theorem and before any report is written
+    cfg = _near_solution_config(tmp_path, "residual_tol = 1e-7\n\n[verify]\n"
+                                "theorems = hardy-i, oscillation-decay, pointwise-wulff\n")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: [oscillation-decay] pair has weak residual 2.772e-07 "
+                            "> tolerance 1.0e-07; refusing to verify estimates against a "
+                            "non-solution\n")
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-5", "nan"])
+def test_residual_tol_must_be_positive(tmp_path, capsys, value):
+    # rejected when the config is read: a nan tolerance would pass every pair
+    body = RUN_CONFIG.replace("seed = 5", f"seed = 5\nresidual_tol = {value}")
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path / "job.ini", body), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [data] residual_tol must be > 0, got {float(value)}\n"
+    assert captured.out == "" and not out.exists()
+
+
+def test_settable_values_are_counted():
+    # theorem options, section keys and command-line flags are the values a
+    # user can set; a new one has to change this count
+    import argparse
+
+    from wulff_lab.cli import SECTIONS, _build_parser
+
+    options = sum(len(opts) for _, _, opts in THEOREMS.values())
+    keys = sum(len(section) for section in SECTIONS.values())
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = sum(1 for p in [parser, *sub.choices.values()] for a in p._actions
+                if a.option_strings and not isinstance(a, argparse._HelpAction))
+    assert (options, keys, flags) == (54, 17, 12)
+    assert options + keys + flags == 83
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -650,6 +698,51 @@ def test_run_builds_the_pair_once(tmp_path, monkeypatch, capsys):
         assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest, name
 
 
+def test_run_gates_the_pair_once(tmp_path, monkeypatch, capsys):
+    # the four pair theorems share one gated pair: one weak residual per run
+    import wulff_lab.cli as cli
+
+    calls = []
+    real = cli.iq.weak_residual
+    monkeypatch.setattr(cli.iq, "weak_residual", lambda *a: calls.append(a) or real(*a))
+    cfg = write_config(tmp_path / "pair.ini", PAIR_CONFIG)
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    for name, digest in _PAIR_DIGESTS.items():
+        assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest, name
+
+
+def test_heatmaps_and_solve_take_a_pair_that_is_not_a_solution(tmp_path, capsys):
+    # F = 0 does not solve the system for u = sin·sin: only a pair theorem
+    # gates the pair, heatmaps and solve read it as it is
+    geom = GridGeometry((16, 16), (1.0, 1.0), (0.0, 0.0))
+    write_field(GridField(geom, np.zeros((2, 16, 16)), "matrix", codomain=1),
+                str(tmp_path / "F.wlf"))
+    body = """\
+[grid]
+cells = 16,16
+
+[data]
+u = profile:sinsin
+F = F.wlf
+
+[output]
+heatmaps = u,F
+"""
+    cfg = write_config(tmp_path / "job.ini", body)
+    assert main(["run", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "F.svg").exists()
+    assert main(["solve", cfg, "--out", str(tmp_path / "solve")]) == 0
+    assert (tmp_path / "solve" / "u.wlf").exists()
+    capsys.readouterr()
+    gated = write_config(tmp_path / "gated.ini",
+                         body + "\n[verify]\ntheorems = pointwise-wulff\n")
+    assert main(["run", gated, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: [pointwise-wulff] pair has weak residual")
+
+
 def test_run_reads_the_pair_only_for_a_pair_theorem(tmp_path, capsys):
     # u.wlf is on a 16x16 grid, the run on 32x32
     field_file(tmp_path, lambda x, y: x * y, cells=16, name="u.wlf")
@@ -830,10 +923,9 @@ def test_solve_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option, name", [
-    ("eps_start = 1e-6\neps_final = 1e-3", "eps_final"),
     ("tol = 0", "tol"),
     ("max_iters = -5", "max_iters"),
-], ids=["eps_final", "tol", "max_iters"])
+], ids=["tol", "max_iters"])
 def test_solve_rejects_bad_solver_values(tmp_path, capsys, option, name):
     cfg = write_config(tmp_path / "solve.ini",
                        SOLVE_CONFIG.replace("tol = 1e-10", option))

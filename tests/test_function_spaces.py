@@ -30,7 +30,6 @@ from wulff_lab.function_spaces import (
     morrey_norm,
     potential_young_transforms,
     rearrange,
-    weight_one,
     weight_power,
     young_dexp,
     young_exp,
@@ -96,6 +95,78 @@ def test_lorentz_indicator_closed_form():
 def test_lorentz_sup_norm_branch():
     f = step_field([(4.0, 3), (2.0, 5)])
     assert lorentz_zygmund_norm(f, LorentzParams(math.inf, math.inf)) == pytest.approx(4.0)
+
+
+def _lz_weight_sup(s0, s1, c, beta, M):
+    """sup of s^c (1 + log(M/s))^β over [s0, s1] (s0 may be 0), from its
+    candidates: both ends (the limit at s = 0) and the interior critical
+    point s* = M e^{1−β/c}."""
+
+    def w(s):
+        return s**c * (1.0 + math.log(M / s)) ** beta
+
+    cands = [w(s1)]
+    if s0 > 0:
+        cands.append(w(s0))
+    elif c > 0:
+        cands.append(0.0)
+    else:
+        cands.append(math.inf if beta > 0 else (1.0 if beta == 0 else 0.0))
+    if c != 0 and beta != 0 and beta / c > 0:
+        s_star = M * math.exp(1.0 - beta / c)
+        if s0 < s_star < s1:
+            cands.append(w(s_star))
+    return max(cands)
+
+
+def _lorentz_sup_oracle(f, params):
+    """The ϱ = ∞ quasi-norm as a loop over the rearrangement steps: the max
+    of v · sup of the weight over each step with v > 0."""
+    r = rearrange(f)
+    c = 0.0 if math.isinf(params.q) else 1.0 / params.q
+    best = 0.0
+    s_prev = 0.0
+    for v, s_next in zip(r.values, r.breakpoints):
+        if v > 0:
+            best = max(best, v * _lz_weight_sup(s_prev, s_next, c, params.beta,
+                                                r.total_measure))
+        s_prev = s_next
+    return best
+
+
+@pytest.mark.parametrize("indices", [
+    (math.inf, math.inf, 0.0), (2.0, math.inf, 0.0), (2.0, math.inf, -1.0),
+    (math.inf, math.inf, 1.0),  # the weight is log^1, unbounded at s = 0
+    (2.0, math.inf, 1.0),       # s* = M/e inside a step
+], ids=["Linf", "lorentz:2,inf", "lorentz:2,inf,-1", "lorentz:inf,inf,1",
+        "lorentz:2,inf,1"])
+# on the constant field the sup of lorentz:2,inf,1 is the weight at s*
+@pytest.mark.parametrize("field", ["bumps", "zero-tail", "constant"])
+def test_lorentz_sup_branch_matches_per_step_oracle(indices, field):
+    geom = unit_grid(64)
+    if field == "bumps":
+        f = random_field(geom, 0, "bumps")
+    elif field == "constant":
+        f = GridField.constant(geom, 0.75)
+    else:
+        rng = np.random.default_rng(11)
+        vals = rng.uniform(-1.0, 1.0, size=geom.cells)
+        vals[rng.uniform(size=geom.cells) < 0.2] = 0.0
+        f = GridField(geom, vals)
+    params = LorentzParams(*indices)
+    want = _lorentz_sup_oracle(f, params)
+    got = lorentz_zygmund_norm(f, params)
+    if indices == (math.inf, math.inf, 1.0):
+        assert want == got == math.inf
+    else:
+        assert math.isfinite(want) and got == pytest.approx(want, rel=1e-14, abs=0)
+    if indices == (math.inf, math.inf, 0.0):
+        assert got == float(np.abs(f.values).max())
+
+
+def test_lorentz_sup_branch_of_a_zero_field():
+    f = GridField.constant(unit_grid(8), 0.0)
+    assert lorentz_zygmund_norm(f, LorentzParams(2.0, math.inf, 1.0)) == 0.0
 
 
 def test_lorentz_zygmund_log_weight_finiteness():
@@ -432,15 +503,15 @@ def test_campanato_affine_oracle():
 
 def test_campanato_constant_is_zero():
     f = GridField.constant(unit_grid(32), 3.0)
-    assert campanato_seminorm(f, weight_one()).value == pytest.approx(0.0, abs=1e-14)
+    assert campanato_seminorm(f, weight_power(0.0)).value == pytest.approx(0.0, abs=1e-14)
 
 
 def test_campanato_coerces_q_for_nondecreasing_weights():
     geom = GridGeometry((64, 64), (1.0, 1.0), (0.0, 0.0))
     rng = np.random.default_rng(0)
     f = GridField(geom, rng.normal(size=(64, 64)))
-    a = campanato_seminorm(f, weight_one(), q=3.0)
-    b = campanato_seminorm(f, weight_one(), q=1.0)
+    a = campanato_seminorm(f, weight_power(0.0), q=3.0)
+    b = campanato_seminorm(f, weight_power(0.0), q=1.0)
     assert a.value == b.value
 
 
@@ -455,7 +526,7 @@ def test_morrey_uniform_field_oracle():
 def test_morrey_rejects_small_q():
     f = GridField.constant(unit_grid(32), 1.0)
     with pytest.raises(InadmissibleParams):
-        morrey_norm(f, weight_one(), q=0.5)
+        morrey_norm(f, weight_power(0.0), q=0.5)
 
 
 @pytest.mark.parametrize("q", [0.5, math.inf, math.nan])
@@ -463,7 +534,7 @@ def test_morrey_rejects_small_q():
 def test_scans_need_finite_q_at_least_one(scan, q):
     # checked before campanato_seminorm sets q = 1 for a nondecreasing weight
     f = GridField.from_function(unit_grid(32), lambda x, y: x)
-    for omega in (weight_one(), weight_power(-0.5)):
+    for omega in (weight_power(0.0), weight_power(-0.5)):
         with pytest.raises(InadmissibleParams):
             scan(f, omega, q=q)
 
@@ -521,13 +592,13 @@ def test_bmo_pair_scans_match_oracle(cells, scanned):
     pp = p / (p - 1.0)
     u = radial_profile(unit_grid(cells), None)
     F = manufacture(u, p)
-    scan = _assert_scan_matches_oracle(u, weight_one(), "campanato")
+    scan = _assert_scan_matches_oracle(u, weight_power(0.0), "campanato")
     datum = _assert_scan_matches_oracle(F, weight_power((2 - p) / pp), "morrey", pp)
     assert scan.balls_scanned == datum.balls_scanned == scanned
 
 
 _SCAN_CASES = [
-    ("campanato", weight_one(), 3.0),
+    ("campanato", weight_power(0.0), 3.0),
     ("campanato", weight_power(1.0), 3.0),
     ("campanato", weight_power(-0.5), 3.0),
     ("morrey", weight_power(0.5), 1.0),

@@ -20,6 +20,7 @@ from wulff_lab.field_grid import Ball, GridField, GridGeometry, ball_average
 from wulff_lab.function_spaces import young_power, young_zygmund
 from wulff_lab.inequality_lab import (
     FAMILY_VERSION,
+    gate_pair,
     random_field,
     verify_domination,
     verify_energy_inequalities,
@@ -46,11 +47,12 @@ def unit_grid(cells=48):
 
 
 def smooth_pair(p, cells=48):
+    """sin·sin and its manufactured datum, gated at the command-line default."""
     geom = unit_grid(cells)
     u = GridField.from_function(
         geom, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
     )
-    return u, manufacture(u, p)
+    return gate_pair(u, manufacture(u, p), p, 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +346,13 @@ def test_hardy_fubini_property(seed):
 
 def test_pointwise_report_and_scale_invariance():
     p = 1.5
-    u, F = smooth_pair(p)
+    pair = smooth_pair(p)
     pts = [(0.4, 0.55), (0.6, 0.35)]
-    rep = verify_pointwise(u, F, p, 0.2, pts)
+    rep = verify_pointwise(pair, 0.2, pts)
     assert rep.passed and math.isfinite(rep.c_star) and rep.c_star > 0
-    u3 = u.with_values(3.0 * u.values)
-    F3 = F.with_values(3.0 ** (p - 1.0) * F.values)
-    rep3 = verify_pointwise(u3, F3, p, 0.2, pts)
+    u3 = pair.u.with_values(3.0 * pair.u.values)
+    F3 = pair.F.with_values(3.0 ** (p - 1.0) * pair.F.values)
+    rep3 = verify_pointwise(gate_pair(u3, F3, p, 1e-5), 0.2, pts)
     for a, b in zip(rep.samples, rep3.samples):
         assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
 
@@ -360,71 +362,69 @@ _OSC_POINTS = [(0.4, 0.55), (0.6, 0.35), (0.5, 0.5)]
 
 @functools.lru_cache(maxsize=None)
 def _osc_base(p):
-    u, F = smooth_pair(p)
-    return u, F, verify_pointwise_osc(u, F, p, 0.2, _OSC_POINTS)
+    pair = smooth_pair(p)
+    return pair, verify_pointwise_osc(pair, 0.2, _OSC_POINTS)
 
 
 @settings(max_examples=12, deadline=None)
 @given(p=st.sampled_from([1.5, 2.0, 3.0]), lam=st.floats(0.25, 4.0))
 def test_pointwise_osc_scale_invariance(p, lam):
     # both sides are 1-homogeneous under (u, F) -> (lam u, lam^(p-1) F)
-    u, F, base = _osc_base(p)
-    rep = verify_pointwise_osc(u.with_values(lam * u.values),
-                               F.with_values(lam ** (p - 1.0) * F.values),
-                               p, 0.2, _OSC_POINTS)
+    pair, base = _osc_base(p)
+    scaled = gate_pair(pair.u.with_values(lam * pair.u.values),
+                       pair.F.with_values(lam ** (p - 1.0) * pair.F.values), p, 1e-5)
+    rep = verify_pointwise_osc(scaled, 0.2, _OSC_POINTS)
     assert rep.passed and base.passed
     for a, b in zip(base.samples, rep.samples):
         assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
 
 
 def test_pointwise_osc_dominated_by_wulff():
-    u, F = smooth_pair(2.0)
-    rep = verify_pointwise_osc(u, F, 2.0, 0.2, [(0.5, 0.5), (0.3, 0.6)])
+    rep = verify_pointwise_osc(smooth_pair(2.0), 0.2, [(0.5, 0.5), (0.3, 0.6)])
     assert rep.passed
     assert "ok" in rep.notes[0]
 
 
 def test_residual_gate_rejects_mismatched_pairs():
-    u, F = smooth_pair(2.0)
+    pair = smooth_pair(2.0)
+    u, F = pair.u, pair.F
     # doubling F doubles div F, so u no longer solves the system (a constant
     # shift would be divergence-free and must NOT trip the gate)
     bad = F.with_values(2.0 * F.values)
     with pytest.raises(ResidualTooLarge) as e:
-        verify_pointwise(u, bad, 2.0, 0.2, [(0.5, 0.5)])
+        gate_pair(u, bad, 2.0, 1e-5)
     assert e.value.residual > 1e-5
-    shifted = F.with_values(F.values + 0.5)
-    rep = verify_pointwise(u, shifted, 2.0, 0.2, [(0.5, 0.5)])
-    assert rep.passed
+    shifted = gate_pair(u, F.with_values(F.values + 0.5), 2.0, 1e-5)
+    assert shifted.residual <= 1e-5
+    rep = verify_pointwise(shifted, 0.2, [(0.5, 0.5)])
+    assert rep.passed and rep.params["residual"] == shifted.residual
 
 
 def test_pointwise_ball_must_fit():
-    u, F = smooth_pair(2.0)
     with pytest.raises(BallOutsideDomain):
-        verify_pointwise(u, F, 2.0, 0.3, [(0.9, 0.9)])
+        verify_pointwise(smooth_pair(2.0), 0.3, [(0.9, 0.9)])
 
 
 def test_oscillation_decay():
-    u, F = smooth_pair(2.0, cells=64)
-    rep = verify_oscillation(u, F, 2.0, (0.5, 0.5), 0.25)
+    rep = verify_oscillation(smooth_pair(2.0, cells=64), (0.5, 0.5), 0.25)
     assert rep.passed and len(rep.samples) >= 3
     assert math.isfinite(rep.c_star)
 
 
 def test_oscillation_radii_validation():
-    u, F = smooth_pair(2.0)
     with pytest.raises(InsufficientRadii):
-        verify_oscillation(u, F, 2.0, (0.5, 0.5), 0.01)
+        verify_oscillation(smooth_pair(2.0), (0.5, 0.5), 0.01)
 
 
 def test_energy_inequalities():
-    u, F = smooth_pair(2.0)
-    rep = verify_energy_inequalities(u, F, 2.0, (0.5, 0.5), 0.3)
+    pair = smooth_pair(2.0)
+    rep = verify_energy_inequalities(pair, (0.5, 0.5), 0.3)
     assert rep.passed and len(rep.samples) == 3
     assert all(s.rhs > 0 for s in rep.samples)
     labels = {s.label for s in rep.samples}
     assert "caccioppoli" in " ".join(labels)
     with pytest.raises(ParameterRangeViolation):
-        verify_energy_inequalities(u, F, 2.0, (0.5, 0.5), 0.3, q=0.5)
+        verify_energy_inequalities(pair, (0.5, 0.5), 0.3, q=0.5)
 
 
 # ---------------------------------------------------------------------------

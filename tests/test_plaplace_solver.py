@@ -12,6 +12,8 @@ from wulff_lab.inequality_lab import random_field
 from wulff_lab.plaplace_solver import (
     DirichletProblem,
     SystemParams,
+    _EPS_FINAL,
+    _EPS_START,
     _divergence_gap,
     _energy_and_grad,
     _hessian_product,
@@ -45,9 +47,10 @@ def staggered_poisson_datum(geom):
 def test_params_validation_and_stages():
     with pytest.raises(Exception):
         SystemParams(p=1.0)
-    stages = SystemParams(p=3.0, eps_start=1e-1, eps_final=1e-5).stages()
-    assert stages[0] == pytest.approx(1e-1)
-    assert stages[-1] == pytest.approx(1e-5)
+    stages = SystemParams(p=3.0).stages()
+    assert len(stages) == 6
+    assert stages[0] == _EPS_START == 1e-1
+    assert stages[-1] == _EPS_FINAL == 1e-6
     assert all(a / b == pytest.approx(10.0) for a, b in zip(stages, stages[1:]))
 
 
@@ -260,7 +263,7 @@ def test_singular_p1_5_zero_boundary_at_default_tol(cells):
     result = solve(DirichletProblem(F, 0.0), SystemParams(p=1.5))
     assert time.perf_counter() - start < 10.0
     assert weak_residual(result.u, F, 1.5) <= 1e-8
-    assert result.stage_log[-1]["eps"] < SystemParams(p=1.5).eps_final
+    assert result.stage_log[-1]["eps"] < _EPS_FINAL
 
 
 @pytest.mark.parametrize("N", [1, 2])
