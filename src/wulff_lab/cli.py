@@ -376,34 +376,9 @@ def _lattice(geom, got):
             for ts in itertools.product((0.35, 0.5, 0.65), repeat=geom.dim)]
 
 
-def _merge(theorem: str, params: dict, reports) -> iq.VerificationReport:
-    """Flatten per-field reports into one (labels prefixed by field index);
-    the fields are :func:`random_field` draws, so the merged report is seeded."""
-    samples = []
-    notes = []
-    for i, rep in enumerate(reports):
-        samples.extend(
-            iq.SampleRecord(f"f[{i}]:{s.label}", s.lhs, s.rhs, s.ratio)
-            for s in rep.samples
-        )
-        for note in rep.notes:
-            if note not in notes:
-                notes.append(note)
-    return iq._assemble(theorem, params, samples, notes,
-                        extra_pass=all(r.passed for r in reports), seeded=True)
-
-
-def _run_telescope(cfg, seed, threads, x, samples, r_outer, r_inner, allowance):
-    kinds = ("fourier", "bumps")
-
-    def one(i):
-        f = iq.random_field(cfg.geometry, seed + i, kinds[i % 2])
-        return iq.verify_telescope(f, x, r_inner, r_outer, allowance=allowance)
-
-    reports = iq._parallel_map(one, range(samples), threads)
-    return _merge("telescoping-means", {"x": x, "r": r_inner, "R": r_outer,
-                                        "samples": samples, "seed": seed,
-                                        "allowance": allowance}, reports)
+def _run_telescope(cfg, seed, threads, r_outer, r_inner, **options):
+    return iq.verify_telescope(cfg.geometry, r=r_inner, R=r_outer, seed=seed,
+                               threads=threads, **options)
 
 
 def _pointwise(summary, osc):
@@ -676,11 +651,12 @@ def _cmd_solve(args) -> int:
 
     _write_field_atomic(result.u, os.path.join(out_dir, cfg.field_name))
     summary = {
-        "converged": result.converged,
+        # solve raises unless it converged; the key stays for readers of the file
+        "converged": True,
         "iterations": result.iterations,
         "residual": result.residual,
         "grad_norm": result.grad_norm,
-        "energy": result.energy_trace[-1] if result.energy_trace else None,
+        "energy": result.energy,
         "p": cfg.p,
         "cells": list(cfg.geometry.cells),
         "stages": result.stage_log,

@@ -220,16 +220,6 @@ class GridField:
         return self.values.shape[0]
 
     @classmethod
-    def constant(cls, geometry: GridGeometry, value, kind: str = "scalar",
-                 codomain: int = 1) -> "GridField":
-        ncomp = cls._ncomp_for(kind, codomain, geometry.dim)
-        vals = np.broadcast_to(
-            np.asarray(value, dtype=np.float64).reshape(-1, *([1] * geometry.dim)),
-            (ncomp,) + geometry.cells,
-        ).copy()
-        return cls(geometry, vals, kind, codomain)
-
-    @classmethod
     def from_function(cls, geometry: GridGeometry, fn: Callable, kind: str = "scalar",
                       codomain: int = 1) -> "GridField":
         """Sample ``fn`` at cell centers; ``fn`` receives the coordinate mesh

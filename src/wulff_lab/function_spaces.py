@@ -370,13 +370,10 @@ class _Transform:
         self.asym = asym
         self._cache: dict[float, float] = {}
 
-    def __call__(self, t):
-        if np.ndim(t) == 0:
-            key = float(t)
-            if key not in self._cache:
-                self._cache[key] = self._eval(key)
-            return self._cache[key]
-        return np.array([self(float(x)) for x in np.ravel(t)]).reshape(np.shape(t))
+    def __call__(self, t: float) -> float:
+        if t not in self._cache:
+            self._cache[t] = self._eval(t)
+        return self._cache[t]
 
 
 def _power_transform(coeff: float, power: float) -> _Transform:

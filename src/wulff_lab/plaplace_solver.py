@@ -120,12 +120,13 @@ class DirichletProblem:
 @dataclass
 class SolveResult:
     u: GridField
-    converged: bool
     iterations: int
     residual: float
     grad_norm: float
     warm_start_iterations: int
-    energy_trace: list[float] = field(repr=False, default_factory=list)
+    # regularized energy of u in its last stage; None when the warm start
+    # spent the whole budget
+    energy: float | None
     stage_log: list[dict] = field(repr=False, default_factory=list)
 
 
@@ -351,13 +352,13 @@ def _pcg(hessian, b: np.ndarray, atol: float, budget: int):
     return x, k
 
 
-def _poisson_step(v, Fl, geom, ring, trace):
+def _poisson_step(v, Fl, geom, ring):
     """Exact Newton step v ← v − H⁻¹G of the p = 2 energy, updating v in place.
 
     H = |cell|·L on the interior, L the 5-point Dirichlet Laplacian; DST-I
     diagonalizes L with eigenvalues λ₁ₖ + λ₂ₗ, where
     λ_{d,k} = (2 − 2cos(πk/(c_d − 1)))/h_d².  All components are transformed
-    in one call.  Returns ‖G‖ after the step.
+    in one call.  Returns (energy, ‖G‖) after the step.
     """
     from scipy.fft import dstn, idstn
 
@@ -368,19 +369,17 @@ def _poisson_step(v, Fl, geom, ring, trace):
     spec = dstn(G[:, 1:-1, 1:-1], type=1, axes=(1, 2), norm="ortho")
     v[:, 1:-1, 1:-1] -= idstn(spec / denom, type=1, axes=(1, 2), norm="ortho")
     J, G, _, _ = _energy_and_grad(v, Fl, 2.0, 0.0, geom, ring)
-    trace.append(J)
-    return math.sqrt(_dot(G, G))
+    return J, math.sqrt(_dot(G, G))
 
 
-def _newton_stage(v, Fl, p, eps, geom, ring, gtol, scale, budget, trace, accept):
+def _newton_stage(v, Fl, p, eps, geom, ring, gtol, scale, budget, accept):
     """Damped inexact Newton on the ε-regularized energy, updating v in place.
 
     Stops once ‖G‖ ≤ gtol and ``accept(v)`` hold, when the budget of
     Hessian-vector products is spent, or when no step decreases the energy.
-    Returns (products used, Newton steps taken, ‖G‖).
+    Returns (products used, Newton steps taken, energy, ‖G‖).
     """
     J, G, g, s2 = _energy_and_grad(v, Fl, p, eps, geom, ring)
-    trace.append(J)
     gnorm = math.sqrt(_dot(G, G))
     used = steps = 0
     while used < budget and not (gnorm <= gtol and accept(v)):
@@ -412,8 +411,7 @@ def _newton_stage(v, Fl, p, eps, geom, ring, gtol, scale, budget, trace, accept)
         J, G, g, s2 = trial
         gnorm = trial_norm
         steps += 1
-        trace.append(J)
-    return used, steps, gnorm
+    return used, steps, J, gnorm
 
 
 # smallest ε of the continuation, reached only while the residual gate fails
@@ -473,18 +471,26 @@ def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
     kind = "scalar" if N == 1 else "vector"
     budget = params.max_iters
     used = warm = 0
-    trace: list[float] = []
+    energy = None
     log: list[dict] = []
+    measured = None  # the iterate the gate measured last, with residual res
+    res = math.inf
 
-    def residual(w: np.ndarray) -> float:
-        # GridField freezes the array it wraps, so the gate checks a copy
-        return weak_residual(GridField(geom, w.copy(), kind, codomain=N), problem.F, p)
+    def gate(w: np.ndarray) -> bool:
+        """Whether the weak residual of ``w`` is at most ``tol``; an iterate
+        equal to the one measured last is not measured again."""
+        nonlocal measured, res
+        if measured is None or not np.array_equal(measured.values, w):
+            # GridField freezes the array it wraps, so the gate keeps a copy
+            measured = GridField(geom, w.copy(), kind, codomain=N)
+            res = weak_residual(measured, problem.F, p)
+        return res <= params.tol
 
     if p == 2.0:
-        gnorm = _poisson_step(v, Fl, geom, ring, trace)
+        energy, gnorm = _poisson_step(v, Fl, geom, ring)
         steps = 1
-        if residual(v) > params.tol:
-            gnorm = _poisson_step(v, Fl, geom, ring, trace)
+        if not gate(v):
+            energy, gnorm = _poisson_step(v, Fl, geom, ring)
             steps = 2
         log.append({"eps": 0.0, "iterations": 0, "newton_steps": steps,
                     "grad_norm": gnorm})
@@ -499,22 +505,20 @@ def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
             eps = stages[k] if k < len(stages) else eps / 10.0
             last = k >= len(stages) - 1
             rel = params.tol if last else max(params.tol, 1e-5)
-            it, steps, gnorm = _newton_stage(
+            it, steps, energy, gnorm = _newton_stage(
                 v, Fl, p, eps, geom, ring, rel * scale, scale, budget - used,
-                trace, lambda w: not last or residual(w) <= params.tol,
+                gate if last else (lambda w: True),
             )
             used += it
             log.append({"eps": eps, "iterations": it, "newton_steps": steps,
                         "grad_norm": gnorm})
             # past _EPS_FINAL, ε keeps falling while the residual gate fails;
             # the slack absorbs the round-off of repeated division by 10
-            if last and (eps / 10.0 < _EPS_FLOOR * (1 - 1e-12)
-                         or residual(v) <= params.tol):
+            if last and (gate(v) or eps / 10.0 < _EPS_FLOOR * (1 - 1e-12)):
                 break
             k += 1
 
-    u = GridField(geom, v, kind, codomain=N)
-    res = weak_residual(u, problem.F, p)
+    gate(v)
     if res > params.tol:
         raise NonConvergence(
             f"residual {res:.3e} above tolerance {params.tol:.1e} "
@@ -522,12 +526,11 @@ def solve(problem: DirichletProblem, params: SystemParams) -> SolveResult:
             residual=res,
         )
     return SolveResult(
-        u=u,
-        converged=True,
+        u=GridField(geom, v, kind, codomain=N),
         iterations=used,
         warm_start_iterations=warm,
         residual=res,
         grad_norm=gnorm,
-        energy_trace=trace,
+        energy=energy,
         stage_log=log,
     )

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import record_criterion
+from conftest import constant_field, record_criterion
 
 from wulff_lab.cli import main
 from wulff_lab.field_grid import GridField, GridGeometry
@@ -25,7 +25,6 @@ from wulff_lab.function_spaces import (
 )
 from wulff_lab.inequality_lab import (
     gate_pair,
-    random_field,
     verify_domination,
     verify_hardy,
     verify_oscillation,
@@ -57,21 +56,12 @@ def unit_grid(cells):
 
 def test_criterion_1_telescoping_constants():
     t0 = time.perf_counter()
-    geom = unit_grid(128)
-    x = (0.5, 0.5)
-    R, r = 0.4, 0.05
-    kinds = ("fourier", "bumps")
-    worst = 0.0
-    all_hold = True
-    for i in range(100):
-        f = random_field(geom, i, kinds[i % 2])
-        rep = verify_telescope(f, x, r, R, allowance=0.10)
-        worst = max(worst, rep.c_star)
-        all_hold = all_hold and rep.passed
+    rep = verify_telescope(unit_grid(128), (0.5, 0.5), 0.05, 0.4, samples=100)
+    worst = rep.c_star
     elapsed = time.perf_counter() - t0
     check(
         1,
-        all_hold and worst <= 1.10 and elapsed < 30.0,
+        rep.passed and worst <= 1.10 and elapsed < 30.0,
         f"100 fields at 128^2: max ratio {worst:.4f} (allowance 1.10), "
         f"constants 64/128, {elapsed:.1f}s < 30s",
     )
@@ -101,7 +91,7 @@ def test_criterion_3_potential_closed_forms():
     worst_w = 0.0
     for p in (1.5, 2.0, 3.0):
         for c in (1.0, 4.0):
-            f = GridField.constant(geom, c)
+            f = constant_field(geom, c)
             for R in (0.1, 0.25):
                 params = PotentialParams(p / (p + 1.0), p + 1.0, R)
                 got = wulff_potential(f, params, x)
@@ -162,7 +152,7 @@ def _battery_pairs(cells):
     F2 = np.pi * np.sin(np.pi * mesh[0]) * np.cos(np.pi * (mesh[1] + h2 / 2))
     F = GridField(geom, np.stack([F1, F2]), "matrix", codomain=1)
     result = solve(DirichletProblem(F, 0.0), SystemParams(p=2.0, tol=1e-10))
-    assert result.converged
+    assert result.residual <= 1e-10
     pairs.append(("solved poisson p=2", result.u, F, 2.0))
     return pairs
 

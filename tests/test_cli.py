@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import constant_field
 
 from wulff_lab.cli import (
     _COLOR_STOPS,
@@ -233,9 +234,8 @@ def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, na
         return record
 
     for attr in dir(cli.iq):
-        if attr.startswith("verify_") or attr == "_parallel_map":
+        if attr.startswith("verify_"):
             monkeypatch.setattr(cli.iq, attr, stub(attr))
-    monkeypatch.setattr(cli, "_merge", stub("_merge"))
     monkeypatch.setattr(cli.RunConfig, "pair", lambda self: ("u", "F"))
     monkeypatch.setattr(cli.RunConfig, "gated_pair", lambda self: "pair")
     cfg = parse_config(write_config(tmp_path / "job.ini", RUN_CONFIG))
@@ -249,6 +249,21 @@ def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, na
     assert default
     for key in THEOREMS[name][2]:
         assert verifier_calls({key: _NON_DEFAULT[key]}) != default, key
+
+
+def test_cli_reads_no_private_name_of_inequality_lab():
+    # a battery draws, runs and merges its samples inside inequality_lab; of
+    # its private names the command line reads only _threads, for --threads
+    import wulff_lab.cli as cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id == "iq" and node.attr.startswith("_")}
+    private |= {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "inequality_lab"
+                for alias in node.names if alias.name.startswith("_")}
+    assert private <= {"_threads"}, private
 
 
 # admissible options per theorem for the real verifiers on a 32x32 grid at p = 1.5
@@ -1367,7 +1382,7 @@ def cell_fills(svg_text, c1, c2):
 
 def test_heatmap_constant_field(tmp_path):
     geom = GridGeometry((8, 8), (1.0, 1.0), (0.0, 0.0))
-    f = GridField.constant(geom, 5.0)
+    f = constant_field(geom, 5.0)
     path = tmp_path / "c.svg"
     render_heatmap(f, str(path))
     text = path.read_text()
@@ -1516,7 +1531,7 @@ def test_heatmap_rejects_vector_fields(tmp_path):
 def test_heatmap_rejects_3d_fields(tmp_path):
     geom = GridGeometry((8, 8, 4), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0))
     with pytest.raises(ConfigError, match="2-D grid"):
-        render_heatmap(GridField.constant(geom, 1.0), str(tmp_path / "c.svg"))
+        render_heatmap(constant_field(geom, 1.0), str(tmp_path / "c.svg"))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import constant_field
 
 from wulff_lab.errors import (
     BallBelowResolution,
@@ -70,7 +71,7 @@ def test_ball_needs_positive_radius():
 
 def test_field_shapes_and_kinds():
     geom = unit_grid(8)
-    f = GridField.constant(geom, 3.0)
+    f = constant_field(geom, 3.0)
     assert f.ncomp == 1 and f.kind == "scalar"
     v = GridField(geom, np.ones((2, 8, 8)), "vector", codomain=2)
     assert v.ncomp == 2
@@ -82,7 +83,7 @@ def test_field_shapes_and_kinds():
 
 def test_field_values_are_readonly():
     geom = unit_grid(8)
-    f = GridField.constant(geom, 1.0)
+    f = constant_field(geom, 1.0)
     with pytest.raises(ValueError):
         f.values[0, 0, 0] = 2.0
 
@@ -113,7 +114,7 @@ def test_magnitude_is_euclidean():
 
 def test_ball_average_constant_and_affine():
     geom = unit_grid(64)
-    c = GridField.constant(geom, 2.5)
+    c = constant_field(geom, 2.5)
     assert ball_average(c, Ball((0.5, 0.5), 0.25))[0] == pytest.approx(2.5)
     # affine field, ball centered at a cell-symmetric point: mean = value at
     # the center because the included cell set is symmetric
@@ -124,7 +125,7 @@ def test_ball_average_constant_and_affine():
 
 def test_ball_average_rejects_bad_balls():
     geom = unit_grid(32)
-    f = GridField.constant(geom, 1.0)
+    f = constant_field(geom, 1.0)
     with pytest.raises(BallOutsideDomain):
         ball_average(f, Ball((0.9, 0.5), 0.2))
     with pytest.raises(BallBelowResolution):
@@ -135,7 +136,7 @@ def test_ball_average_rejects_bad_balls():
 
 def test_ball_oscillation_zero_on_constants():
     geom = unit_grid(32)
-    c = GridField.constant(geom, 7.0)
+    c = constant_field(geom, 7.0)
     assert ball_oscillation(c, Ball((0.5, 0.5), 0.3)) == 0.0
 
 
@@ -150,7 +151,7 @@ def test_ball_oscillation_affine_oracle():
 
 def test_ball_oscillation_needs_q_at_least_one():
     geom = unit_grid(32)
-    f = GridField.constant(geom, 1.0)
+    f = constant_field(geom, 1.0)
     with pytest.raises(ValueError):
         ball_oscillation(f, Ball((0.5, 0.5), 0.2), 0.5)
 
@@ -239,7 +240,7 @@ def test_off_center_ball_cells_match_oracle(geom):
     centers, coords, radii, fits = _sample_balls(geom)
     rng = np.random.default_rng(5)
     h = np.array(geom.spacing)
-    f = GridField.constant(geom, 0.0)
+    f = constant_field(geom, 0.0)
     compared = 0
     for i in range(len(centers)):
         for frac in ([0.5, -0.5], [-0.5, 0.5], rng.uniform(-0.5, 0.5, 2)):
@@ -290,7 +291,7 @@ def test_ball_stencil_is_ball_cells_property(cells, h, aspect, origin, pick, siz
         return
     want = _grid_mask(geom, Ball(x, r))
     np.testing.assert_array_equal(ball_cells(geom, Ball(x, r)), np.flatnonzero(want))
-    counts = nested_balls(GridField.constant(geom, 0.0), x, [r, lo]).counts
+    counts = nested_balls(constant_field(geom, 0.0), x, [r, lo]).counts
     assert counts.tolist() == [int(want.sum()), int(_grid_mask(geom, Ball(x, lo)).sum())]
     if frac == (0.0, 0.0):
         np.testing.assert_array_equal(_stencil_mask(geom, idx, r), want)
@@ -305,7 +306,7 @@ def _nested_counts_match_ball_cells(geom, wulff_stride=1):
 
     h = max(geom.spacing)
     fixed = [2.0 * h, 5.0 * h, 2.0 * math.hypot(*geom.spacing)]
-    f = GridField.constant(geom, 0.0)
+    f = constant_field(geom, 0.0)
     mesh = geom.center_mesh()
     compared = 0
     for idx in np.ndindex(geom.cells):
@@ -355,7 +356,7 @@ def test_nested_balls_prefixes_match_single_balls():
 
 def test_nested_balls_checks_every_radius():
     geom = unit_grid(32)
-    f = GridField.constant(geom, 1.0)
+    f = constant_field(geom, 1.0)
     with pytest.raises(BallBelowResolution):
         nested_balls(f, (0.5, 0.5), [0.2, 0.01])
     with pytest.raises(BallOutsideDomain):
@@ -505,7 +506,7 @@ def test_gradient_exact_on_affine():
 
 def test_gradient_needs_three_cells():
     geom = GridGeometry((2, 8), (1.0, 1.0), (0.0, 0.0))
-    f = GridField.constant(geom, 1.0)
+    f = constant_field(geom, 1.0)
     with pytest.raises(GridTooCoarse):
         gradient(f)
 
@@ -540,7 +541,7 @@ def test_field_io_rejects_malformed_header(tmp_path):
 
 def test_field_io_rejects_truncated_payload(tmp_path):
     geom = GridGeometry((4, 4), (1.0, 1.0), (0.0, 0.0))
-    f = GridField.constant(geom, 1.0)
+    f = constant_field(geom, 1.0)
     path = tmp_path / "trunc.wlf"
     write_field(f, path)
     data = path.read_bytes()

@@ -40,6 +40,7 @@ from wulff_lab.function_spaces import YoungFunction
 from wulff_lab.inequality_lab import radial_profile, random_field
 from wulff_lab.plaplace_solver import manufacture
 
+from conftest import constant_field
 from test_field_grid import _ball_box
 
 
@@ -147,7 +148,7 @@ def test_lorentz_sup_branch_matches_per_step_oracle(indices, field):
     if field == "bumps":
         f = random_field(geom, 0, "bumps")
     elif field == "constant":
-        f = GridField.constant(geom, 0.75)
+        f = constant_field(geom, 0.75)
     else:
         rng = np.random.default_rng(11)
         vals = rng.uniform(-1.0, 1.0, size=geom.cells)
@@ -165,7 +166,7 @@ def test_lorentz_sup_branch_matches_per_step_oracle(indices, field):
 
 
 def test_lorentz_sup_branch_of_a_zero_field():
-    f = GridField.constant(unit_grid(8), 0.0)
+    f = constant_field(unit_grid(8), 0.0)
     assert lorentz_zygmund_norm(f, LorentzParams(2.0, math.inf, 1.0)) == 0.0
 
 
@@ -284,13 +285,13 @@ def test_luxemburg_power_equals_lq():
 def test_luxemburg_exponential_unit_instance():
     # f = 1 on a measure-one domain with A = e^t - 1: the modular equation
     # e^(1/lam) - 1 = 1 gives lam = 1/log 2
-    f = GridField.constant(unit_grid(8), 1.0)
+    f = constant_field(unit_grid(8), 1.0)
     got = luxemburg_norm(f, young_exp(1.0))
     assert got == pytest.approx(1.0 / math.log(2.0), rel=1e-9)
 
 
 def test_luxemburg_zero_field():
-    f = GridField.constant(unit_grid(8), 0.0)
+    f = constant_field(unit_grid(8), 0.0)
     assert luxemburg_norm(f, young_power(2.0)) == 0.0
 
 
@@ -502,7 +503,7 @@ def test_campanato_affine_oracle():
 
 
 def test_campanato_constant_is_zero():
-    f = GridField.constant(unit_grid(32), 3.0)
+    f = constant_field(unit_grid(32), 3.0)
     assert campanato_seminorm(f, weight_power(0.0)).value == pytest.approx(0.0, abs=1e-14)
 
 
@@ -517,14 +518,14 @@ def test_campanato_coerces_q_for_nondecreasing_weights():
 
 def test_morrey_uniform_field_oracle():
     geom = GridGeometry((128, 128), (1.0, 1.0), (0.0, 0.0))
-    f = GridField.constant(geom, 1.0)
+    f = constant_field(geom, 1.0)
     q = 2.0
     scan = morrey_norm(f, weight_power(2.0 / q), q=q)
     assert scan.value == pytest.approx(math.sqrt(math.pi), rel=0.03)
 
 
 def test_morrey_rejects_small_q():
-    f = GridField.constant(unit_grid(32), 1.0)
+    f = constant_field(unit_grid(32), 1.0)
     with pytest.raises(InadmissibleParams):
         morrey_norm(f, weight_power(0.0), q=0.5)
 
@@ -665,7 +666,7 @@ def test_scans_skip_vanishing_weights_and_nan_ratios():
         got = _assert_scan_matches_oracle(f, omega, kind)
         assert got.ball.radius >= 8 * h
     # an overflowing mass over an infinite weight is a NaN ratio
-    big = GridField.constant(geom, 1e150)
+    big = constant_field(geom, 1e150)
     inf_first = WeightFunction(lambda r: np.where(r < 3 * h, np.inf, 1.0), False)
     with np.errstate(over="ignore", invalid="ignore"):
         got = _assert_scan_matches_oracle(big, inf_first, "morrey", 3.0)

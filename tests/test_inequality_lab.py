@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import constant_field
 
 from wulff_lab.errors import (
     BallBelowResolution,
@@ -16,7 +17,14 @@ from wulff_lab.errors import (
     QuasiIncreasingViolation,
     ResidualTooLarge,
 )
-from wulff_lab.field_grid import Ball, GridField, GridGeometry, ball_average
+from wulff_lab.field_grid import (
+    Ball,
+    GridField,
+    GridGeometry,
+    NestedBalls,
+    ball_average,
+    nested_balls,
+)
 from wulff_lab.function_spaces import young_power, young_zygmund
 from wulff_lab.inequality_lab import (
     FAMILY_VERSION,
@@ -33,13 +41,18 @@ from wulff_lab.inequality_lab import (
     verify_telescope,
 )
 from wulff_lab.inequality_lab import (
+    SampleRecord,
+    _assemble,
     _check_quasi_increasing,
     _hardy_family,
     _hardy_lhs,
     _hardy_rhs,
     _PiecewisePhi,
+    _record,
+    _telescope_samples,
 )
 from wulff_lab.plaplace_solver import manufacture
+from wulff_lab.potential_engine import RadialQuadrature
 
 
 def unit_grid(cells=48):
@@ -60,16 +73,20 @@ def smooth_pair(p, cells=48):
 
 
 def test_report_shapes_and_version():
-    rep = verify_telescope(random_field(unit_grid(32), 0), (0.5, 0.5), 0.1, 0.4)
-    # the field comes from the caller, so the report carries no family version
-    assert rep.family_version is None
+    rep = verify_telescope(unit_grid(32), (0.5, 0.5), 0.1, 0.4, samples=1)
+    # the fields come from random_field, so the report carries its version
+    assert rep.family_version == FAMILY_VERSION
     d = rep.to_dict()
-    assert "family_version" not in d
+    assert d["family_version"] == FAMILY_VERSION
     assert d["theorem"] == "telescoping-means"
     assert len(d["samples"]) == 2 and isinstance(d["samples"][0], dict)
     rows = rep.csv_rows()
     assert len(rows) == 2 and rows[0][0] == "telescoping-means"
     assert float(rows[0][4]) == rep.samples[0].ratio
+    # Hardy draws no random_field, so its report has no version key
+    hardy = verify_hardy("i", 1.0, 0.0, samples=2, seed=0)
+    assert hardy.family_version is None
+    assert "family_version" not in hardy.to_dict()
 
 
 def test_random_field_determinism():
@@ -203,31 +220,111 @@ def test_bumps_and_singular_are_byte_identical(kind, shape):
 # telescoping means
 
 
+def telescope(f, x, r, R):
+    """The two telescope records of ``f`` as field f[0] of a battery."""
+    quad = RadialQuadrature.log_spaced(r, R) if r < R * (1 - 1e-12) else None
+    return _telescope_samples(f, 0, tuple(x), r, R, quad)
+
+
+def _telescope_oracle(f, x, r, R, allowance):
+    """The report of one field, as the telescope made it when it took a field."""
+    n = f.geometry.dim
+    x = tuple(float(c) for c in x)
+    quad = RadialQuadrature.log_spaced(r, R) if r < R * (1 - 1e-12) else None
+    balls = nested_balls(f, x, [r, R, *(quad.radii if quad is not None else ())])
+    means = balls.means()
+    mags = np.sqrt(np.einsum("ck,ck->k", balls.values, balls.values))
+    mean_abs = NestedBalls(mags[np.newaxis], balls.counts).means()[0]
+    integral = 0.0
+    if quad is not None:
+        osc = NestedBalls(balls.values, balls.counts[2:]).oscillations(1.0)
+        integral = float(sum(w * o for w, o in zip(quad.weights, osc)))
+    c1, c2 = 2.0 ** (2 * n + 2), 2.0 ** (2 * n + 3)
+    samples = [
+        _record("means-of-f", float(np.linalg.norm(means[:, 0] - means[:, 1])),
+                c1 * integral),
+        _record("means-of-|f|", abs(mean_abs[0] - mean_abs[1]), c2 * integral),
+    ]
+    notes = [f"explicit constants 2^(2n+2)={c1:g}, 2^(2n+3)={c2:g} with "
+             f"{allowance:.0%} quadrature allowance"]
+    return _assemble("telescoping-means",
+                     {"x": x, "r": r, "R": R, "n": n, "allowance": allowance},
+                     samples, notes,
+                     extra_pass=all(s.ratio <= 1.0 + allowance for s in samples))
+
+
+def _merge(theorem, params, reports):
+    """Per-field reports flattened into one, labels prefixed by field index,
+    as the command line merged them when it drew the telescope's fields."""
+    samples = []
+    notes = []
+    for i, rep in enumerate(reports):
+        samples.extend(SampleRecord(f"f[{i}]:{s.label}", s.lhs, s.rhs, s.ratio)
+                       for s in rep.samples)
+        for note in rep.notes:
+            if note not in notes:
+                notes.append(note)
+    return _assemble(theorem, params, samples, notes,
+                     extra_pass=all(r.passed for r in reports), seeded=True)
+
+
+@pytest.mark.parametrize("x, r, R, allowance", [
+    ((0.5, 0.5), 0.1, 0.4, 0.10),
+    ((0.45, 0.55), 0.2, 0.2, 0.10),
+    ((0.5, 0.5), 0.1, 0.4, -0.999),
+])
+def test_telescope_battery_matches_merged_fields(x, r, R, allowance):
+    geom = unit_grid(32)
+    samples, seed = 5, 4
+    kinds = ("fourier", "bumps")
+    reports = [_telescope_oracle(random_field(geom, seed + i, kinds[i % 2]), x, r, R,
+                                 allowance)
+               for i in range(samples)]
+    expected = _merge("telescoping-means",
+                      {"x": x, "r": r, "R": R, "samples": samples, "seed": seed,
+                       "allowance": allowance}, reports)
+    got = verify_telescope(geom, x, r, R, samples=samples, seed=seed,
+                           allowance=allowance)
+    assert got.to_dict() == expected.to_dict()
+    assert got.passed == (allowance > 0)
+
+
+def test_telescope_threads_do_not_change_the_report():
+    geom = unit_grid(32)
+    one = verify_telescope(geom, (0.5, 0.5), 0.1, 0.4, samples=6, seed=2, threads=1)
+    two = verify_telescope(geom, (0.5, 0.5), 0.1, 0.4, samples=6, seed=2, threads=2)
+    assert one.to_dict() == two.to_dict()
+
+
 def test_telescope_holds_on_smooth_field():
     f = random_field(unit_grid(64), 11, "fourier")
-    rep = verify_telescope(f, (0.5, 0.5), 0.05, 0.4)
-    assert rep.passed
-    assert all(s.ratio <= 1.10 for s in rep.samples)
-    assert {s.label for s in rep.samples} == {"means-of-f", "means-of-|f|"}
+    recs = telescope(f, (0.5, 0.5), 0.05, 0.4)
+    assert all(s.ratio <= 1.10 for s in recs)
+    assert [s.label for s in recs] == ["f[0]:means-of-f", "f[0]:means-of-|f|"]
 
 
 def test_telescope_trivial_and_constant():
     f = random_field(unit_grid(32), 0, "bumps")
-    rep = verify_telescope(f, (0.5, 0.5), 0.2, 0.2)
-    assert rep.passed and rep.c_star == 0.0
-    const = GridField.constant(unit_grid(32), 4.0)
-    rep2 = verify_telescope(const, (0.5, 0.5), 0.1, 0.4)
-    assert rep2.passed and rep2.c_star == 0.0
+    assert all(s.ratio == 0.0 for s in telescope(f, (0.5, 0.5), 0.2, 0.2))
+    const = constant_field(unit_grid(32), 4.0)
+    assert all(s.ratio == 0.0 for s in telescope(const, (0.5, 0.5), 0.1, 0.4))
 
 
 def test_telescope_input_validation():
-    f = random_field(unit_grid(32), 0)
+    geom = unit_grid(32)
     with pytest.raises(BallBelowResolution):
-        verify_telescope(f, (0.5, 0.5), 0.01, 0.4)
+        verify_telescope(geom, (0.5, 0.5), 0.01, 0.4, samples=1)
     with pytest.raises(BallOutsideDomain):
-        verify_telescope(f, (0.5, 0.5), 0.3, 0.2)
+        verify_telescope(geom, (0.5, 0.5), 0.3, 0.2, samples=1)
+    # the radii are checked once, before any field is drawn
     with pytest.raises(BallOutsideDomain):
-        verify_telescope(f, (0.9, 0.9), 0.1, 0.4)
+        verify_telescope(geom, (0.5, 0.5), 0.3, 0.2, samples=0)
+    with pytest.raises(ParameterRangeViolation):
+        verify_telescope(geom, (0.5, 0.5), 0.1, 0.4, samples=0)
+    with pytest.raises(BallOutsideDomain):
+        telescope(random_field(geom, 0), (0.9, 0.9), 0.1, 0.4)
+    with pytest.raises(BallOutsideDomain):
+        verify_telescope(geom, (0.9, 0.9), 0.1, 0.4, samples=1)
 
 
 def test_telescope_means_agree_with_ball_average():
@@ -236,8 +333,7 @@ def test_telescope_means_agree_with_ball_average():
     geom = GridGeometry((128, 128), (1.0, 0.6), (0.0, 0.0))
     f = random_field(geom, 2, "bumps")
     x, r, R = (0.04296875, 0.04453125), 5.0 * max(geom.spacing), 0.042
-    rep = verify_telescope(f, x, r, R)
-    lhs = next(s.lhs for s in rep.samples if s.label == "means-of-f")
+    lhs = next(s.lhs for s in telescope(f, x, r, R) if s.label == "f[0]:means-of-f")
     expected = abs(ball_average(f, Ball(x, r))[0] - ball_average(f, Ball(x, R))[0])
     assert lhs == pytest.approx(expected, rel=1e-14, abs=0)
 
@@ -247,8 +343,8 @@ def test_telescope_means_agree_with_ball_average():
 def test_telescope_property_random_bumps(seed, frac):
     f = random_field(unit_grid(48), seed, "bumps", bumps=3)
     R = 0.4
-    rep = verify_telescope(f, (0.5, 0.5), max(frac * R, 2.0 / 48 * 1.01), R)
-    assert rep.passed
+    recs = telescope(f, (0.5, 0.5), max(frac * R, 2.0 / 48 * 1.01), R)
+    assert all(s.ratio <= 1.10 for s in recs)
 
 
 # ---------------------------------------------------------------------------

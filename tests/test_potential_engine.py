@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import constant_field
 
 from wulff_lab.errors import (
     AlphaOutOfRange,
@@ -77,7 +78,7 @@ def test_wulff_constant_closed_form():
     # of a constant c with alpha = p/(p+1), s = p+1 equals c^{1/p} R
     geom = unit_grid(128)
     for p in (1.5, 2.0, 3.0):
-        f = GridField.constant(geom, 4.0)
+        f = constant_field(geom, 4.0)
         W = wulff_potential(f, PotentialParams(p / (p + 1), p + 1, 0.25), (0.5, 0.5))
         assert W == pytest.approx(4.0 ** (1 / p) * 0.25, rel=5e-3)
 
@@ -134,7 +135,7 @@ def test_oscillation_potential_dominated_by_wulff_property(p, shape, kind, R, se
 
 def test_wulff_infinite_radius_windows_to_domain():
     geom = unit_grid()
-    f = GridField.constant(geom, 1.0)
+    f = constant_field(geom, 1.0)
     x = (0.5, 0.5)
     W_inf = wulff_potential(f, PotentialParams(0.5, 3.0, math.inf), x)
     W_max = wulff_potential(
@@ -145,14 +146,14 @@ def test_wulff_infinite_radius_windows_to_domain():
 
 def test_wulff_rejects_escaping_ball():
     geom = unit_grid()
-    f = GridField.constant(geom, 1.0)
+    f = constant_field(geom, 1.0)
     with pytest.raises(BallOutsideDomain):
         wulff_potential(f, PotentialParams(0.5, 3.0, 0.4), (0.1, 0.5))
 
 
 def test_wulff_requires_nonnegative_scalar():
     geom = unit_grid()
-    f = GridField.constant(geom, -1.0)
+    f = constant_field(geom, -1.0)
     with pytest.raises(NonNegativityViolation):
         wulff_potential(f, PotentialParams(0.5, 3.0, 0.25), (0.5, 0.5))
 
@@ -314,7 +315,7 @@ def test_kernel_spectrum_built_once_by_concurrent_maps(alpha):
 
 def test_riesz_alpha_range():
     geom = unit_grid(16)
-    f = GridField.constant(geom, 1.0)
+    f = constant_field(geom, 1.0)
     with pytest.raises(AlphaOutOfRange):
         riesz_map(f, 2.0)
     with pytest.raises(AlphaOutOfRange):

@@ -21,9 +21,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wulff_lab"
 
-# kept without a program caller: tests build constant fields with
-# GridField.constant, and the README documents write_field as the library API
-ALLOWED = {"field_grid.GridField.constant", "field_grid.write_field"}
+# kept without a program caller: the README documents write_field as the
+# library API
+ALLOWED = {"field_grid.write_field"}
 
 # VerificationReport.to_dict serializes these classes whole with asdict, so
 # every field reaches report.json without an attribute read
