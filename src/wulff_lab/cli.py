@@ -661,9 +661,6 @@ def _cmd_solve(args) -> int:
         "cells": list(cfg.geometry.cells),
         "stages": result.stage_log,
     }
-    if cfg.p != 2.0:
-        # p = 2 is one direct solve, with no warm start to count
-        summary["warm_start_iterations"] = result.warm_start_iterations
     _atomic_write(os.path.join(out_dir, "solve.json"), _json_bytes(summary))
     for source in cfg.heatmaps:
         fld = result.u if source == "u" else F

@@ -273,11 +273,12 @@ def luxemburg_norm(f: GridField, A: YoungFunction) -> float:
     """Luxemburg norm inf{λ > 0 : ∫_Ω A(|f|/λ) ≤ 1}, to a relative bracket
     width of 1e-10.
 
-    A doubling search brackets the root, modular(lo) > 1 ≥ modular(hi); then
-    Illinois regula falsi on log modular against log λ shrinks the bracket,
-    each step clamped a quarter of the tolerance inside it, with a step to
-    the log-midpoint where an end's modular is 0 or ∞.  For A(t) = t^q the
-    log modular is linear in log λ, so the secant lands on the root at once.
+    One walk by factors of 2 from max |f| brackets the root,
+    modular(lo) > 1 ≥ modular(hi); then Illinois regula falsi on log modular
+    against log λ shrinks the bracket, each step clamped a quarter of the
+    tolerance inside it, with a step to the log-midpoint where an end's
+    modular is 0 or ∞.  For A(t) = t^q the log modular is linear in log λ,
+    so the secant lands on the root at once.
 
     Returns ``math.inf`` when no λ in the search range admits the unit
     integral (the structurally infinite case); raises
@@ -295,30 +296,27 @@ def luxemburg_norm(f: GridField, A: YoungFunction) -> float:
             vals = A(mag / lam)
         return float(np.sum(vals) * meas) if np.all(np.isfinite(vals)) else math.inf
 
-    hi = top
-    for _ in range(300):
-        m_hi = modular(hi)
-        if m_hi <= 1.0:
+    # one walk from top by factors of 2, up while the modular is above 1 and
+    # down while it is not, to the bracket modular(lo) > 1 >= modular(hi)
+    lam, m = top, modular(top)
+    up = m > 1.0
+    for _ in range(300 if up else 2000):
+        nxt = 2.0 * lam if up else 0.5 * lam
+        if nxt <= 0.0:
+            return 0.0
+        m_nxt = modular(nxt)
+        if (m_nxt > 1.0) != up:
             break
-        hi *= 2.0
+        lam, m = nxt, m_nxt
     else:
-        if math.isinf(modular(hi)):
+        if not up:
+            return 0.0
+        if math.isinf(m_nxt):
             return math.inf
         raise SearchRangeExhausted(
-            f"modular stayed above 1 on the bracket [{top:g}, {hi:g}]"
+            f"modular stayed above 1 on the bracket [{top:g}, {nxt:g}]"
         )
-    # walk hi down to keep the invariant modular(lo) > 1 >= modular(hi)
-    lo = hi / 2.0
-    for _ in range(2000):
-        if lo <= 0.0:
-            return 0.0
-        m_lo = modular(lo)
-        if m_lo > 1.0:
-            break
-        hi, m_hi = lo, m_lo
-        lo /= 2.0
-    else:
-        return 0.0
+    lo, m_lo, hi, m_hi = (lam, m, nxt, m_nxt) if up else (nxt, m_nxt, lam, m)
 
     g_lo, g_hi = _log(m_lo), _log(m_hi)  # g_lo > 0 >= g_hi
     last = None  # the end the previous step moved

@@ -932,7 +932,6 @@ def test_solve_roundtrip(tmp_path, capsys):
     summary = json.loads(read_bytes(out, "solve.json"))
     assert summary["converged"] is True
     assert summary["residual"] <= 1e-10
-    # the direct p = 2 solve has no warm start, and solve.json keeps its keys
     assert "warm_start_iterations" not in summary
     assert (out / "u.svg").exists()
 
@@ -962,10 +961,9 @@ def test_solve_json_stages_sum_to_iterations(tmp_path):
     assert all(set(s) == {"eps", "iterations", "newton_steps", "grad_norm"}
                for s in stages)
     assert summary["iterations"] > 0
-    # the sin·sin ring is not constant, so the harmonic warm start does work
-    assert summary["warm_start_iterations"] > 0
-    assert (sum(s["iterations"] for s in stages) + summary["warm_start_iterations"]
-            == summary["iterations"])
+    # the DST warm start uses no Hessian-vector products and has no key
+    assert "warm_start_iterations" not in summary
+    assert sum(s["iterations"] for s in stages) == summary["iterations"]
 
 
 def test_solve_heatmaps_need_a_2d_grid(tmp_path, capsys):
@@ -1052,8 +1050,8 @@ _SCIPY_LOADED = ("sorted({'.'.join(m.split('.')[:2]) for m in sys.modules"
 
 
 def test_cli_import_leaves_out_scipy():
-    # scipy loads only inside the functions that call it: the Riesz maps and
-    # the p = 2 solve (scipy.fft) and adaptive quadrature (scipy.integrate)
+    # scipy loads only inside the functions that call it: the Riesz maps
+    # (scipy.fft) and adaptive quadrature (scipy.integrate)
     out = _fresh_python(f"import sys, wulff_lab.cli; print({_SCIPY_LOADED})")
     assert out.strip() == "[]"
 
@@ -1104,7 +1102,7 @@ samples = 3
 @pytest.mark.parametrize("config, argv, expected", [
     (BALLS_CONFIG, ["run", "job.ini", "--out", "o"], set()),
     (_solve_config(3.0), ["solve", "job.ini", "--out", "o"], set()),
-    (_solve_config(2.0), ["solve", "job.ini", "--out", "o"], {"scipy.fft"}),
+    (_solve_config(2.0), ["solve", "job.ini", "--out", "o"], set()),
     (DOMINATION_CONFIG, ["run", "job.ini", "--out", "o"], {"scipy.fft"}),
     (None, ["potential", "f.wlf", "--kind", "riesz", "--alpha", "0.5"], {"scipy.fft"}),
     # (q, rho, beta) = (2, 2, 0.5) is the mixed case: steps by adaptive

@@ -308,8 +308,9 @@ def test_luxemburg_homogeneity():
 
 
 def _luxemburg_bracket(f, A):
-    """(modular, lo, hi, evaluations) of the doubling search, with
-    modular(lo) > 1 >= modular(hi); None for the zero field."""
+    """(modular, lo, hi, evaluations) of a doubling search up from max|f|
+    and a halving search back down, with modular(lo) > 1 >= modular(hi);
+    None for the zero field."""
     mag = f.magnitude().values[0].ravel()
     meas = f.geometry.cell_measure
     top = float(mag.max())
@@ -382,6 +383,27 @@ def test_luxemburg_root_matches_bisection_oracle(name):
                 _luxemburg_oracle(g, A), rel=1e-9, abs=0)
             # bisection needs 33 steps from a bracket [λ/2, λ] to width 1e-10·λ
             assert calls[0] - _luxemburg_bracket(g, A)[3] <= 12
+
+
+@pytest.mark.parametrize("extent, up", [((4.0, 4.0), True), ((0.25, 0.25), False)],
+                         ids=["walk-up", "walk-down"])
+def test_luxemburg_bracket_walk_evaluates_no_scale_twice(extent, up):
+    # on measure 16 the modular at λ = max|f| is above 1 for every family,
+    # and the walk doubles λ; on measure 1/16 it is at most 1, and the walk
+    # halves λ
+    geom = GridGeometry((32, 32), extent, (0.0, 0.0))
+    f = random_field(geom, 3, "bumps", nonneg=True)
+    for A in LUX_FAMILIES.values():
+        scales = []  # max|f|/λ of each evaluation
+
+        def fn(t, A=A):
+            scales.append(float(np.max(t)))
+            return A(t)
+
+        got = luxemburg_norm(f, YoungFunction(fn, A.tag, A.sigma, A.logexp))
+        assert got == pytest.approx(_luxemburg_oracle(f, A), rel=1e-9, abs=0)
+        assert (scales[1] < scales[0]) == up
+        assert len(scales) == len(set(scales))
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 3.0])

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import re
 import sys
 import time
@@ -18,8 +19,10 @@ from wulff_lab.plaplace_solver import (
     _EPS_FINAL,
     _EPS_START,
     _divergence_gap,
+    _dst,
     _energy_and_grad,
     _hessian_product,
+    _poisson_step,
     _stag_values,
     manufacture,
     solve,
@@ -29,6 +32,12 @@ from wulff_lab.plaplace_solver import (
 
 def unit_grid(cells):
     return GridGeometry((cells, cells), (1.0, 1.0), (0.0, 0.0))
+
+
+def _ring(geom):
+    ring = np.zeros(geom.cells, dtype=bool)
+    ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
+    return ring
 
 
 def trig_field(geom):
@@ -312,8 +321,7 @@ def test_singular_p1_5_zero_boundary_at_default_tol(cells):
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_hessian_product_matches_gradient_difference(p, N):
     geom = unit_grid(16)
-    ring = np.zeros(geom.cells, dtype=bool)
-    ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
+    ring = _ring(geom)
     rng = np.random.default_rng([N, int(10 * p)])
     v = rng.standard_normal((N, 16, 16))
     d = rng.standard_normal((N, 16, 16))
@@ -347,8 +355,7 @@ def _hessian_oracle(g, s2, p, geom, d):
 def test_hessian_diagonal_and_product_match_unit_vectors_and_oracle(p, N):
     # h1 = 1/16 and h2 = 0.075
     geom = GridGeometry((16, 12), (1.0, 0.9), (0.0, 0.0))
-    ring = np.zeros(geom.cells, dtype=bool)
-    ring[0, :] = ring[-1, :] = ring[:, 0] = ring[:, -1] = True
+    ring = _ring(geom)
     rng = np.random.default_rng([N, int(10 * p), 7])
     v = rng.standard_normal((N, 16, 12))
     Fl = rng.standard_normal((N, 2, 15, 11))
@@ -390,7 +397,7 @@ def test_singular_p_at_most_1_3_fails_at_the_round_off_floor_not_the_budget(p):
     assert info.value.residual > 1e-8
 
 
-def test_p3_warm_start_counts_in_iterations():
+def test_p3_iterations_sum_the_stage_iterations():
     geom = unit_grid(64)
     u = GridField.from_function(
         geom,
@@ -398,23 +405,87 @@ def test_p3_warm_start_counts_in_iterations():
     )
     F = manufacture(u, 3.0)
     result = solve(DirichletProblem(F, u), SystemParams(p=3.0, tol=2e-6))
-    assert result.warm_start_iterations > 0
-    # 441 products; CG without the Jacobi scaling needs 591
+    # 428 products; CG without the Jacobi scaling needs 591
     assert result.iterations <= 500
-    assert result.iterations == (sum(s["iterations"] for s in result.stage_log)
-                                 + result.warm_start_iterations)
+    # the DST warm start uses no Hessian-vector products
+    assert result.iterations == sum(s["iterations"] for s in result.stage_log)
     assert len(result.stage_log) == len(SystemParams(p=3.0).stages())
-    # a constant ring is already harmonic: the warm start is a no-op
-    flat = solve(DirichletProblem(F, 1.5), SystemParams(p=3.0, tol=2e-6))
-    assert flat.warm_start_iterations == 0
 
 
-def test_warm_start_obeys_the_budget():
+def test_newton_stages_obey_the_budget():
     geom = unit_grid(32)
     u = GridField.from_function(geom, lambda x, y: np.sin(3 * x) + y * y)
     with pytest.raises(NonConvergence) as info:
         solve(DirichletProblem(manufacture(u, 3.0), u), SystemParams(p=3.0, max_iters=3))
     assert "after 3 iterations" in str(info.value)
+
+
+# c − 1 = 127 is prime, the slow length of the DST-I
+@pytest.mark.parametrize("shape", [(1, 126, 126), (2, 62, 190), (1, 198, 98)])
+def test_dst_matches_scipy_and_is_its_own_inverse(shape):
+    from scipy.fft import dstn
+
+    a = np.random.default_rng(list(shape)).standard_normal(shape)
+    expected = dstn(a, type=1, axes=(1, 2), norm="ortho")
+    got = _dst(a)
+    assert got.shape == shape
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.abs(_dst(got) - a).max() <= 1e-14 * np.abs(a).max()
+
+
+@pytest.mark.parametrize("cells, extent, N", [
+    ((64, 64), (1.0, 1.0), 1),
+    ((40, 56), (1.0, 0.7), 2),
+], ids=["square-64", "system-40x56"])
+def test_warm_start_leaves_a_tenth_of_the_laplace_gradient(monkeypatch, cells,
+                                                           extent, N):
+    import wulff_lab.plaplace_solver as ps
+
+    geom = GridGeometry(cells, extent, (0.0, 0.0))
+    ring = _ring(geom)
+    base = GridField.from_function(geom, lambda x, y: np.sin(3 * x) + y * y + x * y)
+    u = GridField(geom, np.stack([base.values[0], np.cos(base.values[0])][:N]),
+                  "scalar" if N == 1 else "vector", codomain=N)
+    F = manufacture(u, 3.0)
+    starts = []
+
+    class FirstStage(Exception):
+        pass
+
+    def first_stage(v, *args):
+        starts.append(v.copy())
+        raise FirstStage
+
+    monkeypatch.setattr(ps, "_newton_stage", first_stage)
+    for boundary in (u, 1.5):
+        with pytest.raises(FirstStage):
+            solve(DirichletProblem(F, boundary), SystemParams(p=3.0))
+    # a constant ring is already harmonic: the warm start moves nothing
+    assert np.all(starts[1] == 1.5)
+    v0 = np.array(u.values)
+    for c in range(N):
+        v0[c][~ring] = v0[c][ring].mean()
+    zero = np.zeros((N, 2) + tuple(c - 1 for c in cells))
+
+    def laplace_gradient(v):
+        return np.linalg.norm(_energy_and_grad(v, zero, 2.0, 0.0, geom, ring)[1])
+
+    assert np.array_equal(starts[0][:, ring], u.values[:, ring])
+    assert (abs(laplace_gradient(starts[0]) - 0.1 * laplace_gradient(v0))
+            <= 1e-12 * laplace_gradient(v0))
+
+
+def test_full_poisson_step_on_zero_datum_is_the_harmonic_extension():
+    geom = GridGeometry((30, 23), (1.0, 0.6), (0.0, 0.0))
+    ring = _ring(geom)
+    g = GridField.from_function(
+        geom, lambda x, y: 1.0 + np.sin(np.pi * x) * np.sin(np.pi * y / 0.6) + x * x - y
+    ).values[0]
+    v = np.where(ring, g, g[ring].mean())[np.newaxis]
+    _poisson_step(v, np.zeros((1, 2, 29, 22)), geom, ring)
+    zero = GridField(geom, np.zeros((2,) + geom.cells), "matrix", codomain=1)
+    direct = _direct_p2_solution(geom, zero, g.copy())
+    assert np.abs(v[0] - direct).max() <= 1e-12 * np.abs(direct).max()
 
 
 @pytest.mark.parametrize("p, boundary", [(2.0, 0.0), (3.0, "u"), (1.5, "u")])
@@ -460,10 +531,12 @@ def test_failing_solve_measures_each_iterate_once(monkeypatch):
     assert len(seen) == len(set(seen)) > 1
 
 
-def test_energy_is_none_when_the_warm_start_spends_the_budget():
+def test_energy_is_a_float_at_one_iteration():
+    # the warm start spends no budget, so the stages run even at max_iters = 1
     geom = unit_grid(16)
     u = GridField.from_function(geom, lambda x, y: x * x + y)
     result = solve(DirichletProblem(manufacture(u, 3.0), u),
                    SystemParams(p=3.0, tol=1e3, max_iters=1))
-    assert result.warm_start_iterations == result.iterations == 1
-    assert result.energy is None and result.stage_log == []
+    assert result.iterations == 0
+    assert isinstance(result.energy, float) and math.isfinite(result.energy)
+    assert len(result.stage_log) == len(SystemParams(p=3.0).stages())
