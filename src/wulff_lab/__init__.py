@@ -36,6 +36,7 @@ from .field_grid import (
     GridField,
     GridGeometry,
     NestedBalls,
+    ShellPlan,
     ball_average,
     ball_cells,
     ball_oscillation,
@@ -43,6 +44,7 @@ from .field_grid import (
     gradient,
     nested_balls,
     read_field,
+    shell_plan,
     value_at,
     write_field,
 )
@@ -72,9 +74,11 @@ from .function_spaces import (
 from .inequality_lab import (
     FAMILY_VERSION,
     GatedPair,
+    PointwiseTerms,
     SampleRecord,
     VerificationReport,
     gate_pair,
+    pointwise_terms,
     random_field,
     verify_domination,
     verify_energy_inequalities,

@@ -256,6 +256,7 @@ class RunConfig:
 
         self.base_dir = base_dir
         self._pair = self._gated = None
+        self._pointwise = {}
 
     def pair(self) -> tuple[GridField, GridField]:
         """The (u, F) pair of ``[data]``, loaded on first use and kept for the
@@ -280,6 +281,33 @@ class RunConfig:
         if self._gated is None:
             self._gated = iq.gate_pair(*self.pair(), self.p, self.residual_tol)
         return self._gated
+
+    def pointwise_terms(self, r_ball: float, points, oscillation: bool) -> iq.PointwiseTerms:
+        """The terms of the pointwise bounds on :meth:`gated_pair`, computed
+        once per (``r_ball``, ``points``) for the command.  They hold the
+        oscillation potential when ``oscillation`` asks for it or a selected
+        ``pointwise-oscillation`` reads the same ball radius and points."""
+        key = (r_ball, tuple(points))
+        terms = self._pointwise.get(key)
+        if terms is None or (oscillation and terms.oscillation is None):
+            terms = self._pointwise[key] = iq.pointwise_terms(
+                self.gated_pair(), r_ball, points,
+                oscillation=oscillation or key in self._oscillation_keys())
+        return terms
+
+    def _oscillation_keys(self) -> set:
+        """(r_ball, points) of every selected ``pointwise-oscillation``
+        whose options parse; one that does not raises when it runs."""
+        options = THEOREMS["pointwise-oscillation"][2]
+        keys = set()
+        for name, given in self.theorems:
+            if name == "pointwise-oscillation":
+                try:
+                    got = _options(options, given, self.geometry)
+                except ConfigError:
+                    continue
+                keys.add((got["r_ball"], tuple(got["points"])))
+        return keys
 
 
 def parse_config(path: str) -> RunConfig:
@@ -384,7 +412,7 @@ def _run_telescope(cfg, seed, threads, r_outer, r_inner, **options):
 def _pointwise(summary, osc):
     def run(cfg, seed, threads, points, r_ball):
         verify = iq.verify_pointwise_osc if osc else iq.verify_pointwise
-        return verify(cfg.gated_pair(), r_ball, points)
+        return verify(cfg.pointwise_terms(r_ball, points, osc))
 
     return summary, run, {"points": (_points, _lattice), "r_ball": (float, _r_ball)}
 

@@ -17,10 +17,11 @@ B_r(x) iff d² = Σ_d (k_d·h_d − δ_d)² ≤ r².  Every ball is a list of fl
 row-major cell indices built by this rule.  At a cell center δ = 0, so no
 rounding of center coordinates enters and the cells depend on r alone:
 :func:`ball_stencil` lists them once per radius as flat index offsets.
-:func:`ball_cells` applies the rule to one ball; :func:`nested_balls`
+:func:`ball_cells` applies the rule to one ball; :func:`shell_plan`
 applies it to many concentric balls at once, ordering the cells of the
 largest ball shell by shell (by the smallest requested r² ≥ d²) so that
-every smaller ball is a prefix.
+every smaller ball is a prefix, and :func:`nested_balls` gathers one field
+on such a plan.
 
 Balls are hard-rejected unless they fit inside Ω — the averaging operators
 never see extension artifacts.  Fields are immutable after construction and
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,12 +53,14 @@ __all__ = [
     "GridField",
     "Ball",
     "NestedBalls",
+    "ShellPlan",
     "max_admissible_radius",
     "ball_average",
     "ball_oscillation",
     "ball_cells",
     "ball_stencil",
     "nested_balls",
+    "shell_plan",
     "gradient",
     "value_at",
     "encode_field",
@@ -260,6 +263,10 @@ def _check_balls(geom: GridGeometry, x: Sequence[float], radii) -> None:
     input order that is below the resolution or leaves Ω raises."""
     _check_point(geom, x)
     r = np.asarray(radii, dtype=float)
+    # a ball below the resolution has every smaller one below it, and one
+    # that leaves Ω every larger one, so the extremes decide that none fails
+    if r.min() >= max(geom.spacing) and geom._contains(x, [r.max()])[0]:
+        return
     below = r < max(geom.spacing)
     for i in np.flatnonzero(below | ~geom._contains(x, r))[:1]:  # the first failure
         if below[i]:
@@ -403,15 +410,31 @@ class NestedBalls:
                          for i, k in enumerate(self.counts)])
 
 
-def nested_balls(f: GridField, x: Sequence[float], radii: Sequence[float]) -> NestedBalls:
-    """Samples of ``f`` on the balls B_r(x), r in ``radii`` (any order).
+class ShellPlan(NamedTuple):
+    """The cells of concentric balls B_r(x) as one index array: ``cells``
+    lists the flat row-major indices of the largest ball shell by shell (see
+    :func:`shell_plan`), so the cells of B_{radii[i]}(x) are the first
+    ``counts[i]`` entries.  It depends on the geometry alone, so one plan
+    gathers any number of fields on that grid."""
+
+    cells: np.ndarray
+    counts: np.ndarray
+
+    def gather(self, f: GridField) -> NestedBalls:
+        """The samples of ``f`` on the planned balls."""
+        return NestedBalls(np.take(f.values.reshape(f.ncomp, -1), self.cells, axis=1),
+                           self.counts)
+
+
+def shell_plan(geom: GridGeometry, x: Sequence[float], radii: Sequence[float]) -> ShellPlan:
+    """The cells of the balls B_r(x), r in ``radii`` (any order), ordered so
+    that every ball is a prefix.
 
     Every radius passes the checks of :func:`ball_cells`.  A cell's shell is
     the index of the smallest requested r² ≥ its d²; a stable sort of these
     small integers orders the cells shell by shell, so ``counts[i]``, a
     prefix sum of shell sizes, counts the ``ball_cells`` of B_{radii[i]}(x).
     """
-    geom = f.geometry
     r = np.array(radii, dtype=float)
     Ball(tuple(x), r.min())  # the ValueError of a radius that is not positive
     _check_balls(geom, x, r)
@@ -423,9 +446,13 @@ def nested_balls(f: GridField, x: Sequence[float], radii: Sequence[float]) -> Ne
     counts = np.cumsum(np.bincount(shell, minlength=levels.size))[np.searchsorted(levels, r2)]
     if counts.min() == 0:
         raise BallBelowResolution(f"a ball around {tuple(x)} contains no cell centers")
-    order = np.argsort(shell, kind="stable")
-    return NestedBalls(np.take(f.values.reshape(f.ncomp, -1), i0 + offsets[order], axis=1),
-                       counts)
+    return ShellPlan(i0 + offsets[np.argsort(shell, kind="stable")], counts)
+
+
+def nested_balls(f: GridField, x: Sequence[float], radii: Sequence[float]) -> NestedBalls:
+    """Samples of ``f`` on the balls B_r(x), r in ``radii`` (any order): the
+    :func:`shell_plan` of these balls, gathered from ``f``."""
+    return shell_plan(f.geometry, x, radii).gather(f)
 
 
 def _containing_cell(geom: GridGeometry, x: Sequence[float]) -> int:

@@ -273,17 +273,20 @@ def luxemburg_norm(f: GridField, A: YoungFunction) -> float:
     """Luxemburg norm inf{λ > 0 : ∫_Ω A(|f|/λ) ≤ 1}, to a relative bracket
     width of 1e-10.
 
-    One walk by factors of 2 from max |f| brackets the root,
-    modular(lo) > 1 ≥ modular(hi); then Illinois regula falsi on log modular
-    against log λ shrinks the bracket, each step clamped a quarter of the
-    tolerance inside it, with a step to the log-midpoint where an end's
-    modular is 0 or ∞.  For A(t) = t^q the log modular is linear in log λ,
-    so the secant lands on the root at once.
+    One walk from max |f| brackets the root, modular(lo) > 1 ≥ modular(hi):
+    its first step is a factor 2, and each later one goes a tenth past the
+    secant root of log modular against log λ through its last two points,
+    by a factor of at least 2 and at most the square of the step before.
+    Then Illinois regula falsi on log modular against log λ shrinks the
+    bracket, each step clamped a quarter of the tolerance inside it, with a
+    step to the log-midpoint where an end's modular is 0 or ∞.  For
+    A(t) = t^q the log modular is linear in log λ, so the secants land on
+    the root at once: a few evaluations bracket it and two close it.
 
-    Returns ``math.inf`` when no λ in the search range admits the unit
+    Returns ``math.inf`` when no λ up to max|f|·2^300 admits the unit
     integral (the structurally infinite case); raises
     :class:`SearchRangeExhausted` if the modular stays finite but above 1 all
-    the way to the range cap, which indicates a malformed Young function.
+    the way to that cap, which indicates a malformed Young function.
     """
     mag = f.magnitude().values[0].ravel()
     meas = f.geometry.cell_measure
@@ -296,30 +299,37 @@ def luxemburg_norm(f: GridField, A: YoungFunction) -> float:
             vals = A(mag / lam)
         return float(np.sum(vals) * meas) if np.all(np.isfinite(vals)) else math.inf
 
-    # one walk from top by factors of 2, up while the modular is above 1 and
-    # down while it is not, to the bracket modular(lo) > 1 >= modular(hi)
-    lam, m = top, modular(top)
-    up = m > 1.0
-    for _ in range(300 if up else 2000):
-        nxt = 2.0 * lam if up else 0.5 * lam
+    # the walk: up while the modular is above 1, down while it is not
+    lam, g = top, _log(modular(top))
+    up = g > 0.0
+    cap = math.ldexp(top, 300)
+    factor = 2.0
+    while True:
+        nxt = min(lam * factor, cap) if up else lam / factor
         if nxt <= 0.0:
             return 0.0
-        m_nxt = modular(nxt)
-        if (m_nxt > 1.0) != up:
+        g_nxt = _log(modular(nxt))
+        if (g_nxt > 0.0) != up:
             break
-        lam, m = nxt, m_nxt
-    else:
-        if not up:
-            return 0.0
-        if math.isinf(m_nxt):
-            return math.inf
-        raise SearchRangeExhausted(
-            f"modular stayed above 1 on the bracket [{top:g}, {nxt:g}]"
-        )
-    lo, m_lo, hi, m_hi = (lam, m, nxt, m_nxt) if up else (nxt, m_nxt, lam, m)
+        if nxt == cap:
+            if math.isinf(g_nxt):
+                return math.inf
+            raise SearchRangeExhausted(
+                f"modular stayed above 1 on the bracket [{top:g}, {nxt:g}]"
+            )
+        # the next factor reaches the secant root λ* through the last two
+        # points, a tenth further; it is at least 2 and at most the square of
+        # this one, so a secant that the curvature of log modular misleads
+        # (exp-type A) cannot throw the bracket far past the root
+        if math.isfinite(g) and math.isfinite(g_nxt) and abs(g_nxt) < abs(g):
+            dist = abs(g_nxt * math.log(nxt / lam) / (g_nxt - g))  # |log λ* − log nxt|
+            factor = math.exp(min(max(1.1 * dist, _LN2), 2.0 * math.log(factor)))
+        else:
+            factor = 2.0
+        lam, g = nxt, g_nxt
+    lo, g_lo, hi, g_hi = (lam, g, nxt, g_nxt) if up else (nxt, g_nxt, lam, g)
 
-    g_lo, g_hi = _log(m_lo), _log(m_hi)  # g_lo > 0 >= g_hi
-    last = None  # the end the previous step moved
+    last = None  # the end the previous step moved; g_lo > 0 >= g_hi
     while hi - lo > 1e-10 * hi:
         if math.isfinite(g_lo) and math.isfinite(g_hi):
             u_lo, u_hi = math.log(lo), math.log(hi)
@@ -345,6 +355,9 @@ def luxemburg_norm(f: GridField, A: YoungFunction) -> float:
 
 def _log(m: float) -> float:
     return math.log(m) if m > 0.0 else -math.inf
+
+
+_LN2 = math.log(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -78,9 +78,11 @@ from .potential_engine import (
 __all__ = [
     "FAMILY_VERSION",
     "GatedPair",
+    "PointwiseTerms",
     "SampleRecord",
     "VerificationReport",
     "gate_pair",
+    "pointwise_terms",
     "random_field",
     "radial_profile",
     "verify_pointwise",
@@ -342,26 +344,47 @@ def _power_field(f: GridField, power: float) -> GridField:
 # pointwise estimates
 
 
-def _pointwise_terms(pair: GatedPair, R: float, points: Sequence[Sequence[float]]):
-    """Per point x, (x, |u(x)|, W, ⨍|u|) with W = W^R_{p/(p+1), p+1}(|F|^{p'})(x)
-    and the mean over B_R(x): the terms both pointwise bounds share."""
-    u, p = pair.u, pair.p
-    data = _power_field(pair.F, p / (p - 1.0))
+class PointwiseTerms(NamedTuple):
+    """The terms both pointwise bounds read, per sample point x of a gated
+    pair: |u(x)|, W = W^R_{p/(p+1), p+1}(|F|^{p'})(x), ⨍_{B_R(x)}|u| and,
+    when asked for, the oscillation potential of F, all as floats."""
+
+    p: float
+    R: float
+    residual: float
+    points: tuple[tuple[float, ...], ...]
+    abs_u: tuple[float, ...]
+    wulff: tuple[float, ...]
+    mean_u: tuple[float, ...]
+    oscillation: tuple[float, ...] | None
+
+
+def pointwise_terms(pair: GatedPair, R: float, points: Sequence[Sequence[float]], *,
+                    oscillation: bool = False) -> PointwiseTerms:
+    """One pass over the points for :func:`verify_pointwise` and, with
+    ``oscillation``, :func:`verify_pointwise_osc`.  At each point the Wulff
+    and the oscillation potential gather their fields with one shell plan."""
+    u, F, p = pair.u, pair.F, pair.p
+    data = _power_field(F, p / (p - 1.0))
     absu = u.magnitude()
     params = PotentialParams(p / (p + 1.0), p + 1.0, R)
-    return [
-        (x, float(np.linalg.norm(value_at(u, x))), wulff_potential(data, params, x),
-         float(ball_average(absu, Ball(tuple(x), R))[0]))
-        for x in points
-    ]
+    points = tuple(tuple(float(c) for c in x) for x in points)
+    abs_u, wulff, mean_u, osc = [], [], [], []
+    for x in points:
+        abs_u.append(float(np.linalg.norm(value_at(u, x))))
+        wulff.append(wulff_potential(data, params, x))
+        if oscillation:  # on the shell plan that wulff_potential just built
+            osc.append(oscillation_potential(F, p, R, x))
+        mean_u.append(float(ball_average(absu, Ball(x, R))[0]))
+    return PointwiseTerms(p, R, pair.residual, points, tuple(abs_u), tuple(wulff),
+                          tuple(mean_u), tuple(osc) if oscillation else None)
 
 
 def _point_label(x: Sequence[float]) -> str:
     return f"x={tuple(float(c) for c in x)}"
 
 
-def verify_pointwise(pair: GatedPair, R: float,
-                     points: Sequence[Sequence[float]]) -> VerificationReport:
+def verify_pointwise(terms: PointwiseTerms) -> VerificationReport:
     """Pointwise Wulff-potential bound for weak solutions:
 
         |u(x)| ≤ C [ W^R_{p/(p+1), p+1}(|F|^{p'})(x) + ⨍_{B_R(x)}|u| ].
@@ -370,18 +393,18 @@ def verify_pointwise(pair: GatedPair, R: float,
     under the p-Laplace rescaling (u, F) → (λu, λ^{p−1}F), so the fitted C*
     is scale-free.
     """
-    terms = _pointwise_terms(pair, R, points)
-    samples = [_record(_point_label(x), lhs, W + mean_u) for x, lhs, W, mean_u in terms]
+    samples = [_record(_point_label(x), lhs, W + mean_u)
+               for x, lhs, W, mean_u in zip(terms.points, terms.abs_u, terms.wulff,
+                                            terms.mean_u)]
     return _assemble(
         "pointwise-wulff",
-        {"p": pair.p, "R": R, "residual": pair.residual, "points": len(samples)},
+        {"p": terms.p, "R": terms.R, "residual": terms.residual, "points": len(samples)},
         samples,
         [],
     )
 
 
-def verify_pointwise_osc(pair: GatedPair, R: float,
-                         points: Sequence[Sequence[float]]) -> VerificationReport:
+def verify_pointwise_osc(terms: PointwiseTerms) -> VerificationReport:
     """Pointwise bound with the smaller mean-oscillation potential:
 
         |u(x)| ≤ C [ ∫₀^R (⨍_{B_ρ(x)}|F − ⟨F⟩|^{p'})^{1/p} dρ + ⨍_{B_R(x)}|u| ].
@@ -390,15 +413,17 @@ def verify_pointwise_osc(pair: GatedPair, R: float,
     2^{1/(p−1)} times the Wulff potential of |F|^{p'} (triangle inequality
     plus Jensen on each ball), so this bound implies the Wulff one; the
     comparison is re-checked here on every sample and a violation fails the
-    report.
+    report.  ``terms`` must come from ``pointwise_terms(..., oscillation=True)``.
     """
-    terms = _pointwise_terms(pair, R, points)
-    p = pair.p
+    if terms.oscillation is None:
+        raise ValueError("the terms hold no oscillation potential; "
+                         "make them with pointwise_terms(..., oscillation=True)")
+    p = terms.p
     factor = 2.0 ** (1.0 / (p - 1.0))
     samples = []
     comparison_ok = True
-    for x, lhs, W, mean_u in terms:
-        osc_pot = oscillation_potential(pair.F, p, R, x)
+    for x, lhs, W, mean_u, osc_pot in zip(terms.points, terms.abs_u, terms.wulff,
+                                          terms.mean_u, terms.oscillation):
         if osc_pot > factor * W * (1.0 + 1e-9):
             comparison_ok = False
         samples.append(_record(_point_label(x), lhs, osc_pot + mean_u))
@@ -408,7 +433,7 @@ def verify_pointwise_osc(pair: GatedPair, R: float,
     ]
     return _assemble(
         "pointwise-oscillation",
-        {"p": p, "R": R, "residual": pair.residual, "points": len(samples)},
+        {"p": p, "R": terms.R, "residual": terms.residual, "points": len(samples)},
         samples,
         notes,
         extra_pass=comparison_ok,

@@ -22,11 +22,12 @@ full-grid maps, and the mean-oscillation potential
 for divergence-form data.
 
 The pointwise Wulff and oscillation potentials read every ball mean from one
-shell-ordered view of the largest ball (:func:`field_grid.nested_balls`):
-its flat cell indices are grouped by the smallest quadrature radius whose
-ball holds them, so the cells of B_r(x) are a prefix and each quadrature
-radius sums a prefix, with the one inclusion rule of
-:func:`field_grid.ball_cells`.
+shell-ordered view of the largest ball (:func:`field_grid.shell_plan`): its
+flat cell indices are grouped by the smallest quadrature radius whose ball
+holds them, so the cells of B_r(x) are a prefix and each quadrature radius
+sums a prefix, with the one inclusion rule of :func:`field_grid.ball_cells`.
+The plan depends on the grid, the point and R alone and the last one is
+kept, so the two potentials at one point share it.
 
 All pointwise evaluations are literal sums over cells.  On a uniform lattice
 the Riesz kernel depends only on the index offset Δ, so one offset table
@@ -57,9 +58,10 @@ from .errors import AlphaOutOfRange, BallBelowResolution, NonNegativityViolation
 from .field_grid import (
     GridField,
     GridGeometry,
+    ShellPlan,
     _containing_cell,
     max_admissible_radius,
-    nested_balls,
+    shell_plan,
 )
 
 __all__ = [
@@ -128,10 +130,23 @@ def _require_scalar_nonneg(f: GridField, what: str) -> None:
         raise NonNegativityViolation(f"{what} requires a nonnegative field")
 
 
-def _resolve_radius(geom: GridGeometry, x, R: float) -> float:
+@lru_cache(maxsize=1)
+def _point_plan(geom: GridGeometry, x: tuple[float, ...],
+                R: float) -> tuple[float, RadialQuadrature, ShellPlan]:
+    """r_min, the radial quadrature on [r_min, R] (R = inf: the largest
+    admissible radius) and the shell plan of the balls of radii r_min and
+    the quadrature radii around x: what the pointwise potentials at x read.
+
+    It depends on the grid, x and R alone, so the Wulff and the oscillation
+    potential at one point gather their fields with one plan.  One entry is
+    kept: one read-only index array the size of the largest ball."""
     if math.isinf(R):
-        return max_admissible_radius(geom, x)
-    return R
+        R = max_admissible_radius(geom, x)
+    r_min = 2.0 * max(geom.spacing)
+    quad = RadialQuadrature.log_spaced(r_min, R)
+    plan = shell_plan(geom, x, [r_min, *quad.radii])
+    plan.cells.flags.writeable = plan.counts.flags.writeable = False
+    return r_min, quad, plan
 
 
 def wulff_potential(f: GridField, params: PotentialParams, x: Sequence[float]) -> float:
@@ -141,14 +156,11 @@ def wulff_potential(f: GridField, params: PotentialParams, x: Sequence[float]) -
     1/(s−1); raises if any quadrature ball leaves the domain (no extension).
     """
     _require_scalar_nonneg(f, "wulff_potential")
-    geom = f.geometry
-    R = _resolve_radius(geom, x, params.R)
-    r_min = 2.0 * max(geom.spacing)
-    quad = RadialQuadrature.log_spaced(r_min, R)
+    r_min, quad, plan = _point_plan(f.geometry, tuple(float(c) for c in x), params.R)
     a, s = params.alpha, params.s
     beta = a * s / (s - 1.0)
 
-    avg = nested_balls(f, x, [r_min, *quad.radii]).means()[0]
+    avg = plan.gather(f).means()[0]
     head = avg[0] ** (1.0 / (s - 1.0)) * r_min**beta / beta
     tail = quad.weights @ (quad.radii**(a * s) * avg[1:]) ** (1.0 / (s - 1.0))
     return float(head + tail)
@@ -164,12 +176,9 @@ def oscillation_potential(F: GridField, p: float, R: float, x: Sequence[float]) 
     """
     if not (p > 1):
         raise AlphaOutOfRange(f"oscillation potential needs p > 1, got {p}")
-    geom = F.geometry
-    R = _resolve_radius(geom, x, R)
-    r_min = 2.0 * max(geom.spacing)
-    quad = RadialQuadrature.log_spaced(r_min, R)
+    r_min, quad, plan = _point_plan(F.geometry, tuple(float(c) for c in x), R)
     pp = p / (p - 1.0)
-    integrand = nested_balls(F, x, [r_min, *quad.radii]).oscillations(pp) ** (pp / p)
+    integrand = plan.gather(F).oscillations(pp) ** (pp / p)
     head = integrand[0] * r_min
     # dρ = ρ · dρ/ρ converts the log-midpoint weights to the flat measure
     tail = quad.weights @ (quad.radii * integrand[1:])

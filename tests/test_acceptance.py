@@ -25,6 +25,7 @@ from wulff_lab.function_spaces import (
 )
 from wulff_lab.inequality_lab import (
     gate_pair,
+    pointwise_terms,
     verify_domination,
     verify_hardy,
     verify_oscillation,
@@ -165,8 +166,9 @@ def test_criterion_5_main_theorem_batteries():
         for label, u, F, p in _battery_pairs(cells):
             pts = _nine_points(u.geometry)
             pair = gate_pair(u, F, p, 1e-5)
-            rp = verify_pointwise(pair, R, pts)
-            ro = verify_pointwise_osc(pair, R, pts)
+            terms = pointwise_terms(pair, R, pts, oscillation=True)
+            rp = verify_pointwise(terms)
+            ro = verify_pointwise_osc(terms)
             rd_cs = max(verify_oscillation(pair, x, R).c_star for x in pts)
             assert rp.passed and ro.passed
             cstars.setdefault(label, {})[cells] = (rp.c_star, ro.c_star, rd_cs)

@@ -221,8 +221,9 @@ def _plain(value):
 
 @pytest.mark.parametrize("name", list(THEOREMS))
 def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, name):
-    # the verifiers are stubbed out and record their arguments: each declared
-    # option, set away from its default, must change what a verifier receives
+    # the verifiers and the pointwise pass are stubbed out and record their
+    # arguments: each declared option, set away from its default, must change
+    # what one of them receives
     import wulff_lab.cli as cli
 
     calls = []
@@ -234,7 +235,7 @@ def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, na
         return record
 
     for attr in dir(cli.iq):
-        if attr.startswith("verify_"):
+        if attr.startswith("verify_") or attr == "pointwise_terms":
             monkeypatch.setattr(cli.iq, attr, stub(attr))
     monkeypatch.setattr(cli.RunConfig, "pair", lambda self: ("u", "F"))
     monkeypatch.setattr(cli.RunConfig, "gated_pair", lambda self: "pair")
@@ -726,6 +727,73 @@ def test_run_gates_the_pair_once(tmp_path, monkeypatch, capsys):
     assert len(calls) == 1
     for name, digest in _PAIR_DIGESTS.items():
         assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest, name
+
+
+# a run shaped like the benchmark's balls workload (both pointwise theorems on
+# one point set, oscillation decay, Caccioppoli, a BMO scan, heatmaps) at 64²
+POINTS_CONFIG = """\
+[grid]
+cells = 64,64
+
+[system]
+p = 1.5
+
+[data]
+u = profile:sinsin
+F = manufactured
+
+[verify]
+theorems = pointwise-wulff, pointwise-oscillation, oscillation-decay,
+    energy-caccioppoli, regularity-bmo
+points = {points}
+
+[verify.regularity-bmo]
+cells = 64
+
+[output]
+heatmaps = u,F
+""".format(points="; ".join(f"{0.3 + 0.1 * i + 0.004 * j!r},{0.32 + 0.09 * j - 0.003 * i!r}"
+                            for i in range(5) for j in range(5)))
+# the outputs of POINTS_CONFIG when each pointwise theorem made its own pass
+_POINTS_DIGESTS = {
+    "report.json": "788a24f1d1e26aac999ac6e6ac9ec7952a3b26f4850d8d47e633871b4cd58a5a",
+    "report.csv": "2da2bf5fa344da9a6465aa545a400a01cfd6284000a9314ed90f7cd0a57ae53a",
+    "u.svg": "349d3cbe332a3554ad5ca45a745ff94b327929ae1343e7f291f7b6faa7c13ec8",
+    "F.svg": "03d46719a0c3a0a66616cbf4c6f3ec19f7767b9b90fe69d95cdd8bba97ebb11a",
+}
+
+
+def test_both_pointwise_theorems_share_one_pass(tmp_path, monkeypatch, capsys):
+    import wulff_lab.cli as cli
+
+    passes, sweeps = [], []
+    real_pass, real_osc = cli.iq.pointwise_terms, cli.iq.oscillation_potential
+    monkeypatch.setattr(cli.iq, "pointwise_terms",
+                        lambda *a, **k: passes.append(k) or real_pass(*a, **k))
+    monkeypatch.setattr(cli.iq, "oscillation_potential",
+                        lambda *a: sweeps.append(a) or real_osc(*a))
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path / "balls.ini", POINTS_CONFIG),
+                 "--out", str(out)]) == 0
+    assert passes == [{"oscillation": True}] and len(sweeps) == 25
+    for name, digest in _POINTS_DIGESTS.items():
+        assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest, name
+
+
+def test_pointwise_wulff_alone_makes_no_oscillation_sweep(tmp_path, monkeypatch, capsys):
+    from wulff_lab.field_grid import NestedBalls
+
+    sweeps = []
+    real = NestedBalls.oscillations
+    monkeypatch.setattr(NestedBalls, "oscillations",
+                        lambda self, *a: sweeps.append(a) or real(self, *a))
+    body = POINTS_CONFIG.replace("pointwise-oscillation, oscillation-decay,\n"
+                                "    energy-caccioppoli, regularity-bmo", "")
+    assert "theorems = pointwise-wulff, \n" in body
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path / "w.ini", body), "--out", str(out)]) == 0
+    assert "pass  pointwise-wulff" in capsys.readouterr().out
+    assert sweeps == []
 
 
 def test_heatmaps_and_solve_take_a_pair_that_is_not_a_solution(tmp_path, capsys):

@@ -424,6 +424,21 @@ def test_luxemburg_power_root_takes_two_steps_after_the_bracket(q):
         assert got == pytest.approx(exact, rel=1e-10)
 
 
+@pytest.mark.parametrize("q", [1.5, 3.0])
+def test_luxemburg_secant_walk_brackets_peaked_fields_in_four(q):
+    # a singular field puts the root several octaves below max|f|; factor-2
+    # steps took 5-7 evaluations there, the secant steps in log λ take 4,
+    # and the root 2 more
+    geom = GridGeometry((128, 128), (1.0, 1.0), (0.0, 0.0))
+    for seed in (2, 5, 8, 11):
+        f = random_field(geom, seed, "singular", nonneg=True)
+        A, calls = _counted(young_power(q))
+        got = luxemburg_norm(f, A)
+        assert calls[0] <= 6, seed
+        exact = float(np.sum(f.values**q) * geom.cell_measure) ** (1 / q)
+        assert got == pytest.approx(exact, rel=1e-10)
+
+
 def test_luxemburg_root_keeps_infinite_and_exhausted_outcomes():
     f = step_field([(2.0, 9), (0.75, 40)])
     # A = ∞ for t > 0: no λ admits the unit integral

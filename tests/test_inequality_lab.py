@@ -28,7 +28,9 @@ from wulff_lab.field_grid import (
 from wulff_lab.function_spaces import young_power, young_zygmund
 from wulff_lab.inequality_lab import (
     FAMILY_VERSION,
+    GatedPair,
     gate_pair,
+    pointwise_terms,
     random_field,
     verify_domination,
     verify_energy_inequalities,
@@ -52,7 +54,13 @@ from wulff_lab.inequality_lab import (
     _telescope_samples,
 )
 from wulff_lab.plaplace_solver import manufacture
-from wulff_lab.potential_engine import RadialQuadrature
+from wulff_lab.potential_engine import (
+    PotentialParams,
+    RadialQuadrature,
+    _point_plan,
+    oscillation_potential,
+    wulff_potential,
+)
 
 
 def unit_grid(cells=48):
@@ -444,11 +452,11 @@ def test_pointwise_report_and_scale_invariance():
     p = 1.5
     pair = smooth_pair(p)
     pts = [(0.4, 0.55), (0.6, 0.35)]
-    rep = verify_pointwise(pair, 0.2, pts)
+    rep = verify_pointwise(pointwise_terms(pair, 0.2, pts))
     assert rep.passed and math.isfinite(rep.c_star) and rep.c_star > 0
     u3 = pair.u.with_values(3.0 * pair.u.values)
     F3 = pair.F.with_values(3.0 ** (p - 1.0) * pair.F.values)
-    rep3 = verify_pointwise(gate_pair(u3, F3, p, 1e-5), 0.2, pts)
+    rep3 = verify_pointwise(pointwise_terms(gate_pair(u3, F3, p, 1e-5), 0.2, pts))
     for a, b in zip(rep.samples, rep3.samples):
         assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
 
@@ -459,7 +467,8 @@ _OSC_POINTS = [(0.4, 0.55), (0.6, 0.35), (0.5, 0.5)]
 @functools.lru_cache(maxsize=None)
 def _osc_base(p):
     pair = smooth_pair(p)
-    return pair, verify_pointwise_osc(pair, 0.2, _OSC_POINTS)
+    return pair, verify_pointwise_osc(pointwise_terms(pair, 0.2, _OSC_POINTS,
+                                                      oscillation=True))
 
 
 @settings(max_examples=12, deadline=None)
@@ -469,14 +478,15 @@ def test_pointwise_osc_scale_invariance(p, lam):
     pair, base = _osc_base(p)
     scaled = gate_pair(pair.u.with_values(lam * pair.u.values),
                        pair.F.with_values(lam ** (p - 1.0) * pair.F.values), p, 1e-5)
-    rep = verify_pointwise_osc(scaled, 0.2, _OSC_POINTS)
+    rep = verify_pointwise_osc(pointwise_terms(scaled, 0.2, _OSC_POINTS, oscillation=True))
     assert rep.passed and base.passed
     for a, b in zip(base.samples, rep.samples):
         assert b.ratio == pytest.approx(a.ratio, rel=1e-12)
 
 
 def test_pointwise_osc_dominated_by_wulff():
-    rep = verify_pointwise_osc(smooth_pair(2.0), 0.2, [(0.5, 0.5), (0.3, 0.6)])
+    rep = verify_pointwise_osc(pointwise_terms(smooth_pair(2.0), 0.2,
+                                               [(0.5, 0.5), (0.3, 0.6)], oscillation=True))
     assert rep.passed
     assert "ok" in rep.notes[0]
 
@@ -492,13 +502,52 @@ def test_residual_gate_rejects_mismatched_pairs():
     assert e.value.residual > 1e-5
     shifted = gate_pair(u, F.with_values(F.values + 0.5), 2.0, 1e-5)
     assert shifted.residual <= 1e-5
-    rep = verify_pointwise(shifted, 0.2, [(0.5, 0.5)])
+    rep = verify_pointwise(pointwise_terms(shifted, 0.2, [(0.5, 0.5)]))
     assert rep.passed and rep.params["residual"] == shifted.residual
+
+
+# (cells, extent) of the property's grids: r_min = 2h stays below the radii
+_PASS_GRIDS = {2: ((40, 32), (1.0, 0.8)), 3: ((16, 14, 18), (1.0, 0.9, 1.1))}
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.sampled_from([2, 3]), rows=st.sampled_from([1, 2]),
+       p=st.sampled_from([1.5, 2.0, 3.0]), kind=st.sampled_from(["fourier", "bumps"]),
+       seed=st.integers(0, 10_000), R=st.floats(0.15, 0.3),
+       fractions=st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=3))
+def test_pointwise_pass_is_bit_equal_to_the_single_potentials_property(
+        dim, rows, p, kind, seed, R, fractions):
+    # the pass shares one shell plan between W and the oscillation potential
+    # at each point; each single potential, on a fresh plan, gives the same bits
+    cells, extent = _PASS_GRIDS[dim]
+    geom = GridGeometry(cells, extent, (0.0,) * dim)
+    F = random_field(geom, seed, kind, components=rows, shape="matrix")
+    u = random_field(geom, seed + 1, kind, components=rows,
+                     shape="scalar" if rows == 1 else "vector")
+    points = [tuple(R + t * (e - 2 * R) for t, e in zip(ts, extent)) for ts in fractions]
+    # the pass reads only u, F and p, and the weak-residual gate is 2-D only
+    terms = pointwise_terms(GatedPair(u, F, p, 0.0), R, points, oscillation=True)
+    alone = pointwise_terms(GatedPair(u, F, p, 0.0), R, points)
+    mag = F.magnitude()
+    data = mag.with_values(mag.values ** (p / (p - 1.0)))
+    params = PotentialParams(p / (p + 1.0), p + 1.0, R)
+    for i, x in enumerate(points):
+        _point_plan.cache_clear()
+        assert terms.wulff[i] == alone.wulff[i] == wulff_potential(data, params, x)
+        _point_plan.cache_clear()
+        assert terms.oscillation[i] == oscillation_potential(F, p, R, x)
+    assert terms.mean_u == alone.mean_u and terms.abs_u == alone.abs_u
+    assert alone.oscillation is None
+
+
+def test_pointwise_osc_needs_the_oscillation_terms():
+    with pytest.raises(ValueError):
+        verify_pointwise_osc(pointwise_terms(smooth_pair(2.0), 0.2, [(0.5, 0.5)]))
 
 
 def test_pointwise_ball_must_fit():
     with pytest.raises(BallOutsideDomain):
-        verify_pointwise(smooth_pair(2.0), 0.3, [(0.9, 0.9)])
+        pointwise_terms(smooth_pair(2.0), 0.3, [(0.9, 0.9)])
 
 
 def test_oscillation_decay():
