@@ -73,7 +73,15 @@ def _u64(text: str) -> int:
     return value
 
 
-_KINDS = {int: "an integer", _u64: "an integer that fits in u64"}
+def _radius(text: str) -> float:
+    """A ball radius: a finite number > 0."""
+    if not 0 < float(text) < math.inf:
+        raise ValueError(text)
+    return float(text)
+
+
+_KINDS = {int: "an integer", _u64: "an integer that fits in u64",
+          _radius: "a positive finite number"}
 
 
 def _parse(key: str, text: str, parse):
@@ -183,10 +191,11 @@ class RunConfig:
     """Validated run description.
 
     Validation is front-loaded: section and key names, geometry shape,
-    exponent range, solver settings, theorem ids and option names, heatmap
-    sources and the existence of every referenced file are checked at parse
-    time, before any computation starts.  Points and balls are checked against the domain
-    when each theorem runs.
+    exponent range, solver settings, theorem ids, option names and option
+    values, heatmap sources and the existence of every referenced file are
+    checked at parse time, before any computation starts.  ``theorems`` holds
+    each selected theorem with its parsed options.  Points and balls are
+    checked against the domain when each theorem runs.
     """
 
     def __init__(self, parser, base_dir: str):
@@ -228,19 +237,27 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"bad [solver] section: {exc}") from exc
 
-        names = section("verify")["theorems"]
-        for name in names:
+        shared = given("verify")
+        self.theorems = []
+        for name in section("verify")["theorems"]:
             if name not in THEOREMS:
                 known = ", ".join(sorted(THEOREMS))
                 raise ConfigError(f"unknown theorem id {name!r}; known ids: {known}")
+            try:
+                self.theorems.append((name, _options(
+                    THEOREMS[name][2], {**shared, **given(f"verify.{name}")}, self.geometry)))
+            except WulffLabError as exc:
+                raise ConfigError(f"[{name}] {exc}") from exc
         # a [verify] key reaches every selected theorem, so one of them must read it
-        shared = given("verify")
-        read = set(SECTIONS["verify"]).union(*(THEOREMS[name][2] for name in names))
-        extra = sorted(set(shared) - read)
+        extra = sorted(set(shared).difference(SECTIONS["verify"],
+                                              *(got for _, got in self.theorems)))
         if extra:
             raise ConfigError(f"option {extra[0]!r} in [verify] is read by none of the "
                               "selected theorems")
-        self.theorems = [(name, {**shared, **given(f"verify.{name}")}) for name in names]
+        # (r_ball, points) whose pointwise pass also serves a pointwise-oscillation
+        self._oscillation_passes = {(got["r_ball"], tuple(got["points"]))
+                                    for name, got in self.theorems
+                                    if name == "pointwise-oscillation"}
 
         o = section("output")
         self.out_dir, self.json_name, self.csv_name = o["dir"], o["json"], o["csv"]
@@ -292,22 +309,8 @@ class RunConfig:
         if terms is None or (oscillation and terms.oscillation is None):
             terms = self._pointwise[key] = iq.pointwise_terms(
                 self.gated_pair(), r_ball, points,
-                oscillation=oscillation or key in self._oscillation_keys())
+                oscillation=oscillation or key in self._oscillation_passes)
         return terms
-
-    def _oscillation_keys(self) -> set:
-        """(r_ball, points) of every selected ``pointwise-oscillation``
-        whose options parse; one that does not raises when it runs."""
-        options = THEOREMS["pointwise-oscillation"][2]
-        keys = set()
-        for name, given in self.theorems:
-            if name == "pointwise-oscillation":
-                try:
-                    got = _options(options, given, self.geometry)
-                except ConfigError:
-                    continue
-                keys.add((got["r_ball"], tuple(got["points"])))
-        return keys
 
 
 def parse_config(path: str) -> RunConfig:
@@ -374,15 +377,9 @@ def _read_on_grid(cfg: RunConfig, spec: str, name: str) -> GridField:
 
 # ---------------------------------------------------------------------------
 # theorem registry: each theorem declares the options its verifier reads,
-# once, in the form of SECTIONS.  Runners look the verifiers up on ``iq`` when
-# they run, so that a wrapper set on the module (a tracer, a test stub) takes
-# effect.
-
-
-def _run_theorem(cfg: RunConfig, name: str, given, seed: int, threads):
-    """Run theorem ``name`` with its options parsed from the text in ``given``."""
-    _, runner, options = THEOREMS[name]
-    return runner(cfg, seed, threads, **_options(options, given, cfg.geometry))
+# once, in the form of SECTIONS; RunConfig parses them as the config loads.
+# Runners look the verifiers up on ``iq`` when they run, so that a wrapper
+# set on the module (a tracer, a test stub) takes effect.
 
 
 def _entry(summary, runner, options, drop):
@@ -414,7 +411,7 @@ def _pointwise(summary, osc):
         verify = iq.verify_pointwise_osc if osc else iq.verify_pointwise
         return verify(cfg.pointwise_terms(r_ball, points, osc))
 
-    return summary, run, {"points": (_points, _lattice), "r_ball": (float, _r_ball)}
+    return summary, run, {"points": (_points, _lattice), "r_ball": (_radius, _r_ball)}
 
 
 def _run_oscillation(cfg, seed, threads, x, r_ball):
@@ -463,9 +460,9 @@ THEOREMS = {
     "telescoping-means": (
         "two-mean comparison with constants 2^(2n+2) and 2^(2n+3)", _run_telescope,
         {"x": (_floats, _center), "samples": (int, "100"),
-         "r_outer": (float, lambda geom, got: 0.4 * min(geom.extent)),
-         "r_inner": (float, lambda geom, got: max(got["r_outer"] / 8.0,
-                                                  2.0 * max(geom.spacing))),
+         "r_outer": (_radius, lambda geom, got: 0.4 * min(geom.extent)),
+         "r_inner": (_radius, lambda geom, got: max(got["r_outer"] / 8.0,
+                                                    2.0 * max(geom.spacing))),
          "allowance": (float, "0.10")}),
     "pointwise-wulff": _pointwise(
         "|u(x)| bounded by the truncated Wulff potential of |F|^p' plus a mean", False),
@@ -473,10 +470,10 @@ THEOREMS = {
         "|u(x)| bounded by the mean-oscillation potential of F plus a mean", True),
     "oscillation-decay": (
         "mean oscillation of u at scale r controlled by a Dini-type F term",
-        _run_oscillation, {"x": (_floats, _center), "r_ball": (float, _r_ball)}),
+        _run_oscillation, {"x": (_floats, _center), "r_ball": (_radius, _r_ball)}),
     "energy-caccioppoli": (
         "reverse Hoelder and Caccioppoli inequalities on nested balls", _run_energy,
-        {"x": (_floats, _center), "r_ball": (float, _r_ball), "q": (float, None)}),
+        {"x": (_floats, _center), "r_ball": (_radius, _r_ball), "q": (float, None)}),
     "hardy-i": _hardy("weighted Hardy inequality, q >= 1", "i", "1.0", "0.0",
                       drop=("k",)),
     "hardy-ii-far": _hardy("weighted Hardy inequality, q < 1, alpha < -1-1/q", "ii-far",
@@ -643,9 +640,9 @@ def _cmd_run(args) -> int:
     out_dir = args.out or cfg.out_dir
 
     reports = []
-    for name, opts in cfg.theorems:
+    for name, options in cfg.theorems:
         try:
-            reports.append(_run_theorem(cfg, name, opts, seed, threads))
+            reports.append(THEOREMS[name][1](cfg, seed, threads, **options))
         except WulffLabError as exc:
             raise WulffLabError(f"[{name}] {exc}") from exc
     all_passed = all(r.passed for r in reports)

@@ -242,15 +242,17 @@ class YoungFunction:
 
 def young_power(q: float) -> YoungFunction:
     """A(t) = t^q (q ≥ 1)."""
-    if q < 1:
+    if not (q >= 1):  # a nan exponent would pass q < 1
         raise InadmissibleParams(f"power Young functions need q >= 1, got {q}")
     return YoungFunction(lambda t: t**q, "power", sigma=q)
 
 
 def young_zygmund(q: float, beta: float) -> YoungFunction:
     """A(t) = t^q·log(e+t)^β."""
-    if q < 1:
+    if not (q >= 1):
         raise InadmissibleParams(f"Zygmund Young functions need q >= 1, got {q}")
+    if not math.isfinite(beta):
+        raise InadmissibleParams(f"Zygmund Young functions need a finite beta, got {beta}")
     return YoungFunction(
         lambda t: t**q * np.log(np.e + t) ** beta,
         "zygmund", sigma=q, logexp=beta,
@@ -259,8 +261,8 @@ def young_zygmund(q: float, beta: float) -> YoungFunction:
 
 def young_exp(beta: float = 1.0) -> YoungFunction:
     """A(t) = exp(t^β) − 1."""
-    if beta <= 0:
-        raise InadmissibleParams(f"exponential Young functions need beta > 0")
+    if not (beta > 0):
+        raise InadmissibleParams(f"exponential Young functions need beta > 0, got {beta}")
     return YoungFunction(lambda t: np.expm1(t**beta), "exp")
 
 

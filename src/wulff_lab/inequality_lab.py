@@ -448,23 +448,22 @@ def verify_oscillation(pair: GatedPair, x: Sequence[float],
             ≤ C r [ (∫_r^R (⨍_{B_ρ}|F − ⟨F⟩|^{p'})^{1/p'} dρ/ρ)^{1/(p−1)}
                     + ⨍_{B_R}|∇u| ].
 
-    Raises :class:`InsufficientRadii` when R < 4h leaves no scale.
+    Raises :class:`InsufficientRadii` when R < 4h leaves no scale, and
+    :class:`BallOutsideDomain` when B_R(x) leaves the domain, R = inf included.
     """
     u, p = pair.u, pair.p
     geom = u.geometry
     r_min = 2.0 * max(geom.spacing)
+    if not R / 2.0 >= r_min:
+        raise InsufficientRadii(f"no radii in [{r_min:g}, {R:g}]")
+    grad_mean = float(ball_average(gradient(u).magnitude(), Ball(tuple(x), R))[0])
     radii = []
     r = R / 2.0
     while r >= r_min:
         radii.append(r)
         r /= 2.0
     radii.reverse()
-    if not radii:
-        raise InsufficientRadii(f"no radii in [{r_min:g}, {R:g}]")
     pp = p / (p - 1.0)
-    grad_mean = float(
-        ball_average(gradient(u).magnitude(), Ball(tuple(x), R))[0]
-    )
 
     # one shell-ordered view of F serves the quadratures of every scale
     quads = [RadialQuadrature.log_spaced(r, R) for r in radii]

@@ -188,7 +188,7 @@ def test_shared_option_needs_one_selected_reader(tmp_path):
     body = RUN_CONFIG.replace("theorems = telescoping-means, hardy-i\n",
                               "theorems = telescoping-means, hardy-i\nallowance = 0.2\n")
     cfg = parse_config(write_config(tmp_path / "ok.ini", body))
-    assert dict(cfg.theorems)["telescoping-means"]["allowance"] == "0.2"
+    assert dict(cfg.theorems)["telescoping-means"]["allowance"] == 0.2
     with pytest.raises(ConfigError, match="'points' in \\[verify\\]"):
         parse_config(write_config(tmp_path / "bad.ini",
                                   body.replace("allowance = 0.2", "points = 0.5,0.5")))
@@ -241,9 +241,11 @@ def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, na
     monkeypatch.setattr(cli.RunConfig, "gated_pair", lambda self: "pair")
     cfg = parse_config(write_config(tmp_path / "job.ini", RUN_CONFIG))
 
+    _, runner, options = THEOREMS[name]
+
     def verifier_calls(given):
         calls.clear()
-        cli._run_theorem(cfg, name, given, 0, 1)
+        runner(cfg, 0, 1, **cli._options(options, given, cfg.geometry))
         return list(calls)
 
     default = verifier_calls({})
@@ -353,10 +355,11 @@ def test_every_theorem_option_changes_the_report(tmp_path, name):
     from wulff_lab.errors import WulffLabError
 
     cfg = parse_config(_near_solution_config(tmp_path))
+    _, runner, options = THEOREMS[name]
 
     def outcome(given):
         try:
-            return cli._run_theorem(cfg, name, given, 0, 1)
+            return runner(cfg, 0, 1, **cli._options(options, given, cfg.geometry))
         except WulffLabError as exc:
             return type(exc).__name__
 
@@ -564,6 +567,57 @@ def test_run_bad_option_value(tmp_path, capsys):
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
+
+
+def test_malformed_option_of_the_last_theorem_stops_the_run_before_any_verifier(
+        tmp_path, monkeypatch, capsys):
+    # every theorem option is parsed as the config loads: a bad value in the
+    # last selected theorem ends the run before the first one runs, and
+    # solve, which loads the same config, rejects it too
+    import wulff_lab.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli.iq, "verify_telescope", lambda *a, **k: ran.append(a))
+    body = RUN_CONFIG.replace("samples = 6", "samples = abc")
+    cfg = write_config(tmp_path / "bad.ini", body)
+    message = "error: [hardy-i] option 'samples' must be an integer, got 'abc'\n"
+    for command in ("run", "solve"):
+        out = tmp_path / command
+        assert main([command, cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert captured.out == "" and not out.exists()
+    assert ran == []
+
+
+_RADIUS_READERS = [(name, key) for name, (_, _, options) in THEOREMS.items()
+                   for key in ("r_ball", "r_outer", "r_inner") if key in options]
+
+
+@pytest.mark.parametrize("value", ["0", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize("name, key", _RADIUS_READERS,
+                         ids=[f"{n}-{k}" for n, k in _RADIUS_READERS])
+def test_radius_options_must_be_positive_and_finite(tmp_path, capsys, name, key, value):
+    # an infinite radius would never end a dyadic loop; 0 and nan are no ball
+    cfg = write_config(tmp_path / "bad.ini", f"""\
+[grid]
+cells = 16,16
+
+[data]
+u = profile:sinsin
+
+[verify]
+theorems = {name}
+
+[verify.{name}]
+{key} = {value}
+""")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: [{name}] option {key!r} must be a positive finite "
+                            f"number, got {value!r}\n")
+    assert captured.out == "" and not out.exists()
 
 
 def test_run_bad_profile_option_value(tmp_path, capsys):
@@ -907,6 +961,24 @@ def test_run_potential_norms_b_non_power_young(tmp_path, capsys, old, new):
     cfg = write_config(tmp_path / "b.ini", NORMS_B_CONFIG.replace(old, new))
     assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
     assert "pass  potential-norms-B" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["power,nan", "exp,nan", "zygmund,2,nan",
+                                  "zygmund,nan,1"])
+def test_young_functions_reject_nan(tmp_path, capsys, spec):
+    # a nan exponent once passed the q < 1 and beta <= 0 checks and gave a value
+    _, path = field_file(tmp_path, lambda x, y: x)
+    assert main(["norm", path, "--space", f"orlicz:{spec}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "nan" in captured.err
+    assert captured.out == ""
+    cfg = write_config(tmp_path / "b.ini", NORMS_B_CONFIG.replace(
+        "young_a = power,1.5", f"young_a = {spec}"))
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [potential-norms-B] ") and "nan" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_list_theorems_and_help(capsys):

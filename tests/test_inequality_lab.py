@@ -561,6 +561,13 @@ def test_oscillation_radii_validation():
         verify_oscillation(smooth_pair(2.0), (0.5, 0.5), 0.01)
 
 
+def test_oscillation_rejects_an_infinite_ball_at_once():
+    # B_R is checked before the dyadic radii R/2, R/4, … are listed: at R = inf
+    # that list would grow until memory runs out
+    with pytest.raises(BallOutsideDomain):
+        verify_oscillation(smooth_pair(2.0), (0.5, 0.5), math.inf)
+
+
 def test_energy_inequalities():
     pair = smooth_pair(2.0)
     rep = verify_energy_inequalities(pair, (0.5, 0.5), 0.3)
