@@ -51,10 +51,14 @@ from .potential_engine import (
 
 
 def _floats(text: str) -> tuple[float, ...]:
+    """A list of finite numbers, separated by commas (or ``x``)."""
     try:
-        return tuple(float(tok) for tok in text.replace("x", ",").split(",") if tok.strip())
-    except ValueError as exc:
-        raise ConfigError(f"expected a comma-separated number list, got {text!r}") from exc
+        vals = tuple(float(tok) for tok in text.replace("x", ",").split(",") if tok.strip())
+        if all(map(math.isfinite, vals)):
+            return vals
+    except ValueError:
+        pass
+    raise ConfigError(f"expected a comma-separated list of finite numbers, got {text!r}")
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -70,6 +74,14 @@ def _u64(text: str) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
         raise ValueError(f"{value} does not fit in u64")
+    return value
+
+
+def _number(text: str) -> float:
+    """A theorem's float option: any number but nan (inf is a Lorentz index)."""
+    value = float(text)
+    if math.isnan(value):
+        raise ValueError(text)
     return value
 
 
@@ -209,8 +221,8 @@ class RunConfig:
         def section(name):
             return _options(SECTIONS[name], given(name))
 
-        g = section("grid")
         try:
+            g = section("grid")
             self.geometry = GridGeometry(g["cells"], g["extent"], g["origin"])
         except WulffLabError as exc:
             raise ConfigError(f"bad [grid] section: {exc}") from exc
@@ -302,15 +314,14 @@ class RunConfig:
     def pointwise_terms(self, r_ball: float, points, oscillation: bool) -> iq.PointwiseTerms:
         """The terms of the pointwise bounds on :meth:`gated_pair`, computed
         once per (``r_ball``, ``points``) for the command.  They hold the
-        oscillation potential when ``oscillation`` asks for it or a selected
+        oscillation potential when the first call asks for it or a selected
         ``pointwise-oscillation`` reads the same ball radius and points."""
         key = (r_ball, tuple(points))
-        terms = self._pointwise.get(key)
-        if terms is None or (oscillation and terms.oscillation is None):
-            terms = self._pointwise[key] = iq.pointwise_terms(
+        if key not in self._pointwise:
+            self._pointwise[key] = iq.pointwise_terms(
                 self.gated_pair(), r_ball, points,
                 oscillation=oscillation or key in self._oscillation_passes)
-        return terms
+        return self._pointwise[key]
 
 
 def parse_config(path: str) -> RunConfig:
@@ -427,8 +438,8 @@ def _hardy(summary, case, q, alpha, drop=()):
     def run(cfg, seed, threads, **options):
         return iq.verify_hardy(case, seed=seed, **options)
 
-    return _entry(summary, run, {"q": (float, q), "alpha": (float, alpha),
-                                 "k": (float, "2.0"), "samples": (int, "100")}, drop)
+    return _entry(summary, run, {"q": (_number, q), "alpha": (_number, alpha),
+                                 "k": (_number, "2.0"), "samples": (int, "100")}, drop)
 
 
 def _run_domination(cfg, seed, threads, **options):
@@ -441,16 +452,16 @@ def _norm_maps(summary, part, drop=(), **extra):
                                              B=young_b, seed=seed, threads=threads,
                                              **options)
 
-    return _entry(summary, run, {"sigma": (float, None), "rho": (float, "2.0"),
-                                 "samples": (int, "20"), "alpha": (float, "0.5"),
-                                 "s": (float, "2.0"), **extra}, drop)
+    return _entry(summary, run, {"sigma": (_number, None), "rho": (_number, "2.0"),
+                                 "samples": (int, "20"), "alpha": (_number, "0.5"),
+                                 "s": (_number, "2.0"), **extra}, drop)
 
 
 def _regularity(summary, kind, drop):
     def run(cfg, seed, threads, **options):
         return iq.verify_regularity_exponents(kind, cfg.p, **options)
 
-    return _entry(summary, run, {"q": (float, None), "beta": (float, None),
+    return _entry(summary, run, {"q": (_number, None), "beta": (_number, None),
                                  "cells": (int, lambda geom, got: geom.cells[0])}, drop)
 
 
@@ -463,7 +474,7 @@ THEOREMS = {
          "r_outer": (_radius, lambda geom, got: 0.4 * min(geom.extent)),
          "r_inner": (_radius, lambda geom, got: max(got["r_outer"] / 8.0,
                                                     2.0 * max(geom.spacing))),
-         "allowance": (float, "0.10")}),
+         "allowance": (_number, "0.10")}),
     "pointwise-wulff": _pointwise(
         "|u(x)| bounded by the truncated Wulff potential of |F|^p' plus a mean", False),
     "pointwise-oscillation": _pointwise(
@@ -473,7 +484,7 @@ THEOREMS = {
         _run_oscillation, {"x": (_floats, _center), "r_ball": (_radius, _r_ball)}),
     "energy-caccioppoli": (
         "reverse Hoelder and Caccioppoli inequalities on nested balls", _run_energy,
-        {"x": (_floats, _center), "r_ball": (_radius, _r_ball), "q": (float, None)}),
+        {"x": (_floats, _center), "r_ball": (_radius, _r_ball), "q": (_number, None)}),
     "hardy-i": _hardy("weighted Hardy inequality, q >= 1", "i", "1.0", "0.0",
                       drop=("k",)),
     "hardy-ii-far": _hardy("weighted Hardy inequality, q < 1, alpha < -1-1/q", "ii-far",
@@ -482,16 +493,16 @@ THEOREMS = {
                             "ii-near", "0.5", "-2.0"),
     "wulff-riesz-domination": (
         "Wulff potential dominated by the composed Riesz potential", _run_domination,
-        {"alpha": (float, "0.5"), "s": (float, "3.0"), "samples": (int, "100")}),
+        {"alpha": (_number, "0.5"), "s": (_number, "3.0"), "samples": (int, "100")}),
     "potential-norms-A-i": _norm_maps("Lorentz-to-Lorentz potential boundedness", "A-i"),
     "potential-norms-A-iii": _norm_maps("borderline Lorentz-Zygmund boundedness",
                                         "A-iii", drop=("sigma",)),
     "potential-norms-A-iv": _norm_maps("small second index gives boundedness into L^inf",
-                                       "A-iv", drop=("sigma",)),
+                                       "A-iv", drop=("sigma",), rho=(_number, None)),
     "potential-norms-B": _norm_maps(
         "Orlicz-to-Orlicz boundedness under the balance condition", "B",
-        drop=("sigma", "rho"), young_a=(_young_from_spec, "power,2"),
-        young_b=(_young_from_spec, "power,2"), t0=(float, "1.0")),
+        drop=("sigma", "rho"), young_a=(_young_from_spec, "power,1.5"),
+        young_b=(_young_from_spec, "power,3"), t0=(_number, "1.0")),
     "regularity-holder": _regularity("fitted Hoelder exponent against 1 - n/(q(p-1))",
                                      "holder", drop=("beta",)),
     "regularity-bmo": _regularity("borderline Morrey datum keeps the BMO seminorm finite",

@@ -94,8 +94,10 @@ class GridGeometry:
             raise DimensionMismatch("grids are defined for dimension n >= 2")
         if any(int(c) != c or c < 1 for c in self.cells):
             raise GridTooCoarse(f"cell counts must be positive integers, got {self.cells}")
-        if any(not (e > 0) for e in self.extent):
-            raise DegenerateGrid(f"extents must be positive, got {self.extent}")
+        if any(not (0 < e < math.inf) for e in self.extent):
+            raise DegenerateGrid(f"extents must be positive and finite, got {self.extent}")
+        if not all(math.isfinite(o) for o in self.origin):
+            raise DegenerateGrid(f"origin must be finite, got {self.origin}")
         object.__setattr__(self, "cells", tuple(int(c) for c in self.cells))
         object.__setattr__(self, "extent", tuple(float(e) for e in self.extent))
         object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
@@ -129,12 +131,9 @@ class GridGeometry:
         """Cell-center coordinate arrays, each of shape ``cells`` (cached)."""
         return _center_mesh(self)
 
-    def contains_ball(self, ball: "Ball") -> bool:
-        """Whether ``ball`` lies in the box, up to 1e-12 of the largest extent."""
-        return bool(self._contains(ball.center, [ball.radius])[0])
-
     def _contains(self, center: Sequence[float], radii) -> np.ndarray:
-        """:meth:`contains_ball` for the balls B_r(center), r in ``radii``, at once."""
+        """Whether each ball B_r(center), r in ``radii``, lies in the box, up to
+        1e-12 of the largest extent."""
         pad = 1e-12 * max(self.extent)
         c = np.array(center, dtype=float)[:, None]
         o = np.array(self.origin)[:, None]

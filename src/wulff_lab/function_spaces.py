@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -374,19 +374,15 @@ class _Asym:
     logpow: float
 
 
-class _Transform:
-    """Increasing transform with a pointwise evaluator, an optional exact
-    power closed form, and asymptotic exponents for the balance report."""
+class _Transform(NamedTuple):
+    """Increasing transform: a pointwise evaluator (an exact power closed form
+    or a quadrature) and its asymptotic exponents for the balance report."""
 
-    def __init__(self, evaluator: Callable[[float], float], asym: _Asym | None):
-        self._eval = evaluator
-        self.asym = asym
-        self._cache: dict[float, float] = {}
+    evaluate: Callable[[float], float]
+    asym: _Asym | None
 
     def __call__(self, t: float) -> float:
-        if t not in self._cache:
-            self._cache[t] = self._eval(t)
-        return self._cache[t]
+        return self.evaluate(t)
 
 
 def _power_transform(coeff: float, power: float) -> _Transform:

@@ -803,8 +803,9 @@ def verify_energy_inequalities(pair: GatedPair, x: Sequence[float], R: float, *,
     n = geom.dim
     x = tuple(float(c) for c in x)
     inner, outer = Ball(x, R / 2.0), Ball(x, R)
-    if not geom.contains_ball(outer):
-        raise BallOutsideDomain(f"B_{R:g}({x}) is not contained in the domain")
+    pp = p / (p - 1.0)
+    # B_R is gathered first, so its check reports a bad x or B_R leaving Ω
+    f_term = ball_oscillation(pair.F, outer, pp) ** (pp / p)
     if q is None:
         q = n / (n - p) if p < n else 2.0
     if not (q > 1):
@@ -812,8 +813,6 @@ def verify_energy_inequalities(pair: GatedPair, x: Sequence[float], R: float, *,
 
     grad_mag = gradient(u).magnitude()
     absu = u.magnitude()
-    pp = p / (p - 1.0)
-    f_term = ball_oscillation(pair.F, outer, pp) ** (pp / p)
 
     lhs_grad = _ball_qmean(grad_mag, inner, p)
     rhs_revh = float(ball_average(grad_mag, outer)[0]) + f_term
@@ -877,7 +876,7 @@ def verify_domination(geom: GridGeometry, alpha: float, s: float, *,
 
 def verify_potential_norm_maps(part: str, alpha: float, s: float,
                                geom: GridGeometry, *, sigma: float | None = None,
-                               rho: float = 2.0, A: YoungFunction | None = None,
+                               rho: float | None = 2.0, A: YoungFunction | None = None,
                                B: YoungFunction | None = None,
                                samples: int = 20, seed: int = 0,
                                t0: float = 1.0,
@@ -888,7 +887,8 @@ def verify_potential_norm_maps(part: str, alpha: float, s: float,
       for 1 < σ < n/(αs);
     * ``part="A-iii"`` ‖V f‖_{L^{∞, ϱ(s−1)}(log L)^{−1}} ≤ C ‖f‖_{L^{n/(αs), ϱ}}^{1/(s−1)},
       for ϱ > 1/(s−1);
-    * ``part="A-iv"``  ‖V f‖_{L^∞} ≤ C ‖f‖_{L^{n/(αs), ϱ}}^{1/(s−1)}, for ϱ ≤ 1/(s−1);
+    * ``part="A-iv"``  ‖V f‖_{L^∞} ≤ C ‖f‖_{L^{n/(αs), ϱ}}^{1/(s−1)}, for ϱ ≤ 1/(s−1)
+      (``rho=None`` takes ϱ = 1/(s−1));
     * ``part="B"``     ‖(V f)^{s−1}‖_{L^B} ≤ C ‖f‖_{L^A}, under the balance
       condition for (A, B) — checked first, inadmissible when unsatisfiable.
 
@@ -924,6 +924,8 @@ def verify_potential_norm_maps(part: str, alpha: float, s: float,
             raise InadmissibleParams(
                 f"part A-iii needs rho > 1/(s-1) = {1 / (s - 1):g}, got {rho}"
             )
+        if part == "A-iv" and rho is None:
+            rho = 1.0 / (s - 1)
         if part == "A-iv" and not (0 < rho <= 1.0 / (s - 1)):
             raise InadmissibleParams(
                 f"part A-iv needs 0 < rho <= 1/(s-1) = {1 / (s - 1):g}, got {rho}"

@@ -14,6 +14,7 @@ from conftest import constant_field
 
 from wulff_lab.cli import (
     _COLOR_STOPS,
+    _number,
     _profile_field,
     THEOREMS,
     _space_norm,
@@ -282,7 +283,7 @@ _REAL_BASE = {
     "potential-norms-A-i": {"sigma": "1.5", "samples": "2"},
     "potential-norms-A-iii": {"rho": "3", "samples": "2"},
     "potential-norms-A-iv": {"rho": "0.5", "samples": "2"},
-    "potential-norms-B": {"young_a": "power,1.5", "young_b": "power,3", "samples": "2"},
+    "potential-norms-B": {"samples": "2"},
     "regularity-holder": {"q": "8", "cells": "128"},
     "regularity-bmo": {"cells": "128"},
     "regularity-lipschitz": {"cells": "128"},
@@ -620,6 +621,116 @@ theorems = {name}
     assert captured.out == "" and not out.exists()
 
 
+# every float option of every theorem: a bare float parser would take nan
+_FLOAT_OPTIONS = [(name, key) for name, (_, _, options) in THEOREMS.items()
+                  for key, (parse, _) in options.items() if parse in (float, _number)]
+
+
+@pytest.mark.parametrize("name, key", _FLOAT_OPTIONS,
+                         ids=[f"{n}-{k}" for n, k in _FLOAT_OPTIONS])
+def test_float_options_reject_nan(tmp_path, capsys, name, key):
+    # a nan option used to run and report FAIL with C* = inf, or a wrong reason
+    cfg = write_config(tmp_path / "bad.ini", f"""\
+[grid]
+cells = 16,16
+
+[data]
+u = profile:sinsin
+
+[verify]
+theorems = {name}
+
+[verify.{name}]
+{key} = nan
+""")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [{name}] option {key!r} must be a number, got 'nan'\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("origin", "nan,0.0"), ("extent", "inf,1.0"),
+                                        ("cells", "inf,16")])
+def test_grid_must_be_finite(tmp_path, capsys, key, value):
+    # a nan origin used to solve and write a u.wlf whose header said origin=nan,
+    # and an infinite cell count ended in an OverflowError traceback
+    grid = "\n".join(f"{k} = {v}" for k, v in {"cells": "16,16", key: value}.items())
+    cfg = write_config(tmp_path / "bad.ini", f"""\
+[grid]
+{grid}
+
+[data]
+u = profile:zero
+F = manufactured
+""")
+    for command in ("run", "solve"):
+        out = tmp_path / command
+        assert main([command, cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: bad [grid] section: expected a comma-separated "
+                                f"list of finite numbers, got {value!r}\n")
+        assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("telescoping-means", "x", "nan,0.5"),
+    ("energy-caccioppoli", "x", "0.5,inf"),
+    ("pointwise-wulff", "points", "0.5,0.5; 0.4,nan"),
+])
+def test_points_must_be_finite(tmp_path, capsys, monkeypatch, name, key, value):
+    # a non-finite point is a config error at load, before any theorem runs
+    import wulff_lab.cli as cli
+
+    ran = []
+    monkeypatch.setattr(cli.iq, "verify_hardy", lambda *a, **k: ran.append(a))
+    cfg = write_config(tmp_path / "bad.ini", f"""\
+[grid]
+cells = 16,16
+
+[data]
+u = profile:sinsin
+F = manufactured
+
+[verify]
+theorems = hardy-i, {name}
+
+[verify.{name}]
+{key} = {value}
+""")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: [{name}] expected a comma-separated list of "
+                            f"finite numbers, got {value.split(';')[-1]!r}\n")
+    assert captured.out == "" and not out.exists() and ran == []
+
+
+@pytest.mark.parametrize("name", ["oscillation-decay", "energy-caccioppoli"])
+def test_point_of_the_wrong_dimension_is_an_error(tmp_path, capsys, name):
+    # energy-caccioppoli used to end in a numpy broadcast traceback here
+    cfg = write_config(tmp_path / "bad.ini", f"""\
+[grid]
+cells = 16,16
+
+[data]
+u = profile:sinsin
+F = manufactured
+
+[verify]
+theorems = {name}
+
+[verify.{name}]
+x = 0.5,0.5,0.5
+""")
+    out = tmp_path / "o"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: [{name}] point (0.5, 0.5, 0.5) has 3 coordinates "
+                            "on a 2-d grid\n")
+    assert captured.out == "" and not out.exists()
+
+
 def test_run_bad_profile_option_value(tmp_path, capsys):
     body = RUN_CONFIG.replace("profile:sinsin", "profile:power:expo=abc")
     cfg = write_config(tmp_path / "bad.ini", body)
@@ -682,13 +793,6 @@ sigma = 1.5
 [verify.potential-norms-A-iii]
 rho = 3
 
-[verify.potential-norms-A-iv]
-rho = 0.5
-
-[verify.potential-norms-B]
-young_a = power,1.5
-young_b = power,3
-
 [verify.regularity-holder]
 q = 8
 cells = 128
@@ -713,18 +817,40 @@ def test_run_every_theorem_id(tmp_path, capsys):
     assert [ln.split()[1] for ln in lines] == list(THEOREMS)
 
 
-def test_hardy_ii_runs_on_its_defaults(tmp_path, capsys):
-    # no option set: the default q and alpha of each case lie in that case
-    cfg = write_config(tmp_path / "hardy.ini", """\
+# the theorems whose verifier needs a value that no default sets
+_NEEDS_A_VALUE = {"potential-norms-A-i": "sigma", "regularity-holder": "q",
+                  "regularity-lorentz": "q"}
+
+
+def test_every_theorem_runs_on_its_defaults(tmp_path, capsys):
+    # no theorem option but samples set: each default lies in its theorem's
+    # case (hardy-ii-*), its part (A-iv: rho = 1/(s-1)) or its balance (B)
+    def run(names):
+        cfg = write_config(tmp_path / "defaults.ini", f"""\
 [grid]
-cells = 8,8
+cells = 128,128
+
+[system]
+p = 1.5
+
+[data]
+u = profile:sinsin
+F = manufactured
 
 [verify]
-theorems = hardy-ii-far, hardy-ii-near
+theorems = {", ".join(names)}
+{"samples = 3" if any("samples" in THEOREMS[n][2] for n in names) else ""}
 """)
-    assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 0
-    out = capsys.readouterr().out
-    assert "pass  hardy-ii-far" in out and "pass  hardy-ii-near" in out
+        return main(["run", cfg, "--out", str(tmp_path / "o")])
+
+    names = [name for name in THEOREMS if name not in _NEEDS_A_VALUE]
+    assert run(names) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("pass  ")]
+    assert [ln.split()[1] for ln in lines] == names
+    for name, key in _NEEDS_A_VALUE.items():  # each one left out needs its value
+        assert run([name]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{name}] ") and f"{key}" in err and "got None" in err
 
 
 PAIR_CONFIG = """\
@@ -1373,6 +1499,10 @@ def test_potential_command(tmp_path, capsys):
     assert main(["potential", path, "--alpha", "0.5", "--point", "0.5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "coordinates" in err
+    # a point with a non-finite coordinate
+    assert main(["potential", path, "--alpha", "0.5", "--point", "0.5,nan"]) == 1
+    assert capsys.readouterr().err == ("error: expected a comma-separated list of "
+                                       "finite numbers, got '0.5,nan'\n")
 
 
 def test_potential_wulff_rejects_out(tmp_path, capsys):

@@ -9,6 +9,7 @@ from conftest import constant_field
 from wulff_lab.errors import (
     BallBelowResolution,
     BallOutsideDomain,
+    DegenerateGrid,
     DimensionMismatch,
     GridTooCoarse,
     MalformedHeader,
@@ -50,6 +51,23 @@ def test_geometry_basics():
     assert centers[-1] == pytest.approx(0.95)
 
 
+@pytest.mark.parametrize("extent, origin", [((math.inf, 1.0), (0.0, 0.0)),
+                                             ((1.0, math.nan), (0.0, 0.0)),
+                                             ((1.0, 1.0), (math.nan, 0.0)),
+                                             ((1.0, 1.0), (0.0, -math.inf))])
+def test_geometry_rejects_a_non_finite_box(tmp_path, extent, origin):
+    with pytest.raises(DegenerateGrid, match="finite"):
+        GridGeometry((4, 4), extent, origin)
+    # nor does a field file whose header declares such a box read
+    path = tmp_path / "f.wlf"
+    write_field(constant_field(unit_grid(4), 1.0), path)
+    header = f"extent={extent[0]!r},{extent[1]!r}\norigin={origin[0]!r},{origin[1]!r}"
+    path.write_bytes(path.read_bytes().replace(b"extent=1.0,1.0\norigin=0.0,0.0",
+                                               header.encode()))
+    with pytest.raises(DegenerateGrid, match="finite"):
+        read_field(path)
+
+
 def test_geometry_rejects_one_dimension():
     with pytest.raises(Exception):
         GridGeometry((10,), (1.0,), (0.0,))
@@ -57,9 +75,9 @@ def test_geometry_rejects_one_dimension():
 
 def test_contains_ball_and_point():
     geom = unit_grid()
-    assert geom.contains_ball(Ball((0.5, 0.5), 0.5))
-    assert not geom.contains_ball(Ball((0.5, 0.5), 0.51))
-    assert not geom.contains_ball(Ball((0.1, 0.5), 0.2))
+    assert geom._contains((0.5, 0.5), [0.5])[0]
+    assert not geom._contains((0.5, 0.5), [0.51])[0]
+    assert not geom._contains((0.1, 0.5), [0.2])[0]
     assert geom.contains_point((0.0, 1.0))
     assert not geom.contains_point((1.1, 0.5))
 
@@ -245,7 +263,7 @@ def test_off_center_ball_cells_match_oracle(geom):
     for i in range(len(centers)):
         for frac in ([0.5, -0.5], [-0.5, 0.5], rng.uniform(-0.5, 0.5, 2)):
             x = tuple(float(c) for c in coords[i] + np.asarray(frac) * h)
-            fit = [r for r in radii if geom.contains_ball(Ball(x, r))]
+            fit = [r for r in radii if geom._contains(x, [r])[0]]
             for r in fit:
                 want = _grid_mask(geom, Ball(x, r))
                 np.testing.assert_array_equal(ball_cells(geom, Ball(x, r)),
@@ -287,7 +305,7 @@ def test_ball_stencil_is_ball_cells_property(cells, h, aspect, origin, pick, siz
         k = [0, 0]
         k[axis] = max(math.floor(r / geom.spacing[axis]), 1)
         r = math.hypot(*(kd * hd - dd for kd, hd, dd in zip(k, geom.spacing, delta)))
-    if not (lo <= r and geom.contains_ball(Ball(x, r))):
+    if not (lo <= r and geom._contains(x, [r])[0]):
         return
     want = _grid_mask(geom, Ball(x, r))
     np.testing.assert_array_equal(ball_cells(geom, Ball(x, r)), np.flatnonzero(want))
@@ -311,7 +329,7 @@ def _nested_counts_match_ball_cells(geom, wulff_stride=1):
     compared = 0
     for idx in np.ndindex(geom.cells):
         x = tuple(float(m[idx]) for m in mesh)
-        radii = [r for r in fixed if geom.contains_ball(Ball(x, r))]
+        radii = [r for r in fixed if geom._contains(x, [r])[0]]
         R = max_admissible_radius(geom, x)
         if all(i % wulff_stride == 0 for i in idx) and R > 2.0 * h:
             radii += [float(r) for r in RadialQuadrature.log_spaced(2.0 * h, R).radii]
@@ -374,10 +392,10 @@ def test_nested_balls_checks_every_radius():
     with pytest.raises(ValueError):
         nested_balls(f, (0.5, 0.5), [0.2]).oscillations(0.5)
     # a ball that leaves the box by less than the 1e-12 pad is accepted, as
-    # by ``contains_ball``; one that leaves it by more is not
+    # by ``_contains``; one that leaves it by more is not
     inside_pad, outside_pad = 0.5 + 5e-13, 0.5 + 2e-12
-    assert geom.contains_ball(Ball((0.5, 0.5), inside_pad))
-    assert not geom.contains_ball(Ball((0.5, 0.5), outside_pad))
+    assert geom._contains((0.5, 0.5), [inside_pad])[0]
+    assert not geom._contains((0.5, 0.5), [outside_pad])[0]
     assert nested_balls(f, (0.5, 0.5), [0.1, inside_pad]).counts[1] == ball_cells(
         geom, Ball((0.5, 0.5), inside_pad)).size
     with pytest.raises(BallOutsideDomain):
@@ -458,7 +476,7 @@ def _nested_case(dim, data):
         step[axis] = k
         radii.append(math.hypot(*(s * hd - dd
                                   for s, hd, dd in zip(step, geom.spacing, delta))))
-    radii = [r for r in radii if lo <= r and geom.contains_ball(Ball(x, r))]
+    radii = [r for r in radii if lo <= r and geom._contains(x, [r])[0]]
     assume(radii)
     radii += data.draw(st.lists(st.sampled_from(radii), max_size=2))
     return geom, x, data.draw(st.permutations(radii))

@@ -11,6 +11,7 @@ from conftest import constant_field
 from wulff_lab.errors import (
     BallBelowResolution,
     BallOutsideDomain,
+    DimensionMismatch,
     InadmissibleParams,
     InsufficientRadii,
     ParameterRangeViolation,
@@ -577,6 +578,16 @@ def test_energy_inequalities():
     assert "caccioppoli" in " ".join(labels)
     with pytest.raises(ParameterRangeViolation):
         verify_energy_inequalities(pair, (0.5, 0.5), 0.3, q=0.5)
+
+
+def test_energy_inequalities_check_the_outer_ball_first():
+    pair = smooth_pair(2.0)
+    with pytest.raises(DimensionMismatch, match="has 3 coordinates on a 2-d grid"):
+        verify_energy_inequalities(pair, (0.5, 0.5, 0.5), 0.3)
+    # B_R leaves Ω and B_{R/2} does not; B_R is reported ahead of a bad q
+    for q in (None, 0.5):
+        with pytest.raises(BallOutsideDomain, match=r"ball B_0\.6\(\(0\.5, 0\.5\)\)"):
+            verify_energy_inequalities(pair, (0.5, 0.5), 0.6, q=q)
 
 
 # ---------------------------------------------------------------------------
