@@ -49,6 +49,9 @@ from .potential_engine import (
 # ---------------------------------------------------------------------------
 # config parsing
 
+# the id prefix of the parts of Theorems A and B
+_NORMS = "potential-norms-"
+
 
 def _floats(text: str) -> tuple[float, ...]:
     """A list of finite numbers, separated by commas (or ``x``)."""
@@ -270,6 +273,14 @@ class RunConfig:
         self._oscillation_passes = {(got["r_ball"], tuple(got["points"]))
                                     for name, got in self.theorems
                                     if name == "pointwise-oscillation"}
+        # the selected parts of Theorems A and B, as (part, options), grouped by
+        # (alpha, s, samples): the parts of a group draw their data in one pass
+        groups = {}
+        for name, got in self.theorems:
+            if name.startswith(_NORMS):
+                groups.setdefault((got["alpha"], got["s"], got["samples"]), []).append(
+                    (name[len(_NORMS):], got))
+        self._norm_groups = list(groups.values())
 
         o = section("output")
         self.out_dir, self.json_name, self.csv_name = o["dir"], o["json"], o["csv"]
@@ -286,6 +297,8 @@ class RunConfig:
         self.base_dir = base_dir
         self._pair = self._gated = None
         self._pointwise = {}
+        # ((seed, (part, options)), (NormPart, records) or the part's error)
+        self._norm_outcomes = []
 
     def pair(self) -> tuple[GridField, GridField]:
         """The (u, F) pair of ``[data]``, loaded on first use and kept for the
@@ -322,6 +335,42 @@ class RunConfig:
                 self.gated_pair(), r_ball, points,
                 oscillation=oscillation or key in self._oscillation_passes)
         return self._pointwise[key]
+
+    def potential_norm_records(self, part: str, options: dict, seed: int, threads: int):
+        """The checked ``potential-norms-<part>`` with ``options`` and its
+        records at ``seed``, as a (NormPart, records) pair.  At the first turn
+        of a group of selected parts with one alpha, s and samples, every part
+        of the group is checked and one pass of :func:`iq.potential_norm_terms`
+        draws the data of the admissible ones; a part's error is raised at its
+        own turn."""
+        spec = (part, options)
+        if not any(key == (seed, spec) for key, _ in self._norm_outcomes):
+            group = next((g for g in self._norm_groups if spec in g), [spec])
+            checked = [self._norm_part(*member) for member in group]
+            if isinstance(checked[group.index(spec)], WulffLabError):
+                raise checked[group.index(spec)]  # before any datum is drawn
+            terms = iter(iq.potential_norm_terms(
+                [got for got in checked if not isinstance(got, WulffLabError)],
+                samples=options["samples"], seed=seed, threads=threads))
+            for member, got in zip(group, checked):
+                if not isinstance(got, WulffLabError):
+                    records = next(terms)
+                    got = records if isinstance(records, WulffLabError) else (got, records)
+                self._norm_outcomes.append(((seed, member), got))
+        got = next(got for key, got in self._norm_outcomes if key == (seed, spec))
+        if isinstance(got, WulffLabError):
+            raise got
+        return got
+
+    def _norm_part(self, part: str, options: dict):
+        """``iq.potential_norm_part`` of ``part`` with ``options``, or the
+        error of its check."""
+        try:
+            return iq.potential_norm_part(
+                part, geom=self.geometry,
+                **{k: v for k, v in options.items() if k != "samples"})
+        except WulffLabError as exc:
+            return exc
 
 
 def parse_config(path: str) -> RunConfig:
@@ -447,10 +496,9 @@ def _run_domination(cfg, seed, threads, **options):
 
 
 def _norm_maps(summary, part, drop=(), **extra):
-    def run(cfg, seed, threads, young_a=None, young_b=None, **options):
-        return iq.verify_potential_norm_maps(part, geom=cfg.geometry, A=young_a,
-                                             B=young_b, seed=seed, threads=threads,
-                                             **options)
+    def run(cfg, seed, threads, **options):
+        norm_part, records = cfg.potential_norm_records(part, options, seed, threads)
+        return iq.verify_potential_norm_maps(norm_part, records, seed)
 
     return _entry(summary, run, {"sigma": (_number, None), "rho": (_number, "2.0"),
                                  "samples": (int, "20"), "alpha": (_number, "0.5"),

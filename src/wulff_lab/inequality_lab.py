@@ -15,7 +15,10 @@ system, and a pair checked by several verifiers is gated once.
 
 Random test families are seeded and versioned; reports whose samples come
 from :func:`random_field` embed the family version so archived numbers stay
-reproducible.
+reproducible.  The parts of Theorems A and B bound one map, V_{α,s}, so
+parts with one grid, α, s, sample count and seed share one pass
+(:func:`potential_norm_terms`): each datum is drawn and mapped once, every
+part's two sides are taken on it, and only the records outlive the pass.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import NamedTuple, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .errors import (
     QuadratureFailure,
     QuasiIncreasingViolation,
     ResidualTooLarge,
+    WulffLabError,
 )
 from .field_grid import (
     Ball,
@@ -49,6 +53,7 @@ from .field_grid import (
     ball_oscillation,
     gradient,
     nested_balls,
+    shell_plan,
     value_at,
 )
 from .function_spaces import (
@@ -78,11 +83,14 @@ from .potential_engine import (
 __all__ = [
     "FAMILY_VERSION",
     "GatedPair",
+    "NormPart",
     "PointwiseTerms",
     "SampleRecord",
     "VerificationReport",
     "gate_pair",
     "pointwise_terms",
+    "potential_norm_part",
+    "potential_norm_terms",
     "random_field",
     "radial_profile",
     "verify_pointwise",
@@ -129,9 +137,12 @@ class VerificationReport:
     family_version: str | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        # one pass over the fields; the containers are fresh copies (params
+        # holds numbers, strings and tuples)
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.family_version is None:
             del d["family_version"]
+        d["params"] = dict(self.params)
         d["samples"] = [asdict(s) for s in self.samples]
         d["notes"] = list(self.notes)
         return d
@@ -248,12 +259,13 @@ def _bumps_sum(geom: GridGeometry, rng: np.random.Generator, bumps: int) -> np.n
     bump in turn and adds amp·exp(−|x − c|²/2w²) as the outer product of the
     per-axis factors exp(−(x_d − c_d)²/2w²)."""
     v = np.zeros(geom.cells)
+    axes = [geom.axis_centers(d) for d in range(geom.dim)]
     for _b in range(bumps):
         c = [geom.origin[d] + geom.extent[d] * rng.uniform(0.15, 0.85)
              for d in range(geom.dim)]
         w = rng.uniform(0.04, 0.18) * min(geom.extent)
         amp = rng.normal()
-        factors = [np.exp(-(geom.axis_centers(d) - c[d]) ** 2 / (2.0 * w * w))
+        factors = [np.exp(-(axes[d] - c[d]) ** 2 / (2.0 * w * w))
                    for d in range(geom.dim)]
         factors[0] = amp * factors[0]
         v += functools.reduce(np.multiply.outer, factors)
@@ -262,7 +274,9 @@ def _bumps_sum(geom: GridGeometry, rng: np.random.Generator, bumps: int) -> np.n
 
 def _fourier_sum(geom: GridGeometry, rng: np.random.Generator) -> np.ndarray:
     """One ``fourier`` component: draws amp then φ per wave vector, k₁ and k₂
-    ascending from −6, and sums the waves through the 13×13 matrix C."""
+    ascending from −6, and sums the waves through the 13×13 matrix C.  The
+    draws are ``standard_normal()`` and 2π·``random()``, the same floats as
+    ``normal()`` and ``uniform(0, 2π)`` at less cost per call."""
     amp = np.zeros((13, 13))
     phase = np.zeros((13, 13))
     for k1 in range(-6, 7):
@@ -270,8 +284,8 @@ def _fourier_sum(geom: GridGeometry, rng: np.random.Generator) -> np.ndarray:
             k2norm = k1 * k1 + k2 * k2
             if k2norm == 0 or k2norm > 36:
                 continue
-            amp[k1 + 6, k2 + 6] = rng.normal() / (1.0 + k2norm)
-            phase[k1 + 6, k2 + 6] = rng.uniform(0.0, 2.0 * math.pi)
+            amp[k1 + 6, k2 + 6] = rng.standard_normal() / (1.0 + k2norm)
+            phase[k1 + 6, k2 + 6] = 2.0 * math.pi * rng.random()
     c_re, c_im = amp * np.cos(phase), amp * np.sin(phase)
     k = np.arange(-6, 7)
     t1, t2 = (2.0 * math.pi * np.outer(k, (geom.axis_centers(d) - geom.origin[d])
@@ -508,11 +522,14 @@ def verify_telescope(geom: GridGeometry, x: Sequence[float], r: float, R: float,
     if not (r <= R):
         raise BallOutsideDomain(f"need r <= R, got r={r:g} > R={R:g}")
     quad = RadialQuadrature.log_spaced(r, R) if r < R * (1 - 1e-12) else None
+    # the balls depend on the grid, x and the radii alone: one plan gathers
+    # every field
+    plan = shell_plan(geom, x, [r, R, *(quad.radii if quad is not None else ())])
     kinds = ("fourier", "bumps")
 
     def one(i: int) -> list[SampleRecord]:
         f = random_field(geom, seed + i, kinds[i % 2])
-        return _telescope_samples(f, i, x, r, R, quad)
+        return _telescope_samples(plan.gather(f), i, quad, geom.dim)
 
     records = [rec for recs in _parallel_map(one, range(samples), threads)
                for rec in recs]
@@ -530,13 +547,13 @@ def verify_telescope(geom: GridGeometry, x: Sequence[float], r: float, R: float,
     )
 
 
-def _telescope_samples(f: GridField, i: int, x: tuple[float, ...], r: float,
-                       R: float, quad: RadialQuadrature | None) -> list[SampleRecord]:
-    """The two telescope records of field ``f[i]``, with the quadrature of
-    ∫_r^R dρ/ρ (None when r = R).  Every ball mean comes from one
-    shell-ordered view of B_R(x) (:func:`nested_balls`), with the inclusion
-    rule of :func:`ball_cells`."""
-    balls = nested_balls(f, x, [r, R, *(quad.radii if quad is not None else ())])
+def _telescope_samples(balls: NestedBalls, i: int, quad: RadialQuadrature | None,
+                       n: int) -> list[SampleRecord]:
+    """The two telescope records of field ``f[i]`` on an n-dimensional grid
+    from its samples on B_r, B_R and B_ρ, ρ in ``quad.radii`` (the quadrature
+    of ∫_r^R dρ/ρ; None when r = R), in that order: one shell-ordered view of
+    B_R(x) (:func:`shell_plan`), with the inclusion rule of
+    :func:`ball_cells`."""
     means = balls.means()
     mags = np.sqrt(np.einsum("ck,ck->k", balls.values, balls.values))
     mean_abs = NestedBalls(mags[np.newaxis], balls.counts).means()[0]
@@ -547,7 +564,6 @@ def _telescope_samples(f: GridField, i: int, x: tuple[float, ...], r: float,
     else:
         integral = 0.0
 
-    n = f.geometry.dim
     return [
         _record(f"f[{i}]:means-of-f", float(np.linalg.norm(means[:, 0] - means[:, 1])),
                 2.0 ** (2 * n + 2) * integral),
@@ -874,14 +890,26 @@ def verify_domination(geom: GridGeometry, alpha: float, s: float, *,
     )
 
 
-def verify_potential_norm_maps(part: str, alpha: float, s: float,
-                               geom: GridGeometry, *, sigma: float | None = None,
-                               rho: float | None = 2.0, A: YoungFunction | None = None,
-                               B: YoungFunction | None = None,
-                               samples: int = 20, seed: int = 0,
-                               t0: float = 1.0,
-                               threads: int | None = None) -> VerificationReport:
-    """Norm boundedness of the composed potential V_{α,s} (αs < n).
+class NormPart(NamedTuple):
+    """One part of Theorems A and B with its checks passed: what its report
+    states, and ``sides``, its (lhs, rhs) on a datum f and V = V_{α,s} f."""
+
+    part: str
+    geom: GridGeometry
+    alpha: float
+    s: float
+    sigma: float | None
+    rho: float | None
+    notes: tuple[str, ...]
+    sides: Callable[[GridField, GridField], tuple[float, float]]
+
+
+def potential_norm_part(part: str, alpha: float, s: float, geom: GridGeometry, *,
+                        sigma: float | None = None, rho: float | None = 2.0,
+                        young_a: YoungFunction | None = None,
+                        young_b: YoungFunction | None = None,
+                        t0: float = 1.0) -> NormPart:
+    """Norm boundedness of the composed potential V_{α,s} (αs < n), checked:
 
     * ``part="A-i"``   ‖V f‖_{L^{σn(s−1)/(n−σαs), ϱ(s−1)}} ≤ C ‖f‖_{L^{σ,ϱ}}^{1/(s−1)},
       for 1 < σ < n/(αs);
@@ -889,11 +917,12 @@ def verify_potential_norm_maps(part: str, alpha: float, s: float,
       for ϱ > 1/(s−1);
     * ``part="A-iv"``  ‖V f‖_{L^∞} ≤ C ‖f‖_{L^{n/(αs), ϱ}}^{1/(s−1)}, for ϱ ≤ 1/(s−1)
       (``rho=None`` takes ϱ = 1/(s−1));
-    * ``part="B"``     ‖(V f)^{s−1}‖_{L^B} ≤ C ‖f‖_{L^A}, under the balance
-      condition for (A, B) — checked first, inadmissible when unsatisfiable.
+    * ``part="B"``     ‖(V f)^{s−1}‖_{L^B} ≤ C ‖f‖_{L^A}, A = ``young_a`` and
+      B = ``young_b``, under the balance condition for (A, B) — checked
+      here, inadmissible when unsatisfiable.
 
     Both norms are 1/(s−1)- resp. 1-homogeneous in f, so ratios are
-    scale-free; the family mixes smooth bumps and truncated radial powers.
+    scale-free.
     """
     n = geom.dim
     if not (0 < alpha and s > 1 and alpha * s < n):
@@ -944,9 +973,9 @@ def verify_potential_norm_maps(part: str, alpha: float, s: float,
 
             notes.append("target space L^inf (max over cells)")
     elif part == "B":
-        if A is None or B is None:
+        if young_a is None or young_b is None:
             raise InadmissibleParams("part B needs Young functions A and B")
-        pair = potential_young_transforms(A, B, alpha, s, n)
+        pair = potential_young_transforms(young_a, young_b, alpha, s, n)
         bal = balance_report(pair, t0=t0)
         if not bal.satisfiable:
             raise InadmissibleParams(
@@ -957,30 +986,64 @@ def verify_potential_norm_maps(part: str, alpha: float, s: float,
             f"balance holds with gamma = {bal.gamma:.6g} ({bal.mode}) on "
             f"t > {t0:g}"
         )
+
+        def orlicz_sides(f: GridField, V: GridField) -> tuple[float, float]:
+            return (luxemburg_norm(_power_field(V, s - 1.0), young_b),
+                    luxemburg_norm(f, young_a))
+
+        return NormPart(part, geom, alpha, s, sigma, rho, tuple(notes), orlicz_sides)
     else:
         raise InadmissibleParams(f"unknown part {part!r}")
 
+    def lorentz_sides(f: GridField, V: GridField) -> tuple[float, float]:
+        return lhs_of(V), lorentz_zygmund_norm(f, source) ** (1.0 / (s - 1.0))
+
+    return NormPart(part, geom, alpha, s, sigma, rho, tuple(notes), lorentz_sides)
+
+
+def potential_norm_terms(parts: Sequence[NormPart], *, samples: int = 20, seed: int = 0,
+                         threads: int | None = None) -> list[tuple[SampleRecord, ...]
+                                                              | WulffLabError]:
+    """The records of every part in ``parts`` (one grid, α and s) from one
+    pass over a seeded family that mixes smooth bumps, Fourier sums and
+    truncated radial powers: each datum f_i is drawn and mapped to
+    V_{α,s} f_i once, each part's sides are taken on the pair, and only the
+    records outlive it.  A part whose norm raises on a datum gets the error
+    of its first such datum in place of its records."""
+    if len({(part.geom, part.alpha, part.s) for part in parts}) != 1:
+        raise ValueError("the parts of one pass need one grid, alpha and s")
+    geom, alpha, s = parts[0].geom, parts[0].alpha, parts[0].s
     kinds = ("bumps", "fourier", "singular")
 
-    def one(i: int) -> SampleRecord:
+    def one(i: int) -> list[SampleRecord | WulffLabError]:
         f = random_field(geom, seed + i, kinds[i % len(kinds)], nonneg=True,
                          exponent=0.4 + 0.5 * ((seed + i) % 5) / 4.0)
         V = havin_mazya_map(f, alpha, s)
-        if part == "B":
-            lhs = luxemburg_norm(_power_field(V, s - 1.0), B)
-            rhs = luxemburg_norm(f, A)
-        else:
-            lhs = lhs_of(V)
-            rhs = lorentz_zygmund_norm(f, source) ** (1.0 / (s - 1.0))
-        return _record(f"f[{i}]", lhs, rhs)
+        return [_norm_record(part, i, f, V) for part in parts]
 
-    records = _parallel_map(one, range(samples), threads)
+    rows = _parallel_map(one, range(samples), threads)
+    columns = [tuple(row[j] for row in rows) for j in range(len(parts))]
+    return [next((r for r in col if isinstance(r, WulffLabError)), col) for col in columns]
+
+
+def _norm_record(part: NormPart, i: int, f: GridField,
+                 V: GridField) -> SampleRecord | WulffLabError:
+    try:
+        return _record(f"f[{i}]", *part.sides(f, V))
+    except WulffLabError as exc:  # raised at the part's own turn, not in the pass
+        return exc
+
+
+def verify_potential_norm_maps(part: NormPart, records: Sequence[SampleRecord],
+                               seed: int) -> VerificationReport:
+    """The report of one part of :func:`potential_norm_part` on its records
+    from :func:`potential_norm_terms` at ``seed``."""
     return _assemble(
-        f"potential-norms-{part}",
-        {"alpha": alpha, "s": s, "sigma": sigma, "rho": rho, "seed": seed,
-         "samples": samples, "cells": geom.cells},
-        records,
-        notes,
+        f"potential-norms-{part.part}",
+        {"alpha": part.alpha, "s": part.s, "sigma": part.sigma, "rho": part.rho,
+         "seed": seed, "samples": len(records), "cells": part.geom.cells},
+        list(records),
+        list(part.notes),
         seeded=True,
     )
 

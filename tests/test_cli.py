@@ -222,9 +222,9 @@ def _plain(value):
 
 @pytest.mark.parametrize("name", list(THEOREMS))
 def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, name):
-    # the verifiers and the pointwise pass are stubbed out and record their
-    # arguments: each declared option, set away from its default, must change
-    # what one of them receives
+    # the verifiers, the pointwise pass and the norm-map checks and pass are
+    # stubbed out and record their arguments: each declared option, set away
+    # from its default, must change what one of them receives
     import wulff_lab.cli as cli
 
     calls = []
@@ -232,11 +232,12 @@ def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, na
     def stub(label):
         def record(*args, **kwargs):
             calls.append((label, _plain(args), _plain(kwargs)))
-            return []
+            # the norm-map pass gives one record list per part
+            return [[] for _ in args[0]] if label == "potential_norm_terms" else []
         return record
 
     for attr in dir(cli.iq):
-        if attr.startswith("verify_") or attr == "pointwise_terms":
+        if attr.startswith(("verify_", "potential_norm_")) or attr == "pointwise_terms":
             monkeypatch.setattr(cli.iq, attr, stub(attr))
     monkeypatch.setattr(cli.RunConfig, "pair", lambda self: ("u", "F"))
     monkeypatch.setattr(cli.RunConfig, "gated_pair", lambda self: "pair")
@@ -1074,6 +1075,110 @@ samples = 2
 young_a = power,1.5
 young_b = power,3
 """
+
+
+NORMS_CONFIG = """\
+[grid]
+cells = 32,32
+
+[verify]
+theorems = {theorems}
+samples = 3
+
+[verify.potential-norms-A-i]
+sigma = 1.5
+
+[verify.potential-norms-A-iii]
+rho = 3
+"""
+_NORMS = ("potential-norms-A-i", "potential-norms-A-iii", "potential-norms-A-iv",
+          "potential-norms-B")
+
+
+def _selecting(body, names):
+    return body.format(theorems=", ".join(names))
+
+
+@pytest.fixture
+def map_calls(monkeypatch):
+    """The havin_mazya_map calls that inequality_lab makes, as a list."""
+    import wulff_lab.cli as cli
+
+    calls = []
+    real = cli.iq.havin_mazya_map
+    monkeypatch.setattr(cli.iq, "havin_mazya_map", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def _norm_run(tmp_path, body, names, map_calls):
+    """The reports of a run of ``names`` in ``body`` and its count of V maps."""
+    before = len(map_calls)
+    out = tmp_path / "-".join(names)
+    cfg = write_config(tmp_path / "norms.ini", _selecting(body, names))
+    assert main(["run", cfg, "--out", str(out)]) == 0
+    return json.loads(read_bytes(out, "report.json"))["reports"], len(map_calls) - before
+
+
+def test_potential_norm_parts_share_one_pass(tmp_path, map_calls, capsys):
+    # the four parts read one (alpha, s, samples): each datum and its V map
+    # are made once, and each report is the one of the part run alone
+    together, maps = _norm_run(tmp_path, NORMS_CONFIG, _NORMS, map_calls)
+    assert maps == 3
+    alone = [_norm_run(tmp_path, NORMS_CONFIG, [name], map_calls) for name in _NORMS]
+    assert together == [reports[0] for reports, _ in alone]
+    assert [count for _, count in alone] == [3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("key, value", [("alpha", "0.4"), ("s", "2.5"), ("samples", "2")])
+def test_potential_norm_parts_with_another_key_do_not_share(tmp_path, map_calls, capsys,
+                                                            key, value):
+    body = NORMS_CONFIG + f"\n[verify.potential-norms-B]\n{key} = {value}\n"
+    names = ("potential-norms-A-i", "potential-norms-B")
+    together, maps = _norm_run(tmp_path, body, names, map_calls)
+    alone = [_norm_run(tmp_path, body, [name], map_calls) for name in names]
+    assert together == [reports[0] for reports, _ in alone]
+    assert maps == sum(count for _, count in alone) == 3 + (2 if key == "samples" else 3)
+
+
+@pytest.mark.parametrize("names", [
+    ("potential-norms-B", "potential-norms-A-i"),
+    ("potential-norms-A-i", "potential-norms-B"),
+], ids=["B_first", "A-i_first"])
+def test_a_part_that_fails_its_check_fails_at_its_own_turn(tmp_path, monkeypatch,
+                                                           map_calls, capsys, names):
+    # A-i needs sigma < n/(alpha*s) = 2; B shares its pass, and B's report is
+    # made at B's turn all the same
+    import wulff_lab.cli as cli
+
+    made = []
+    real = cli.iq.verify_potential_norm_maps
+    monkeypatch.setattr(cli.iq, "verify_potential_norm_maps",
+                        lambda part, *a: made.append(part.part) or real(part, *a))
+    body = _selecting(NORMS_CONFIG.replace("sigma = 1.5", "sigma = 5"), names)
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path / "n.ini", body), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: [potential-norms-A-i] part A-i needs "
+                            "1 < sigma < n/(alpha*s) = 2, got 5.0\n")
+    assert not out.exists()
+    # B ran first, or no datum was drawn
+    assert (made, len(map_calls)) == ((["B"], 3) if names[0].endswith("B") else ([], 0))
+
+
+def test_a_norm_that_fails_on_a_datum_fails_its_own_part(tmp_path, monkeypatch, capsys):
+    # the pass runs at A-i's turn; B's failing norm is B's error, not A-i's
+    import wulff_lab.cli as cli
+    from wulff_lab.errors import SearchRangeExhausted
+
+    def failing(f, A):
+        raise SearchRangeExhausted("modular stayed above 1")
+
+    monkeypatch.setattr(cli.iq, "luxemburg_norm", failing)
+    body = _selecting(NORMS_CONFIG, ("potential-norms-A-i", "potential-norms-B"))
+    assert main(["run", write_config(tmp_path / "n.ini", body),
+                 "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == ("error: [potential-norms-B] modular stayed "
+                                       "above 1\n")
 
 
 @pytest.mark.parametrize("old, new", [

@@ -32,6 +32,8 @@ from wulff_lab.inequality_lab import (
     GatedPair,
     gate_pair,
     pointwise_terms,
+    potential_norm_part,
+    potential_norm_terms,
     random_field,
     verify_domination,
     verify_energy_inequalities,
@@ -225,6 +227,19 @@ def test_bumps_and_singular_are_byte_identical(kind, shape):
     assert hashlib.sha256(values.tobytes()).hexdigest() == _FIELD_DIGESTS[kind, shape]
 
 
+# fourier at 32², seed 7, taken while it drew with normal() and uniform(0, 2π)
+_FOURIER_DIGESTS = {
+    "scalar": "bf8313ef52254b39601abb1f61a0d0e7791654e34251e85cb1330fb6ac6fc66d",
+    "matrix": "e9e23428acf68d4ae09513f152785718dcf4575d0bcda23620264992214004a3",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_FOURIER_DIGESTS))
+def test_fourier_is_byte_identical(shape):
+    values = random_field(unit_grid(32), 7, "fourier", shape=shape).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == _FOURIER_DIGESTS[shape]
+
+
 # ---------------------------------------------------------------------------
 # telescoping means
 
@@ -232,7 +247,8 @@ def test_bumps_and_singular_are_byte_identical(kind, shape):
 def telescope(f, x, r, R):
     """The two telescope records of ``f`` as field f[0] of a battery."""
     quad = RadialQuadrature.log_spaced(r, R) if r < R * (1 - 1e-12) else None
-    return _telescope_samples(f, 0, tuple(x), r, R, quad)
+    balls = nested_balls(f, x, [r, R, *(quad.radii if quad is not None else ())])
+    return _telescope_samples(balls, 0, quad, f.geometry.dim)
 
 
 def _telescope_oracle(f, x, r, R, allowance):
@@ -296,6 +312,17 @@ def test_telescope_battery_matches_merged_fields(x, r, R, allowance):
                            allowance=allowance)
     assert got.to_dict() == expected.to_dict()
     assert got.passed == (allowance > 0)
+
+
+def test_telescope_builds_one_shell_plan(monkeypatch):
+    # the balls depend on the grid, x and the radii alone, not on the field
+    import wulff_lab.inequality_lab as iq
+
+    plans = []
+    real = iq.shell_plan
+    monkeypatch.setattr(iq, "shell_plan", lambda *a: plans.append(a) or real(*a))
+    rep = verify_telescope(unit_grid(32), (0.5, 0.5), 0.1, 0.4, samples=6, seed=2)
+    assert len(plans) == 1 and len(rep.samples) == 12
 
 
 def test_telescope_threads_do_not_change_the_report():
@@ -614,42 +641,117 @@ def test_domination_rejects_supercritical():
         verify_domination(unit_grid(32), 1.5, 2.0)
 
 
+def norm_maps(part, alpha, s, geom, *, samples=20, seed=0, threads=None, **options):
+    """The report of one potential-norms part in a pass of its own."""
+    norm_part = potential_norm_part(part, alpha, s, geom, **options)
+    (records,) = potential_norm_terms([norm_part], samples=samples, seed=seed,
+                                      threads=threads)
+    return verify_potential_norm_maps(norm_part, records, seed)
+
+
 def test_norm_maps_run_and_pass():
     geom = unit_grid(32)
-    a1 = verify_potential_norm_maps("A-i", 0.5, 3.0, geom, sigma=1.2,
-                                    rho=2.0, samples=3, seed=0)
+    a1 = norm_maps("A-i", 0.5, 3.0, geom, sigma=1.2, rho=2.0, samples=3, seed=0)
     assert a1.passed and math.isfinite(a1.c_star)
-    a3 = verify_potential_norm_maps("A-iii", 0.6, 2.5, geom, rho=1.0,
-                                    samples=3, seed=0)
+    a3 = norm_maps("A-iii", 0.6, 2.5, geom, rho=1.0, samples=3, seed=0)
     assert a3.passed and math.isfinite(a3.c_star)
-    a4 = verify_potential_norm_maps("A-iv", 0.6, 2.5, geom, rho=0.5,
-                                    samples=3, seed=0)
+    a4 = norm_maps("A-iv", 0.6, 2.5, geom, rho=0.5, samples=3, seed=0)
     assert a4.passed and math.isfinite(a4.c_star)
-    b = verify_potential_norm_maps("B", 0.6, 2.5, geom,
-                                   A=young_power(7 / 6), B=young_power(28 / 3),
-                                   samples=2, seed=0)
+    b = norm_maps("B", 0.6, 2.5, geom, young_a=young_power(7 / 6),
+                  young_b=young_power(28 / 3), samples=2, seed=0)
     assert b.passed and math.isfinite(b.c_star)
     assert "balance holds" in b.notes[0]
+
+
+def _norm_parts(geom):
+    """The four parts of Theorems A and B at (alpha, s) = (0.6, 2.5)."""
+    return [potential_norm_part("A-i", 0.6, 2.5, geom, sigma=1.2),
+            potential_norm_part("A-iii", 0.6, 2.5, geom, rho=1.0),
+            potential_norm_part("A-iv", 0.6, 2.5, geom, rho=0.5),
+            potential_norm_part("B", 0.6, 2.5, geom, young_a=young_power(7 / 6),
+                                young_b=young_power(28 / 3))]
+
+
+def test_norm_pass_maps_each_datum_once(monkeypatch):
+    import wulff_lab.inequality_lab as iq
+
+    maps = []
+    real = iq.havin_mazya_map
+    monkeypatch.setattr(iq, "havin_mazya_map", lambda *a: maps.append(a) or real(*a))
+    geom = unit_grid(32)
+    parts = _norm_parts(geom)
+    shared = potential_norm_terms(parts, samples=3, seed=4)
+    assert len(maps) == 3
+    # each part's records are those of a pass of its own
+    assert shared == [potential_norm_terms([part], samples=3, seed=4)[0] for part in parts]
+
+
+def test_norm_pass_needs_one_grid_alpha_and_s():
+    geom = unit_grid(32)
+    a1 = potential_norm_part("A-i", 0.5, 2.0, geom, sigma=1.5)
+    for other in (potential_norm_part("A-i", 0.4, 2.0, geom, sigma=1.5),
+                  potential_norm_part("A-i", 0.5, 2.5, geom, sigma=1.2),
+                  potential_norm_part("A-i", 0.5, 2.0, unit_grid(16), sigma=1.5)):
+        with pytest.raises(ValueError, match="one grid, alpha and s"):
+            potential_norm_terms([a1, other], samples=1)
+
+
+def test_norm_pass_keeps_a_part_error_in_its_place(monkeypatch):
+    # a norm that fails on a datum fails its own part only, with the error of
+    # its first such datum
+    import wulff_lab.inequality_lab as iq
+    from wulff_lab.errors import SearchRangeExhausted
+
+    real = iq.luxemburg_norm
+    seen = []
+
+    def failing(f, A):
+        seen.append(f)
+        if len(seen) >= 3:
+            raise SearchRangeExhausted(f"datum {len(seen)}")
+        return real(f, A)
+
+    monkeypatch.setattr(iq, "luxemburg_norm", failing)
+    geom = unit_grid(32)
+    parts = _norm_parts(geom)
+    a1, b = parts[0], parts[3]
+    got = potential_norm_terms([a1, b], samples=3, seed=0)
+    assert got[0] == potential_norm_terms([a1], samples=3, seed=0)[0]
+    assert isinstance(got[1], SearchRangeExhausted) and str(got[1]) == "datum 3"
+
+
+def test_norm_map_threads_do_not_change_the_report():
+    geom = unit_grid(32)
+    parts = _norm_parts(geom)
+
+    def reports(group, threads):
+        terms = potential_norm_terms(group, samples=4, seed=1, threads=threads)
+        return [verify_potential_norm_maps(part, records, 1).to_dict()
+                for part, records in zip(group, terms)]
+
+    for part in parts:
+        assert reports([part], 1) == reports([part], 2)
+    a1_with_b = [parts[0], parts[3]]
+    assert reports(a1_with_b, 1) == reports(a1_with_b, 2)
 
 
 def test_norm_maps_admissibility():
     geom = unit_grid(32)
     with pytest.raises(InadmissibleParams):
-        verify_potential_norm_maps("A-i", 0.5, 3.0, geom, sigma=3.0)
+        potential_norm_part("A-i", 0.5, 3.0, geom, sigma=3.0)
     with pytest.raises(InadmissibleParams):
-        verify_potential_norm_maps("A-iii", 0.6, 2.5, geom, rho=0.5)
+        potential_norm_part("A-iii", 0.6, 2.5, geom, rho=0.5)
     with pytest.raises(InadmissibleParams):
-        verify_potential_norm_maps("A-iv", 0.6, 2.5, geom, rho=1.0)
+        potential_norm_part("A-iv", 0.6, 2.5, geom, rho=1.0)
     with pytest.raises(InadmissibleParams):
-        verify_potential_norm_maps("B", 0.6, 2.5, geom)
+        potential_norm_part("B", 0.6, 2.5, geom)
     with pytest.raises(InadmissibleParams):
-        verify_potential_norm_maps("B", 0.6, 2.5, geom,
-                                   A=young_power(7 / 6),
-                                   B=young_zygmund(28 / 3, 1.0))
+        potential_norm_part("B", 0.6, 2.5, geom, young_a=young_power(7 / 6),
+                            young_b=young_zygmund(28 / 3, 1.0))
     with pytest.raises(InadmissibleParams):
-        verify_potential_norm_maps("A-ii", 0.5, 3.0, geom)
+        potential_norm_part("A-ii", 0.5, 3.0, geom)
     with pytest.raises(InadmissibleParams):
-        verify_potential_norm_maps("A-i", 1.5, 2.0, geom, sigma=1.2)
+        potential_norm_part("A-i", 1.5, 2.0, geom, sigma=1.2)
 
 
 # ---------------------------------------------------------------------------
