@@ -785,8 +785,12 @@ def _space_norm(f: GridField, spec: str) -> float:
     beta, q = vals[0], vals[1] if len(vals) > 1 else 1.0
     if not (math.isfinite(beta) and math.isfinite(q)):
         raise ConfigError(f"bad space spec {spec!r}: beta and q must be finite")
+    omega = weight_power(beta)
+    if head == "campanato" and omega.nondecreasing and q != 1.0:
+        raise ConfigError(f"bad space spec {spec!r}: a campanato scan with beta >= 0 "
+                          "runs at q = 1 and reads no q")
     fn = campanato_seminorm if head == "campanato" else morrey_norm
-    return float(fn(f, weight_power(beta), q=q))
+    return float(fn(f, omega, q=q))
 
 
 def _cmd_norm(args) -> int:

@@ -22,9 +22,10 @@ arithmetic when the tag allows and deterministic quadrature otherwise.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -579,6 +580,13 @@ def weight_power(beta: float) -> WeightFunction:
 
 # Cell samples (times components) gathered per block of a Campanato/Morrey scan.
 _SCAN_BLOCK = 1 << 16
+# (centers × runs) running sums read per column and block of the scan bounds.
+_BOUND_BLOCK = 1 << 14
+# unit round-off of float64
+_U = 2.0**-53
+# smallest subnormal float64: the absolute error of a product, quotient or
+# power that underflows
+_TINY = 2.0**-1074
 
 
 @dataclass(frozen=True)
@@ -619,12 +627,23 @@ def _sample_balls(geom: GridGeometry):
 
 
 def _sup_scan(geom: GridGeometry, omega: WeightFunction, data: np.ndarray,
-              ball_values: Callable[[np.ndarray], np.ndarray]) -> SupScanResult:
+              ball_values: Callable[[np.ndarray], np.ndarray],
+              ball_bounds: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> SupScanResult:
     """sup of value(B)/ω(r) over the ball sample, skipping radii with ω ≤ 0.
 
     ``ball_values`` maps the samples of ``data`` (ncomp, *cells) on a block
     of balls of one radius, shape (ncomp, balls, cells of the stencil), to
-    one value per ball.  As in a loop over the balls in sample order, the
+    one value per ball.  ``ball_bounds(centers, stencil)`` bounds those
+    values from above without a gather, one bound per center (flat cell
+    indices of balls that fit).
+
+    The bounds screen the scan.  The balls with the largest bound/ω(r), up
+    to one block of ``_SCAN_BLOCK`` cell samples, are evaluated first; then
+    every other ball whose bound/ω(r) is ≥ the best ratio found, per radius
+    in blocks of at most ``_SCAN_BLOCK`` cell samples.  Every other ball
+    keeps −∞.  A ball whose ratio equals the sup has bound ≥ sup ≥ that
+    best, so each of them is evaluated, by the same ``ball_values``; a NaN
+    bound counts as +∞.  As in a loop over the balls in sample order, the
     first strict maximum wins and a NaN ratio never does.
     """
     centers, coords, radii, fits = _sample_balls(geom)
@@ -633,25 +652,114 @@ def _sup_scan(geom: GridGeometry, omega: WeightFunction, data: np.ndarray,
     # component-major, as in a gathered ball np.take(f, cells, axis=1): the
     # reductions over a ball then add in the order of one-ball evaluation
     samples = data.reshape(data.shape[0], -1)
+    weights = np.array([float(omega(r)) for r in radii])
+    live = fits & (weights > 0)
+    stencils = {j: ball_stencil(geom, radii[j]) for j in np.flatnonzero(live.any(axis=0))}
+    size = np.zeros(len(radii), dtype=np.int64)
+    bound = np.full(fits.shape, -np.inf)
+    for j, stencil in stencils.items():
+        size[j] = data.shape[0] * stencil.size
+        rows = np.flatnonzero(live[:, j])
+        with np.errstate(all="ignore"):
+            bound[rows, j] = ball_bounds(centers[rows], stencil) / weights[j]
+    bound[np.isnan(bound)] = np.inf
     ratio = np.full(fits.shape, -np.inf)
-    for j, r in enumerate(radii):
-        w = float(omega(r))
-        if not (w > 0):
-            continue
-        rows = np.flatnonzero(fits[:, j])
-        offsets = ball_stencil(geom, r)
-        block = max(1, _SCAN_BLOCK // (data.shape[0] * offsets.size))
-        for start in range(0, rows.size, block):
-            chunk = rows[start:start + block]
-            windows = np.take(samples, centers[chunk, None] + offsets, axis=1)
-            ratio[chunk, j] = ball_values(windows) / w
-    ratio[np.isnan(ratio)] = -np.inf
-    best = int(np.argmax(ratio))
-    if ratio.flat[best] == -np.inf:
+
+    def evaluate(mask):
+        for j in np.flatnonzero(mask.any(axis=0)):
+            rows = np.flatnonzero(mask[:, j])
+            offsets = stencils[j]
+            block = max(1, _SCAN_BLOCK // size[j])
+            for start in range(0, rows.size, block):
+                chunk = rows[start:start + block]
+                windows = np.take(samples, centers[chunk, None] + offsets, axis=1)
+                ratio[chunk, j] = ball_values(windows) / weights[j]
+        ratio[np.isnan(ratio)] = -np.inf
+
+    # the largest bounds, one block of cells, set the bar for the rest
+    order = np.argsort(-bound, axis=None, kind="stable")[:np.count_nonzero(live)]
+    cells = np.cumsum(size[order % len(radii)])
+    first = np.zeros(fits.shape, dtype=bool)
+    first.flat[order[:max(1, int(np.searchsorted(cells, _SCAN_BLOCK, side="right")))]] = True
+    evaluate(first & live)
+    evaluate(live & ~first & (bound >= ratio.max()))
+    top = int(np.argmax(ratio))
+    if ratio.flat[top] == -np.inf:
         raise NoAdmissibleBalls("weight vanished on every sampled radius")
-    i, j = divmod(best, len(radii))
-    return SupScanResult(float(ratio.flat[best]), Ball(tuple(coords[i]), radii[j]),
+    i, j = divmod(top, len(radii))
+    return SupScanResult(float(ratio.flat[top]), Ball(tuple(coords[i]), radii[j]),
                          int(fits.sum()))
+
+
+class _RowSums(NamedTuple):
+    """Running sums of m sample columns along the last grid axis: per grid
+    row of L cells, L + 1 entries (a zero, then the running sums) of each
+    column, shape (m, rows·(L + 1)); and ``row_abs`` (m,), the largest
+    computed Σ|x| of each column over one row."""
+
+    prefix: np.ndarray
+    row_abs: np.ndarray
+
+
+def _row_sums(columns: Iterable[np.ndarray], m: int, cells: int, L: int) -> _RowSums:
+    """:class:`_RowSums` of the m ``columns`` (each ``cells`` samples), which
+    are read one at a time and summed in place in the table."""
+    prefix = np.zeros((m, cells // L, L + 1))
+    row_abs = np.empty(m)
+    for c, x in enumerate(columns):
+        rows = prefix[c, :, 1:]
+        rows[...] = x.reshape(-1, L)
+        row_abs[c] = np.abs(rows).sum(axis=1).max()
+        np.cumsum(rows, axis=1, out=rows)
+    return _RowSums(prefix.reshape(m, -1), row_abs)
+
+
+def _stencil_runs(geom: GridGeometry, offsets: np.ndarray):
+    """The runs of a ball stencil: maximal blocks of consecutive flat offsets
+    in one grid row.  Returns where each run starts in the layout of
+    :func:`_row_sums` relative to the center's entry, and its length.
+
+    In a ball that fits, the column offset k of every cell has |k| < L/2, so
+    the row of offset o is round(o/L); a row that the ball covers whole
+    would otherwise run on into the next one."""
+    L = geom.cells[-1]
+    row = (2 * offsets + L) // (2 * L)
+    first = np.concatenate(([0], np.flatnonzero((np.diff(offsets) != 1)
+                                                | (np.diff(row) != 0)) + 1))
+    lengths = np.diff(np.append(first, offsets.size))
+    return offsets[first] + row[first], lengths
+
+
+def _ball_sums(geom: GridGeometry, table: _RowSums, centers: np.ndarray,
+               runs) -> tuple[np.ndarray, np.ndarray]:
+    """Σ_B x of each column for the ball of each center, shape
+    (m, centers), from the row running sums: one difference of two running
+    sums per run, added over the runs.  Returns the sums and a bound E (m,)
+    on their error.
+
+    Each running sum of a row of L cells is off by at most γ_L·A, with A the
+    largest exact Σ|x| over a row and γ_n = nu/(1 − nu), u = 2⁻⁵³; the
+    difference of two rounds once, and adding R run sums costs
+    γ_R·Σ|run sum| ≤ γ_R·R·A(1 + 3γ_L).  So |sum − Σ_B x| ≤ (3γ_L + 2γ_R)·R·A,
+    and with A ≤ (1 + γ_L)·``row_abs`` that is at most 4(L + R)·u·R·``row_abs``."""
+    starts, lengths = runs
+    L = geom.cells[-1]
+    R = lengths.size
+    base = centers + centers // L
+    sums = np.empty((len(table.prefix), centers.size))
+    block = max(1, _BOUND_BLOCK // R)
+    for lo in range(0, centers.size, block):
+        at = base[lo:lo + block, None] + starts
+        end = at + lengths
+        for col, prefix in zip(sums, table.prefix):
+            col[lo:lo + block] = (prefix.take(end) - prefix.take(at)).sum(axis=1)
+    return sums, 4.0 * (L + R) * _U * R * table.row_abs
+
+
+def _slack(k: int) -> float:
+    """Factor on a scan bound that covers the rounding of a ball value over
+    k cells and of the bound itself: 1 + 4(k + 64)u."""
+    return 1.0 + 4.0 * (k + 64) * _U
 
 
 def _check_scan_exponent(q: float) -> None:
@@ -670,21 +778,101 @@ def campanato_seminorm(f: GridField, omega: WeightFunction,
     nondecreasing ω the scan is evaluated at q = 1 (the spaces for different
     q coincide by the John–Nirenberg argument, and q = 1 keeps the scan
     cheap); ω ≡ 1 yields the sampled mean-oscillation (BMO) value.
+
+    For q ≤ 2 the scan is screened (:func:`_sup_scan`) by an upper bound of
+    each ball's computed value, the q-mean oscillation being at most the
+    2-mean one.  With u = 2⁻⁵³, γ_n = nu/(1 − nu), k cells and n components:
+
+    * y = fl(f − σ) per component, σ the mean of f over the grid, so that an
+      offset does not cancel the variance; z = fl(y²).  From the row running
+      sums of y and z with errors E_y, E_z (:func:`_ball_sums`):
+      ⨍ y² ≤ h = (1 + 2u)(Σ z + E_z)/k and |⨍ y| ≥ l = max(|Σ y| − E_y, 0)/k,
+      so the 2-mean oscillation of y is at most V^{1/2}, V = Σ_c (h − l²).
+    * |y − (f − σ)| ≤ u|f − σ|, so that of f is at most
+      V^{1/2} + u(1 + 2u)(Σ_c h)^{1/2}.
+    * The computed mean m̂ is off by at most γ_{k+1}⨍|f_c| ≤
+      γ_{k+1}(|σ_c| + (1 + 2u)h^{1/2}) per component, and the 2-mean
+      distance from m̂ exceeds the oscillation by at most that |m̂ − m|.
+    * The deviations, their powers, mean and root round to at most
+      1 + γ_{k+2n+16} times the exact value from m̂.
+    * Underflow: a product, quotient or power below 2⁻¹⁰²² is also off by up
+      to τ = 2⁻¹⁰⁷⁴ in absolute terms (sums and differences are exact
+      there).  On the computed value, the squares across components, the
+      q-th powers, the mean and the root add at most (0.71√n + 1.23)√τ
+      (q ≤ 2, Minkowski for the q-mean); on the bound, z, h and l² take at
+      most 3nτ from V and so √(3nτ) from its root, and the other steps 4τ.
+
+    The bound is √(V + 16u·Σ_c h) + u(1 + 2u)(Σ_c h)^{1/2} +
+    γ_{k+1}·|(|σ_c| + (1 + 2u)√h)_c| times :func:`_slack`, plus
+    (n + 4)√τ = (n + 4)·2⁻⁵³⁷, which exceeds both underflow terms together;
+    16u·Σ_c h covers the rounding of V (l² ≤ h) and the slack every other
+    rounding.  For q > 2 the bound is +∞ and every ball is evaluated.
     """
     _check_scan_exponent(q)
     if omega.nondecreasing:
         q = 1.0
     return _sup_scan(f.geometry, omega, f.values,
-                     lambda s: _oscillation(s, s.mean(axis=-1), q))
+                     lambda s: _oscillation(s, s.mean(axis=-1), q),
+                     _spread_bound(f) if q <= 2.0 else lambda c, _: np.full(c.size, np.inf))
+
+
+def _spread_bound(f: GridField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The q ≤ 2 ball bound of :func:`campanato_seminorm`."""
+    geom = f.geometry
+    samples = f.values.reshape(f.ncomp, -1)
+    n = f.ncomp
+    with np.errstate(all="ignore"):
+        shift = samples.mean(axis=1)
+        table = _row_sums(itertools.chain((s - m for s, m in zip(samples, shift)),
+                                          (np.square(s - m) for s, m in zip(samples, shift))),
+                          2 * n, samples.shape[1], geom.cells[-1])
+
+    def bound(centers: np.ndarray, stencil: np.ndarray) -> np.ndarray:
+        k = stencil.size
+        sums, err = _ball_sums(geom, table, centers, _stencil_runs(geom, stencil))
+        h = (1 + 2 * _U) * (sums[n:] + err[n:, None]) / k
+        l = np.maximum(np.abs(sums[:n]) - err[:n, None], 0.0) / k
+        h_sum = h.sum(axis=0)
+        var = (h - l * l).sum(axis=0) + 16 * _U * h_sum
+        mean = np.sqrt(((np.abs(shift)[:, None] + (1 + 2 * _U) * np.sqrt(h)) ** 2).sum(axis=0))
+        gamma = (k + 1) * _U / (1 - (k + 1) * _U)
+        spread = (np.sqrt(np.maximum(var, 0.0)) + _U * (1 + 2 * _U) * np.sqrt(h_sum)
+                  + gamma * mean)
+        return spread * _slack(k) + (n + 4) * math.sqrt(_TINY)
+
+    return bound
 
 
 def morrey_norm(f: GridField, omega: WeightFunction, q: float = 1.0) -> SupScanResult:
     """Morrey-type norm sup_B (1/ω(r)) (∫_B |f|^q)^{1/q} (non-averaged), over
-    the ball sample of :func:`campanato_seminorm`; q must be finite and ≥ 1."""
+    the ball sample of :func:`campanato_seminorm`; q must be finite and ≥ 1.
+
+    The scan is screened (:func:`_sup_scan`) by the mass bound
+    (|cell|·(S + E))^{1/q} times :func:`_slack`, where S is the row-running-sum
+    estimate of Σ_B |f|^q (over the stored samples |f|^q) and E its error
+    bound (:func:`_ball_sums`), so S + E is at least the exact sum.  The
+    computed mass adds the k samples in some order, so it is at most
+    (1 + γ_{k−1}) times the exact sum (u = 2⁻⁵³, γ_n = nu/(1 − nu)); the
+    product with |cell|, the root (an exponent 1/q ≤ 1 keeps the factor) and
+    its rounding leave the computed value at most 1 + γ_{k+3} times
+    (|cell|·Σ_B |f|^q)^{1/q}, within the slack.  Below 2⁻¹⁰²² the products
+    with |cell| and the roots are also off by up to τ = 2⁻¹⁰⁷⁴ in absolute
+    terms, which moves value and bound apart by at most 2τ^{1/q} + 2.5τ
+    ((a + b)^{1/q} ≤ a^{1/q} + b^{1/q}); the bound adds 5τ^{1/q}."""
     _check_scan_exponent(q)
-    meas = f.geometry.cell_measure
-    return _sup_scan(f.geometry, omega, f.magnitude().values ** q,
-                     lambda s: _root(s[0].sum(axis=-1) * meas, q))
+    geom = f.geometry
+    meas = geom.cell_measure
+    data = f.magnitude().values ** q
+    with np.errstate(all="ignore"):
+        table = _row_sums(data.reshape(1, -1), 1, data.size, geom.cells[-1])
+    underflow = 5.0 * _TINY ** (1.0 / q)
+
+    def bound(centers: np.ndarray, stencil: np.ndarray) -> np.ndarray:
+        sums, err = _ball_sums(geom, table, centers, _stencil_runs(geom, stencil))
+        return ((sums[0] + err[0]) * meas) ** (1.0 / q) * _slack(stencil.size) + underflow
+
+    return _sup_scan(geom, omega, data, lambda s: _root(s[0].sum(axis=-1) * meas, q),
+                     bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1391,7 +1391,7 @@ def test_norm_command_bad_space(tmp_path, capsys):
     # a scan exponent q below 1 or infinite is an error, not a traceback or a value
     # so is a spec with more indices than its family takes
     for spec in ("campanato:-0.5,0.5", "campanato:-0.5,inf", "morrey:0.5,inf",
-                 "campanato:1,2,3", "lorentz:2,2,0,5"):
+                 "campanato:1,2,3", "lorentz:2,2,0,5", "campanato:0.5,3"):
         assert main(["norm", path, "--space", spec]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""
@@ -1577,6 +1577,13 @@ def test_space_norm_grammar(tmp_path):
             _space_norm(f, spec)
     assert _space_norm(f, "Linf") > 0
     assert _space_norm(f, "lorentz:inf,2") > 0
+    # a campanato scan with beta >= 0 runs at q = 1, so another q is an error;
+    # with beta < 0 every q >= 1 is read
+    for spec in ("campanato:0.5,3", "campanato:0,2", "campanato:1,1.5"):
+        with pytest.raises(ConfigError, match="bad space spec.*reads no q"):
+            _space_norm(f, spec)
+    assert _space_norm(f, "campanato:0.5,1") == _space_norm(f, "campanato:0.5")
+    assert _space_norm(f, "campanato:-0.5,3") != _space_norm(f, "campanato:-0.5")
 
 
 def test_potential_command(tmp_path, capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wulff_lab.errors import (
     FinitenessFailure,
@@ -10,11 +12,13 @@ from wulff_lab.errors import (
     NoAdmissibleBalls,
     SearchRangeExhausted,
 )
+from wulff_lab import function_spaces
 from wulff_lab.field_grid import (
     Ball,
     GridField,
     GridGeometry,
     ball_oscillation,
+    ball_stencil,
     max_admissible_radius,
 )
 from wulff_lab.function_spaces import (
@@ -667,6 +671,165 @@ def test_morrey_root_matches_scalar_pow():
     rng = np.random.default_rng(11)
     f = GridField(geom, rng.normal(size=(2, 96, 160)), "vector", 2)
     _assert_scan_matches_oracle(f, weight_power(0.5), "morrey", 3.0)
+
+
+def _scan_parts(scan, f, omega, q, ball_values=None):
+    """Run ``scan`` and return its result with the arguments it passed to
+    ``_sup_scan``; ``ball_values`` wraps the scan's own per-ball rule."""
+    parts = {}
+    real = function_spaces._sup_scan
+
+    def spy(geom, omega, data, values, bounds):
+        parts.update(data=data, ball_values=values, ball_bounds=bounds)
+        return real(geom, omega, data,
+                    values if ball_values is None else ball_values(values), bounds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(function_spaces, "_sup_scan", spy)
+        got = scan(f, omega, q=q)
+    return got, parts
+
+
+def _assert_bounds_hold(f, omega, parts):
+    """Every sampled ball's bound/ω(r) is ≥ its exact value/ω(r)."""
+    geom = f.geometry
+    centers, _, radii, fits = function_spaces._sample_balls(geom)
+    samples = parts["data"].reshape(len(parts["data"]), -1)
+    for j, r in enumerate(radii):
+        w = float(omega(r))
+        rows = np.flatnonzero(fits[:, j])
+        stencil = ball_stencil(geom, r)
+        exact = parts["ball_values"](np.take(samples, centers[rows, None] + stencil, axis=1))
+        bound = parts["ball_bounds"](centers[rows], stencil)
+        assert np.all(bound / w >= exact / w), (r, np.max(exact - bound))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([2, 3]), data=st.data(), ncomp=st.sampled_from([1, 2]),
+       offset=st.sampled_from([0.0, 1e8, -3e7]), seed=st.integers(0, 2**16),
+       kind=st.sampled_from(["campanato", "morrey"]), q=st.floats(1.0, 4.0),
+       beta=st.sampled_from([-0.5, 0.0, 0.5, 1.0]),
+       scale=st.sampled_from([1.0, 1.0, 1e-158, 1e-170]))
+def test_scan_bounds_hold_and_scans_match_oracle(dim, data, ncomp, offset, seed, kind,
+                                                 q, beta, scale):
+    # anisotropic grids; a large offset makes the variance cancel in unshifted
+    # sums, and a tiny scale makes squares and powers underflow
+    hi = 40 if dim == 2 else 14
+    cells = tuple(data.draw(st.lists(st.integers(6, hi), min_size=dim, max_size=dim)))
+    spacing = data.draw(st.lists(st.floats(0.02, 0.05), min_size=dim, max_size=dim))
+    extent = tuple(c * h for c, h in zip(cells, spacing))
+    geom = GridGeometry(cells, extent, tuple(-0.4 * e for e in extent))
+    assume(function_spaces._sample_balls(geom)[3].any())
+    if kind == "campanato":
+        q = min(q, 2.0)
+    rng = np.random.default_rng(seed)
+    mesh = geom.center_mesh()
+    smooth = np.sin(3 * mesh[0]) * np.exp(mesh[-1])
+    vals = smooth + rng.normal(scale=rng.choice([1e-6, 1e-2, 1.0]), size=(ncomp, *cells))
+    vals = (vals + offset) * scale
+    f = GridField(geom, vals[0] if ncomp == 1 else vals,
+                  *(() if ncomp == 1 else ("vector", ncomp)))
+    omega = weight_power(beta)
+    scan = campanato_seminorm if kind == "campanato" else morrey_norm
+    got, parts = _scan_parts(scan, f, omega, q)
+    _assert_bounds_hold(f, omega, parts)
+    want = _scan_oracle(f, omega, kind, q)
+    assert (got.value, got.ball, got.balls_scanned) == (
+        want.value, want.ball, want.balls_scanned)
+
+
+def test_scan_bounds_split_runs_at_rows_a_ball_covers_whole():
+    # one ball of radius 2h covers three rows of 5 cells whole, so its flat
+    # offsets -7..7 are consecutive across three rows
+    geom = GridGeometry((5, 5), (0.6, 0.5), (0.0, 0.0))
+    centers, _, radii, fits = function_spaces._sample_balls(geom)
+    assert fits.sum() == 1
+    stencil = ball_stencil(geom, radii[0])
+    assert stencil[1:-1].tolist() == list(range(-7, 8))
+    _, lengths = function_spaces._stencil_runs(geom, stencil)
+    assert lengths.tolist() == [1, 5, 5, 5, 1]
+    f = GridField.from_function(geom, lambda x, y: np.sin(9 * x) + 4 * y * y)
+    for kind, scan, omega in (("campanato", campanato_seminorm, weight_power(0.0)),
+                              ("morrey", morrey_norm, weight_power(0.5))):
+        got, parts = _scan_parts(scan, f, omega, 1.0)
+        _assert_bounds_hold(f, omega, parts)
+        assert got == _scan_oracle(f, omega, kind)
+
+
+def test_campanato_ties_on_a_constant_field_go_to_the_first_ball():
+    # every ratio is 0, so every ball's bound reaches the best and the first
+    # sampled ball wins, as in the oracle loop
+    f = constant_field(GridGeometry((40, 24), (1.0, 0.6), (0.0, 0.0)), 1e8 + 0.5)
+    got = _assert_scan_matches_oracle(f, weight_power(0.0), "campanato")
+    _, coords, radii, fits = function_spaces._sample_balls(f.geometry)
+    i, j = divmod(int(np.argmax(fits)), len(radii))
+    assert got.value == 0.0
+    assert got.ball == Ball(tuple(coords[i]), radii[j])
+
+
+@pytest.mark.parametrize("scale", [1e-162, 1e-170])
+@pytest.mark.parametrize("kind, beta, q, ncomp", [
+    ("campanato", 0.0, 1.0, 1), ("campanato", -0.5, 1.5, 1), ("campanato", -0.5, 2.0, 2),
+    ("morrey", 0.5, 1.9, 1)])
+def test_scans_of_fields_that_underflow_match_oracle(scale, kind, beta, q, ncomp):
+    # squares of deviations below 1e-154 underflow, so the bound carries an
+    # absolute term; more balls than one screening block, so a bound that
+    # fell below its ball's value would drop balls from the scan
+    geom = GridGeometry((160, 96), (1.0, 0.6), (0.0, 0.0))
+    rng = np.random.default_rng(1)
+    vals = scale * (np.sin(7 * geom.center_mesh()[0]) + rng.normal(size=(ncomp, 160, 96)))
+    f = GridField(geom, vals[0] if ncomp == 1 else vals,
+                  *(() if ncomp == 1 else ("vector", ncomp)))
+    omega = weight_power(beta)
+    scan = campanato_seminorm if kind == "campanato" else morrey_norm
+    got, parts = _scan_parts(scan, f, omega, q)
+    _assert_bounds_hold(f, omega, parts)
+    assert got == _scan_oracle(f, omega, kind, q)
+
+
+def _counting(cells):
+    def wrap(values):
+        def counted(s):
+            cells[0] += s.shape[-2] * s.shape[-1]
+            return values(s)
+        return counted
+    return wrap
+
+
+def test_bmo_pair_scans_gather_only_balls_that_can_win():
+    # the 256^2 pair of regularity-bmo; an unscreened scan gathers all
+    # 24 003 553 cells of its 17 877 balls
+    p = 1.5
+    pp = p / (p - 1.0)
+    u = radial_profile(unit_grid(256), None)
+    F = manufacture(u, p)
+    _, _, radii, fits = function_spaces._sample_balls(u.geometry)
+    total = sum(ball_stencil(u.geometry, r).size * int(n) for r, n in zip(radii, fits.sum(axis=0)))
+    assert total == 24_003_553
+    morrey_cells, campanato_cells, offset_cells = [0], [0], [0]
+    _scan_parts(morrey_norm, F, weight_power((2 - p) / pp), pp, _counting(morrey_cells))
+    _scan_parts(campanato_seminorm, u, weight_power(0.0), 1.0, _counting(campanato_cells))
+    # the bound is taken on shifted data, so an offset keeps it tight
+    shifted = GridField(u.geometry, u.values + 1e8)
+    _scan_parts(campanato_seminorm, shifted, weight_power(0.0), 1.0, _counting(offset_cells))
+    assert morrey_cells[0] <= 0.01 * total
+    assert campanato_cells[0] <= 0.60 * total
+    assert offset_cells[0] <= 0.60 * total
+
+
+def test_sup_scan_evaluates_balls_whose_bound_ties_the_best(monkeypatch):
+    # every ball has value 1; one late ball has bound 2 and is evaluated
+    # first (a block of one cell sample), and the first sampled ball, whose
+    # bound 1 ties the best found, must still be evaluated and win
+    geom = unit_grid(32)
+    centers, coords, radii, fits = function_spaces._sample_balls(geom)
+    late = centers[np.flatnonzero(fits[:, 0])[-1]]
+    monkeypatch.setattr(function_spaces, "_SCAN_BLOCK", 1)
+    got = function_spaces._sup_scan(
+        geom, weight_power(0.0), np.zeros((1, 32, 32)),
+        lambda s: np.ones(s.shape[1]), lambda c, stencil: np.where(c == late, 2.0, 1.0))
+    assert got.value == 1.0
+    assert got.ball == Ball(tuple(coords[0]), radii[0])
 
 
 # ---------------------------------------------------------------------------
