@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -566,18 +567,40 @@ THEOREMS = {
 # artifact writers (atomic + deterministic)
 
 
-def _atomic_write(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, payload) -> None:
+    """Write ``payload`` to ``path`` through a temp file in the same
+    directory and one ``os.replace``.  ``payload`` is the file's bytes as
+    one chunk, or an iterable of byte chunks written in order, so a large
+    file is never held whole.  If any chunk fails, the temp file is removed
+    and ``path`` keeps what it held."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-wulff-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in (payload,) if isinstance(payload, bytes) else payload:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+class _Chunks:
+    """Byte chunks made as they are written, with their total size known
+    beforehand: ``len`` is that size, as it is of a ``bytes`` payload, so a
+    caller of ``_atomic_write`` (the benchmark's tracer) can count the bytes
+    without making them."""
+
+    def __init__(self, size: int, chunks):
+        self._size, self._chunks = size, chunks
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __iter__(self):
+        return iter(self._chunks)
 
 
 def _json_bytes(obj) -> bytes:
@@ -602,11 +625,15 @@ _COLOR_STOPS = (
 )
 _STOP_T = np.array([t for t, _ in _COLOR_STOPS])
 _STOP_RGB = np.array([rgb for _, rgb in _COLOR_STOPS], dtype=np.float64)
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# grid columns per chunk of a heatmap: the chunk's bytes, its fills and
+# their float temporaries are all that a heatmap holds at once
+_HEATMAP_BLOCK = 32
 
 
-def _colors(t: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Colormap of an array of positions: the distinct ``#rrggbb`` strings
-    and, per position, the index of its string.
+def _color_bytes(t: np.ndarray) -> np.ndarray:
+    """Colormap of an array of positions as ASCII ``#rrggbb``: uint8 of
+    shape t.shape + (7,).
 
     t is clipped to [0, 1]; its segment ends at the first stop >= t and each
     channel is rint(a + w·(b − a)), the IEEE operations and half-to-even
@@ -615,17 +642,60 @@ def _colors(t: np.ndarray) -> tuple[list[str], np.ndarray]:
     t = np.clip(np.nan_to_num(t, nan=1.0), 0.0, 1.0)
     seg = np.searchsorted(_STOP_T[1:], t, side="left")
     t0, t1 = _STOP_T[seg], _STOP_T[seg + 1]
-    w = ((t - t0) / (t1 - t0))[..., None]
-    a, b = _STOP_RGB[seg], _STOP_RGB[seg + 1]
-    rgb = np.rint(a + w * (b - a))
-    packed = (rgb.astype(np.int64) * (1 << 16, 1 << 8, 1)).sum(axis=-1)
-    codes, index = np.unique(packed, return_inverse=True)
-    return [f"#{c:06x}" for c in codes.tolist()], index.reshape(packed.shape)
+    w = (t - t0) / (t1 - t0)
+    out = np.empty(t.shape + (7,), dtype=np.uint8)
+    out[..., 0] = ord("#")
+    for c, stops in enumerate(_STOP_RGB.T):
+        a, b = stops[seg], stops[seg + 1]
+        level = np.rint(a + w * (b - a)).astype(np.uint8)
+        out[..., 1 + 2 * c] = _HEX_DIGITS[level >> 4]
+        out[..., 2 + 2 * c] = _HEX_DIGITS[level & 15]
+    return out
+
+
+@functools.lru_cache(maxsize=8)
+def _column_template(c2: int, px: int, digits: int):
+    """The rect lines of one grid column of c2 cells whose x has ``digits``
+    digits, as uint8 bytes with x and the fill left blank, and the flat
+    positions of the x digits, (c2, digits), and of the fill ``#rrggbb``,
+    (c2, 7).  Cell j sits at y = (c2 − 1 − j)·px."""
+    lines = [f'<rect x="{"0" * digits}" y="{(c2 - 1 - j) * px}" width="{px}" '
+             f'height="{px}" fill="#000000"/>\n' for j in range(c2)]
+    lengths = np.array([len(line) for line in lines])
+    ends = np.cumsum(lengths)
+    x_at = (ends - lengths + len('<rect x="'))[:, None] + np.arange(digits)
+    fill_at = (ends - len('#000000"/>\n'))[:, None] + np.arange(7)
+    x_at.flags.writeable = fill_at.flags.writeable = False
+    return np.frombuffer("".join(lines).encode(), dtype=np.uint8), x_at, fill_at
+
+
+def _cell_chunks(vals: np.ndarray, vmin: float, span: float, px: int, runs):
+    """The rect lines of the grid cells, column after column, in chunks of
+    at most ``_HEATMAP_BLOCK`` columns of one run: (digits, first, stop)
+    with every x = i·px of columns first ≤ i < stop of that many digits."""
+    c2 = vals.shape[1]
+    for digits, first, stop in runs:
+        template, x_at, fill_at = _column_template(c2, px, digits)
+        block = np.tile(template, (min(_HEATMAP_BLOCK, stop - first), 1))
+        powers = 10 ** np.arange(digits - 1, -1, -1)
+        for i in range(first, stop, _HEATMAP_BLOCK):
+            n = min(_HEATMAP_BLOCK, stop - i)
+            x = np.arange(i, i + n)[:, None] * px
+            block[:n, x_at] = (x // powers % 10 + ord("0"))[:, None, :]
+            with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows
+                t = np.full((n, c2), 0.5) if span == 0.0 else (vals[i:i + n] - vmin) / span
+            block[:n, fill_at] = _color_bytes(t)
+            yield block[:n].tobytes()
 
 
 def render_heatmap(f: GridField, path: str) -> None:
     """Write a scalar 2-D field as an SVG heatmap: one rect per cell, 5-stop
-    linear colormap, min/max legend.  Byte-deterministic for fixed input."""
+    linear colormap, min/max legend.  Byte-deterministic for fixed input.
+
+    The SVG goes to disk block by block: each chunk holds the rect lines of
+    ``_HEATMAP_BLOCK`` grid columns, whose fills take the per-cell float
+    steps of the colormap, so memory grows with the length of one grid
+    column, not with the SVG's size."""
     if f.ncomp != 1 or f.geometry.dim != 2:
         raise ConfigError("heatmaps require a scalar field on a 2-D grid "
                           "(take magnitude() first)")
@@ -636,43 +706,32 @@ def render_heatmap(f: GridField, path: str) -> None:
     px = max(2, 640 // max(c1, c2))
     width, height = c1 * px, c2 * px
     legend_w = 56
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" '
-        f'width="{width + legend_w + 60}" height="{height}" '
-        f'viewBox="0 0 {width + legend_w + 60} {height}">'
-    ]
-    with np.errstate(over="ignore", invalid="ignore"):  # a span that overflows
-        t = np.full(vals.shape, 0.5) if span == 0.0 else (vals - vmin) / span
-    hexes, index = _colors(t)
-    # cell (i, j) sits at x = i·px, y = (c2 − 1 − j)·px; one joined string
-    # per grid column i keeps at most c2 rect strings alive at once
-    rows = [f'{(c2 - 1 - j) * px}" width="{px}" height="{px}" fill="'
-            for j in range(c2)]
-    for i in range(c1):
-        head = f'<rect x="{i * px}" y="'
-        parts.append("\n".join([
-            f'{head}{row}{hexes[k]}"/>' for row, k in zip(rows, index[i].tolist())
-        ]))
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
+            f'width="{width + legend_w + 60}" height="{height}" '
+            f'viewBox="0 0 {width + legend_w + 60} {height}">\n').encode()
     # legend: vertical bar, max at the top
     bar_x = width + 12
     steps = 32
     bar_h = height / steps
-    hexes, index = _colors(1.0 - (np.arange(steps) + 0.5) / steps)
-    for k in range(steps):
-        parts.append(
-            f'<rect x="{bar_x}" y="{format(k * bar_h, ".6g")}" width="16" '
-            f'height="{format(bar_h + 0.5, ".6g")}" fill="{hexes[index[k]]}"/>'
-        )
-    parts.append(
+    fills = _color_bytes(1.0 - (np.arange(steps) + 0.5) / steps)
+    tail = "".join([
+        *(f'<rect x="{bar_x}" y="{format(k * bar_h, ".6g")}" width="16" '
+          f'height="{format(bar_h + 0.5, ".6g")}" fill="{fill.tobytes().decode()}"/>\n'
+          for k, fill in enumerate(fills)),
         f'<text x="{bar_x + 20}" y="12" font-size="11" '
-        f'font-family="monospace">{format(vmax, ".6g")}</text>'
-    )
-    parts.append(
+        f'font-family="monospace">{format(vmax, ".6g")}</text>\n',
         f'<text x="{bar_x + 20}" y="{height - 2}" font-size="11" '
-        f'font-family="monospace">{format(vmin, ".6g")}</text>'
-    )
-    parts.append("</svg>")
-    _atomic_write(path, "\n".join(parts).encode() + b"\n")
+        f'font-family="monospace">{format(vmin, ".6g")}</text>\n',
+        "</svg>\n",
+    ]).encode()
+    # the columns whose x = i·px has d digits end at ⌈10^d/px⌉
+    stops = [-(-10 ** d // px) for d in range(1, len(str((c1 - 1) * px)))] + [c1]
+    runs = [(d, first, stop)
+            for d, (first, stop) in enumerate(itertools.pairwise([0, *stops]), 1)]
+    size = len(head) + len(tail) + sum(
+        (stop - first) * _column_template(c2, px, d)[0].size for d, first, stop in runs)
+    _atomic_write(path, _Chunks(size, itertools.chain(
+        (head,), _cell_chunks(vals, vmin, span, px, runs), (tail,))))
 
 
 def _write_field_atomic(f: GridField, path: str) -> None:

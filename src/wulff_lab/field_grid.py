@@ -231,8 +231,13 @@ class GridField:
         return cls(geometry, out, kind, codomain)
 
     def magnitude(self) -> "GridField":
-        """Pointwise Euclidean magnitude across components, as a scalar field."""
-        mag = np.sqrt(np.einsum("c...,c...->...", self.values, self.values))
+        """Pointwise Euclidean magnitude across components, as a scalar field.
+        One component is taken as |f|: squaring it first would flush fields
+        below ~1e-154 toward 0 and overflow those above ~1e154."""
+        if self.ncomp == 1:
+            mag = np.abs(self.values)
+        else:
+            mag = np.sqrt(np.einsum("c...,c...->...", self.values, self.values))
         return GridField(self.geometry, mag, "scalar")
 
     def with_values(self, values: np.ndarray) -> "GridField":

@@ -1154,7 +1154,7 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
         F = manufacture(u, p)
         res = gate_pair(u, F, p, 1e-7).residual
         slope, radii, oscs = _osc_slope(u, geom.center, R=0.25)
-        scan = campanato_seminorm(F, weight_power(beta), q=pp)
+        scan = campanato_seminorm(F, weight_power(beta))
         extra = slope >= 0.9 and math.isfinite(scan.value)
         # the power weight r^beta is Dini exactly when beta > 0, checked above
         notes.append(

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from conftest import constant_field
 
 from wulff_lab.cli import (
     _COLOR_STOPS,
+    _atomic_write,
     _number,
     _profile_field,
     THEOREMS,
@@ -1821,6 +1823,13 @@ _ORACLE_FIELDS = {
     # vmax − vmin overflows: t is NaN at the extremes and 0 elsewhere
     "overflowing-span-6x5": lambda: np.concatenate(
         [[1.7e308, -1.7e308], np.random.default_rng(8).normal(size=28)]).reshape(6, 5),
+    # px = 2: x = 2i grows from 3 to 4 digits at i = 500, inside a block of
+    # columns
+    "digits-in-a-block-520x3": lambda: np.random.default_rng(9).normal(size=(520, 3)),
+    # px = 9: the 3-digit columns are 12..69, a full block and a part
+    "part-block-70x9": lambda: np.random.default_rng(10).normal(size=(70, 9)),
+    "random-1x5": lambda: np.random.default_rng(11).normal(size=(1, 5)),
+    "random-5x1": lambda: np.random.default_rng(12).normal(size=(5, 1)),
 }
 
 
@@ -1833,6 +1842,45 @@ def test_heatmap_matches_per_cell_oracle(tmp_path, name):
     path = tmp_path / "h.svg"
     render_heatmap(f, str(path))
     assert path.read_bytes() == _heatmap_oracle(f)
+
+
+def test_heatmap_of_a_huge_scalar_field_matches_the_oracle(tmp_path):
+    # the magnitude of one component is abs, so samples near 1e200 do not
+    # overflow to inf on the way to the heatmap
+    vals = 1e200 * np.random.default_rng(13).normal(size=(24, 16))
+    geom = GridGeometry(vals.shape, (1.0, 1.0), (0.0, 0.0))
+    path = tmp_path / "h.svg"
+    render_heatmap(GridField(geom, vals, "scalar").magnitude(), str(path))
+    assert path.read_bytes() == _heatmap_oracle(GridField(geom, np.abs(vals), "scalar"))
+
+
+def test_heatmap_memory_stays_below_half_the_svg(tmp_path):
+    # the writer holds one block of columns, never the whole file or a
+    # whole-grid color table
+    vals = np.random.default_rng(14).normal(size=(512, 512))
+    f = GridField(GridGeometry(vals.shape, (1.0, 1.0), (0.0, 0.0)), vals, "scalar")
+    path = tmp_path / "h.svg"
+    tracemalloc.start()
+    try:
+        render_heatmap(f, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 2
+
+
+def test_atomic_write_leaves_nothing_when_a_chunk_fails(tmp_path):
+    def chunks():
+        yield b"first chunk"
+        raise RuntimeError("chunk failed")
+
+    old = tmp_path / "old.svg"
+    old.write_bytes(b"old bytes")
+    for target in (old, tmp_path / "new.svg"):
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            _atomic_write(str(target), chunks())
+    assert old.read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["old.svg"]
 
 
 def test_heatmap_midpoint_channels_round_half_to_even():

@@ -787,6 +787,18 @@ def test_scans_of_fields_that_underflow_match_oracle(scale, kind, beta, q, ncomp
     assert got == _scan_oracle(f, omega, kind, q)
 
 
+def test_morrey_norm_of_a_tiny_scalar_field_scales_by_its_factor():
+    # |f| of one component is abs(f), not sqrt(f·f), which flushed every
+    # sample of this field to 0; a power-of-two factor scales exactly
+    geom = GridGeometry((200, 120), (1.0, 1.0), (0.0, 0.0))
+    f = GridField.from_function(geom, lambda x, y: np.sin(7 * x))
+    tiny = f.with_values(f.values * 2.0 ** -565)
+    want = morrey_norm(f, weight_power(0.5))
+    got = morrey_norm(tiny, weight_power(0.5))
+    assert got.value == 2.0 ** -565 * want.value > 0.0
+    assert got.ball == want.ball
+
+
 def _counting(cells):
     def wrap(values):
         def counted(s):
