@@ -232,12 +232,17 @@ class GridField:
 
     def magnitude(self) -> "GridField":
         """Pointwise Euclidean magnitude across components, as a scalar field.
-        One component is taken as |f|: squaring it first would flush fields
-        below ~1e-154 toward 0 and overflow those above ~1e154."""
+        One component is taken as |f|.  Squares flush values below ~1e-154
+        toward 0 and overflow those above ~1e154, so a point whose plain
+        magnitude is not a finite normal float is computed again on its
+        components scaled by a power of two (:func:`_rescaled`)."""
         if self.ncomp == 1:
             mag = np.abs(self.values)
         else:
             mag = np.sqrt(np.einsum("c...,c...->...", self.values, self.values))
+            bad = _abnormal(mag)
+            if bad.any():
+                mag[bad] = _rescaled(self.values[:, bad][..., None], 1.0)
         return GridField(self.geometry, mag, "scalar")
 
     def with_values(self, values: np.ndarray) -> "GridField":
@@ -345,17 +350,10 @@ def _root(x, q: float) -> np.ndarray:
     return np.array([v ** (1.0 / q) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float,
-                 scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """(⨍|v − mean|^q)^{1/q} over the last axis of ``vals`` (ncomp, ..., k)
-    with ``mean`` (ncomp, ...), one value per index of the batch axes ``...``;
-    the deviation magnitude is Euclidean across components (|v − mean| for
-    one component).  ``scratch``, arrays of the shapes of ``vals`` and
-    ``vals[0]``, takes the deviations and their magnitudes in place."""
-    if not (q >= 1.0):
-        raise ValueError(f"oscillation exponent must satisfy q >= 1, got {q}")
-    dev, mag = scratch if scratch is not None else (None, None)
-    dev = np.subtract(vals, mean[..., None], out=dev)
+def _mean_power(dev: np.ndarray, q: float, mag: np.ndarray | None = None) -> np.ndarray:
+    """(⨍|dev|^q)^{1/q} over the last axis of ``dev`` (ncomp, ..., k), |·|
+    Euclidean across components (|dev| for one component); ``mag``, an
+    array of the shape of ``dev[0]``, takes the magnitudes in place."""
     if len(dev) == 1:
         mag = np.abs(dev[0], out=mag)
     else:
@@ -364,6 +362,55 @@ def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float,
     if q != 1.0:
         mag **= q
     return _root(mag.mean(axis=-1), q)
+
+
+# smallest normal and largest finite float64
+_NORMAL = 2.0**-1022
+_HUGE = float(np.finfo(np.float64).max)
+
+
+def _abnormal(x) -> np.ndarray:
+    """Where ``x`` is 0, subnormal, infinite or NaN."""
+    return ~((x >= _NORMAL) & (x <= _HUGE))
+
+
+def _rescaled(dev: np.ndarray, q: float) -> np.ndarray:
+    """:func:`_mean_power` of each row of ``dev`` (ncomp, rows, k), computed
+    on the row times 2⁻ᵉ with 2ᵉ⁻¹ ≤ its largest |entry| < 2ᵉ and scaled back
+    by 2ᵉ.  Both scalings are exact (barring a subnormal result), so the
+    squares and powers of a row far below or above 1 neither underflow nor
+    overflow, and a row scaled by a power of two gives its value scaled
+    alike."""
+    _, e = np.frexp(np.abs(dev).max(axis=(0, 2)))
+    with np.errstate(over="ignore"):
+        return np.ldexp(_mean_power(np.ldexp(dev, -e[:, None]), q), e)
+
+
+def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float,
+                 scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """(⨍|v − mean|^q)^{1/q} over the last axis of ``vals`` (ncomp, ..., k)
+    with ``mean`` (ncomp, ...), one value per index of the batch axes ``...``;
+    the deviation magnitude is Euclidean across components (|v − mean| for
+    one component).  ``scratch``, arrays of the shapes of ``vals`` and
+    ``vals[0]``, takes the deviations and their magnitudes in place.
+
+    A value that comes out 0, subnormal or not finite is computed again on
+    its deviations scaled by a power of two (:func:`_rescaled`): squares and
+    q-th powers of deviations far below or above 1 underflow or overflow.
+    Every other value is the plain one, and the check reads the values
+    alone, not the deviations."""
+    if not (q >= 1.0):
+        raise ValueError(f"oscillation exponent must satisfy q >= 1, got {q}")
+    dev, mag = scratch if scratch is not None else (None, None)
+    dev = np.subtract(vals, mean[..., None], out=dev)
+    out = _mean_power(dev, q, mag)
+    if out.ndim == 0 and _NORMAL <= float(out) <= _HUGE:  # one ball: no array comparisons
+        return out
+    bad = _abnormal(out)
+    if bad.any():
+        out = np.array(out)
+        out[bad] = _rescaled(dev[:, bad], q)
+    return out
 
 
 def ball_average(f: GridField, ball: Ball) -> np.ndarray:

@@ -582,6 +582,8 @@ def weight_power(beta: float) -> WeightFunction:
 _SCAN_BLOCK = 1 << 16
 # (centers × runs) running sums read per column and block of the scan bounds.
 _BOUND_BLOCK = 1 << 14
+# levels per component of the ladder bound of the Campanato scan
+_LADDER_LEVELS = 16
 # unit round-off of float64
 _U = 2.0**-53
 # smallest subnormal float64: the absolute error of a product, quotient or
@@ -628,23 +630,30 @@ def _sample_balls(geom: GridGeometry):
 
 def _sup_scan(geom: GridGeometry, omega: WeightFunction, data: np.ndarray,
               ball_values: Callable[[np.ndarray], np.ndarray],
-              ball_bounds: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> SupScanResult:
+              ball_bounds: Callable[[np.ndarray, np.ndarray], np.ndarray],
+              ladder: Callable[[list], list] | None = None) -> SupScanResult:
     """sup of value(B)/ω(r) over the ball sample, skipping radii with ω ≤ 0.
 
     ``ball_values`` maps the samples of ``data`` (ncomp, *cells) on a block
     of balls of one radius, shape (ncomp, balls, cells of the stencil), to
     one value per ball.  ``ball_bounds(centers, stencil)`` bounds those
     values from above without a gather, one bound per center (flat cell
-    indices of balls that fit).
+    indices of balls that fit).  ``ladder``, if given, is a second bound
+    that costs about ``_LADDER_LEVELS`` passes over ``data``: it maps a list
+    of (centers, stencil) groups to one array of bounds per group.
 
     The bounds screen the scan.  The balls with the largest bound/ω(r), up
-    to one block of ``_SCAN_BLOCK`` cell samples, are evaluated first; then
-    every other ball whose bound/ω(r) is ≥ the best ratio found, per radius
-    in blocks of at most ``_SCAN_BLOCK`` cell samples.  Every other ball
-    keeps −∞.  A ball whose ratio equals the sup has bound ≥ sup ≥ that
-    best, so each of them is evaluated, by the same ``ball_values``; a NaN
-    bound counts as +∞.  As in a loop over the balls in sample order, the
-    first strict maximum wins and a NaN ratio never does.
+    to one block of ``_SCAN_BLOCK`` cell samples, are evaluated first.  The
+    others whose bound/ω(r) is ≥ the best ratio found survive; when their
+    cell samples outnumber the ``_LADDER_LEVELS``·``data.size`` that the
+    ladder reads, each survivor's bound becomes the smaller of its two
+    bounds.  The survivors are then evaluated in order of decreasing bound,
+    a block of ``_SCAN_BLOCK`` cell samples at a time, while the next
+    bound/ω(r) is ≥ the best ratio found; every other ball keeps −∞.  A ball
+    whose ratio equals the sup has both bounds ≥ sup ≥ any best found, so
+    each of them is evaluated, by the same ``ball_values``; a NaN bound
+    counts as +∞.  As in a loop over the balls in sample order, the first
+    strict maximum wins and a NaN ratio never does.
     """
     centers, coords, radii, fits = _sample_balls(geom)
     if not fits.any():
@@ -664,8 +673,10 @@ def _sup_scan(geom: GridGeometry, omega: WeightFunction, data: np.ndarray,
             bound[rows, j] = ball_bounds(centers[rows], stencil) / weights[j]
     bound[np.isnan(bound)] = np.inf
     ratio = np.full(fits.shape, -np.inf)
+    seen = np.zeros(fits.shape, dtype=bool)
 
     def evaluate(mask):
+        seen[mask] = True
         for j in np.flatnonzero(mask.any(axis=0)):
             rows = np.flatnonzero(mask[:, j])
             offsets = stencils[j]
@@ -676,13 +687,35 @@ def _sup_scan(geom: GridGeometry, omega: WeightFunction, data: np.ndarray,
                 ratio[chunk, j] = ball_values(windows) / weights[j]
         ratio[np.isnan(ratio)] = -np.inf
 
+    def walk(mask, blocks):
+        """Evaluate the balls of ``mask`` in order of decreasing bound, in at
+        most ``blocks`` blocks of ``_SCAN_BLOCK`` cell samples (each at least
+        one ball), while the next ball's bound reaches the best ratio."""
+        idx = np.flatnonzero(mask)
+        order = idx[np.argsort(-bound.flat[idx], kind="stable")]
+        cells = np.cumsum(size[order % len(radii)])
+        start = 0
+        while blocks and start < order.size and bound.flat[order[start]] >= ratio.max():
+            done = cells[start - 1] if start else 0
+            stop = max(start + 1, int(np.searchsorted(cells, done + _SCAN_BLOCK, side="right")))
+            block = np.zeros(fits.shape, dtype=bool)
+            block.flat[order[start:stop]] = True
+            evaluate(block)
+            start, blocks = stop, blocks - 1
+
     # the largest bounds, one block of cells, set the bar for the rest
-    order = np.argsort(-bound, axis=None, kind="stable")[:np.count_nonzero(live)]
-    cells = np.cumsum(size[order % len(radii)])
-    first = np.zeros(fits.shape, dtype=bool)
-    first.flat[order[:max(1, int(np.searchsorted(cells, _SCAN_BLOCK, side="right")))]] = True
-    evaluate(first & live)
-    evaluate(live & ~first & (bound >= ratio.max()))
+    walk(live, 1)
+    rest = live & ~seen & (bound >= ratio.max())
+    if ladder is not None and rest.sum(axis=0) @ size > _LADDER_LEVELS * data.size:
+        cols = np.flatnonzero(rest.any(axis=0))
+        rows = [np.flatnonzero(rest[:, j]) for j in cols]
+        with np.errstate(all="ignore"):
+            tight = ladder([(centers[r], stencils[j]) for j, r in zip(cols, rows)])
+            for j, r, b in zip(cols, rows, tight):
+                b = b / weights[j]
+                b[np.isnan(b)] = np.inf
+                bound[r, j] = np.minimum(bound[r, j], b)
+    walk(rest, math.inf)
     top = int(np.argmax(ratio))
     if ratio.flat[top] == -np.inf:
         raise NoAdmissibleBalls("weight vanished on every sampled radius")
@@ -779,9 +812,12 @@ def campanato_seminorm(f: GridField, omega: WeightFunction,
     q coincide by the John–Nirenberg argument, and q = 1 keeps the scan
     cheap); ω ≡ 1 yields the sampled mean-oscillation (BMO) value.
 
-    For q ≤ 2 the scan is screened (:func:`_sup_scan`) by an upper bound of
-    each ball's computed value, the q-mean oscillation being at most the
-    2-mean one.  With u = 2⁻⁵³, γ_n = nu/(1 − nu), k cells and n components:
+    The scan is screened (:func:`_sup_scan`) by two upper bounds of each
+    ball's computed value: for q ≤ 2 the spread bound, the q-mean
+    oscillation being at most the 2-mean one, and the ladder bound of
+    :func:`_campanato_bounds` on the balls that survive it (for q > 2 the
+    spread bound is +∞ and the ladder is the only screen).  With
+    u = 2⁻⁵³, γ_n = nu/(1 − nu), k cells and n components:
 
     * y = fl(f − σ) per component, σ the mean of f over the grid, so that an
       offset does not cancel the variance; z = fl(y²).  From the row running
@@ -802,32 +838,66 @@ def campanato_seminorm(f: GridField, omega: WeightFunction,
       (q ≤ 2, Minkowski for the q-mean); on the bound, z, h and l² take at
       most 3nτ from V and so √(3nτ) from its root, and the other steps 4τ.
 
-    The bound is √(V + 16u·Σ_c h) + u(1 + 2u)(Σ_c h)^{1/2} +
+    The spread bound is √(V + 16u·Σ_c h) + u(1 + 2u)(Σ_c h)^{1/2} +
     γ_{k+1}·|(|σ_c| + (1 + 2u)√h)_c| times :func:`_slack`, plus
     (n + 4)√τ = (n + 4)·2⁻⁵³⁷, which exceeds both underflow terms together;
     16u·Σ_c h covers the rounding of V (l² ≤ h) and the slack every other
-    rounding.  For q > 2 the bound is +∞ and every ball is evaluated.
+    rounding.
     """
     _check_scan_exponent(q)
     if omega.nondecreasing:
         q = 1.0
     return _sup_scan(f.geometry, omega, f.values,
-                     lambda s: _oscillation(s, s.mean(axis=-1), q),
-                     _spread_bound(f) if q <= 2.0 else lambda c, _: np.full(c.size, np.inf))
+                     lambda s: _oscillation(s, s.mean(axis=-1), q), *_campanato_bounds(f, q))
 
 
-def _spread_bound(f: GridField) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The q ≤ 2 ball bound of :func:`campanato_seminorm`."""
+def _campanato_bounds(f: GridField, q: float):
+    """The spread bound and the ladder bound of :func:`campanato_seminorm`.
+
+    The ladder bounds the q-mean oscillation by chords of a convex function.
+    For one component, G(t) = (⨍_B |f − t|^q)^{1/q} is convex in t (a
+    seminorm of f − t), so at the computed mean m̂ it lies below the chord
+    through any two levels a ≤ m̂ ≤ b; across components the Euclidean
+    deviation is at most the ℓ¹ one, and by Minkowski the value is at most
+    Σ_c G_c(m̂_c).  Per component:
+
+    * m̂ lies in the bracket σ + Σ y/k ± 2w, w = (1 + 8u)(E_y/k + u·M₁ +
+      γ_{k+1}·M₀ + 2u(|σ| + |Σ y|/k) + 2τ), with M₀ = max|f| and
+      M₁ ≥ max|f − σ| over the grid: the exact mean is σ + ⨍(f − σ),
+      ⨍ y is within E_y/k of Σ y/k and within u·M₁ of ⨍(f − σ), m̂ within
+      γ_{k+1}⨍|f| (+τ) of the mean, and doubling w covers the rounding of
+      the bracket's ends.
+    * The levels are ``_LADDER_LEVELS`` quantiles of the bracket ends of
+      all the balls passed, the lowest and the highest end included, so
+      every bracket has a level a ≤ its low end and b ≥ its high end; a, b
+      are the nearest such.  One table of row running sums of
+      fl(|f − a|^q) at a time gives Ĝ(a) = ((S + E)/k)^{1/q}.
+    * The chord μG(a) + λG(b), λ = (t − a)/(b − a), μ = (b − t)/(b − a),
+      is linear in t, so its larger value at the two ends t of the bracket
+      bounds it at m̂ (G(a) if a = b).
+
+    The rounding of fl(f − a), its power, S + E, the quotient, the root,
+    λ, μ and the chord is relative, within :func:`_slack` with that of the
+    computed value; the ladder bound is Σ_c chord_c times the slack, plus
+    (n + 4)(√(nτ) + (8τ)^{1/q}) for underflow: each table entry and quotient
+    adds up to τ under the root of Ĝ, so (2τ)^{1/q} to Ĝ, and the chord 3τ;
+    the computed value adds √(nτ) from its squares and (2τ)^{1/q} from its
+    powers, mean and root, or τ where it is computed rescaled.  A bracket or
+    table that is not finite makes the bound +∞.
+    """
     geom = f.geometry
     samples = f.values.reshape(f.ncomp, -1)
     n = f.ncomp
+    L = geom.cells[-1]
     with np.errstate(all="ignore"):
         shift = samples.mean(axis=1)
-        table = _row_sums(itertools.chain((s - m for s, m in zip(samples, shift)),
-                                          (np.square(s - m) for s, m in zip(samples, shift))),
-                          2 * n, samples.shape[1], geom.cells[-1])
+        squares = (np.square(s - m) for s, m in zip(samples, shift)) if q <= 2.0 else ()
+        table = _row_sums(itertools.chain((s - m for s, m in zip(samples, shift)), squares),
+                          n * (2 if q <= 2.0 else 1), samples.shape[1], L)
 
-    def bound(centers: np.ndarray, stencil: np.ndarray) -> np.ndarray:
+    def spread(centers: np.ndarray, stencil: np.ndarray) -> np.ndarray:
+        if q > 2.0:
+            return np.full(centers.size, np.inf)
         k = stencil.size
         sums, err = _ball_sums(geom, table, centers, _stencil_runs(geom, stencil))
         h = (1 + 2 * _U) * (sums[n:] + err[n:, None]) / k
@@ -840,7 +910,80 @@ def _spread_bound(f: GridField) -> Callable[[np.ndarray, np.ndarray], np.ndarray
                   + gamma * mean)
         return spread * _slack(k) + (n + 4) * math.sqrt(_TINY)
 
-    return bound
+    def ladder(groups: list) -> list:
+        runs = [_stencil_runs(geom, stencil) for _, stencil in groups]
+        ks = [stencil.size for _, stencil in groups]
+        y = _RowSums(table.prefix[:n], table.row_abs[:n])
+        f_max, f_min = samples.max(axis=1), samples.min(axis=1)
+        top = np.maximum(f_max, -f_min)
+        dev_top = (1 + 2 * _U) * np.maximum(f_max - shift, shift - f_min)
+        lo, hi = [], []
+        for (centers, _), r, k in zip(groups, runs, ks):
+            sums, err = _ball_sums(geom, y, centers, r)
+            gamma = (k + 1) * _U / (1 - (k + 1) * _U)
+            w = 2 * (1 + 8 * _U) * (
+                (err / k + _U * dev_top + gamma * top + 2 * _U * np.abs(shift) + 2 * _TINY)[:, None]
+                + 2 * _U * np.abs(sums) / k)
+            mid = shift[:, None] + sums / k
+            lo.append(mid - w)
+            hi.append(mid + w)
+        bounds = [np.zeros(len(centers)) for centers, _ in groups]
+        for c in range(n):
+            chords = _chords(geom, samples[c], q, groups, runs, [b[c] for b in lo],
+                             [b[c] for b in hi])
+            for b, chord in zip(bounds, chords):
+                b += chord
+        underflow = (n + 4) * (math.sqrt(n * _TINY) + (8 * _TINY) ** (1.0 / q))
+        return [b * _slack(k) + underflow for b, k in zip(bounds, ks)]
+
+    return spread, ladder
+
+
+def _chords(geom: GridGeometry, x: np.ndarray, q: float, groups: list, runs: list,
+            lo: list, hi: list) -> list:
+    """For one component ``x`` (its flat samples) and the balls of ``groups``
+    with their stencil ``runs``, the larger of the chords of
+    G(t) = ((S + E)/k)^{1/q} over the bracket ends ``lo`` and ``hi`` of each
+    ball (:func:`_campanato_bounds`), one array per group; +∞ where an end
+    is not finite.  The levels' tables are built one at a time in one
+    buffer."""
+    L = geom.cells[-1]
+    ends = np.sort(np.concatenate(lo + hi))
+    ends = ends[np.isfinite(ends)]
+    if not ends.size:
+        return [np.full(e.size, np.inf) for e in lo]
+    levels = np.unique(ends[np.linspace(0, ends.size - 1, _LADDER_LEVELS).astype(np.intp)])
+    # the nearest levels a <= lo and b >= hi (clipped where an end is not finite)
+    below = [np.maximum(np.searchsorted(levels, e, "right") - 1, 0) for e in lo]
+    above = [np.minimum(np.searchsorted(levels, e, "left"), levels.size - 1) for e in hi]
+    g_lo = [np.empty(e.size) for e in lo]
+    g_hi = [np.empty(e.size) for e in lo]
+    prefix = np.zeros((1, x.size // L, L + 1))
+    table = _RowSums(prefix.reshape(1, -1), np.empty(1))
+    rows = prefix[0, :, 1:]
+    for i, level in enumerate(levels):
+        np.abs(np.subtract(x.reshape(-1, L), level, out=rows), out=rows)
+        if q != 1.0:
+            rows **= q
+        np.cumsum(rows, axis=1, out=rows)
+        table.row_abs[0] = rows[:, -1].max()  # a computed Σ|x| of each row, x ≥ 0
+        for (centers, stencil), r, at_lo, at_hi, gl, gh in zip(
+                groups, runs, below, above, g_lo, g_hi):
+            at_lo, at_hi = at_lo == i, at_hi == i
+            sel = at_lo | at_hi
+            if sel.any():
+                sums, err = _ball_sums(geom, table, centers[sel], r)
+                g = ((sums[0] + err[0]) / stencil.size) ** (1.0 / q)
+                gl[at_lo] = g[at_lo[sel]]
+                gh[at_hi] = g[at_hi[sel]]
+    out = []
+    for t_lo, t_hi, i, j, gl, gh in zip(lo, hi, below, above, g_lo, g_hi):
+        a, b = levels[i], levels[j]
+        span = b - a
+        at_ends = [((b - t) / span) * gl + ((t - a) / span) * gh for t in (t_lo, t_hi)]
+        chord = np.where(span > 0.0, np.maximum(*at_ends), np.maximum(gl, gh))
+        out.append(np.where(np.isfinite(t_lo) & np.isfinite(t_hi), chord, np.inf))
+    return out
 
 
 def morrey_norm(f: GridField, omega: WeightFunction, q: float = 1.0) -> SupScanResult:

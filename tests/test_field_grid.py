@@ -33,6 +33,7 @@ from wulff_lab.field_grid import (
     value_at,
     write_field,
 )
+from wulff_lab import field_grid
 from wulff_lab.function_spaces import _sample_balls
 
 
@@ -128,6 +129,44 @@ def test_magnitude_is_euclidean():
     mag = v.magnitude()
     assert mag.kind == "scalar"
     assert np.allclose(mag.values[0], 5.0)
+
+
+@pytest.mark.parametrize("scale", [2.0**-565, 2.0**565])
+def test_vector_magnitude_and_oscillation_scale_by_a_power_of_two(scale):
+    # the squares of these components underflow (2^-565) or overflow
+    # (2^565), so the plain values read 0 or inf; a power-of-two factor
+    # scales the rescaled magnitude and q = 1 oscillation to the bit
+    geom = GridGeometry((40, 30), (1.0, 0.75), (0.0, 0.0))
+    f = GridField(geom, np.random.default_rng(4).normal(size=(2, 40, 30)), "vector", 2)
+    scaled = f.with_values(f.values * scale)
+    assert np.array_equal(scaled.magnitude().values, scale * f.magnitude().values)
+    for ball in (Ball((0.5, 0.4), 0.2), Ball((0.31, 0.52), 0.1)):
+        assert ball_oscillation(scaled, ball) == scale * ball_oscillation(f, ball) > 0.0
+        for q in (1.5, 3.0):
+            assert ball_oscillation(scaled, ball, q) / scale == pytest.approx(
+                ball_oscillation(f, ball, q), rel=1e-14)
+        balls = nested_balls(scaled, ball.center, [0.05, ball.radius])
+        want = nested_balls(f, ball.center, [0.05, ball.radius]).oscillations(3.0)
+        np.testing.assert_allclose(balls.oscillations(3.0) / scale, want, rtol=1e-14)
+
+
+def test_normal_values_take_no_rescaled_pass(monkeypatch):
+    # the rescaled recomputation runs only where a plain value is 0,
+    # subnormal or not finite; every other value is the plain one
+    def fail(*args):
+        raise AssertionError("rescaled a normal value")
+
+    monkeypatch.setattr(field_grid, "_rescaled", fail)
+    geom = GridGeometry((40, 30), (1.0, 0.75), (0.0, 0.0))
+    rng = np.random.default_rng(5)
+    for scale in (1e-100, 1.0, 1e100):
+        f = GridField(geom, scale * rng.normal(size=(2, 40, 30)), "vector", 2)
+        mag = f.magnitude().values[0]
+        np.testing.assert_array_equal(mag, np.sqrt(f.values[0] ** 2 + f.values[1] ** 2))
+        balls = nested_balls(f, (0.5, 0.4), [0.05, 0.1, 0.2])
+        for q in (1.0, 3.0):
+            balls.oscillations(q)
+            ball_oscillation(f, Ball((0.5, 0.4), 0.2), q)
 
 
 def test_ball_average_constant_and_affine():
