@@ -398,7 +398,9 @@ def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float,
     its deviations scaled by a power of two (:func:`_rescaled`): squares and
     q-th powers of deviations far below or above 1 underflow or overflow.
     Every other value is the plain one, and the check reads the values
-    alone, not the deviations."""
+    alone, not the deviations.  An overflow of a scalar field's q-th powers
+    raises numpy's warning unless the caller ignores it: its callers do, once
+    per call, sweep or block of balls, not once per ball."""
     if not (q >= 1.0):
         raise ValueError(f"oscillation exponent must satisfy q >= 1, got {q}")
     dev, mag = scratch if scratch is not None else (None, None)
@@ -430,7 +432,8 @@ def ball_oscillation(f: GridField, ball: Ball, q: float = 1.0) -> float:
     matrix fields oscillate as a whole rather than componentwise.
     """
     vals = np.take(f.values.reshape(f.ncomp, -1), ball_cells(f.geometry, ball), axis=1)
-    return float(_oscillation(vals, vals.mean(axis=1), q))
+    with np.errstate(over="ignore"):  # overflowing q-th powers are rescaled
+        return float(_oscillation(vals, vals.mean(axis=1), q))
 
 
 @dataclass(frozen=True)
@@ -456,9 +459,12 @@ class NestedBalls:
         # C-contiguous views, as a fresh ``vals − mean`` of the C-ordered
         # ``values`` (np.take) is, so einsum sums both alike
         dev, mag = np.empty(n * k_max), np.empty(k_max)
-        return np.array([_oscillation(self.values[:, :k], means[:, i], q,
-                                      (dev[:n * k].reshape(n, k), mag[:k]))
-                         for i, k in enumerate(self.counts)])
+        # one error state for the sweep, not one per radius; overflowing
+        # q-th powers are rescaled
+        with np.errstate(over="ignore"):
+            return np.array([_oscillation(self.values[:, :k], means[:, i], q,
+                                          (dev[:n * k].reshape(n, k), mag[:k]))
+                             for i, k in enumerate(self.counts)])
 
 
 class ShellPlan(NamedTuple):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -36,7 +36,15 @@ from .errors import (
     QuadratureFailure,
     SearchRangeExhausted,
 )
-from .field_grid import Ball, GridField, GridGeometry, _oscillation, _root, ball_stencil
+from .field_grid import (
+    Ball,
+    GridField,
+    GridGeometry,
+    _abnormal,
+    _oscillation,
+    _root,
+    ball_stencil,
+)
 
 __all__ = [
     "Rearrangement",
@@ -847,8 +855,14 @@ def campanato_seminorm(f: GridField, omega: WeightFunction,
     _check_scan_exponent(q)
     if omega.nondecreasing:
         q = 1.0
-    return _sup_scan(f.geometry, omega, f.values,
-                     lambda s: _oscillation(s, s.mean(axis=-1), q), *_campanato_bounds(f, q))
+
+    def values(s: np.ndarray) -> np.ndarray:
+        # one error state per block of balls; overflowing q-th powers are
+        # rescaled by _oscillation
+        with np.errstate(over="ignore"):
+            return _oscillation(s, s.mean(axis=-1), q)
+
+    return _sup_scan(f.geometry, omega, f.values, values, *_campanato_bounds(f, q))
 
 
 def _campanato_bounds(f: GridField, q: float):
@@ -986,6 +1000,18 @@ def _chords(geom: GridGeometry, x: np.ndarray, q: float, groups: list, runs: lis
     return out
 
 
+def _power_table(f: GridField, q: float) -> tuple[np.ndarray, int]:
+    """The table |f|^q with e = 0, or, where that table overflows or turns a
+    nonzero |f| into 0 or a subnormal, (|f|·2⁻ᵉ)^q with 2ᵉ⁻¹ ≤ max|f| < 2ᵉ."""
+    mag = f.magnitude().values
+    with np.errstate(over="ignore"):
+        data = mag ** q
+    if not (_abnormal(data) & (mag != 0.0)).any():
+        return data, 0
+    e = int(np.frexp(mag.max())[1])
+    return np.ldexp(mag, -e) ** q, e
+
+
 def morrey_norm(f: GridField, omega: WeightFunction, q: float = 1.0) -> SupScanResult:
     """Morrey-type norm sup_B (1/ω(r)) (∫_B |f|^q)^{1/q} (non-averaged), over
     the ball sample of :func:`campanato_seminorm`; q must be finite and ≥ 1.
@@ -1001,11 +1027,19 @@ def morrey_norm(f: GridField, omega: WeightFunction, q: float = 1.0) -> SupScanR
     (|cell|·Σ_B |f|^q)^{1/q}, within the slack.  Below 2⁻¹⁰²² the products
     with |cell| and the roots are also off by up to τ = 2⁻¹⁰⁷⁴ in absolute
     terms, which moves value and bound apart by at most 2τ^{1/q} + 2.5τ
-    ((a + b)^{1/q} ≤ a^{1/q} + b^{1/q}); the bound adds 5τ^{1/q}."""
+    ((a + b)^{1/q} ≤ a^{1/q} + b^{1/q}); the bound adds 5τ^{1/q}.
+
+    Where the table |f|^q overflows or a nonzero |f| gives an entry below
+    2⁻¹⁰²² (0 or subnormal), the scan runs on |f|·2⁻ᵉ instead, with
+    2ᵉ⁻¹ ≤ max|f| < 2ᵉ, and its value is scaled back by 2ᵉ: the norm is
+    1-homogeneous in f, both scalings are exact (barring a norm outside the
+    normal range, which rounds to a subnormal or to inf), and the bound and
+    the values above then describe the scaled table.  A table that is finite
+    and normal (zeros of f aside) is scanned as it is."""
     _check_scan_exponent(q)
     geom = f.geometry
     meas = geom.cell_measure
-    data = f.magnitude().values ** q
+    data, e = _power_table(f, q)
     with np.errstate(all="ignore"):
         table = _row_sums(data.reshape(1, -1), 1, data.size, geom.cells[-1])
     underflow = 5.0 * _TINY ** (1.0 / q)
@@ -1014,8 +1048,12 @@ def morrey_norm(f: GridField, omega: WeightFunction, q: float = 1.0) -> SupScanR
         sums, err = _ball_sums(geom, table, centers, _stencil_runs(geom, stencil))
         return ((sums[0] + err[0]) * meas) ** (1.0 / q) * _slack(stencil.size) + underflow
 
-    return _sup_scan(geom, omega, data, lambda s: _root(s[0].sum(axis=-1) * meas, q),
-                     bound)
+    got = _sup_scan(geom, omega, data, lambda s: _root(s[0].sum(axis=-1) * meas, q),
+                    bound)
+    if e:
+        with np.errstate(over="ignore"):  # a norm beyond the float range is inf
+            got = replace(got, value=float(np.ldexp(got.value, e)))
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,25 @@ the Riesz kernel depends only on the index offset Δ, so one offset table
 K[Δ], |Δ_d| ≤ c_d − 1, holds every term (``_offset_table``, cached per
 (geometry, α), 16 entries).  The Riesz map computes the sums for every
 center at once as a circular FFT convolution with that table: wrapped onto
-fast real-FFT lengths L_d ≥ 2c_d − 1, which is enough for no wrapped term to
+5-smooth lengths L_d ≥ 2c_d − 1, which is enough for no wrapped term to
 reach a cell of the grid, its spectrum is cached as well (``_kernel_table``,
 16 entries), so each map costs one forward FFT of the samples, one product
-and one inverse FFT.  Where only one value of V_{α,s} f is read,
-:func:`havin_mazya_at` maps the inner potential and takes the outer one as a
-single dot with the window of the offset table centred on that cell.  The
-test suite keeps the direct sum over cells as its oracle and checks both
-paths against it to round-off.
+and one inverse FFT.  Both are numpy's one-axis FFTs run in the order of
+scipy's n-dimensional ones (the same pocketfft code), so the maps are bit
+for bit those of ``scipy.fft.rfftn``/``irfftn``: the forward pass is a real
+FFT of the unpadded rows along the last axis, then complex FFTs along axes
+0, 1, … in turn, so the rows that the zero padding would add are never
+transformed (they are exact zeros); the inverse pass runs unscaled complex
+FFTs along axes 0, 1, … and keeps the first c_d entries of each axis right
+after its pass, then the real inverse FFT along the last axis, and scales
+the c-sized result by 1/∏L_d once, last, as pocketfft does.  Each pass
+first moves its axis last, so every FFT reads contiguous rows; the cached
+spectrum keeps the layout the forward pass leaves.  Where only one
+value of V_{α,s} f is read, :func:`havin_mazya_at` maps the inner potential
+and takes the outer one as a single dot with the window of the offset table
+centred on that cell.  The test suite keeps the direct sum over cells as its
+oracle and checks both paths against it to round-off, and scipy.fft as the
+oracle of the passes, bit for bit.
 """
 
 from __future__ import annotations
@@ -204,11 +215,60 @@ def _singular_cell_integral(geom: GridGeometry, alpha: float) -> float:
     return _unit_sphere_area(geom.dim) * rho**alpha / alpha
 
 
-def _circular_shape(geom: GridGeometry) -> tuple[int, ...]:
-    """Fast real-FFT lengths L_d ≥ 2c_d − 1 of the circular Riesz convolution."""
-    from scipy.fft import next_fast_len
+def _next_fast_len(n: int) -> int:
+    """The smallest 5-smooth integer ≥ n ≥ 1, as ``scipy.fft.next_fast_len(n,
+    real=True)``: the least of p·2^k ≥ n over the 3^b·5^c = p below it."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            best = min(best, p << (-(-n // p) - 1).bit_length())
+            p *= 3
+        p5 *= 5
+    return best
 
-    return tuple(next_fast_len(2 * c - 1, real=True) for c in geom.cells)
+
+@lru_cache(maxsize=16)
+def _circular_shape(geom: GridGeometry) -> tuple[int, ...]:
+    """5-smooth FFT lengths L_d ≥ 2c_d − 1 of the circular Riesz convolution."""
+    return tuple(_next_fast_len(2 * c - 1) for c in geom.cells)
+
+
+def _forward(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``scipy.fft.rfftn(a, s=shape)`` bit for bit, stored with its axes
+    rotated to (half-spectrum axis, L_0, …, L_{n−2}).
+
+    A real FFT of the rows of ``a`` along the last axis, zero-padded to
+    L_{n−1}, then complex FFTs along axes 0, 1, … in turn, as pocketfft runs
+    them.  Each pass pads only its own axis, so the rows of zeros that the
+    padding of a later axis adds are never transformed, and each first moves
+    its axis last, so every FFT reads contiguous rows."""
+    out = np.fft.rfft(a, n=shape[-1], axis=-1)
+    for L in shape[:-1]:
+        out = np.fft.fft(np.ascontiguousarray(np.moveaxis(out, 0, -1)), n=L, axis=-1)
+    return out
+
+
+def _inverse(spectrum: np.ndarray, shape: tuple[int, ...],
+             cells: tuple[int, ...]) -> np.ndarray:
+    """The first c_d entries per axis of ``scipy.fft.irfftn(·, s=shape)``,
+    bit for bit, of a spectrum in the layout of :func:`_forward`.
+
+    Unscaled complex inverse FFTs along axes 0, 1, … in turn, each keeping
+    the first c_d entries of its axis right after it runs, then the real
+    inverse FFT along the last axis and the factor 1/∏L_d, applied once to
+    the cropped result, where pocketfft applies it."""
+    out = spectrum
+    for L, c in zip(shape[:-1], cells):
+        out = np.fft.ifft(np.ascontiguousarray(np.moveaxis(out, 1, -1)), n=L, axis=-1,
+                          norm="forward")[..., :c]
+    out = np.fft.irfft(np.ascontiguousarray(np.moveaxis(out, 0, -1)), n=shape[-1],
+                       axis=-1, norm="forward")[..., :cells[-1]]
+    # pocketfft rounds 1/∏L from long double; for every 5-smooth ∏L below
+    # 10¹² that is the double 1/∏L (tests/test_potential_engine.py)
+    out *= 1.0 / math.prod(shape)
+    return out
 
 
 # held around the cached calls, so exactly one thread builds each table
@@ -237,14 +297,12 @@ def _offset_table(geom: GridGeometry, alpha: float) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _kernel_table(geom: GridGeometry, alpha: float) -> np.ndarray:
     """Read-only real-FFT spectrum of :func:`_offset_table`, wrapped with
-    offset m at m mod L_d."""
-    from scipy.fft import rfftn
-
+    offset m at m mod L_d, in the rotated layout of :func:`_forward`."""
     shape = _circular_shape(geom)
     wrap = np.ix_(*(np.arange(-(c - 1), c) % L for c, L in zip(geom.cells, shape)))
     wrapped = np.zeros(shape)
     wrapped[wrap] = _offset_table(geom, alpha)
-    spectrum = rfftn(wrapped, axes=tuple(range(geom.dim)))
+    spectrum = _forward(wrapped, shape)
     spectrum.flags.writeable = False
     return spectrum
 
@@ -259,21 +317,23 @@ def riesz_map(f: GridField, alpha: float) -> GridField:
     convolution of the samples with the offset table: one real FFT of the
     samples zero-padded to the circular length L_d ≥ 2c_d − 1, one product
     with the cached kernel spectrum of :func:`_kernel_table`, one inverse
-    FFT, and the first c_d entries per axis.  One thread builds each
-    spectrum; concurrent callers on the same (geometry, α) wait for it.
+    FFT, and the first c_d entries per axis.  The forward pass transforms
+    the c_{n−1}-long rows first and the inverse pass crops each axis right
+    after its pass, so neither transforms a row that is all padding or that
+    is cropped away; the 1/∏L_d scaling comes last, on the c-sized result.
+    The values are those of ``scipy.fft`` bit for bit (see the module
+    docstring).  One thread builds each spectrum; concurrent callers on the
+    same (geometry, α) wait for it.
     """
     _require_scalar_nonneg(f, "riesz_map")
     geom = f.geometry
     _check_alpha(alpha, geom.dim)
     with _KERNEL_LOCK:
         spectrum = _kernel_table(geom, alpha)
-    # the first import of scipy.fft happened under the lock, in _kernel_table
-    from scipy.fft import irfftn, rfftn
-
-    axes = tuple(range(geom.dim))
     shape = _circular_shape(geom)
-    out = irfftn(rfftn(f.values[0], s=shape, axes=axes) * spectrum, s=shape, axes=axes)
-    out = out[tuple(slice(c) for c in geom.cells)]
+    product = _forward(f.values[0], shape)
+    product *= spectrum
+    out = _inverse(product, shape, geom.cells)
     # convolving nonnegative data with a positive kernel: clip FFT round-off
     np.maximum(out, 0.0, out=out)
     return GridField(geom, out, "scalar")

@@ -1423,8 +1423,8 @@ _SCIPY_LOADED = ("sorted({'.'.join(m.split('.')[:2]) for m in sys.modules"
 
 
 def test_cli_import_leaves_out_scipy():
-    # scipy loads only inside the functions that call it: the Riesz maps
-    # (scipy.fft) and adaptive quadrature (scipy.integrate)
+    # scipy loads only inside the function that calls it: adaptive
+    # quadrature (scipy.integrate, which itself imports scipy.fft)
     out = _fresh_python(f"import sys, wulff_lab.cli; print({_SCIPY_LOADED})")
     assert out.strip() == "[]"
 
@@ -1469,6 +1469,35 @@ samples = 3
 """
 
 
+# the five theorems of the benchmark's battery workload, at a small grid
+BATTERY_CONFIG = """\
+[grid]
+cells = 32,32
+
+[verify]
+theorems = telescoping-means, wulff-riesz-domination, potential-norms-A-i,
+    potential-norms-B, hardy-i
+
+[verify.telescoping-means]
+samples = 3
+
+[verify.wulff-riesz-domination]
+samples = 3
+
+[verify.potential-norms-A-i]
+samples = 3
+sigma = 1.5
+
+[verify.potential-norms-B]
+samples = 3
+young_a = power,1.5
+young_b = power,3
+
+[verify.hardy-i]
+samples = 3
+"""
+
+
 # expected: which of scipy.fft and scipy.integrate the call loads; an empty
 # set means no scipy module at all.  Any other scipy module the call loads
 # must come with these two (a root finder must not pull in scipy.optimize).
@@ -1476,15 +1505,16 @@ samples = 3
     (BALLS_CONFIG, ["run", "job.ini", "--out", "o"], set()),
     (_solve_config(3.0), ["solve", "job.ini", "--out", "o"], set()),
     (_solve_config(2.0), ["solve", "job.ini", "--out", "o"], set()),
-    (DOMINATION_CONFIG, ["run", "job.ini", "--out", "o"], {"scipy.fft"}),
-    (None, ["potential", "f.wlf", "--kind", "riesz", "--alpha", "0.5"], {"scipy.fft"}),
+    (DOMINATION_CONFIG, ["run", "job.ini", "--out", "o"], set()),
+    (BATTERY_CONFIG, ["run", "job.ini", "--out", "o", "--threads", "2"], set()),
+    (None, ["potential", "f.wlf", "--kind", "riesz", "--alpha", "0.5"], set()),
     # (q, rho, beta) = (2, 2, 0.5) is the mixed case: steps by adaptive
     # quadrature; scipy.integrate itself imports scipy.fft
     (None, ["norm", "f.wlf", "--space", "lorentz:2,2,0.5"],
      {"scipy.fft", "scipy.integrate"}),
     (None, ["norm", "f.wlf", "--space", "orlicz:power,1.5"], set()),
-], ids=["run-balls", "solve-p3", "solve-p2", "run-domination", "potential-riesz",
-        "norm-lorentz-mixed", "norm-orlicz"])
+], ids=["run-balls", "solve-p3", "solve-p2", "run-domination", "run-battery",
+        "potential-riesz", "norm-lorentz-mixed", "norm-orlicz"])
 def test_commands_load_only_the_scipy_they_run(tmp_path, config, argv, expected):
     if config is None:
         field_file(tmp_path, lambda x, y: 1.0 + np.sin(np.pi * x) * y, cells=24)
@@ -1545,9 +1575,10 @@ print(out["map"], out["norm"])
 
 
 def test_first_scipy_imports_from_two_threads():
-    # both threads import scipy for the first time at once: the Riesz map
-    # (scipy.fft, under the kernel lock) and a mixed-case Lorentz-Zygmund
-    # norm (scipy.integrate, through adaptive quadrature)
+    # two threads make their first calls at once: the composed potential
+    # map, which builds its kernel spectrum under the kernel lock and loads
+    # no scipy, and a mixed-case Lorentz-Zygmund norm, which imports
+    # scipy.integrate (and with it scipy.fft) for adaptive quadrature
     geom = GridGeometry((48, 40), (1.0, 0.8), (0.0, 0.0))
     f = GridField(geom, np.random.default_rng(4).uniform(0.0, 1.0, size=geom.cells))
     serial = "{} {!r}".format(

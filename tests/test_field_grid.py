@@ -150,6 +150,24 @@ def test_vector_magnitude_and_oscillation_scale_by_a_power_of_two(scale):
         np.testing.assert_allclose(balls.oscillations(3.0) / scale, want, rtol=1e-14)
 
 
+@pytest.mark.parametrize("scale", [2.0**-565, 2.0**565])
+def test_scalar_oscillation_scales_by_a_power_of_two(scale):
+    # at q > 2 the q-th powers of these deviations underflow (2^-565) or
+    # overflow (2^565): the values are still the unscaled ones times the
+    # factor, and the overflow raises no warning (an error in this suite),
+    # neither from one ball nor from a sweep
+    geom = GridGeometry((40, 30), (1.0, 0.75), (0.0, 0.0))
+    f = GridField(geom, np.random.default_rng(4).normal(size=(40, 30)))
+    scaled = f.with_values(f.values * scale)
+    for ball in (Ball((0.5, 0.4), 0.2), Ball((0.31, 0.52), 0.1)):
+        for q in (3.0, 4.5):
+            assert ball_oscillation(scaled, ball, q) / scale == pytest.approx(
+                ball_oscillation(f, ball, q), rel=1e-14)
+        balls = nested_balls(scaled, ball.center, [0.05, ball.radius])
+        want = nested_balls(f, ball.center, [0.05, ball.radius]).oscillations(3.0)
+        np.testing.assert_allclose(balls.oscillations(3.0) / scale, want, rtol=1e-14)
+
+
 def test_normal_values_take_no_rescaled_pass(monkeypatch):
     # the rescaled recomputation runs only where a plain value is 0,
     # subnormal or not finite; every other value is the plain one

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -600,12 +601,23 @@ def _scan_oracle(f, omega, kind, q=1.0):
             balls.append(Ball(center, r))
             r *= 2.0
     mag = f.magnitude().values[0]
+    e = 0
+    if kind == "morrey":
+        with np.errstate(over="ignore"):
+            plain = mag ** q
+        if np.any(((plain < 2.0**-1022) | (plain > sys.float_info.max)) & (mag != 0.0)):
+            # |f|^q overflows or leaves the normal range: the mass is taken
+            # on |f|·2⁻ᵉ, 2ᵉ⁻¹ ≤ max|f| < 2ᵉ, and the root scaled back by 2ᵉ
+            e = int(np.frexp(mag.max())[1])
+            mag = np.ldexp(mag, -e)
 
     def value(b):
         if kind == "campanato":
             return ball_oscillation(f, b, q)
         slices, _, mask = _ball_box(geom, b)
-        return float((mag[slices][mask] ** q).sum() * geom.cell_measure) ** (1.0 / q)
+        root = float((mag[slices][mask] ** q).sum() * geom.cell_measure) ** (1.0 / q)
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(root, e))
 
     best, best_ball = -math.inf, None
     for b in balls:
@@ -832,6 +844,22 @@ def test_scans_of_fields_that_underflow_match_oracle(scale, kind, beta, q, ncomp
     assert got == _scan_oracle(f, omega, kind, q)
 
 
+def test_morrey_scan_of_a_field_with_a_wide_range_matches_oracle():
+    # one sample of 1 and the rest near 1e-170: rescaling by the largest
+    # sample leaves the table entries of the others subnormal, and the
+    # bounds must still hold on that table
+    geom = GridGeometry((160, 96), (1.0, 0.6), (0.0, 0.0))
+    rng = np.random.default_rng(1)
+    vals = 1e-170 * (np.sin(7 * geom.center_mesh()[0]) + rng.normal(size=(160, 96)))
+    vals[80, 40] = 1.0
+    f = GridField(geom, vals)
+    for omega in (weight_power(0.5), weight_power(3.0)):
+        got, parts = _scan_parts(morrey_norm, f, omega, 1.9)
+        assert 0.0 < np.min(parts["data"][parts["data"] > 0]) < 2.0**-1022
+        _assert_bounds_hold(f, omega, parts)
+        assert got == _scan_oracle(f, omega, "morrey", 1.9)
+
+
 def test_morrey_norm_of_a_tiny_scalar_field_scales_by_its_factor():
     # |f| of one component is abs(f), not sqrt(f·f), which flushed every
     # sample of this field to 0; a power-of-two factor scales exactly
@@ -890,9 +918,12 @@ def test_campanato_scan_of_a_small_bmo_field_gathers_few_cells(beta, q, most):
 @pytest.mark.parametrize("scale", [2.0**-565, 2.0**565])
 @pytest.mark.parametrize("ncomp", [1, 2])
 def test_scans_of_power_of_two_scaled_fields(scale, ncomp):
-    # squares of the scaled deviations underflow or overflow; the bounds must
+    # squares and q-th powers of the scaled deviations underflow or overflow
+    # (without a warning: the suite makes one an error); the bounds must
     # still hold, the scans match the oracle, and at q = 1 the value and
-    # ball are the unscaled ones times the factor
+    # ball are the unscaled ones times the factor.  The Morrey scan at q = 2
+    # runs on a rescaled |f|² table: its ball is the unscaled one and its
+    # value the unscaled one times the factor, to the rounding of the root
     geom = GridGeometry((96, 64), (1.0, 0.6), (0.0, 0.0))
     log = _log_field(geom).values[0]
     vals = log if ncomp == 1 else np.stack([log, np.sin(7 * geom.center_mesh()[1])])
@@ -900,13 +931,21 @@ def test_scans_of_power_of_two_scaled_fields(scale, ncomp):
     scaled = f.with_values(f.values * scale)
     for kind, omega, q in (("campanato", weight_power(0.0), 1.0),
                            ("campanato", weight_power(-0.5), 1.5),
-                           ("morrey", weight_power(0.5), 1.0)):
+                           ("campanato", weight_power(-0.2), 3.0),
+                           ("morrey", weight_power(0.5), 1.0),
+                           ("morrey", weight_power(0.5), 2.0)):
         scan = campanato_seminorm if kind == "campanato" else morrey_norm
         got, parts = _scan_parts(scan, scaled, omega, q)
         _assert_bounds_hold(scaled, omega, parts)
+        want = scan(f, omega, q=q)
+        if kind == "morrey" and q == 2.0:
+            # the oracle's plain |f|² overflows or underflows here
+            assert np.isfinite(parts["data"]).all() and parts["data"].max() < 1.0
+            assert got.value == pytest.approx(scale * want.value, rel=1e-15)
+            assert got.ball == want.ball and got.balls_scanned == want.balls_scanned
+            continue
         assert got == _scan_oracle(scaled, omega, kind, q)
         if q == 1.0:
-            want = scan(f, omega, q=q)
             assert got.value == scale * want.value > 0.0
             assert got.ball == want.ball
 
@@ -959,12 +998,20 @@ def test_scans_skip_vanishing_weights_and_nan_ratios():
     for kind in ("campanato", "morrey"):
         got = _assert_scan_matches_oracle(f, omega, kind)
         assert got.ball.radius >= 8 * h
-    # an overflowing mass over an infinite weight is a NaN ratio
-    big = constant_field(geom, 1e150)
+    # an infinite value over an infinite weight is a NaN ratio
     inf_first = WeightFunction(lambda r: np.where(r < 3 * h, np.inf, 1.0), False)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _assert_scan_matches_oracle(big, inf_first, "morrey", 3.0)
+    with np.errstate(invalid="ignore"):
+        got = function_spaces._sup_scan(
+            geom, inf_first, np.zeros((1, 64, 48)), lambda s: np.full(s.shape[1], np.inf),
+            lambda c, stencil: np.full(len(c), np.inf))
     assert got.value == math.inf and got.ball.radius == 4 * h
+    # |f|³ = 1e450 overflows, but the Morrey scan takes it on a rescaled
+    # field: a finite mass over an infinite weight is a zero ratio
+    big = constant_field(geom, 1e150)
+    got = _assert_scan_matches_oracle(big, inf_first, "morrey", 3.0)
+    want = _assert_scan_matches_oracle(constant_field(geom, 1.0), inf_first, "morrey", 3.0)
+    assert got.value == pytest.approx(1e150 * want.value, rel=1e-15)
+    assert got.ball == want.ball and got.ball.radius > 4 * h
     dead = WeightFunction(lambda r: np.where(r < 6 * h, 0.0, np.nan), False)
     with pytest.raises(NoAdmissibleBalls, match="weight vanished"):
         morrey_norm(f, dead)

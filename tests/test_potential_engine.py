@@ -27,7 +27,10 @@ from wulff_lab.inequality_lab import random_field
 from wulff_lab.potential_engine import (
     PotentialParams,
     RadialQuadrature,
+    _circular_shape,
     _kernel_table,
+    _next_fast_len,
+    _offset_table,
     havin_mazya_at,
     havin_mazya_map,
     max_admissible_radius,
@@ -311,6 +314,84 @@ def test_kernel_spectrum_built_once_by_concurrent_maps(alpha):
     info = _kernel_table.cache_info()
     assert (info.misses, info.hits) == (1, 7)
     assert all(np.array_equal(m, maps[0]) for m in maps)
+
+
+def test_fft_lengths_and_scale_are_scipys():
+    from scipy import fft
+
+    assert [_next_fast_len(n) for n in range(1, 10_001)] == [
+        fft.next_fast_len(n, real=True) for n in range(1, 10_001)]
+    # the inverse pass scales by the double 1/N; pocketfft rounds 1/N from
+    # long double, which for 5-smooth N gives the same double
+    for n in {2**a * 3**b * 5**c for a in range(40) for b in range(26) for c in range(18)}:
+        if n < 10**12:
+            assert 1.0 / n == float(np.longdouble(1) / np.longdouble(n)), n
+
+
+def _scipy_spectrum(geom, alpha):
+    """The kernel spectrum as ``scipy.fft.rfftn`` computes it, in the
+    natural axis order."""
+    from scipy import fft
+
+    shape = tuple(fft.next_fast_len(2 * c - 1, real=True) for c in geom.cells)
+    wrap = np.ix_(*(np.arange(-(c - 1), c) % L for c, L in zip(geom.cells, shape)))
+    wrapped = np.zeros(shape)
+    wrapped[wrap] = _offset_table(geom, alpha)
+    return shape, fft.rfftn(wrapped, axes=tuple(range(geom.dim)))
+
+
+def _scipy_riesz(f, alpha):
+    """The Riesz map as one ``scipy.fft.rfftn``/``irfftn`` pair over the
+    whole circular grid."""
+    from scipy import fft
+
+    geom = f.geometry
+    shape, spectrum = _scipy_spectrum(geom, alpha)
+    axes = tuple(range(geom.dim))
+    out = fft.irfftn(fft.rfftn(f.values[0], s=shape, axes=axes) * spectrum,
+                     s=shape, axes=axes)
+    return np.maximum(out[tuple(slice(c) for c in geom.cells)], 0.0)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# grids on which numpy's n-dimensional FFTs (descending axes, 1/n per axis)
+# differ from scipy's in the last bits, unlike the square power-of-two ones
+FFT_GRIDS = [
+    GridGeometry((17, 23), (1.0, 1.0), (0.0, 0.0)),
+    GridGeometry((64, 64), (1.0, 1.0), (0.0, 0.0)),
+    GridGeometry((96, 160), (0.6, 1.0), (0.0, 0.0)),
+    GridGeometry((100, 37), (1.0, 0.37), (0.0, 0.0)),
+    GridGeometry((128, 128), (1.0, 1.0), (0.0, 0.0)),
+    GridGeometry((200, 100), (3.0, 0.7), (-1.2, 0.4)),
+    GridGeometry((256, 256), (1.0, 1.0), (0.0, 0.0)),
+    GridGeometry((20, 18, 13), (1.0, 0.9, 0.65), (0.1, 0.0, -0.3)),
+]
+
+
+@pytest.mark.parametrize("geom", FFT_GRIDS, ids=lambda g: "x".join(map(str, g.cells)))
+def test_riesz_passes_equal_scipy_fft_bit_for_bit(geom):
+    alpha, s = (0.6, 2.5) if geom.dim == 2 else (1.1, 2.5)
+    shape, spectrum = _scipy_spectrum(geom, alpha)
+    assert _circular_shape(geom) == shape
+    # the table keeps the half-spectrum axis first
+    assert _same_bits(np.moveaxis(_kernel_table(geom, alpha), 0, -1).copy(), spectrum)
+    rng = np.random.default_rng(23)
+    sparse = np.zeros(geom.cells)  # whole rows and planes of zeros
+    sparse.flat[rng.integers(0, sparse.size, 4)] = rng.uniform(0.5, 1.0, 4)
+    for values in (rng.uniform(0.0, 1.0, size=geom.cells), sparse, np.zeros(geom.cells)):
+        f = GridField(geom, values)
+        assert _same_bits(riesz_map(f, alpha).values[0], _scipy_riesz(f, alpha))
+        inner = f.with_values(_scipy_riesz(f, alpha) ** (1.0 / (s - 1.0)))
+        assert _same_bits(havin_mazya_map(f, alpha, s).values[0],
+                          _scipy_riesz(inner, alpha))
+        i0 = tuple(c // 3 for c in geom.cells)
+        window = _offset_table(geom, alpha)[
+            tuple(slice(c - 1 - i, 2 * c - 1 - i) for c, i in zip(geom.cells, i0))]
+        x = tuple(o + (i + 0.5) * h for o, i, h in zip(geom.origin, i0, geom.spacing))
+        assert havin_mazya_at(f, alpha, s, x) == float((inner.values[0] * window).sum())
 
 
 def test_riesz_alpha_range():
