@@ -350,10 +350,11 @@ def _root(x, q: float) -> np.ndarray:
     return np.array([v ** (1.0 / q) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
-def _mean_power(dev: np.ndarray, q: float, mag: np.ndarray | None = None) -> np.ndarray:
-    """(⨍|dev|^q)^{1/q} over the last axis of ``dev`` (ncomp, ..., k), |·|
+def _powers(dev: np.ndarray, q: float, mag: np.ndarray | None = None) -> np.ndarray:
+    """|dev|^q over the component axis of ``dev`` (ncomp, ..., k), |·|
     Euclidean across components (|dev| for one component); ``mag``, an
-    array of the shape of ``dev[0]``, takes the magnitudes in place."""
+    array of the shape of ``dev[0]``, takes the magnitudes and powers in
+    place."""
     if len(dev) == 1:
         mag = np.abs(dev[0], out=mag)
     else:
@@ -361,7 +362,13 @@ def _mean_power(dev: np.ndarray, q: float, mag: np.ndarray | None = None) -> np.
         np.sqrt(mag, out=mag)
     if q != 1.0:
         mag **= q
-    return _root(mag.mean(axis=-1), q)
+    return mag
+
+
+def _mean_power(dev: np.ndarray, q: float) -> np.ndarray:
+    """(⨍|dev|^q)^{1/q} over the last axis of ``dev`` (ncomp, ..., k), |·|
+    as in :func:`_powers`."""
+    return _root(_powers(dev, q).mean(axis=-1), q)
 
 
 # smallest normal and largest finite float64
@@ -386,13 +393,17 @@ def _rescaled(dev: np.ndarray, q: float) -> np.ndarray:
         return np.ldexp(_mean_power(np.ldexp(dev, -e[:, None]), q), e)
 
 
-def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float,
-                 scratch: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def _check_exponent(q: float) -> None:
+    if not (q >= 1.0):
+        raise ValueError(f"oscillation exponent must satisfy q >= 1, got {q}")
+
+
+def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float) -> np.ndarray:
     """(⨍|v − mean|^q)^{1/q} over the last axis of ``vals`` (ncomp, ..., k)
     with ``mean`` (ncomp, ...), one value per index of the batch axes ``...``;
     the deviation magnitude is Euclidean across components (|v − mean| for
-    one component).  ``scratch``, arrays of the shapes of ``vals`` and
-    ``vals[0]``, takes the deviations and their magnitudes in place.
+    one component).  The batch form, for blocks of balls of one size; a
+    single ball takes :func:`_oscillation_step`.
 
     A value that comes out 0, subnormal or not finite is computed again on
     its deviations scaled by a power of two (:func:`_rescaled`): squares and
@@ -401,18 +412,45 @@ def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float,
     alone, not the deviations.  An overflow of a scalar field's q-th powers
     raises numpy's warning unless the caller ignores it: its callers do, once
     per call, sweep or block of balls, not once per ball."""
-    if not (q >= 1.0):
-        raise ValueError(f"oscillation exponent must satisfy q >= 1, got {q}")
-    dev, mag = scratch if scratch is not None else (None, None)
-    dev = np.subtract(vals, mean[..., None], out=dev)
-    out = _mean_power(dev, q, mag)
-    if out.ndim == 0 and _NORMAL <= float(out) <= _HUGE:  # one ball: no array comparisons
-        return out
+    _check_exponent(q)
+    dev = vals - mean[..., None]
+    out = _mean_power(dev, q)
     bad = _abnormal(out)
     if bad.any():
         out = np.array(out)
         out[bad] = _rescaled(dev[:, bad], q)
     return out
+
+
+def _oscillation_step(vals: np.ndarray, mean: np.ndarray, q: float,
+                      dev: np.ndarray | None = None,
+                      mag: np.ndarray | None = None) -> float:
+    """(⨍|v − mean|^q)^{1/q} of one ball with samples ``vals`` (ncomp, k) and
+    ``mean`` (ncomp, 1), the rule of :func:`_oscillation` for one ball in
+    plain ufunc calls: ``np.subtract`` into ``dev`` (ncomp, k), the
+    magnitudes and q-th powers of :func:`_powers` into ``mag`` (k,) (both
+    taken in place when given), one ``np.add.reduce``, the sum over k and a
+    scalar ``**`` root.  These are the IEEE operations of ``ndarray.mean`` and
+    of :func:`_root`, so the value is the batch form's to the bit.  Only a
+    value outside [2⁻¹⁰²², max float] goes to the rescaled rule
+    (:func:`_rescaled`).  This is the one rule for a single ball: a sweep
+    calls it once per radius under one error state that ignores overflowing
+    q-th powers, and :func:`ball_oscillation` once."""
+    _check_exponent(q)
+    dev = np.subtract(vals, mean, out=dev)
+    mag = _powers(dev, q, mag)
+    value = float(np.add.reduce(mag)) / len(mag)
+    if q != 1.0:
+        value = value ** (1.0 / q)
+    if _NORMAL <= value <= _HUGE:
+        return value
+    return float(_rescaled(dev[:, np.newaxis], q)[0])
+
+
+def _cells_mean(f: GridField, cells: np.ndarray) -> np.ndarray:
+    """Per-component mean of ``f`` over the flat row-major indices ``cells``,
+    summed in their order."""
+    return np.take(f.values.reshape(f.ncomp, -1), cells, axis=1).mean(axis=1)
 
 
 def ball_average(f: GridField, ball: Ball) -> np.ndarray:
@@ -421,19 +459,21 @@ def ball_average(f: GridField, ball: Ball) -> np.ndarray:
     Deterministic for a fixed grid: the uniform cell measure cancels, so this
     is the plain mean of the included samples, one entry per component.
     """
-    return np.take(f.values.reshape(f.ncomp, -1), ball_cells(f.geometry, ball),
-                   axis=1).mean(axis=1)
+    return _cells_mean(f, ball_cells(f.geometry, ball))
 
 
 def ball_oscillation(f: GridField, ball: Ball, q: float = 1.0) -> float:
     """q-mean oscillation ``(⨍_B |f − ⟨f⟩_B|^q)^{1/q}``.
 
     The deviation magnitude is Euclidean across components, so vector and
-    matrix fields oscillate as a whole rather than componentwise.
+    matrix fields oscillate as a whole rather than componentwise.  The
+    one-radius case of :meth:`NestedBalls.oscillations`: one
+    :func:`_oscillation_step` on the ball's cells in row-major order, about
+    their ``ndarray.mean``.
     """
     vals = np.take(f.values.reshape(f.ncomp, -1), ball_cells(f.geometry, ball), axis=1)
     with np.errstate(over="ignore"):  # overflowing q-th powers are rescaled
-        return float(_oscillation(vals, vals.mean(axis=1), q))
+        return _oscillation_step(vals, vals.mean(axis=1)[:, np.newaxis], q)
 
 
 @dataclass(frozen=True)
@@ -452,8 +492,9 @@ class NestedBalls:
 
     def oscillations(self, q: float = 1.0) -> np.ndarray:
         """q-mean oscillations (⨍_{B_r}|f − ⟨f⟩_{B_r}|^q)^{1/q}, one per radius,
-        in one sweep over the prefixes: the deviations and magnitudes of every
-        radius go into one pair of buffers sized to the largest of them."""
+        from the means of :meth:`means`: one :func:`_oscillation_step` per
+        radius, its ufuncs writing the deviations and magnitudes of every
+        radius into one pair of buffers sized to the largest of them."""
         means = self.means()
         n, k_max = len(self.values), self.counts.max()
         # C-contiguous views, as a fresh ``vals − mean`` of the C-ordered
@@ -462,9 +503,9 @@ class NestedBalls:
         # one error state for the sweep, not one per radius; overflowing
         # q-th powers are rescaled
         with np.errstate(over="ignore"):
-            return np.array([_oscillation(self.values[:, :k], means[:, i], q,
-                                          (dev[:n * k].reshape(n, k), mag[:k]))
-                             for i, k in enumerate(self.counts)])
+            return np.array([_oscillation_step(self.values[:, :k], means[:, i:i + 1], q,
+                                               dev[:n * k].reshape(n, k), mag[:k])
+                             for i, k in enumerate(self.counts.tolist())])
 
 
 class ShellPlan(NamedTuple):
@@ -491,19 +532,35 @@ def shell_plan(geom: GridGeometry, x: Sequence[float], radii: Sequence[float]) -
     the index of the smallest requested r² ≥ its d²; a stable sort of these
     small integers orders the cells shell by shell, so ``counts[i]``, a
     prefix sum of shell sizes, counts the ``ball_cells`` of B_{radii[i]}(x).
+    The plan of :func:`_lattice_plan` cut from the lattice of the largest
+    ball itself.
     """
     r = np.array(radii, dtype=float)
-    Ball(tuple(x), r.min())  # the ValueError of a radius that is not positive
-    _check_balls(geom, x, r)
-    r2 = [v**2 for v in r.tolist()]  # the r² of _ball_offsets, to the bit
+    return _lattice_plan(geom, x, r, float(r.max()))[1]
+
+
+def _lattice_plan(geom: GridGeometry, x: Sequence[float], radii: np.ndarray,
+                  outer: float) -> tuple[np.ndarray, ShellPlan]:
+    """The flat cells of B_outer(x), outer ≥ every radius, in row-major order
+    (one :func:`_ball_offsets` call, as :func:`ball_cells` lists them), and
+    the :func:`shell_plan` of the balls B_r(x), r in ``radii``: the same
+    cells sorted stably by shell, those past the largest radius dropped.
+
+    Only ``radii`` are checked.  The cells of B_outer(x) are grid cells when
+    that ball lies in Ω, which a caller that reads them checks first."""
+    Ball(tuple(x), radii.min())  # the ValueError of a radius that is not positive
+    _check_balls(geom, x, radii)
+    r2 = [v**2 for v in radii.tolist()]  # the r² of _ball_offsets, to the bit
     i0, delta = _cell_of(geom, tuple(float(c) for c in x))
-    offsets, dist2 = _ball_offsets(geom, float(r.max()), delta)
+    offsets, dist2 = _ball_offsets(geom, outer, delta)
     levels = np.unique(r2)
-    shell = np.searchsorted(levels, dist2).astype(np.min_scalar_type(levels.size - 1))
+    # a cell past the largest radius gets the shell levels.size and sorts last
+    shell = np.searchsorted(levels, dist2).astype(np.min_scalar_type(levels.size))
     counts = np.cumsum(np.bincount(shell, minlength=levels.size))[np.searchsorted(levels, r2)]
     if counts.min() == 0:
         raise BallBelowResolution(f"a ball around {tuple(x)} contains no cell centers")
-    return ShellPlan(i0 + offsets[np.argsort(shell, kind="stable")], counts)
+    cells = i0 + offsets
+    return cells, ShellPlan(cells[np.argsort(shell, kind="stable")[:counts.max()]], counts)
 
 
 def nested_balls(f: GridField, x: Sequence[float], radii: Sequence[float]) -> NestedBalls:

@@ -1042,6 +1042,16 @@ def morrey_norm(f: GridField, omega: WeightFunction, q: float = 1.0) -> SupScanR
     data, e = _power_table(f, q)
     with np.errstate(all="ignore"):
         table = _row_sums(data.reshape(1, -1), 1, data.size, geom.cells[-1])
+    # the absolute margin of the docstring.  Below 2⁻¹⁰²² the products with
+    # |cell| of value and bound each round by up to τ/2, which the roots
+    # carry as up to (τ/2)^{1/q} each ((a ± b)^{1/q} within a^{1/q} ± b^{1/q});
+    # the two roots, the product with the slack and the sum round by up to
+    # τ/2 each when subnormal: 2(τ/2)^{1/q} + 2τ ≤ 2τ^{1/q} + 2.5τ
+    # ≤ 4.5τ^{1/q} < 5τ^{1/q}, as τ ≤ τ^{1/q}.  Every step after the sum is
+    # monotone in it, so without this term the bound can undercut a ball
+    # value only where the computed Σ_B |f|^q exceeds S + E, or where the
+    # two roots (an array and a scalar power) round apart below 2⁻¹⁰²²; no
+    # datum tried so far does either
     underflow = 5.0 * _TINY ** (1.0 / q)
 
     def bound(centers: np.ndarray, stencil: np.ndarray) -> np.ndarray:

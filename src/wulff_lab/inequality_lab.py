@@ -73,6 +73,7 @@ from .plaplace_solver import manufacture, weak_residual
 from .potential_engine import (
     PotentialParams,
     RadialQuadrature,
+    _ball_mean,
     havin_mazya_at,
     havin_mazya_map,
     max_admissible_radius,
@@ -376,8 +377,11 @@ class PointwiseTerms(NamedTuple):
 def pointwise_terms(pair: GatedPair, R: float, points: Sequence[Sequence[float]], *,
                     oscillation: bool = False) -> PointwiseTerms:
     """One pass over the points for :func:`verify_pointwise` and, with
-    ``oscillation``, :func:`verify_pointwise_osc`.  At each point the Wulff
-    and the oscillation potential gather their fields with one shell plan."""
+    ``oscillation``, :func:`verify_pointwise_osc`.  Each point builds one
+    lattice of B_R(x) (the point plan of the potentials): the Wulff and the
+    oscillation potential gather their fields from its shell plan, and
+    ⨍_{B_R(x)}|u| sums its row-major cells, the bits of
+    ``ball_average(|u|, Ball(x, R))``, after the same check of B_R(x)."""
     u, F, p = pair.u, pair.F, pair.p
     data = _power_field(F, p / (p - 1.0))
     absu = u.magnitude()
@@ -387,9 +391,9 @@ def pointwise_terms(pair: GatedPair, R: float, points: Sequence[Sequence[float]]
     for x in points:
         abs_u.append(float(np.linalg.norm(value_at(u, x))))
         wulff.append(wulff_potential(data, params, x))
-        if oscillation:  # on the shell plan that wulff_potential just built
+        if oscillation:  # on the point plan that wulff_potential just built
             osc.append(oscillation_potential(F, p, R, x))
-        mean_u.append(float(ball_average(absu, Ball(x, R))[0]))
+        mean_u.append(float(_ball_mean(absu, x, R)[0]))
     return PointwiseTerms(p, R, pair.residual, points, tuple(abs_u), tuple(wulff),
                           tuple(mean_u), tuple(osc) if oscillation else None)
 

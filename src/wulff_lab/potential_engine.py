@@ -22,12 +22,14 @@ full-grid maps, and the mean-oscillation potential
 for divergence-form data.
 
 The pointwise Wulff and oscillation potentials read every ball mean from one
-shell-ordered view of the largest ball (:func:`field_grid.shell_plan`): its
-flat cell indices are grouped by the smallest quadrature radius whose ball
-holds them, so the cells of B_r(x) are a prefix and each quadrature radius
-sums a prefix, with the one inclusion rule of :func:`field_grid.ball_cells`.
-The plan depends on the grid, the point and R alone and the last one is
-kept, so the two potentials at one point share it.
+shell-ordered view of the largest quadrature ball (a
+:func:`field_grid.shell_plan`): its flat cell indices are grouped by the
+smallest quadrature radius whose ball holds them, so the cells of B_r(x) are
+a prefix and each quadrature radius sums a prefix, with the one inclusion
+rule of :func:`field_grid.ball_cells`.  The plan is cut from one lattice of
+B_R(x), whose row-major cells also give ⨍_{B_R(x)}; it depends on the grid,
+the point and R alone and the last one is kept, so the two potentials and
+that mean at one point share it.
 
 All pointwise evaluations are literal sums over cells.  On a uniform lattice
 the Riesz kernel depends only on the index offset Δ, so one offset table
@@ -61,7 +63,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,9 +72,11 @@ from .field_grid import (
     GridField,
     GridGeometry,
     ShellPlan,
+    _cells_mean,
+    _check_balls,
     _containing_cell,
+    _lattice_plan,
     max_admissible_radius,
-    shell_plan,
 )
 
 __all__ = [
@@ -141,23 +145,46 @@ def _require_scalar_nonneg(f: GridField, what: str) -> None:
         raise NonNegativityViolation(f"{what} requires a nonnegative field")
 
 
+class _PointPlan(NamedTuple):
+    """What the pointwise potentials and means at x with radius R read: r_min,
+    the radial quadrature on [r_min, R], the shell plan of the balls of radii
+    r_min and the quadrature radii around x, and ``ball``, the flat cells of
+    B_R(x) in row-major order (grid cells only when B_R(x) lies in Ω)."""
+
+    r_min: float
+    quad: RadialQuadrature
+    plan: ShellPlan
+    ball: np.ndarray
+
+
 @lru_cache(maxsize=1)
-def _point_plan(geom: GridGeometry, x: tuple[float, ...],
-                R: float) -> tuple[float, RadialQuadrature, ShellPlan]:
-    """r_min, the radial quadrature on [r_min, R] (R = inf: the largest
-    admissible radius) and the shell plan of the balls of radii r_min and
-    the quadrature radii around x: what the pointwise potentials at x read.
+def _point_plan(geom: GridGeometry, x: tuple[float, ...], R: float) -> _PointPlan:
+    """The :class:`_PointPlan` at x (R = inf: the largest admissible radius),
+    from one lattice of B_R(x) (:func:`field_grid._lattice_plan`): its
+    row-major cells give ⨍_{B_R(x)} as :func:`field_grid.ball_average` sums
+    it, and sorted stably by shell, past the largest quadrature radius
+    dropped, they are the plan.
 
     It depends on the grid, x and R alone, so the Wulff and the oscillation
-    potential at one point gather their fields with one plan.  One entry is
-    kept: one read-only index array the size of the largest ball."""
+    potential and the mean of |u| at one point share it.  One entry is kept:
+    one point's read-only index arrays, each the size of a ball."""
     if math.isinf(R):
         R = max_admissible_radius(geom, x)
     r_min = 2.0 * max(geom.spacing)
     quad = RadialQuadrature.log_spaced(r_min, R)
-    plan = shell_plan(geom, x, [r_min, *quad.radii])
-    plan.cells.flags.writeable = plan.counts.flags.writeable = False
-    return r_min, quad, plan
+    ball, plan = _lattice_plan(geom, x, np.array([r_min, *quad.radii]), float(R))
+    for a in (ball, plan.cells, plan.counts):
+        a.flags.writeable = False
+    return _PointPlan(r_min, quad, plan, ball)
+
+
+def _ball_mean(f: GridField, x: tuple[float, ...], R: float) -> np.ndarray:
+    """⨍_{B_R(x)} f per component, summed over the row-major lattice of the
+    point plan at x: the cells and order, so the bits, of
+    ``field_grid.ball_average(f, Ball(x, R))``, after the same check that
+    B_R(x) lies in Ω."""
+    _check_balls(f.geometry, x, [R])
+    return _cells_mean(f, _point_plan(f.geometry, x, R).ball)
 
 
 def wulff_potential(f: GridField, params: PotentialParams, x: Sequence[float]) -> float:
@@ -167,7 +194,7 @@ def wulff_potential(f: GridField, params: PotentialParams, x: Sequence[float]) -
     1/(s−1); raises if any quadrature ball leaves the domain (no extension).
     """
     _require_scalar_nonneg(f, "wulff_potential")
-    r_min, quad, plan = _point_plan(f.geometry, tuple(float(c) for c in x), params.R)
+    r_min, quad, plan, _ = _point_plan(f.geometry, tuple(float(c) for c in x), params.R)
     a, s = params.alpha, params.s
     beta = a * s / (s - 1.0)
 
@@ -187,7 +214,7 @@ def oscillation_potential(F: GridField, p: float, R: float, x: Sequence[float]) 
     """
     if not (p > 1):
         raise AlphaOutOfRange(f"oscillation potential needs p > 1, got {p}")
-    r_min, quad, plan = _point_plan(F.geometry, tuple(float(c) for c in x), R)
+    r_min, quad, plan, _ = _point_plan(F.geometry, tuple(float(c) for c in x), R)
     pp = p / (p - 1.0)
     integrand = plan.gather(F).oscillations(pp) ** (pp / p)
     head = integrand[0] * r_min

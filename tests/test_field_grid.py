@@ -459,11 +459,37 @@ def test_nested_balls_checks_every_radius():
         nested_balls(f, (0.5, 0.5), [0.1, outside_pad])
 
 
+def _per_radius_rule(vals, mean, q):
+    """The one-ball rule the ufunc step replaced, as its oracle: the
+    deviations from ``mean`` (ncomp,), their Euclidean magnitudes and q-th
+    powers, ``ndarray.mean``, then the root value by value with the scalar
+    ``**``.  A value outside [2⁻¹⁰²², max float] is taken again on the
+    deviations times 2⁻ᵉ, 2ᵉ⁻¹ ≤ max|dev| < 2ᵉ (shape (ncomp, 1, k)), and
+    scaled back by 2ᵉ."""
+    def plain(dev):
+        mag = np.abs(dev[0]) if len(dev) == 1 else np.sqrt(
+            np.einsum("c...k,c...k->...k", dev, dev))
+        if q != 1.0:
+            mag **= q
+        m = mag.mean(axis=-1)
+        if q == 1.0:
+            return m
+        return np.array([v ** (1.0 / q) for v in np.ravel(m).tolist()]).reshape(np.shape(m))
+
+    dev = vals - mean[:, np.newaxis]
+    with np.errstate(over="ignore"):
+        value = plain(dev)
+        if not 2.0**-1022 <= value <= np.finfo(np.float64).max:
+            e = np.frexp(np.abs(dev).max())[1]
+            value = np.ldexp(plain(np.ldexp(dev, -e)[:, np.newaxis]), e)[0]
+    return float(value)
+
+
 def _oscillations_oracle(balls, q):
-    """The per-radius loop that ``NestedBalls.oscillations`` replaced: a fresh
-    ``_oscillation`` of every prefix, with its own temporaries."""
+    """:func:`_per_radius_rule` on every prefix, with the means of
+    ``balls.means()``."""
     means = balls.means()
-    return np.array([_oscillation(balls.values[:, :k], means[:, i], q)
+    return np.array([_per_radius_rule(balls.values[:, :k], means[:, i], q)
                      for i, k in enumerate(balls.counts)])
 
 
@@ -484,6 +510,42 @@ def test_oscillation_sweep_is_the_per_radius_loop_bit_for_bit(ncomp):
         sweep = balls.oscillations(q)
         assert sweep.tobytes() == _oscillations_oracle(balls, q).tobytes()
         assert tail.oscillations(q).tobytes() == sweep[2:].tobytes()
+
+
+_STEP_FIELDS = [("scalar", 1, 1.0), ("vector", 3, 1.0), ("matrix", 2, 1.0),
+                ("scalar", 1, 2.0**565), ("scalar", 1, 2.0**-565),
+                ("vector", 2, 2.0**565), ("matrix", 2, 2.0**-565), ("scalar", 1, 0.0)]
+
+
+@pytest.mark.parametrize("kind, codomain, scale", _STEP_FIELDS)
+def test_oscillation_step_is_the_per_radius_rule_bit_for_bit(kind, codomain, scale):
+    # scale 0 is the constant field 1.5, whose oscillations are 0 and take
+    # the rescaled rule; at 2^±565 the squares or q-th powers underflow or
+    # overflow and take it too
+    from wulff_lab.potential_engine import RadialQuadrature
+
+    geom = GridGeometry((96, 80), (1.0, 0.8), (0.0, 0.0))
+    ncomp = GridField._ncomp_for(kind, codomain, geom.dim)
+    rng = np.random.default_rng(ncomp)
+    vals = (rng.uniform(-2.0, 3.0, (ncomp,) + geom.cells) * scale if scale
+            else np.full((ncomp,) + geom.cells, 1.5))
+    f = GridField(geom, vals, kind, codomain)
+    r_min = 2.0 * max(geom.spacing)
+    radii = [0.3, r_min, *RadialQuadrature.log_spaced(r_min, 0.3).radii]
+    balls = nested_balls(f, (0.47, 0.41), radii)
+    # the telescope's sweep over the quadrature radii alone
+    tail = NestedBalls(balls.values, balls.counts[2:])
+    ball = Ball((0.47, 0.41), 0.3)
+    cells = np.take(f.values.reshape(ncomp, -1), ball_cells(geom, ball), axis=1)
+    for q in (1.0, 1.5, 2.0, 3.0, 4.5):
+        sweep = balls.oscillations(q)
+        assert sweep.tobytes() == _oscillations_oracle(balls, q).tobytes()
+        assert tail.oscillations(q).tobytes() == sweep[2:].tobytes()
+        # one ball about its own ndarray.mean
+        want = _per_radius_rule(cells, cells.mean(axis=1), q)
+        assert np.float64(ball_oscillation(f, ball, q)).tobytes() == np.float64(want).tobytes()
+    if not scale:
+        assert not balls.oscillations(3.0).any()
 
 
 def test_scalar_deviation_magnitude_is_abs_bit_for_bit():

@@ -860,6 +860,30 @@ def test_morrey_scan_of_a_field_with_a_wide_range_matches_oracle():
         assert got == _scan_oracle(f, omega, "morrey", 1.9)
 
 
+@pytest.mark.parametrize("q, e", [(1.0, -1020), (1.5, -680)])
+def test_morrey_scan_of_subnormal_ball_masses_matches_oracle(monkeypatch, q, e):
+    # |f|^q just above 2^-1022, so the table is scanned as it is, while the
+    # masses |cell|·Σ_B |f|^q fall below it (the winning one is checked):
+    # the products with |cell| and the roots round in absolute terms, the
+    # case of the bound's underflow term.  The bounds hold and the scan
+    # matches the oracle, also with that term set to 0 (see its comment in
+    # morrey_norm): no datum found so far needs it
+    geom = GridGeometry((96, 64), (1.0, 64 / 96), (0.0, 0.0))
+    rng = np.random.default_rng(1)
+    vals = np.ldexp(rng.uniform(0.5, 1.0, geom.cells), e)
+    vals[rng.uniform(size=geom.cells) < 0.5] = 0.0
+    f = GridField(geom, vals)
+    omega = weight_power(1.0)
+    for tiny in (function_spaces._TINY, 0.0):
+        monkeypatch.setattr(function_spaces, "_TINY", tiny)
+        got, parts = _scan_parts(morrey_norm, f, omega, q)
+        assert np.array_equal(parts["data"][0], np.abs(vals) ** q)
+        masses = (got.value * omega(got.ball.radius)) ** q
+        assert 0.0 < masses < 2.0**-1022
+        _assert_bounds_hold(f, omega, parts)
+        assert got == _scan_oracle(f, omega, "morrey", q)
+
+
 def test_morrey_norm_of_a_tiny_scalar_field_scales_by_its_factor():
     # |f| of one component is abs(f), not sqrt(f·f), which flushed every
     # sample of this field to 0; a power-of-two factor scales exactly

@@ -24,8 +24,10 @@ from wulff_lab.field_grid import (
     GridGeometry,
     NestedBalls,
     ball_average,
+    ball_cells,
     nested_balls,
 )
+from wulff_lab import field_grid
 from wulff_lab.function_spaces import young_power, young_zygmund
 from wulff_lab.inequality_lab import (
     FAMILY_VERSION,
@@ -566,6 +568,117 @@ def test_pointwise_pass_is_bit_equal_to_the_single_potentials_property(
         assert terms.oscillation[i] == oscillation_potential(F, p, R, x)
     assert terms.mean_u == alone.mean_u and terms.abs_u == alone.abs_u
     assert alone.oscillation is None
+
+
+# an anisotropic grid off the origin: Ω = [-0.3, 0.7] × [0.2, 0.8]
+_LATTICE_GEOM = GridGeometry((96, 160), (1.0, 0.6), (-0.3, 0.2))
+
+
+def _lattice_pair():
+    geom = _LATTICE_GEOM
+    rng = np.random.default_rng(7)
+    # |u| spans ~14 binades, so the bits of ⨍|u| depend on the order of its sum
+    shape = (2,) + geom.cells
+    u = GridField(geom, rng.standard_normal(shape) * np.exp(rng.uniform(-5.0, 5.0, shape)),
+                  "vector", 2)
+    F = random_field(geom, 8, "fourier", components=2, shape="matrix")
+    # the pass reads only u, F and p
+    return GatedPair(u, F, 2.0, 0.0)
+
+
+def _tie_radius(geom, x, near):
+    """A radius R near ``near`` whose R² is the computed d² of a cell from x,
+    so that the cell lies on the sphere ∂B_R(x) of the inclusion rule."""
+    _, delta = field_grid._cell_of(geom, x)
+    _, dist2 = field_grid._ball_offsets(geom, 1.1 * near, delta)
+    for d2 in sorted(dist2[dist2 >= near**2].tolist()):
+        for R in (math.sqrt(d2), math.nextafter(math.sqrt(d2), 0.0),
+                  math.nextafter(math.sqrt(d2), 1.0)):
+            if R**2 == d2:
+                return R
+    raise AssertionError("no tie radius")
+
+
+def test_pointwise_mean_is_ball_average_bit_for_bit():
+    # ⨍_{B_R}|u| of the pass sums the point plan's row-major lattice of
+    # B_R(x), the cells and order of ball_average's; that lattice reaches
+    # past the largest quadrature radius, which the potentials' plan drops
+    geom = _LATTICE_GEOM
+    pair = _lattice_pair()
+    absu = pair.u.magnitude()
+    centre = tuple(o + (i + 0.5) * h for o, i, h in zip(geom.origin, (40, 75), geom.spacing))
+    other = (0.1234, 0.4321)
+    cases = [(centre, _tie_radius(geom, centre, 0.15)), (other, _tie_radius(geom, other, 0.1)),
+             (other, 0.1777)]
+    order_shows = []
+    for x, R in cases:
+        terms = pointwise_terms(pair, R, [x], oscillation=True)
+        want = ball_average(absu, Ball(x, R))[0]
+        assert np.float64(terms.mean_u[0]).tobytes() == want.tobytes()
+        point = _point_plan(geom, x, R)
+        cells = ball_cells(geom, Ball(x, R))
+        assert np.array_equal(point.ball, cells)
+        assert cells.size > point.plan.counts.max()
+        backwards = np.take(absu.values.reshape(-1), cells[::-1]).mean()
+        order_shows.append(backwards.tobytes() != want.tobytes())
+    # the data tell summation orders apart: backwards, a mean reads other bits
+    assert any(order_shows)
+    # the tie cells lie on the sphere and are held
+    for x, R in cases[:2]:
+        _, delta = field_grid._cell_of(geom, x)
+        assert (field_grid._ball_offsets(geom, R, delta)[1] == R**2).any()
+
+
+def test_pointwise_pass_builds_one_lattice_per_point(monkeypatch):
+    import wulff_lab.inequality_lab as iq
+
+    pair = _lattice_pair()
+    radii = []
+    real = field_grid._ball_offsets
+    monkeypatch.setattr(field_grid, "_ball_offsets",
+                        lambda geom, r, delta: radii.append(r) or real(geom, r, delta))
+
+    def no_average(*args):
+        raise AssertionError("the pointwise pass called ball_average")
+
+    monkeypatch.setattr(iq, "ball_average", no_average)
+    monkeypatch.setattr(field_grid, "ball_average", no_average)
+    points = [(0.05, 0.45), (0.2, 0.5), (0.31, 0.55), (0.2, 0.45)]
+    for oscillation in (False, True):
+        radii.clear()
+        _point_plan.cache_clear()
+        pointwise_terms(pair, 0.2, points, oscillation=oscillation)
+        assert radii == [0.2] * len(points)
+
+
+def test_pointwise_ball_outside_the_domain_raises_as_ball_average():
+    # B_R(x) leaves Ω, every quadrature ball fits: the mean raises, with the
+    # message of ball_average; with a quadrature ball that leaves Ω, or
+    # R = inf, the first failing radius is named as before
+    geom = _LATTICE_GEOM
+    pair = _lattice_pair()
+    absu = pair.u.magnitude()
+    x = (0.2, 0.45)  # 0.25 from the nearest side
+    r_min = 2.0 * max(geom.spacing)
+    assert RadialQuadrature.log_spaced(r_min, 0.255).radii.max() < 0.25
+    with pytest.raises(BallOutsideDomain) as want:
+        ball_average(absu, Ball(x, 0.255))
+    assert str(want.value) == "ball B_0.255((0.2, 0.45)) is not contained in the domain"
+    with pytest.raises(BallOutsideDomain) as got:
+        pointwise_terms(pair, 0.255, [x], oscillation=True)
+    assert str(got.value) == str(want.value)
+
+    quad = RadialQuadrature.log_spaced(r_min, 0.3)
+    with pytest.raises(BallOutsideDomain) as want:
+        nested_balls(absu, x, [r_min, *quad.radii])
+    with pytest.raises(BallOutsideDomain) as got:
+        pointwise_terms(pair, 0.3, [x])
+    assert str(got.value) == str(want.value)
+    with pytest.raises(BallOutsideDomain) as want:
+        ball_average(absu, Ball(x, math.inf))
+    with pytest.raises(BallOutsideDomain) as got:
+        pointwise_terms(pair, math.inf, [x])
+    assert str(got.value) == str(want.value)
 
 
 def test_pointwise_osc_needs_the_oscillation_terms():
