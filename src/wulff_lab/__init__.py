@@ -81,7 +81,6 @@ from .inequality_lab import (
     gate_pair,
     pointwise_terms,
     potential_norm_part,
-    potential_norm_terms,
     random_field,
     verify_domination,
     verify_energy_inequalities,

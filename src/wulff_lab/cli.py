@@ -298,7 +298,7 @@ class RunConfig:
         self.base_dir = base_dir
         self._pair = self._gated = None
         self._pointwise = {}
-        # ((seed, (part, options)), (NormPart, records) or the part's error)
+        # ((seed, (part, options)), the part's report or error)
         self._norm_outcomes = []
 
     def pair(self) -> tuple[GridField, GridField]:
@@ -337,26 +337,25 @@ class RunConfig:
                 oscillation=oscillation or key in self._oscillation_passes)
         return self._pointwise[key]
 
-    def potential_norm_records(self, part: str, options: dict, seed: int, threads: int):
-        """The checked ``potential-norms-<part>`` with ``options`` and its
-        records at ``seed``, as a (NormPart, records) pair.  At the first turn
-        of a group of selected parts with one alpha, s and samples, every part
-        of the group is checked and one pass of :func:`iq.potential_norm_terms`
-        draws the data of the admissible ones; a part's error is raised at its
-        own turn."""
+    def potential_norm_report(self, part: str, options: dict, seed: int,
+                              threads: int) -> iq.VerificationReport:
+        """The report of ``potential-norms-<part>`` with ``options`` at
+        ``seed``.  At the first turn of a group of selected parts with one
+        alpha, s and samples, every part of the group is checked and one
+        :func:`iq.verify_potential_norm_maps` pass makes the reports of the
+        admissible ones; a part's error is raised at its own turn."""
         spec = (part, options)
         if not any(key == (seed, spec) for key, _ in self._norm_outcomes):
             group = next((g for g in self._norm_groups if spec in g), [spec])
             checked = [self._norm_part(*member) for member in group]
             if isinstance(checked[group.index(spec)], WulffLabError):
                 raise checked[group.index(spec)]  # before any datum is drawn
-            terms = iter(iq.potential_norm_terms(
+            reports = iter(iq.verify_potential_norm_maps(
                 [got for got in checked if not isinstance(got, WulffLabError)],
                 samples=options["samples"], seed=seed, threads=threads))
             for member, got in zip(group, checked):
                 if not isinstance(got, WulffLabError):
-                    records = next(terms)
-                    got = records if isinstance(records, WulffLabError) else (got, records)
+                    got = next(reports)
                 self._norm_outcomes.append(((seed, member), got))
         got = next(got for key, got in self._norm_outcomes if key == (seed, spec))
         if isinstance(got, WulffLabError):
@@ -463,8 +462,7 @@ def _lattice(geom, got):
 
 
 def _run_telescope(cfg, seed, threads, r_outer, r_inner, **options):
-    return iq.verify_telescope(cfg.geometry, r=r_inner, R=r_outer, seed=seed,
-                               threads=threads, **options)
+    return iq.verify_telescope(cfg.geometry, r=r_inner, R=r_outer, seed=seed, **options)
 
 
 def _pointwise(summary, osc):
@@ -498,8 +496,7 @@ def _run_domination(cfg, seed, threads, **options):
 
 def _norm_maps(summary, part, drop=(), **extra):
     def run(cfg, seed, threads, **options):
-        norm_part, records = cfg.potential_norm_records(part, options, seed, threads)
-        return iq.verify_potential_norm_maps(norm_part, records, seed)
+        return cfg.potential_norm_report(part, options, seed, threads)
 
     return _entry(summary, run, {"sigma": (_number, None), "rho": (_number, "2.0"),
                                  "samples": (int, "20"), "alpha": (_number, "0.5"),
@@ -903,7 +900,8 @@ def _cmd_potential(args) -> int:
 _FLAGS = {
     "--seed": {"help": "RNG seed (u64); overrides the config seed"},
     "--out": {"help": "output directory"},
-    "--threads": {"type": int, "help": "worker threads, at least 1 (default 1)"},
+    "--threads": {"type": int, "help": "worker threads for wulff-riesz-domination and the "
+                  "potential-norms-* parts, at least 1 (default 1)"},
 }
 
 

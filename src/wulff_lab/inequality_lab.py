@@ -17,8 +17,9 @@ Random test families are seeded and versioned; reports whose samples come
 from :func:`random_field` embed the family version so archived numbers stay
 reproducible.  The parts of Theorems A and B bound one map, V_{α,s}, so
 parts with one grid, α, s, sample count and seed share one pass
-(:func:`potential_norm_terms`): each datum is drawn and mapped once, every
-part's two sides are taken on it, and only the records outlive the pass.
+(:func:`verify_potential_norm_maps`): each datum is drawn and mapped once,
+every part's two sides are taken on it, and the pass returns one report per
+part.
 """
 
 from __future__ import annotations
@@ -91,7 +92,6 @@ __all__ = [
     "gate_pair",
     "pointwise_terms",
     "potential_norm_part",
-    "potential_norm_terms",
     "random_field",
     "radial_profile",
     "verify_pointwise",
@@ -507,8 +507,8 @@ def verify_oscillation(pair: GatedPair, x: Sequence[float],
 
 
 def verify_telescope(geom: GridGeometry, x: Sequence[float], r: float, R: float, *,
-                     samples: int = 100, seed: int = 0, allowance: float = 0.10,
-                     threads: int | None = None) -> VerificationReport:
+                     samples: int = 100, seed: int = 0,
+                     allowance: float = 0.10) -> VerificationReport:
     """Telescoping mean-comparison lemma with its explicit constants, over
     ``samples`` seeded fields (``fourier`` and ``bumps`` in turn):
 
@@ -517,7 +517,8 @@ def verify_telescope(geom: GridGeometry, x: Sequence[float], r: float, R: float,
 
     These are the only absolute-constant checks in the library: pass requires
     every ratio to be at most 1 + ``allowance``, the allowance for
-    ball-quadrature bias.
+    ball-quadrature bias.  The fields run in the calling thread: their small
+    numpy calls hold the GIL, so a second thread would only slow them down.
     """
     x = tuple(float(c) for c in x)
     r_min = 2.0 * max(geom.spacing)
@@ -529,14 +530,10 @@ def verify_telescope(geom: GridGeometry, x: Sequence[float], r: float, R: float,
     # the balls depend on the grid, x and the radii alone: one plan gathers
     # every field
     plan = shell_plan(geom, x, [r, R, *(quad.radii if quad is not None else ())])
-    kinds = ("fourier", "bumps")
-
-    def one(i: int) -> list[SampleRecord]:
-        f = random_field(geom, seed + i, kinds[i % 2])
-        return _telescope_samples(plan.gather(f), i, quad, geom.dim)
-
-    records = [rec for recs in _parallel_map(one, range(samples), threads)
-               for rec in recs]
+    records = []
+    for i in range(samples):
+        f = random_field(geom, seed + i, ("fourier", "bumps")[i % 2])
+        records += _telescope_samples(plan.gather(f), i, quad, geom.dim)
     c1 = 2.0 ** (2 * geom.dim + 2)
     c2 = 2.0 ** (2 * geom.dim + 3)
     return _assemble(
@@ -1005,15 +1002,15 @@ def potential_norm_part(part: str, alpha: float, s: float, geom: GridGeometry, *
     return NormPart(part, geom, alpha, s, sigma, rho, tuple(notes), lorentz_sides)
 
 
-def potential_norm_terms(parts: Sequence[NormPart], *, samples: int = 20, seed: int = 0,
-                         threads: int | None = None) -> list[tuple[SampleRecord, ...]
-                                                              | WulffLabError]:
-    """The records of every part in ``parts`` (one grid, α and s) from one
+def verify_potential_norm_maps(parts: Sequence[NormPart], *, samples: int = 20,
+                               seed: int = 0, threads: int | None = None
+                               ) -> list[VerificationReport | WulffLabError]:
+    """The reports of every part in ``parts`` (one grid, α and s) from one
     pass over a seeded family that mixes smooth bumps, Fourier sums and
     truncated radial powers: each datum f_i is drawn and mapped to
-    V_{α,s} f_i once, each part's sides are taken on the pair, and only the
-    records outlive it.  A part whose norm raises on a datum gets the error
-    of its first such datum in place of its records."""
+    V_{α,s} f_i once, and each part's sides are taken on the pair.  A part
+    whose norm raises on a datum gets the error of its first such datum in
+    place of its report."""
     if len({(part.geom, part.alpha, part.s) for part in parts}) != 1:
         raise ValueError("the parts of one pass need one grid, alpha and s")
     geom, alpha, s = parts[0].geom, parts[0].alpha, parts[0].s
@@ -1026,8 +1023,19 @@ def potential_norm_terms(parts: Sequence[NormPart], *, samples: int = 20, seed: 
         return [_norm_record(part, i, f, V) for part in parts]
 
     rows = _parallel_map(one, range(samples), threads)
-    columns = [tuple(row[j] for row in rows) for j in range(len(parts))]
-    return [next((r for r in col if isinstance(r, WulffLabError)), col) for col in columns]
+    reports = []
+    for j, part in enumerate(parts):
+        records = [row[j] for row in rows]
+        errors = [r for r in records if isinstance(r, WulffLabError)]
+        reports.append(errors[0] if errors else _assemble(
+            f"potential-norms-{part.part}",
+            {"alpha": part.alpha, "s": part.s, "sigma": part.sigma, "rho": part.rho,
+             "seed": seed, "samples": samples, "cells": part.geom.cells},
+            records,
+            list(part.notes),
+            seeded=True,
+        ))
+    return reports
 
 
 def _norm_record(part: NormPart, i: int, f: GridField,
@@ -1036,20 +1044,6 @@ def _norm_record(part: NormPart, i: int, f: GridField,
         return _record(f"f[{i}]", *part.sides(f, V))
     except WulffLabError as exc:  # raised at the part's own turn, not in the pass
         return exc
-
-
-def verify_potential_norm_maps(part: NormPart, records: Sequence[SampleRecord],
-                               seed: int) -> VerificationReport:
-    """The report of one part of :func:`potential_norm_part` on its records
-    from :func:`potential_norm_terms` at ``seed``."""
-    return _assemble(
-        f"potential-norms-{part.part}",
-        {"alpha": part.alpha, "s": part.s, "sigma": part.sigma, "rho": part.rho,
-         "seed": seed, "samples": len(records), "cells": part.geom.cells},
-        list(records),
-        list(part.notes),
-        seeded=True,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -234,8 +234,8 @@ def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, na
     def stub(label):
         def record(*args, **kwargs):
             calls.append((label, _plain(args), _plain(kwargs)))
-            # the norm-map pass gives one record list per part
-            return [[] for _ in args[0]] if label == "potential_norm_terms" else []
+            # the norm-map pass gives one report per part
+            return [[] for _ in args[0]] if label == "verify_potential_norm_maps" else []
         return record
 
     for attr in dir(cli.iq):
@@ -1155,7 +1155,8 @@ def test_a_part_that_fails_its_check_fails_at_its_own_turn(tmp_path, monkeypatch
     made = []
     real = cli.iq.verify_potential_norm_maps
     monkeypatch.setattr(cli.iq, "verify_potential_norm_maps",
-                        lambda part, *a: made.append(part.part) or real(part, *a))
+                        lambda parts, **k: made.extend(p.part for p in parts)
+                        or real(parts, **k))
     body = _selecting(NORMS_CONFIG.replace("sigma = 1.5", "sigma = 5"), names)
     out = tmp_path / "o"
     assert main(["run", write_config(tmp_path / "n.ini", body), "--out", str(out)]) == 1
@@ -1496,6 +1497,17 @@ young_b = power,3
 [verify.hardy-i]
 samples = 3
 """
+
+
+def test_battery_threads_do_not_change_the_report(tmp_path, capsys):
+    # --threads moves samples onto workers, never a byte of what a run writes
+    cfg = write_config(tmp_path / "job.ini", BATTERY_CONFIG)
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["run", cfg, "--out", str(out), "--threads", threads]) == 0
+        written.append([read_bytes(out, name) for name in ("report.json", "report.csv")])
+    assert written[0] == written[1]
 
 
 # expected: which of scipy.fft and scipy.integrate the call loads; an empty

@@ -35,7 +35,6 @@ from wulff_lab.inequality_lab import (
     gate_pair,
     pointwise_terms,
     potential_norm_part,
-    potential_norm_terms,
     random_field,
     verify_domination,
     verify_energy_inequalities,
@@ -327,11 +326,17 @@ def test_telescope_builds_one_shell_plan(monkeypatch):
     assert len(plans) == 1 and len(rep.samples) == 12
 
 
-def test_telescope_threads_do_not_change_the_report():
-    geom = unit_grid(32)
-    one = verify_telescope(geom, (0.5, 0.5), 0.1, 0.4, samples=6, seed=2, threads=1)
-    two = verify_telescope(geom, (0.5, 0.5), 0.1, 0.4, samples=6, seed=2, threads=2)
-    assert one.to_dict() == two.to_dict()
+def test_telescope_never_enters_the_thread_pool(monkeypatch):
+    # its small per-field numpy calls hold the GIL: the fields run in the
+    # calling thread
+    import wulff_lab.inequality_lab as iq
+
+    def refuse(fn, items, threads):
+        raise AssertionError("verify_telescope entered _parallel_map")
+
+    monkeypatch.setattr(iq, "_parallel_map", refuse)
+    rep = verify_telescope(unit_grid(32), (0.5, 0.5), 0.1, 0.4, samples=6, seed=2)
+    assert len(rep.samples) == 12
 
 
 def test_telescope_holds_on_smooth_field():
@@ -757,9 +762,9 @@ def test_domination_rejects_supercritical():
 def norm_maps(part, alpha, s, geom, *, samples=20, seed=0, threads=None, **options):
     """The report of one potential-norms part in a pass of its own."""
     norm_part = potential_norm_part(part, alpha, s, geom, **options)
-    (records,) = potential_norm_terms([norm_part], samples=samples, seed=seed,
-                                      threads=threads)
-    return verify_potential_norm_maps(norm_part, records, seed)
+    (report,) = verify_potential_norm_maps([norm_part], samples=samples, seed=seed,
+                                           threads=threads)
+    return report
 
 
 def test_norm_maps_run_and_pass():
@@ -793,10 +798,11 @@ def test_norm_pass_maps_each_datum_once(monkeypatch):
     monkeypatch.setattr(iq, "havin_mazya_map", lambda *a: maps.append(a) or real(*a))
     geom = unit_grid(32)
     parts = _norm_parts(geom)
-    shared = potential_norm_terms(parts, samples=3, seed=4)
+    shared = verify_potential_norm_maps(parts, samples=3, seed=4)
     assert len(maps) == 3
-    # each part's records are those of a pass of its own
-    assert shared == [potential_norm_terms([part], samples=3, seed=4)[0] for part in parts]
+    # each part's report is that of a pass of its own
+    assert shared == [verify_potential_norm_maps([part], samples=3, seed=4)[0]
+                      for part in parts]
 
 
 def test_norm_pass_needs_one_grid_alpha_and_s():
@@ -806,7 +812,7 @@ def test_norm_pass_needs_one_grid_alpha_and_s():
                   potential_norm_part("A-i", 0.5, 2.5, geom, sigma=1.2),
                   potential_norm_part("A-i", 0.5, 2.0, unit_grid(16), sigma=1.5)):
         with pytest.raises(ValueError, match="one grid, alpha and s"):
-            potential_norm_terms([a1, other], samples=1)
+            verify_potential_norm_maps([a1, other], samples=1)
 
 
 def test_norm_pass_keeps_a_part_error_in_its_place(monkeypatch):
@@ -828,8 +834,8 @@ def test_norm_pass_keeps_a_part_error_in_its_place(monkeypatch):
     geom = unit_grid(32)
     parts = _norm_parts(geom)
     a1, b = parts[0], parts[3]
-    got = potential_norm_terms([a1, b], samples=3, seed=0)
-    assert got[0] == potential_norm_terms([a1], samples=3, seed=0)[0]
+    got = verify_potential_norm_maps([a1, b], samples=3, seed=0)
+    assert got[0] == verify_potential_norm_maps([a1], samples=3, seed=0)[0]
     assert isinstance(got[1], SearchRangeExhausted) and str(got[1]) == "datum 3"
 
 
@@ -838,9 +844,8 @@ def test_norm_map_threads_do_not_change_the_report():
     parts = _norm_parts(geom)
 
     def reports(group, threads):
-        terms = potential_norm_terms(group, samples=4, seed=1, threads=threads)
-        return [verify_potential_norm_maps(part, records, 1).to_dict()
-                for part, records in zip(group, terms)]
+        return [report.to_dict() for report in
+                verify_potential_norm_maps(group, samples=4, seed=1, threads=threads)]
 
     for part in parts:
         assert reports([part], 1) == reports([part], 2)
