@@ -50,9 +50,6 @@ from .potential_engine import (
 # ---------------------------------------------------------------------------
 # config parsing
 
-# the id prefix of the parts of Theorems A and B
-_NORMS = "potential-norms-"
-
 
 def _floats(text: str) -> tuple[float, ...]:
     """A list of finite numbers, separated by commas (or ``x``)."""
@@ -129,8 +126,8 @@ def _names(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
-def _points(text: str) -> list[tuple[float, ...]]:
-    return [_floats(part) for part in text.split(";") if part.strip()]
+def _points(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(_floats(part) for part in text.split(";") if part.strip())
 
 
 def _young_from_spec(spec: str):
@@ -210,8 +207,9 @@ class RunConfig:
     exponent range, solver settings, theorem ids, option names and option
     values, heatmap sources and the existence of every referenced file are
     checked at parse time, before any computation starts.  ``theorems`` holds
-    each selected theorem with its parsed options.  Points and balls are
-    checked against the domain when each theorem runs.
+    each selected theorem with its parsed options, and ``groups`` the ones
+    that share its :class:`Pass`.  Points and balls are checked against the
+    domain when each theorem runs.
     """
 
     def __init__(self, parser, base_dir: str):
@@ -270,18 +268,12 @@ class RunConfig:
         if extra:
             raise ConfigError(f"option {extra[0]!r} in [verify] is read by none of the "
                               "selected theorems")
-        # (r_ball, points) whose pointwise pass also serves a pointwise-oscillation
-        self._oscillation_passes = {(got["r_ball"], tuple(got["points"]))
-                                    for name, got in self.theorems
-                                    if name == "pointwise-oscillation"}
-        # the selected parts of Theorems A and B, as (part, options), grouped by
-        # (alpha, s, samples): the parts of a group draw their data in one pass
-        groups = {}
+        # groups[i]: the one list of the theorems that share theorem i's pass and key
+        found, self.groups = {}, []
         for name, got in self.theorems:
-            if name.startswith(_NORMS):
-                groups.setdefault((got["alpha"], got["s"], got["samples"]), []).append(
-                    (name[len(_NORMS):], got))
-        self._norm_groups = list(groups.values())
+            pass_ = THEOREMS[name][1]
+            self.groups.append(found.setdefault((pass_, *(got[k] for k in pass_.key)), []))
+            self.groups[-1].append((name, got))
 
         o = section("output")
         self.out_dir, self.json_name, self.csv_name = o["dir"], o["json"], o["csv"]
@@ -297,9 +289,6 @@ class RunConfig:
 
         self.base_dir = base_dir
         self._pair = self._gated = None
-        self._pointwise = {}
-        # ((seed, (part, options)), the part's report or error)
-        self._norm_outcomes = []
 
     def pair(self) -> tuple[GridField, GridField]:
         """The (u, F) pair of ``[data]``, loaded on first use and kept for the
@@ -324,53 +313,6 @@ class RunConfig:
         if self._gated is None:
             self._gated = iq.gate_pair(*self.pair(), self.p, self.residual_tol)
         return self._gated
-
-    def pointwise_terms(self, r_ball: float, points, oscillation: bool) -> iq.PointwiseTerms:
-        """The terms of the pointwise bounds on :meth:`gated_pair`, computed
-        once per (``r_ball``, ``points``) for the command.  They hold the
-        oscillation potential when the first call asks for it or a selected
-        ``pointwise-oscillation`` reads the same ball radius and points."""
-        key = (r_ball, tuple(points))
-        if key not in self._pointwise:
-            self._pointwise[key] = iq.pointwise_terms(
-                self.gated_pair(), r_ball, points,
-                oscillation=oscillation or key in self._oscillation_passes)
-        return self._pointwise[key]
-
-    def potential_norm_report(self, part: str, options: dict, seed: int,
-                              threads: int) -> iq.VerificationReport:
-        """The report of ``potential-norms-<part>`` with ``options`` at
-        ``seed``.  At the first turn of a group of selected parts with one
-        alpha, s and samples, every part of the group is checked and one
-        :func:`iq.verify_potential_norm_maps` pass makes the reports of the
-        admissible ones; a part's error is raised at its own turn."""
-        spec = (part, options)
-        if not any(key == (seed, spec) for key, _ in self._norm_outcomes):
-            group = next((g for g in self._norm_groups if spec in g), [spec])
-            checked = [self._norm_part(*member) for member in group]
-            if isinstance(checked[group.index(spec)], WulffLabError):
-                raise checked[group.index(spec)]  # before any datum is drawn
-            reports = iter(iq.verify_potential_norm_maps(
-                [got for got in checked if not isinstance(got, WulffLabError)],
-                samples=options["samples"], seed=seed, threads=threads))
-            for member, got in zip(group, checked):
-                if not isinstance(got, WulffLabError):
-                    got = next(reports)
-                self._norm_outcomes.append(((seed, member), got))
-        got = next(got for key, got in self._norm_outcomes if key == (seed, spec))
-        if isinstance(got, WulffLabError):
-            raise got
-        return got
-
-    def _norm_part(self, part: str, options: dict):
-        """``iq.potential_norm_part`` of ``part`` with ``options``, or the
-        error of its check."""
-        try:
-            return iq.potential_norm_part(
-                part, geom=self.geometry,
-                **{k: v for k, v in options.items() if k != "samples"})
-        except WulffLabError as exc:
-            return exc
 
 
 def parse_config(path: str) -> RunConfig:
@@ -436,15 +378,32 @@ def _read_on_grid(cfg: RunConfig, spec: str, name: str) -> GridField:
 
 
 # ---------------------------------------------------------------------------
-# theorem registry: each theorem declares the options its verifier reads,
-# once, in the form of SECTIONS; RunConfig parses them as the config loads.
-# Runners look the verifiers up on ``iq`` when they run, so that a wrapper
-# set on the module (a tracer, a test stub) takes effect.
+# theorem registry: each theorem declares its pass and the options its
+# verifier reads, once, in the form of SECTIONS; RunConfig parses them as the
+# config loads.  Passes look the verifiers up on ``iq`` when they run, so that
+# a wrapper set on the module (a tracer, a test stub) takes effect.
 
 
-def _entry(summary, runner, options, drop):
+class Pass:
+    """How a theorem runs.  The selected theorems with one pass and equal
+    ``key`` options form a group; ``run(cfg, seed, threads, members)`` runs
+    once for it and gives each member, a (theorem id, parsed options), its
+    report or error.  An error that ``run`` raises is the first member's."""
+
+    def __init__(self, run, key: tuple[str, ...] = ()):
+        self.run, self.key = run, key
+
+
+def _single(runner):
+    """The pass of a theorem that shares nothing: ``runner(cfg, seed, threads,
+    **options)`` for each member."""
+    return Pass(lambda cfg, seed, threads, members: [
+        runner(cfg, seed, threads, **got) for _, got in members])
+
+
+def _entry(summary, pass_, drop, **options):
     """A THEOREMS entry of a family: the family's options without ``drop``."""
-    return summary, runner, {k: v for k, v in options.items() if k not in drop}
+    return summary, pass_, {k: v for k, v in options.items() if k not in drop}
 
 
 def _center(geom, got):
@@ -457,20 +416,26 @@ def _r_ball(geom, got):
 
 def _lattice(geom, got):
     """The 3^n points at 0.35, 0.5 and 0.65 of each axis, last axis fastest."""
-    return [tuple(o + t * e for o, t, e in zip(geom.origin, ts, geom.extent))
-            for ts in itertools.product((0.35, 0.5, 0.65), repeat=geom.dim)]
+    return tuple(tuple(o + t * e for o, t, e in zip(geom.origin, ts, geom.extent))
+                 for ts in itertools.product((0.35, 0.5, 0.65), repeat=geom.dim))
 
 
 def _run_telescope(cfg, seed, threads, r_outer, r_inner, **options):
     return iq.verify_telescope(cfg.geometry, r=r_inner, R=r_outer, seed=seed, **options)
 
 
-def _pointwise(summary, osc):
-    def run(cfg, seed, threads, points, r_ball):
-        verify = iq.verify_pointwise_osc if osc else iq.verify_pointwise
-        return verify(cfg.pointwise_terms(r_ball, points, osc))
+def _run_pointwise(cfg, seed, threads, members):
+    """One pass over the points for both pointwise theorems, with the
+    oscillation potential when the group holds pointwise-oscillation."""
+    (_, got), names = members[0], [name for name, _ in members]
+    terms = iq.pointwise_terms(cfg.gated_pair(), got["r_ball"], got["points"],
+                               oscillation="pointwise-oscillation" in names)
+    return [(iq.verify_pointwise_osc if name == "pointwise-oscillation"
+             else iq.verify_pointwise)(terms) for name in names]
 
-    return summary, run, {"points": (_points, _lattice), "r_ball": (_radius, _r_ball)}
+
+_POINTWISE = Pass(_run_pointwise, ("points", "r_ball"))
+_POINT_OPTIONS = {"points": (_points, _lattice), "r_ball": (_radius, _r_ball)}
 
 
 def _run_oscillation(cfg, seed, threads, x, r_ball):
@@ -486,50 +451,68 @@ def _hardy(summary, case, q, alpha, drop=()):
     def run(cfg, seed, threads, **options):
         return iq.verify_hardy(case, seed=seed, **options)
 
-    return _entry(summary, run, {"q": (_number, q), "alpha": (_number, alpha),
-                                 "k": (_number, "2.0"), "samples": (int, "100")}, drop)
+    return _entry(summary, _single(run), drop, q=(_number, q), alpha=(_number, alpha),
+                  k=(_number, "2.0"), samples=(int, "100"))
 
 
 def _run_domination(cfg, seed, threads, **options):
     return iq.verify_domination(cfg.geometry, seed=seed, threads=threads, **options)
 
 
-def _norm_maps(summary, part, drop=(), **extra):
-    def run(cfg, seed, threads, **options):
-        return cfg.potential_norm_report(part, options, seed, threads)
+def _run_norm_maps(cfg, seed, threads, members):
+    """One :func:`iq.verify_potential_norm_maps` pass for the admissible parts
+    of a group; the first part's failed check raises before any datum is drawn."""
+    checked = []
+    for name, got in members:
+        try:
+            checked.append(iq.potential_norm_part(
+                name.removeprefix("potential-norms-"), geom=cfg.geometry,
+                **{k: v for k, v in got.items() if k != "samples"}))
+        except WulffLabError as exc:
+            if not checked:
+                raise
+            checked.append(exc)
+    reports = iter(iq.verify_potential_norm_maps(
+        [part for part in checked if not isinstance(part, WulffLabError)],
+        samples=members[0][1]["samples"], seed=seed, threads=threads))
+    return [part if isinstance(part, WulffLabError) else next(reports) for part in checked]
 
-    return _entry(summary, run, {"sigma": (_number, None), "rho": (_number, "2.0"),
-                                 "samples": (int, "20"), "alpha": (_number, "0.5"),
-                                 "s": (_number, "2.0"), **extra}, drop)
+
+_NORM_MAPS = Pass(_run_norm_maps, ("alpha", "s", "samples"))
+
+
+def _norm_maps(summary, drop=(), rho=(_number, "2.0"), **extra):
+    return _entry(summary, _NORM_MAPS, drop, sigma=(_number, None), rho=rho,
+                  samples=(int, "20"), alpha=(_number, "0.5"), s=(_number, "2.0"), **extra)
 
 
 def _regularity(summary, kind, drop):
     def run(cfg, seed, threads, **options):
         return iq.verify_regularity_exponents(kind, cfg.p, **options)
 
-    return _entry(summary, run, {"q": (_number, None), "beta": (_number, None),
-                                 "cells": (int, lambda geom, got: geom.cells[0])}, drop)
+    return _entry(summary, _single(run), drop, q=(_number, None), beta=(_number, None),
+                  cells=(int, lambda geom, got: geom.cells[0]))
 
 
-# theorem id -> (summary, runner, options); a runner takes
-# (cfg, seed, threads, **parsed options)
+# theorem id -> (summary, pass, options)
 THEOREMS = {
     "telescoping-means": (
-        "two-mean comparison with constants 2^(2n+2) and 2^(2n+3)", _run_telescope,
+        "two-mean comparison with constants 2^(2n+2) and 2^(2n+3)", _single(_run_telescope),
         {"x": (_floats, _center), "samples": (int, "100"),
          "r_outer": (_radius, lambda geom, got: 0.4 * min(geom.extent)),
          "r_inner": (_radius, lambda geom, got: max(got["r_outer"] / 8.0,
                                                     2.0 * max(geom.spacing))),
          "allowance": (_number, "0.10")}),
-    "pointwise-wulff": _pointwise(
-        "|u(x)| bounded by the truncated Wulff potential of |F|^p' plus a mean", False),
-    "pointwise-oscillation": _pointwise(
-        "|u(x)| bounded by the mean-oscillation potential of F plus a mean", True),
+    "pointwise-wulff": ("|u(x)| bounded by the truncated Wulff potential of |F|^p' plus "
+                        "a mean", _POINTWISE, _POINT_OPTIONS),
+    "pointwise-oscillation": ("|u(x)| bounded by the mean-oscillation potential of F plus "
+                              "a mean", _POINTWISE, _POINT_OPTIONS),
     "oscillation-decay": (
         "mean oscillation of u at scale r controlled by a Dini-type F term",
-        _run_oscillation, {"x": (_floats, _center), "r_ball": (_radius, _r_ball)}),
+        _single(_run_oscillation), {"x": (_floats, _center), "r_ball": (_radius, _r_ball)}),
     "energy-caccioppoli": (
-        "reverse Hoelder and Caccioppoli inequalities on nested balls", _run_energy,
+        "reverse Hoelder and Caccioppoli inequalities on nested balls",
+        _single(_run_energy),
         {"x": (_floats, _center), "r_ball": (_radius, _r_ball), "q": (_number, None)}),
     "hardy-i": _hardy("weighted Hardy inequality, q >= 1", "i", "1.0", "0.0",
                       drop=("k",)),
@@ -538,15 +521,16 @@ THEOREMS = {
     "hardy-ii-near": _hardy("weighted Hardy inequality, q < 1, truncated range",
                             "ii-near", "0.5", "-2.0"),
     "wulff-riesz-domination": (
-        "Wulff potential dominated by the composed Riesz potential", _run_domination,
+        "Wulff potential dominated by the composed Riesz potential",
+        _single(_run_domination),
         {"alpha": (_number, "0.5"), "s": (_number, "3.0"), "samples": (int, "100")}),
-    "potential-norms-A-i": _norm_maps("Lorentz-to-Lorentz potential boundedness", "A-i"),
+    "potential-norms-A-i": _norm_maps("Lorentz-to-Lorentz potential boundedness"),
     "potential-norms-A-iii": _norm_maps("borderline Lorentz-Zygmund boundedness",
-                                        "A-iii", drop=("sigma",)),
+                                        drop=("sigma",)),
     "potential-norms-A-iv": _norm_maps("small second index gives boundedness into L^inf",
-                                       "A-iv", drop=("sigma",), rho=(_number, None)),
+                                       drop=("sigma",), rho=(_number, None)),
     "potential-norms-B": _norm_maps(
-        "Orlicz-to-Orlicz boundedness under the balance condition", "B",
+        "Orlicz-to-Orlicz boundedness under the balance condition",
         drop=("sigma", "rho"), young_a=(_young_from_spec, "power,1.5"),
         young_b=(_young_from_spec, "power,3"), t0=(_number, "1.0")),
     "regularity-holder": _regularity("fitted Hoelder exponent against 1 - n/(q(p-1))",
@@ -754,21 +738,23 @@ def _cmd_run(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     out_dir = args.out or cfg.out_dir
 
-    reports = []
-    for name, options in cfg.theorems:
+    outcomes, reports = {}, []  # id of a group -> its members' outcomes, in turn
+    for (name, _), group in zip(cfg.theorems, cfg.groups):
         try:
-            reports.append(THEOREMS[name][1](cfg, seed, threads, **options))
+            if id(group) not in outcomes:  # the turn of its first member
+                outcomes[id(group)] = iter(THEOREMS[name][1].run(cfg, seed, threads, group))
+            reports.append(next(outcomes[id(group)]))
+            if isinstance(reports[-1], WulffLabError):
+                raise reports[-1]
         except WulffLabError as exc:
             raise WulffLabError(f"[{name}] {exc}") from exc
-    all_passed = all(r.passed for r in reports)
     # loaded before the first write, so that a bad pair leaves no report behind
     fields = dict(zip("uF", cfg.pair())) if cfg.heatmaps else {}
 
-    payload = {"seed": seed}
+    payload = {"seed": seed, "all_passed": all(r.passed for r in reports),
+               "reports": [r.to_dict() for r in reports]}
     if any(r.family_version is not None for r in reports):
         payload["family_version"] = iq.FAMILY_VERSION
-    payload["all_passed"] = all_passed
-    payload["reports"] = [r.to_dict() for r in reports]
     _atomic_write(os.path.join(out_dir, cfg.json_name), _json_bytes(payload))
     _atomic_write(os.path.join(out_dir, cfg.csv_name), _csv_bytes(reports))
 
@@ -776,10 +762,9 @@ def _cmd_run(args) -> int:
         render_heatmap(fields[source].magnitude(), os.path.join(out_dir, f"{source}.svg"))
 
     for rep in reports:
-        status = "pass" if rep.passed else "FAIL"
-        print(f"{status}  {rep.theorem}  C* = {rep.c_star:.6g}")
+        print(f"{'pass' if rep.passed else 'FAIL'}  {rep.theorem}  C* = {rep.c_star:.6g}")
     print(f"report: {os.path.join(out_dir, cfg.json_name)}")
-    return 0 if all_passed else 2
+    return 0 if payload["all_passed"] else 2
 
 
 def _cmd_solve(args) -> int:

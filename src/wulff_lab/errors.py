@@ -88,7 +88,7 @@ class SearchRangeExhausted(WulffLabError):
 
 
 class FinitenessFailure(WulffLabError):
-    """An integral transform diverges for the supplied Young function."""
+    """An integral diverges, or overflows a float, for the supplied data."""
 
 
 class NoAdmissibleBalls(WulffLabError):

@@ -36,6 +36,7 @@ from .errors import (
     BallBelowResolution,
     BallOutsideDomain,
     ConfigError,
+    FinitenessFailure,
     InadmissibleParams,
     InsufficientRadii,
     ParameterRangeViolation,
@@ -170,11 +171,12 @@ def _record(label: str, lhs: float, rhs: float) -> SampleRecord:
 def _assemble(theorem: str, params: dict, samples: list[SampleRecord],
               notes: list[str], extra_pass: bool = True,
               seeded: bool = False) -> VerificationReport:
-    """Report with C* = max ratio; ``seeded`` marks samples drawn by
-    :func:`random_field`, which stamps :data:`FAMILY_VERSION` on it."""
+    """Report with C* = max ratio, or nan when a side of a sample is nan;
+    ``seeded`` marks samples of :func:`random_field`, stamped :data:`FAMILY_VERSION`."""
     if not samples:
         raise ParameterRangeViolation("no samples to verify")
-    c_star = max(s.ratio for s in samples)
+    nan_side = any(math.isnan(s.lhs) or math.isnan(s.rhs) for s in samples)
+    c_star = math.nan if nan_side else max(s.ratio for s in samples)  # max skips a later nan
     positivity = all(s.rhs > 0 for s in samples if s.lhs > 0)
     passed = bool(extra_pass and positivity and math.isfinite(c_star))
     return VerificationReport(
@@ -790,8 +792,11 @@ def verify_hardy(case: str, q: float, alpha: float, *, k: float = 2.0,
     for i, phi in enumerate(_hardy_family(case, k, samples, seed, alpha)):
         if case != "i":
             _check_quasi_increasing(phi, k)
-        lhs = _hardy_lhs(phi, q, alpha, upper)
-        rhs = _hardy_rhs(phi, q, alpha, rhs_up)
+        try:
+            lhs, rhs = _hardy_lhs(phi, q, alpha, upper), _hardy_rhs(phi, q, alpha, rhs_up)
+        except OverflowError as exc:
+            raise FinitenessFailure(f"Hardy case {case} at alpha = {alpha}: a side of "
+                                    f"phi[{i}] overflows a float") from exc
         records.append(_record(f"phi[{i}]", lhs, rhs))
     return _assemble(
         f"hardy-{case}",

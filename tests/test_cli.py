@@ -245,17 +245,34 @@ def test_theorem_options_are_the_keys_its_runner_reads(tmp_path, monkeypatch, na
     monkeypatch.setattr(cli.RunConfig, "gated_pair", lambda self: "pair")
     cfg = parse_config(write_config(tmp_path / "job.ini", RUN_CONFIG))
 
-    _, runner, options = THEOREMS[name]
+    _, pass_, options = THEOREMS[name]
 
     def verifier_calls(given):
         calls.clear()
-        runner(cfg, 0, 1, **cli._options(options, given, cfg.geometry))
+        pass_.run(cfg, 0, 1, [(name, cli._options(options, given, cfg.geometry))])
         return list(calls)
 
     default = verifier_calls({})
     assert default
     for key in THEOREMS[name][2]:
         assert verifier_calls({key: _NON_DEFAULT[key]}) != default, key
+
+
+def test_a_shared_pass_keys_on_options_of_each_of_its_theorems():
+    # theorems group by their pass and the values of its key options, so
+    # each key name is an option of every theorem with that pass; a pass of
+    # one theorem shares nothing and has no key
+    import wulff_lab.cli as cli
+
+    users = {}
+    for name, (_, pass_, options) in THEOREMS.items():
+        assert isinstance(pass_, cli.Pass), name
+        assert set(pass_.key) <= set(options), name
+        users.setdefault(id(pass_), (pass_, []))[1].append(name)
+    shared = sorted(names for pass_, names in users.values() if len(names) > 1)
+    assert shared == [["pointwise-wulff", "pointwise-oscillation"],
+                      [n for n in THEOREMS if n.startswith("potential-norms-")]]
+    assert all(pass_.key == () for pass_, names in users.values() if len(names) == 1)
 
 
 def test_cli_reads_no_private_name_of_inequality_lab():
@@ -359,11 +376,12 @@ def test_every_theorem_option_changes_the_report(tmp_path, name):
     from wulff_lab.errors import WulffLabError
 
     cfg = parse_config(_near_solution_config(tmp_path))
-    _, runner, options = THEOREMS[name]
+    _, pass_, options = THEOREMS[name]
 
     def outcome(given):
         try:
-            return runner(cfg, 0, 1, **cli._options(options, given, cfg.geometry))
+            [got] = pass_.run(cfg, 0, 1, [(name, cli._options(options, given, cfg.geometry))])
+            return got
         except WulffLabError as exc:
             return type(exc).__name__
 
@@ -442,7 +460,7 @@ def _lattice_oracle(geom):
         points = [()]
         for o, e in zip(geom.origin, geom.extent):
             points = [pt + (o + t * e,) for pt in points for t in fracs]
-        return points
+        return tuple(points)  # option values are hashable
     return lattice
 
 
@@ -571,6 +589,20 @@ def test_run_bad_option_value(tmp_path, capsys):
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and name in err
+
+
+@pytest.mark.parametrize("alpha", ["-160", "-400"])
+def test_hardy_overflow_is_an_error_of_its_theorem(tmp_path, capsys, alpha):
+    # s^(alpha+1) on the first pieces of phi passes the float range
+    body = (RUN_CONFIG.replace("cells = 48,48", "cells = 16,16")
+            .replace("theorems = telescoping-means, hardy-i", "theorems = hardy-i")
+            .replace("alpha = 0.0\nsamples = 6", f"alpha = {alpha}\nsamples = 5"))
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path / "h.ini", body), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: [hardy-i] Hardy case i at alpha = {float(alpha)}: "
+                            "a side of phi[0] overflows a float\n")
+    assert captured.out == "" and not out.exists()
 
 
 def test_malformed_option_of_the_last_theorem_stops_the_run_before_any_verifier(
@@ -1506,6 +1538,45 @@ def test_battery_threads_do_not_change_the_report(tmp_path, capsys):
     for threads in ("1", "2"):
         out = tmp_path / threads
         assert main(["run", cfg, "--out", str(out), "--threads", threads]) == 0
+        written.append([read_bytes(out, name) for name in ("report.json", "report.csv")])
+    assert written[0] == written[1]
+
+
+# both pointwise theorems, two potential-norms-* parts of one group and a
+# theorem of its own, on a pair that the gate accepts
+GROUPS_CONFIG = """\
+[grid]
+cells = 32,32
+
+[system]
+p = 1.5
+
+[data]
+u = profile:sinsin
+F = manufactured
+
+[verify]
+theorems = pointwise-oscillation, hardy-i, potential-norms-B, pointwise-wulff,
+    potential-norms-A-i
+points = 0.5,0.5; 0.4,0.6
+samples = 2
+
+[verify.potential-norms-A-i]
+sigma = 1.5
+"""
+
+
+def test_reports_do_not_depend_on_hash_order(tmp_path, monkeypatch):
+    # the theorems are grouped in dicts keyed by passes and option values:
+    # two interpreters with other string hashes write the same bytes
+    cfg = write_config(tmp_path / "job.ini", GROUPS_CONFIG)
+    written = []
+    for hashseed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", hashseed)
+        out = tmp_path / hashseed
+        assert _fresh_python(f"from wulff_lab.cli import main; "
+                             f"print(main(['run', {cfg!r}, '--out', {str(out)!r}]))"
+                             ).endswith("\n0\n")
         written.append([read_bytes(out, name) for name in ("report.json", "report.csv")])
     assert written[0] == written[1]
 

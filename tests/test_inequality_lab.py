@@ -12,6 +12,7 @@ from wulff_lab.errors import (
     BallBelowResolution,
     BallOutsideDomain,
     DimensionMismatch,
+    FinitenessFailure,
     InadmissibleParams,
     InsufficientRadii,
     ParameterRangeViolation,
@@ -99,6 +100,19 @@ def test_report_shapes_and_version():
     hardy = verify_hardy("i", 1.0, 0.0, samples=2, seed=0)
     assert hardy.family_version is None
     assert "family_version" not in hardy.to_dict()
+
+
+def test_a_sample_with_a_nan_side_fails_the_report_wherever_it_is():
+    # max() keeps a nan ratio only when it comes first, and a nan rhs beside
+    # a zero lhs has ratio 0: either way C* would read as a finite pass
+    finite = [_record("a", 1.0, 2.0), _record("c", 3.0, 4.0)]
+    for bad in (_record("b", math.nan, 1.0), _record("b", 0.0, math.nan),
+                _record("b", 1.0, math.nan)):
+        for at in range(len(finite) + 1):
+            rep = _assemble("t", {}, finite[:at] + [bad] + finite[at:], [])
+            assert not rep.passed and math.isnan(rep.c_star), (bad, at)
+    rep = _assemble("t", {}, finite, [])
+    assert rep.passed and rep.c_star == 0.75
 
 
 def test_random_field_determinism():
@@ -457,6 +471,15 @@ def test_hardy_parameter_ranges():
         verify_hardy("iii", 0.5, -2.0)
     with pytest.raises(ParameterRangeViolation):
         verify_hardy("ii-far", 0.5, -3.5, k=0.5)
+
+
+@pytest.mark.parametrize("case, q, alpha", [("i", 1.0, -160.0), ("i", 2.0, -400.0),
+                                            ("ii-far", 0.5, -300.0)])
+def test_hardy_side_that_overflows_is_a_finiteness_failure(case, q, alpha):
+    # the powers s^(alpha+1) of the first pieces pass the float range: an
+    # error that names the case and alpha, not an OverflowError or an inf side
+    with pytest.raises(FinitenessFailure, match=f"Hardy case {case} at alpha = {alpha}"):
+        verify_hardy(case, q, alpha, samples=5)
 
 
 def test_quasi_increasing_gate():
