@@ -237,8 +237,9 @@ class RunConfig:
         self.u_spec, self.f_spec = d["u"], d["F"]
         self.boundary, self.seed = d["boundary"], d["seed"]
         self.residual_tol = d["residual_tol"]
-        if not (self.residual_tol > 0):  # a nan would pass every pair
-            raise ConfigError(f"[data] residual_tol must be > 0, got {self.residual_tol}")
+        if not (0 < self.residual_tol < math.inf):  # a nan or inf would pass every pair
+            raise ConfigError(f"[data] residual_tol must be > 0 and finite, "
+                              f"got {self.residual_tol}")
         for spec in (self.u_spec, self.f_spec):
             if spec and not spec.startswith("profile:") and spec != "manufactured":
                 path = os.path.join(base_dir, spec)

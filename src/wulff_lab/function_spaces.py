@@ -115,9 +115,9 @@ def rearrange(f: GridField) -> Rearrangement:
 class LorentzParams:
     """Indices (q, ϱ, β); ``math.inf`` is allowed for q and ϱ.
 
-    Admissible: q ∈ (1, ∞], ϱ ∈ (0, ∞], β ∈ ℝ — or the degenerate corner
-    q = 1, ϱ ∈ (0, 1], β ≥ 0.  Anything else does not define a (quasi-)normed
-    function space and is rejected.
+    Admissible: q ∈ (1, ∞], ϱ ∈ (0, ∞], β ∈ ℝ (finite) — or the degenerate
+    corner q = 1, ϱ ∈ (0, 1], β ≥ 0.  Anything else does not define a
+    (quasi-)normed function space and is rejected.
     """
 
     q: float
@@ -128,6 +128,8 @@ class LorentzParams:
         q, rho, beta = self.q, self.rho, self.beta
         if not (rho > 0):
             raise InadmissibleParams(f"need rho > 0, got {rho}")
+        if not math.isfinite(beta):
+            raise InadmissibleParams(f"need a finite beta, got {beta}")
         if q > 1:
             return
         if q == 1:

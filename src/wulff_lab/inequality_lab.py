@@ -117,8 +117,9 @@ FAMILY_VERSION = "fields-3"
 class SampleRecord:
     """One tested instance: LHS ≤ C·RHS with ratio = LHS/RHS.
 
-    ``ratio`` is 0 when both sides vanish (pass by convention) and +inf when
-    the LHS is positive against a vanishing RHS (always a failure).
+    ``ratio`` is 0 when both sides vanish (pass by convention), +inf when
+    the LHS is positive against a vanishing RHS (always a failure), and nan
+    when a side is nan.
     """
 
     label: str
@@ -160,7 +161,9 @@ class VerificationReport:
 
 def _record(label: str, lhs: float, rhs: float) -> SampleRecord:
     lhs, rhs = float(lhs), float(rhs)
-    if rhs > 0:
+    if math.isnan(lhs) or math.isnan(rhs):
+        ratio = math.nan
+    elif rhs > 0:
         # inf/inf counts as a failure, not a nan
         ratio = math.inf if (math.isinf(lhs) and math.isinf(rhs)) else lhs / rhs
     else:
@@ -171,14 +174,13 @@ def _record(label: str, lhs: float, rhs: float) -> SampleRecord:
 def _assemble(theorem: str, params: dict, samples: list[SampleRecord],
               notes: list[str], extra_pass: bool = True,
               seeded: bool = False) -> VerificationReport:
-    """Report with C* = max ratio, or nan when a side of a sample is nan;
-    ``seeded`` marks samples of :func:`random_field`, stamped :data:`FAMILY_VERSION`."""
+    """Report with C* = max ratio, nan when a ratio is nan, and a pass only
+    for a finite C*; ``seeded`` marks samples of :func:`random_field`,
+    stamped :data:`FAMILY_VERSION`."""
     if not samples:
         raise ParameterRangeViolation("no samples to verify")
-    nan_side = any(math.isnan(s.lhs) or math.isnan(s.rhs) for s in samples)
-    c_star = math.nan if nan_side else max(s.ratio for s in samples)  # max skips a later nan
-    positivity = all(s.rhs > 0 for s in samples if s.lhs > 0)
-    passed = bool(extra_pass and positivity and math.isfinite(c_star))
+    c_star = np.max([s.ratio for s in samples])  # unlike max(), keeps a nan anywhere
+    passed = bool(extra_pass and math.isfinite(c_star))
     return VerificationReport(
         theorem=theorem,
         params=dict(params),
@@ -335,7 +337,9 @@ class GatedPair:
 
 def gate_pair(u: GridField, F: GridField, p: float, tol: float) -> GatedPair:
     """The pair with its weak residual, or :class:`ResidualTooLarge` when the
-    residual exceeds ``tol``."""
+    residual exceeds ``tol``; ``tol`` must be positive and finite."""
+    if not (0 < tol < math.inf):  # a nan or inf tolerance would pass every pair
+        raise ParameterRangeViolation(f"tol must be > 0 and finite, got {tol}")
     res = weak_residual(u, F, p)
     if res > tol:
         raise ResidualTooLarge(
@@ -344,6 +348,15 @@ def gate_pair(u: GridField, F: GridField, p: float, tol: float) -> GatedPair:
             residual=res,
         )
     return GatedPair(u, F, p, res)
+
+
+def _halvings(r: float, r_min: float) -> list[float]:
+    """r, r/2, r/4, … down to the last one at or above ``r_min`` (finite r)."""
+    radii = []
+    while r >= r_min:
+        radii.append(r)
+        r /= 2.0
+    return radii
 
 
 def _ball_qmean(mag: GridField, ball: Ball, q: float) -> float:
@@ -400,8 +413,14 @@ def pointwise_terms(pair: GatedPair, R: float, points: Sequence[Sequence[float]]
                           tuple(mean_u), tuple(osc) if oscillation else None)
 
 
-def _point_label(x: Sequence[float]) -> str:
-    return f"x={tuple(float(c) for c in x)}"
+def _pointwise_report(theorem: str, terms: PointwiseTerms, potential: Sequence[float],
+                      notes: list[str], extra_pass: bool = True) -> VerificationReport:
+    """The report of |u(x)| ≤ C [potential(x) + ⨍_{B_R(x)}|u|] on ``terms``."""
+    samples = [_record(f"x={tuple(float(c) for c in x)}", lhs, P + mean_u)
+               for x, lhs, P, mean_u in zip(terms.points, terms.abs_u, potential,
+                                            terms.mean_u)]
+    params = {"p": terms.p, "R": terms.R, "residual": terms.residual, "points": len(samples)}
+    return _assemble(theorem, params, samples, notes, extra_pass=extra_pass)
 
 
 def verify_pointwise(terms: PointwiseTerms) -> VerificationReport:
@@ -413,15 +432,7 @@ def verify_pointwise(terms: PointwiseTerms) -> VerificationReport:
     under the p-Laplace rescaling (u, F) → (λu, λ^{p−1}F), so the fitted C*
     is scale-free.
     """
-    samples = [_record(_point_label(x), lhs, W + mean_u)
-               for x, lhs, W, mean_u in zip(terms.points, terms.abs_u, terms.wulff,
-                                            terms.mean_u)]
-    return _assemble(
-        "pointwise-wulff",
-        {"p": terms.p, "R": terms.R, "residual": terms.residual, "points": len(samples)},
-        samples,
-        [],
-    )
+    return _pointwise_report("pointwise-wulff", terms, terms.wulff, [])
 
 
 def verify_pointwise_osc(terms: PointwiseTerms) -> VerificationReport:
@@ -438,26 +449,16 @@ def verify_pointwise_osc(terms: PointwiseTerms) -> VerificationReport:
     if terms.oscillation is None:
         raise ValueError("the terms hold no oscillation potential; "
                          "make them with pointwise_terms(..., oscillation=True)")
-    p = terms.p
-    factor = 2.0 ** (1.0 / (p - 1.0))
-    samples = []
-    comparison_ok = True
-    for x, lhs, W, mean_u, osc_pot in zip(terms.points, terms.abs_u, terms.wulff,
-                                          terms.mean_u, terms.oscillation):
-        if osc_pot > factor * W * (1.0 + 1e-9):
-            comparison_ok = False
-        samples.append(_record(_point_label(x), lhs, osc_pot + mean_u))
+    factor = 2.0 ** (1.0 / (terms.p - 1.0))
+    # not all(osc <= …): a nan potential compares False and marks no violation
+    comparison_ok = not any(osc > factor * W * (1.0 + 1e-9)
+                            for osc, W in zip(terms.oscillation, terms.wulff))
     notes = [
         f"oscillation potential <= 2^(1/(p-1)) = {factor:.6g} x Wulff potential "
         f"checked on all samples: {'ok' if comparison_ok else 'VIOLATED'}"
     ]
-    return _assemble(
-        "pointwise-oscillation",
-        {"p": p, "R": terms.R, "residual": terms.residual, "points": len(samples)},
-        samples,
-        notes,
-        extra_pass=comparison_ok,
-    )
+    return _pointwise_report("pointwise-oscillation", terms, terms.oscillation, notes,
+                             comparison_ok)
 
 
 def verify_oscillation(pair: GatedPair, x: Sequence[float],
@@ -477,12 +478,7 @@ def verify_oscillation(pair: GatedPair, x: Sequence[float],
     if not R / 2.0 >= r_min:
         raise InsufficientRadii(f"no radii in [{r_min:g}, {R:g}]")
     grad_mean = float(ball_average(gradient(u).magnitude(), Ball(tuple(x), R))[0])
-    radii = []
-    r = R / 2.0
-    while r >= r_min:
-        radii.append(r)
-        r /= 2.0
-    radii.reverse()
+    radii = _halvings(R / 2.0, r_min)[::-1]
     pp = p / (p - 1.0)
 
     # one shell-ordered view of F serves the quadratures of every scale
@@ -765,25 +761,20 @@ def verify_hardy(case: str, q: float, alpha: float, *, k: float = 2.0,
 
     Both sides scale alike under r → a·r, so the unit scale loses nothing.
     """
-    if case == "i":
-        if not (q >= 1):
-            raise ParameterRangeViolation(f"case (i) needs q >= 1, got {q}")
-    elif case == "ii-far":
-        if not (0 < q < 1):
-            raise ParameterRangeViolation(f"case (ii) needs q in (0,1), got {q}")
-        if not (alpha < -1.0 - 1.0 / q):
-            raise ParameterRangeViolation(
-                f"case ii-far needs alpha < -1 - 1/q = {-1 - 1 / q:g}, got {alpha}"
-            )
-    elif case == "ii-near":
-        if not (0 < q < 1):
-            raise ParameterRangeViolation(f"case (ii) needs q in (0,1), got {q}")
-        if not (-1.0 - 1.0 / q <= alpha < -1.0):
-            raise ParameterRangeViolation(
-                f"case ii-near needs -1 - 1/q <= alpha < -1, got {alpha}"
-            )
-    else:
+    if case not in ("i", "ii-far", "ii-near"):
         raise ParameterRangeViolation(f"unknown Hardy case {case!r}")
+    if case == "i" and not (q >= 1):
+        raise ParameterRangeViolation(f"case (i) needs q >= 1, got {q}")
+    if case != "i" and not (0 < q < 1):
+        raise ParameterRangeViolation(f"case (ii) needs q in (0,1), got {q}")
+    if case == "ii-far" and not (alpha < -1.0 - 1.0 / q):
+        raise ParameterRangeViolation(
+            f"case ii-far needs alpha < -1 - 1/q = {-1 - 1 / q:g}, got {alpha}"
+        )
+    if case == "ii-near" and not (-1.0 - 1.0 / q <= alpha < -1.0):
+        raise ParameterRangeViolation(
+            f"case ii-near needs -1 - 1/q <= alpha < -1, got {alpha}"
+        )
     if not (k >= 1):
         raise ParameterRangeViolation(f"quasi-increasing constant needs k >= 1, got {k}")
 
@@ -936,49 +927,7 @@ def potential_norm_part(part: str, alpha: float, s: float, geom: GridGeometry, *
             f"potential norm maps need 0 < alpha, s > 1, alpha*s < n; "
             f"got alpha={alpha}, s={s}, n={n}"
         )
-    notes: list[str] = []
-    if part == "A-i":
-        if sigma is None or not (1 < sigma < n / (alpha * s)):
-            raise InadmissibleParams(
-                f"part A-i needs 1 < sigma < n/(alpha*s) = {n / (alpha * s):g}, "
-                f"got {sigma}"
-            )
-        target = LorentzParams(sigma * n * (s - 1) / (n - sigma * alpha * s),
-                               rho * (s - 1))
-        source = LorentzParams(sigma, rho)
-
-        def lhs_of(V: GridField) -> float:
-            return lorentz_zygmund_norm(V, target)
-
-        notes.append(
-            f"target space L^({target.q:g},{target.rho:g}) from source "
-            f"L^({sigma:g},{rho:g})"
-        )
-    elif part in ("A-iii", "A-iv"):
-        if part == "A-iii" and not (rho > 1.0 / (s - 1)):
-            raise InadmissibleParams(
-                f"part A-iii needs rho > 1/(s-1) = {1 / (s - 1):g}, got {rho}"
-            )
-        if part == "A-iv" and rho is None:
-            rho = 1.0 / (s - 1)
-        if part == "A-iv" and not (0 < rho <= 1.0 / (s - 1)):
-            raise InadmissibleParams(
-                f"part A-iv needs 0 < rho <= 1/(s-1) = {1 / (s - 1):g}, got {rho}"
-            )
-        source = LorentzParams(n / (alpha * s), rho)
-        if part == "A-iii":
-            target = LorentzParams(math.inf, rho * (s - 1), -1.0)
-
-            def lhs_of(V: GridField) -> float:
-                return lorentz_zygmund_norm(V, target)
-
-            notes.append("target space L^(inf,rho(s-1))(log L)^-1")
-        else:
-            def lhs_of(V: GridField) -> float:
-                return float(V.values.max())
-
-            notes.append("target space L^inf (max over cells)")
-    elif part == "B":
+    if part == "B":
         if young_a is None or young_b is None:
             raise InadmissibleParams("part B needs Young functions A and B")
         pair = potential_young_transforms(young_a, young_b, alpha, s, n)
@@ -988,23 +937,51 @@ def potential_norm_part(part: str, alpha: float, s: float, geom: GridGeometry, *
                 "balance condition unsatisfiable for (A, B); Theorem B does "
                 f"not apply ({'; '.join(bal.notes)})"
             )
-        notes.append(
-            f"balance holds with gamma = {bal.gamma:.6g} ({bal.mode}) on "
-            f"t > {t0:g}"
-        )
+        note = f"balance holds with gamma = {bal.gamma:.6g} ({bal.mode}) on t > {t0:g}"
 
         def orlicz_sides(f: GridField, V: GridField) -> tuple[float, float]:
             return (luxemburg_norm(_power_field(V, s - 1.0), young_b),
                     luxemburg_norm(f, young_a))
 
-        return NormPart(part, geom, alpha, s, sigma, rho, tuple(notes), orlicz_sides)
+        return NormPart(part, geom, alpha, s, sigma, rho, (note,), orlicz_sides)
+    if part == "A-iv" and rho is None:
+        rho = 1.0 / (s - 1)
+    if part in ("A-i", "A-iii") and rho is None:
+        raise InadmissibleParams(f"part {part} needs a Lorentz index rho, got None")
+    if part == "A-i":
+        if sigma is None or not (1 < sigma < n / (alpha * s)):
+            raise InadmissibleParams(
+                f"part A-i needs 1 < sigma < n/(alpha*s) = {n / (alpha * s):g}, "
+                f"got {sigma}"
+            )
+        target = LorentzParams(sigma * n * (s - 1) / (n - sigma * alpha * s),
+                               rho * (s - 1))
+        note = (f"target space L^({target.q:g},{target.rho:g}) from source "
+                f"L^({sigma:g},{rho:g})")
+    elif part == "A-iii":
+        if not (rho > 1.0 / (s - 1)):
+            raise InadmissibleParams(
+                f"part A-iii needs rho > 1/(s-1) = {1 / (s - 1):g}, got {rho}"
+            )
+        target = LorentzParams(math.inf, rho * (s - 1), -1.0)
+        note = "target space L^(inf,rho(s-1))(log L)^-1"
+    elif part == "A-iv":
+        if not (0 < rho <= 1.0 / (s - 1)):
+            raise InadmissibleParams(
+                f"part A-iv needs 0 < rho <= 1/(s-1) = {1 / (s - 1):g}, got {rho}"
+            )
+        target = None  # L^inf, the max over cells
+        note = "target space L^inf (max over cells)"
     else:
         raise InadmissibleParams(f"unknown part {part!r}")
+    # A-iii and A-iv take the source of A-i at its endpoint sigma = n/(alpha*s)
+    source = LorentzParams(sigma if part == "A-i" else n / (alpha * s), rho)
 
     def lorentz_sides(f: GridField, V: GridField) -> tuple[float, float]:
-        return lhs_of(V), lorentz_zygmund_norm(f, source) ** (1.0 / (s - 1.0))
+        lhs = float(V.values.max()) if target is None else lorentz_zygmund_norm(V, target)
+        return lhs, lorentz_zygmund_norm(f, source) ** (1.0 / (s - 1.0))
 
-    return NormPart(part, geom, alpha, s, sigma, rho, tuple(notes), lorentz_sides)
+    return NormPart(part, geom, alpha, s, sigma, rho, (note,), lorentz_sides)
 
 
 def verify_potential_norm_maps(parts: Sequence[NormPart], *, samples: int = 20,
@@ -1064,11 +1041,7 @@ def _osc_slope(u: GridField, x0, R: float):
     least four dyadic r."""
     geom = u.geometry
     r_lo = 4.0 * max(geom.spacing)
-    radii = []
-    r = R
-    while r >= r_lo:
-        radii.append(r)
-        r /= 2.0
+    radii = _halvings(R, r_lo)
     if len(radii) < 4:
         raise InsufficientRadii(
             f"only {len(radii)} dyadic radii in [{r_lo:g}, {R:g}]; need 4"

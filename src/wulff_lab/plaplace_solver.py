@@ -81,8 +81,8 @@ class SystemParams:
     def __post_init__(self):
         if not (self.p > 1):
             raise ValueError(f"p-Laplace exponent must satisfy p > 1, got {self.p}")
-        if not (self.tol > 0):
-            raise ValueError("tol must be positive")
+        if not (0 < self.tol < math.inf):  # an inf tolerance accepts any iterate
+            raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
         if not (self.max_iters >= 1):
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 

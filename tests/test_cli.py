@@ -408,14 +408,15 @@ def test_data_residual_tol_gates_the_pair(tmp_path, capsys):
     assert captured.out == "" and not out.exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-1e-5", "nan"])
+@pytest.mark.parametrize("value", ["0", "-1e-5", "nan", "inf"])
 def test_residual_tol_must_be_positive(tmp_path, capsys, value):
-    # rejected when the config is read: a nan tolerance would pass every pair
+    # rejected when the config is read: a nan or inf tolerance would pass every pair
     body = RUN_CONFIG.replace("seed = 5", f"seed = 5\nresidual_tol = {value}")
     out = tmp_path / "o"
     assert main(["run", write_config(tmp_path / "job.ini", body), "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: [data] residual_tol must be > 0, got {float(value)}\n"
+    assert captured.err == ("error: [data] residual_tol must be > 0 and finite, "
+                            f"got {float(value)}\n")
     assert captured.out == "" and not out.exists()
 
 
@@ -1345,7 +1346,9 @@ def test_solve_roundtrip(tmp_path, capsys):
 @pytest.mark.parametrize("option, name", [
     ("tol = 0", "tol"),
     ("max_iters = -5", "max_iters"),
-], ids=["tol", "max_iters"])
+    ("tol = inf", "tol"),
+    ("tol = nan", "tol"),
+], ids=["tol", "max_iters", "tol-inf", "tol-nan"])
 def test_solve_rejects_bad_solver_values(tmp_path, capsys, option, name):
     cfg = write_config(tmp_path / "solve.ini",
                        SOLVE_CONFIG.replace("tol = 1e-10", option))
@@ -1424,9 +1427,11 @@ def test_norm_command_bad_space(tmp_path, capsys):
     assert main(["norm", path, "--space", "sobolev:1"]) == 1
     assert "space" in capsys.readouterr().err
     # a scan exponent q below 1 or infinite is an error, not a traceback or a value
-    # so is a spec with more indices than its family takes
+    # so is a spec with more indices than its family takes, and a Lorentz
+    # beta that is not finite (it printed nan and exited 0)
     for spec in ("campanato:-0.5,0.5", "campanato:-0.5,inf", "morrey:0.5,inf",
-                 "campanato:1,2,3", "lorentz:2,2,0,5", "campanato:0.5,3"):
+                 "campanato:1,2,3", "lorentz:2,2,0,5", "campanato:0.5,3",
+                 "lorentz:inf,inf,nan", "lorentz:2,inf,nan"):
         assert main(["norm", path, "--space", spec]) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error:") and captured.out == ""

@@ -189,6 +189,11 @@ def test_lorentz_params_admissibility():
         LorentzParams(1.0, 2.0)  # q = 1 needs rho <= 1
     LorentzParams(1.0, 1.0)
     LorentzParams(2.0, 0.25)
+    # a beta that is not finite made the norm nan
+    for indices in ((math.inf, math.inf, math.nan), (2.0, math.inf, math.nan),
+                    (2.0, 2.0, math.inf), (1.0, 1.0, math.inf), (math.inf, 2.0, -math.inf)):
+        with pytest.raises(InadmissibleParams, match="finite beta"):
+            LorentzParams(*indices)
 
 
 def _lorentz_oracle(f, params):

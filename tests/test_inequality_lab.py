@@ -103,16 +103,21 @@ def test_report_shapes_and_version():
 
 
 def test_a_sample_with_a_nan_side_fails_the_report_wherever_it_is():
-    # max() keeps a nan ratio only when it comes first, and a nan rhs beside
-    # a zero lhs has ratio 0: either way C* would read as a finite pass
+    # max() keeps a nan ratio only when it comes first; a side that is nan
+    # makes the ratio nan (a zero lhs over a nan rhs read 0.0, a nan lhs over
+    # 0 read inf), and the sample's row shows it
     finite = [_record("a", 1.0, 2.0), _record("c", 3.0, 4.0)]
     for bad in (_record("b", math.nan, 1.0), _record("b", 0.0, math.nan),
-                _record("b", 1.0, math.nan)):
+                _record("b", 1.0, math.nan), _record("b", math.nan, 0.0)):
+        assert math.isnan(bad.ratio), bad
         for at in range(len(finite) + 1):
             rep = _assemble("t", {}, finite[:at] + [bad] + finite[at:], [])
             assert not rep.passed and math.isnan(rep.c_star), (bad, at)
+            assert rep.csv_rows()[at][4] == "nan"
     rep = _assemble("t", {}, finite, [])
     assert rep.passed and rep.c_star == 0.75
+    # a positive lhs over a rhs <= 0 has ratio inf, so it fails the report
+    assert not _assemble("t", {}, finite + [_record("d", 1.0, -1.0)], []).passed
 
 
 def test_random_field_determinism():
@@ -558,6 +563,11 @@ def test_residual_gate_rejects_mismatched_pairs():
     with pytest.raises(ResidualTooLarge) as e:
         gate_pair(u, bad, 2.0, 1e-5)
     assert e.value.residual > 1e-5
+    # a tolerance that is not positive and finite is an error: nan and inf
+    # passed every pair
+    for tol in (0.0, -1e-5, math.nan, math.inf):
+        with pytest.raises(ParameterRangeViolation, match="tol must be > 0 and finite"):
+            gate_pair(u, bad, 2.0, tol)
     shifted = gate_pair(u, F.with_values(F.values + 0.5), 2.0, 1e-5)
     assert shifted.residual <= 1e-5
     rep = verify_pointwise(pointwise_terms(shifted, 0.2, [(0.5, 0.5)]))
@@ -893,6 +903,11 @@ def test_norm_maps_admissibility():
         potential_norm_part("A-ii", 0.5, 3.0, geom)
     with pytest.raises(InadmissibleParams):
         potential_norm_part("A-i", 1.5, 2.0, geom, sigma=1.2)
+    # only A-iv reads rho=None, as 1/(s-1); the others name the part
+    with pytest.raises(InadmissibleParams, match="part A-i needs"):
+        potential_norm_part("A-i", 0.5, 3.0, geom, sigma=1.2, rho=None)
+    with pytest.raises(InadmissibleParams, match="part A-iii needs"):
+        potential_norm_part("A-iii", 0.6, 2.5, geom, rho=None)
 
 
 # ---------------------------------------------------------------------------

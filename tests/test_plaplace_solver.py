@@ -59,6 +59,10 @@ def staggered_poisson_datum(geom):
 def test_params_validation_and_stages():
     with pytest.raises(Exception):
         SystemParams(p=1.0)
+    # an inf tolerance accepted the first iterate at any residual
+    for tol in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+            SystemParams(p=3.0, tol=tol)
     stages = SystemParams(p=3.0).stages()
     assert len(stages) == 6
     assert stages[0] == _EPS_START == 1e-1
