@@ -230,8 +230,8 @@ class RunConfig:
             raise ConfigError(f"bad [grid] section: {exc}") from exc
 
         self.p = section("system")["p"]
-        if not (self.p > 1.0):
-            raise ConfigError(f"[system] p must be > 1, got {self.p}")
+        if not (1.0 < self.p < math.inf):  # p = inf has no conjugate exponent p'
+            raise ConfigError(f"[system] p must satisfy 1 < p < inf, got {self.p}")
 
         d = section("data")
         self.u_spec, self.f_spec = d["u"], d["F"]

@@ -24,10 +24,10 @@ part.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ from .field_grid import (
     Ball,
     GridField,
     GridGeometry,
-    NestedBalls,
+    _oscillation,
     ball_average,
     ball_cells,
     ball_oscillation,
@@ -230,7 +230,10 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
     :data:`FAMILY_VERSION` (``fields-3``: ``fourier`` and ``bumps`` are
     evaluated separably, as outer products of per-axis factors; they draw
     the same random stream as the full-mesh sums of ``fields-1`` and differ
-    from them by round-off).
+    from them by round-off).  ``bumps`` sums its per-bump outer products with
+    one ``einsum`` in bump order, and ``fourier`` reads its grid's cos/sin
+    tables from a bounded cache: the samples are those of adding one bump or
+    building the tables per call, bit for bit.
     """
     rng = np.random.default_rng(seed)
     n = geom.dim
@@ -262,45 +265,68 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
 def _bumps_sum(geom: GridGeometry, rng: np.random.Generator, bumps: int) -> np.ndarray:
     """One ``bumps`` component: draws the center, width and amplitude of each
     bump in turn and adds amp·exp(−|x − c|²/2w²) as the outer product of the
-    per-axis factors exp(−(x_d − c_d)²/2w²)."""
-    v = np.zeros(geom.cells)
-    axes = [geom.axis_centers(d) for d in range(geom.dim)]
-    for _b in range(bumps):
-        c = [geom.origin[d] + geom.extent[d] * rng.uniform(0.15, 0.85)
-             for d in range(geom.dim)]
+    per-axis factors exp(−(x_d − c_d)²/2w²), amp on the first.
+
+    Row b of the (bumps, c_d) factor array of axis d holds bump b's factor,
+    and one ``einsum`` ("bi,bj->ij", the same pattern for every n) sums the
+    products over b: it multiplies each product left to right, as
+    ``np.multiply.outer`` does, and adds the bumps in bump order into a
+    zeroed sum, so the samples are those of adding one bump at a time, bit
+    for bit."""
+    n = geom.dim
+    center, width2, amp = np.empty((n, bumps, 1)), np.empty((bumps, 1)), np.empty((bumps, 1))
+    for b in range(bumps):
+        for d in range(n):
+            center[d, b] = geom.origin[d] + geom.extent[d] * rng.uniform(0.15, 0.85)
         w = rng.uniform(0.04, 0.18) * min(geom.extent)
-        amp = rng.normal()
-        factors = [np.exp(-(axes[d] - c[d]) ** 2 / (2.0 * w * w))
-                   for d in range(geom.dim)]
-        factors[0] = amp * factors[0]
-        v += functools.reduce(np.multiply.outer, factors)
-    return v
+        width2[b] = 2.0 * w * w
+        amp[b] = rng.normal()
+    factors = [np.exp(-(geom.axis_centers(d) - center[d]) ** 2 / width2) for d in range(n)]
+    factors[0] = amp * factors[0]
+    axes = "ijklmnopqrstuvwxyz"[:n]
+    return np.einsum(",".join("b" + a for a in axes) + "->" + axes, *factors)
+
+
+# the wave vectors k = (k₁, k₂) of ``fourier`` with 0 < |k| ≤ 6, k₁ and k₂
+# ascending from −6: the flat index of k in the 13×13 matrix C and 1 + |k|²
+_WAVES = [((k1 + 6) * 13 + k2 + 6, 1.0 + k1 * k1 + k2 * k2)
+          for k1 in range(-6, 7) for k2 in range(-6, 7) if 0 < k1 * k1 + k2 * k2 <= 36]
+
+
+@lru_cache(maxsize=8)
+def _wave_tables(geom: GridGeometry) -> tuple[np.ndarray, ...]:
+    """cos t₁, sin t₁, cos t₂ and sin t₂ with t_d[k, i] = 2π k x̂_d[i],
+    k = −6 … 6, on the first two axes of ``geom`` (cached, read-only)."""
+    k = np.arange(-6, 7)
+    tables = []
+    for d in (0, 1):
+        t = 2.0 * math.pi * np.outer(k, (geom.axis_centers(d) - geom.origin[d])
+                                     / geom.extent[d])
+        tables += [np.cos(t), np.sin(t)]
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
 
 
 def _fourier_sum(geom: GridGeometry, rng: np.random.Generator) -> np.ndarray:
-    """One ``fourier`` component: draws amp then φ per wave vector, k₁ and k₂
-    ascending from −6, and sums the waves through the 13×13 matrix C.  The
-    draws are ``standard_normal()`` and 2π·``random()``, the same floats as
-    ``normal()`` and ``uniform(0, 2π)`` at less cost per call."""
-    amp = np.zeros((13, 13))
-    phase = np.zeros((13, 13))
-    for k1 in range(-6, 7):
-        for k2 in range(-6, 7):
-            k2norm = k1 * k1 + k2 * k2
-            if k2norm == 0 or k2norm > 36:
-                continue
-            amp[k1 + 6, k2 + 6] = rng.standard_normal() / (1.0 + k2norm)
-            phase[k1 + 6, k2 + 6] = 2.0 * math.pi * rng.random()
+    """One ``fourier`` component: draws amp then φ per wave vector of
+    :data:`_WAVES`, in its order, and sums the waves through the 13×13 matrix
+    C.  The draws are ``standard_normal()`` and 2π·``random()``, the same
+    floats as ``normal()`` and ``uniform(0, 2π)`` at less cost per call; the
+    cos/sin tables of the grid come from :func:`_wave_tables`."""
+    amp = np.zeros(169)
+    phase = np.zeros(169)
+    for i, scale in _WAVES:
+        amp[i] = rng.standard_normal() / scale
+        phase[i] = 2.0 * math.pi * rng.random()
+    amp, phase = amp.reshape(13, 13), phase.reshape(13, 13)
     c_re, c_im = amp * np.cos(phase), amp * np.sin(phase)
-    k = np.arange(-6, 7)
-    t1, t2 = (2.0 * math.pi * np.outer(k, (geom.axis_centers(d) - geom.origin[d])
-                                       / geom.extent[d]) for d in (0, 1))
-    cos2, sin2 = np.cos(t2), np.sin(t2)
+    cos1, sin1, cos2, sin2 = _wave_tables(geom)
     # C·E₂ = (c_re + i·c_im)(cos t₂ + i·sin t₂); einsum keeps these small
     # products off threaded BLAS
     ce_re = np.einsum("kl,lj->kj", c_re, cos2) - np.einsum("kl,lj->kj", c_im, sin2)
     ce_im = np.einsum("kl,lj->kj", c_re, sin2) + np.einsum("kl,lj->kj", c_im, cos2)
-    v = np.einsum("ki,kj->ij", np.cos(t1), ce_re) - np.einsum("ki,kj->ij", np.sin(t1), ce_im)
+    v = np.einsum("ki,kj->ij", cos1, ce_re) - np.einsum("ki,kj->ij", sin1, ce_im)
     return np.broadcast_to(v.reshape(v.shape + (1,) * (geom.dim - 2)), geom.cells)
 
 
@@ -504,6 +530,13 @@ def verify_oscillation(pair: GatedPair, x: Sequence[float],
 # telescoping lemma (explicit constants)
 
 
+# ball samples of the fields of one telescope block (256 kB): a block shares
+# each ufunc call among its fields, and its arrays stay within the memory the
+# battery's other passes take (at 128² on a 2-core VM, blocks of 5 fields
+# raised the battery's peak RSS by 0.7 MB, blocks of 3 by 0.1 MB)
+_TELESCOPE_BLOCK = 32768
+
+
 def verify_telescope(geom: GridGeometry, x: Sequence[float], r: float, R: float, *,
                      samples: int = 100, seed: int = 0,
                      allowance: float = 0.10) -> VerificationReport:
@@ -514,11 +547,19 @@ def verify_telescope(geom: GridGeometry, x: Sequence[float], r: float, R: float,
         |⟨|f|⟩_{B_r} − ⟨|f|⟩_{B_R}| ≤ 2^{2n+3} ∫_r^R (same integrand) dρ/ρ.
 
     These are the only absolute-constant checks in the library: pass requires
-    every ratio to be at most 1 + ``allowance``, the allowance for
+    every ratio to be at most 1 + ``allowance`` (finite), the allowance for
     ball-quadrature bias.  The fields run in the calling thread: their small
     numpy calls hold the GIL, so a second thread would only slow them down.
+
+    The fields are drawn one at a time, in order, and their samples on
+    B_R(x) gathered through one shell plan into blocks of as many fields as
+    fit :data:`_TELESCOPE_BLOCK` values (at least one); each block is
+    checked at once by :func:`_telescope_block`, with the bits of checking
+    its fields one by one.
     """
     x = tuple(float(c) for c in x)
+    if not math.isfinite(allowance):  # inf passes every ratio, −inf fails every one
+        raise InadmissibleParams(f"need a finite allowance, got {allowance}")
     r_min = 2.0 * max(geom.spacing)
     if r < r_min * (1 - 1e-12):
         raise BallBelowResolution(f"r = {r:g} is below 2h = {r_min:g}")
@@ -528,10 +569,15 @@ def verify_telescope(geom: GridGeometry, x: Sequence[float], r: float, R: float,
     # the balls depend on the grid, x and the radii alone: one plan gathers
     # every field
     plan = shell_plan(geom, x, [r, R, *(quad.radii if quad is not None else ())])
+    block = max(1, min(samples, _TELESCOPE_BLOCK // plan.cells.size))
+    buf = np.empty((2, block, plan.cells.size))
     records = []
-    for i in range(samples):
-        f = random_field(geom, seed + i, ("fourier", "bumps")[i % 2])
-        records += _telescope_samples(plan.gather(f), i, quad, geom.dim)
+    for first in range(0, samples, block):
+        vals = buf[:, :min(block, samples - first)]
+        for j in range(vals.shape[1]):
+            f = random_field(geom, seed + first + j, ("fourier", "bumps")[(first + j) % 2])
+            vals[0, j] = plan.gather(f).values[0]
+        records += _telescope_block(vals, plan.counts, quad, geom.dim, first)
     c1 = 2.0 ** (2 * geom.dim + 2)
     c2 = 2.0 ** (2 * geom.dim + 3)
     return _assemble(
@@ -546,29 +592,37 @@ def verify_telescope(geom: GridGeometry, x: Sequence[float], r: float, R: float,
     )
 
 
-def _telescope_samples(balls: NestedBalls, i: int, quad: RadialQuadrature | None,
-                       n: int) -> list[SampleRecord]:
-    """The two telescope records of field ``f[i]`` on an n-dimensional grid
-    from its samples on B_r, B_R and B_ρ, ρ in ``quad.radii`` (the quadrature
-    of ∫_r^R dρ/ρ; None when r = R), in that order: one shell-ordered view of
-    B_R(x) (:func:`shell_plan`), with the inclusion rule of
-    :func:`ball_cells`."""
-    means = balls.means()
-    mags = np.sqrt(np.einsum("ck,ck->k", balls.values, balls.values))
-    mean_abs = NestedBalls(mags[np.newaxis], balls.counts).means()[0]
-    if quad is not None:
-        # only the quadrature radii: the sweep at R would cover all of B_R(x)
-        osc = NestedBalls(balls.values, balls.counts[2:]).oscillations(1.0)
-        integral = float(sum(w * o for w, o in zip(quad.weights, osc)))
-    else:
-        integral = 0.0
+def _telescope_block(vals: np.ndarray, counts: np.ndarray, quad: RadialQuadrature | None,
+                     n: int, first: int) -> list[SampleRecord]:
+    """The two telescope records of each of a block of scalar fields
+    f[first], f[first + 1], … on an n-dimensional grid.  ``vals[0]`` (fields,
+    K) holds their samples on one :func:`shell_plan` of B_r, B_R and B_ρ, ρ in
+    ``quad.radii`` (the quadrature of ∫_r^R dρ/ρ; None when r = R), whose
+    balls hold the first ``counts`` cells; ``vals[1]`` takes |f|.
 
-    return [
-        _record(f"f[{i}]:means-of-f", float(np.linalg.norm(means[:, 0] - means[:, 1])),
-                2.0 ** (2 * n + 2) * integral),
-        _record(f"f[{i}]:means-of-|f|", abs(mean_abs[0] - mean_abs[1]),
-                2.0 ** (2 * n + 3) * integral),
-    ]
+    One ``cumsum`` over the last axis gives the means of f and |f| on every
+    ball, and one :func:`_oscillation` call per quadrature radius gives every
+    field's oscillation on it.  A row-wise ``cumsum`` and a last-axis sum
+    treat each row as they treat one field's samples, and ``_oscillation`` is
+    the batch form whose bits :func:`_oscillation_step` reproduces, so each
+    record is the one the field would get on its own."""
+    np.multiply(vals[0], vals[0], out=vals[1])
+    np.sqrt(vals[1], out=vals[1])  # |f| = √(f·f), the Euclidean magnitude
+    means = np.cumsum(vals, axis=-1)[..., counts - 1] / counts
+    integral = np.zeros(vals.shape[1])
+    if quad is not None:
+        # only the quadrature radii: the sweep at R would cover all of B_R(x);
+        # one error state for the block, overflowing q-th powers are rescaled
+        with np.errstate(over="ignore"):
+            for w, k, mean in zip(quad.weights, counts[2:].tolist(), means[0, :, 2:].T):
+                integral = integral + w * _oscillation(vals[:1, :, :k], mean[np.newaxis], 1.0)
+    diff = means[:, :, 0] - means[:, :, 1]
+    lhs_f = np.sqrt(diff[0] * diff[0])  # the norm of one component, as np.linalg.norm takes it
+    records = []
+    for j, (lf, la, integ) in enumerate(zip(lhs_f, np.abs(diff[1]), integral)):
+        records += [_record(f"f[{first + j}]:means-of-f", lf, 2.0 ** (2 * n + 2) * integ),
+                    _record(f"f[{first + j}]:means-of-|f|", la, 2.0 ** (2 * n + 3) * integ)]
+    return records
 
 
 # ---------------------------------------------------------------------------

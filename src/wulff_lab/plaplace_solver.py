@@ -62,7 +62,7 @@ _EPS_FINAL = 1e-6
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Solver controls: exponent p > 1, regularization schedule, tolerances.
+    """Solver controls: exponent 1 < p < ∞, regularization schedule, tolerances.
 
     ``tol`` is the relative energy-gradient tolerance of the final stage and
     the bound on its weak residual; ``max_iters`` bounds the Hessian-vector
@@ -79,8 +79,8 @@ class SystemParams:
     max_iters: int = 60_000
 
     def __post_init__(self):
-        if not (self.p > 1):
-            raise ValueError(f"p-Laplace exponent must satisfy p > 1, got {self.p}")
+        if not (1 < self.p < math.inf):
+            raise ValueError(f"p-Laplace exponent must satisfy 1 < p < inf, got {self.p}")
         if not (0 < self.tol < math.inf):  # an inf tolerance accepts any iterate
             raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
         if not (self.max_iters >= 1):

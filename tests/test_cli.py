@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1356,6 +1357,36 @@ def test_solve_rejects_bad_solver_values(tmp_path, capsys, option, name):
     err = capsys.readouterr().err
     assert err.startswith("error: bad [solver] section") and name in err
     assert not (tmp_path / "sol").exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "1", "nan"])
+@pytest.mark.parametrize("command", ["run", "solve"])
+def test_exponent_must_be_finite_and_above_one(tmp_path, capsys, command, value):
+    # p = inf passed the old p > 1 check: the manufactured datum came out nan
+    # with numpy's 'invalid value' warning, and the run ended in a
+    # non-finite field error
+    body = (RUN_CONFIG if command == "run" else SOLVE_CONFIG).replace(
+        "p = 2.0", f"p = {value}")
+    cfg = write_config(tmp_path / "p.ini", body)
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: [system] p must satisfy 1 < p < inf, got {float(value)}\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+def test_telescope_allowance_must_be_finite(tmp_path, capsys, value):
+    # an infinite allowance passed every ratio, and −inf failed every one
+    body = RUN_CONFIG.replace("samples = 4", f"samples = 4\nallowance = {value}")
+    out = tmp_path / "o"
+    assert main(["run", write_config(tmp_path / "a.ini", body), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: [telescoping-means] need a finite allowance, "
+                            f"got {float(value)}\n")
+    assert captured.out == "" and not out.exists()
 
 
 def test_solve_json_stages_sum_to_iterations(tmp_path):

@@ -27,6 +27,7 @@ from wulff_lab.field_grid import (
     ball_average,
     ball_cells,
     nested_balls,
+    shell_plan,
 )
 from wulff_lab import field_grid
 from wulff_lab.function_spaces import young_power, young_zygmund
@@ -48,7 +49,6 @@ from wulff_lab.inequality_lab import (
     verify_telescope,
 )
 from wulff_lab.inequality_lab import (
-    SampleRecord,
     _assemble,
     _check_quasi_increasing,
     _hardy_family,
@@ -56,7 +56,7 @@ from wulff_lab.inequality_lab import (
     _hardy_rhs,
     _PiecewisePhi,
     _record,
-    _telescope_samples,
+    _telescope_block,
 )
 from wulff_lab.plaplace_solver import manufacture
 from wulff_lab.potential_engine import (
@@ -143,6 +143,55 @@ def test_random_field_families():
     assert m.kind == "matrix" and m.ncomp == 2
 
 
+def _separable_oracle(component, geom, seed, ncomp):
+    """The components of a seeded field, one ``component(geom, rng)`` call
+    each, as ``random_field`` stacks them."""
+    rng = np.random.default_rng(seed)
+    return np.stack([component(geom, rng) for _ in range(ncomp)])
+
+
+def _fourier_loop(geom, rng):
+    """One fields-3 ``fourier`` component as it was first written: amp and φ
+    drawn in a double loop over k₁ and k₂, the cos/sin tables built per
+    call, the waves summed through the 13×13 matrix C."""
+    amp = np.zeros((13, 13))
+    phase = np.zeros((13, 13))
+    for k1 in range(-6, 7):
+        for k2 in range(-6, 7):
+            k2norm = k1 * k1 + k2 * k2
+            if k2norm == 0 or k2norm > 36:
+                continue
+            amp[k1 + 6, k2 + 6] = rng.standard_normal() / (1.0 + k2norm)
+            phase[k1 + 6, k2 + 6] = 2.0 * math.pi * rng.random()
+    c_re, c_im = amp * np.cos(phase), amp * np.sin(phase)
+    k = np.arange(-6, 7)
+    t1, t2 = (2.0 * math.pi * np.outer(k, (geom.axis_centers(d) - geom.origin[d])
+                                       / geom.extent[d]) for d in (0, 1))
+    cos2, sin2 = np.cos(t2), np.sin(t2)
+    ce_re = np.einsum("kl,lj->kj", c_re, cos2) - np.einsum("kl,lj->kj", c_im, sin2)
+    ce_im = np.einsum("kl,lj->kj", c_re, sin2) + np.einsum("kl,lj->kj", c_im, cos2)
+    v = np.einsum("ki,kj->ij", np.cos(t1), ce_re) - np.einsum("ki,kj->ij", np.sin(t1), ce_im)
+    return np.broadcast_to(v.reshape(v.shape + (1,) * (geom.dim - 2)), geom.cells)
+
+
+def _bumps_loop(geom, rng, bumps=5):
+    """One fields-3 ``bumps`` component as it was first written: each bump's
+    per-axis factors, amp on the first, multiplied out with
+    ``np.multiply.outer`` and added to the sum one bump at a time."""
+    v = np.zeros(geom.cells)
+    axes = [geom.axis_centers(d) for d in range(geom.dim)]
+    for _b in range(bumps):
+        c = [geom.origin[d] + geom.extent[d] * rng.uniform(0.15, 0.85)
+             for d in range(geom.dim)]
+        w = rng.uniform(0.04, 0.18) * min(geom.extent)
+        amp = rng.normal()
+        factors = [np.exp(-(axes[d] - c[d]) ** 2 / (2.0 * w * w))
+                   for d in range(geom.dim)]
+        factors[0] = amp * factors[0]
+        v += functools.reduce(np.multiply.outer, factors)
+    return v
+
+
 def _fourier_oracle(geom, seed, ncomp=1):
     """The ``fourier`` family as the fields-1 wave-vector loop: one cosine
     wave cos(2π k·x̂ + φ) per wave vector, added one at a time."""
@@ -178,6 +227,8 @@ def _fourier_oracle(geom, seed, ncomp=1):
 ])
 def test_fourier_matches_wave_vector_loop(geom, shape, ncomp):
     got = random_field(geom, 5, "fourier", shape=shape).values
+    assert np.array_equal(got, _separable_oracle(_fourier_loop, geom, 5, ncomp))
+    # the separable sum differs from the full-mesh sum of fields-1 by round-off
     want = _fourier_oracle(geom, 5, ncomp)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
@@ -225,8 +276,35 @@ def test_bumps_matches_per_bump_sum(geom, shape, ncomp):
         # the oracle is the generator of fields-1 and fields-2, byte for byte
         assert hashlib.sha256(want.tobytes()).hexdigest() == _FIELDS_1_BUMPS_DIGESTS[shape]
     got = random_field(geom, 7, "bumps", shape=shape).values
+    assert np.array_equal(got, _separable_oracle(_bumps_loop, geom, 7, ncomp))
+    # the separable sum differs from the full-mesh sum of fields-1 by round-off
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("geom", [
+    unit_grid(32),
+    GridGeometry((17, 5), (1.0, 1.0), (0.0, 0.0)),
+    GridGeometry((20, 16, 6), (1.0, 0.8, 0.3), (0.0, -0.4, 0.1)),
+], ids=["32x32", "17x5", "20x16x6"])
+@pytest.mark.parametrize("kind, loop", [("fourier", _fourier_loop), ("bumps", _bumps_loop)],
+                         ids=["fourier", "bumps"])
+def test_draws_equal_their_loops_over_seeds(geom, kind, loop):
+    for seed in range(40):
+        got = random_field(geom, seed, kind).values
+        assert np.array_equal(got, _separable_oracle(loop, geom, seed, 1)), seed
+
+
+def test_wave_tables_are_cached_and_read_only():
+    from wulff_lab.inequality_lab import _wave_tables
+
+    geom = GridGeometry((24, 40), (1.0, 0.6), (-0.3, 0.2))
+    tables = _wave_tables(geom)
+    assert _wave_tables(GridGeometry((24, 40), (1.0, 0.6), (-0.3, 0.2))) is tables
+    assert [t.shape for t in tables] == [(13, 24), (13, 24), (13, 40), (13, 40)]
+    for t in tables:
+        with pytest.raises(ValueError):
+            t[0, 0] = 1.0
 
 
 # sha256 of the float64 samples of random_field(unit_grid(32), 7, kind,
@@ -265,31 +343,45 @@ def test_fourier_is_byte_identical(shape):
 
 
 def telescope(f, x, r, R):
-    """The two telescope records of ``f`` as field f[0] of a battery."""
+    """The two telescope records of ``f`` as field f[0] of a battery: a
+    block of one field."""
     quad = RadialQuadrature.log_spaced(r, R) if r < R * (1 - 1e-12) else None
-    balls = nested_balls(f, x, [r, R, *(quad.radii if quad is not None else ())])
-    return _telescope_samples(balls, 0, quad, f.geometry.dim)
+    plan = shell_plan(f.geometry, x, [r, R, *(quad.radii if quad is not None else ())])
+    vals = np.empty((2, 1, plan.cells.size))
+    vals[0, 0] = plan.gather(f).values[0]
+    return _telescope_block(vals, plan.counts, quad, f.geometry.dim, 0)
 
 
-def _telescope_oracle(f, x, r, R, allowance):
-    """The report of one field, as the telescope made it when it took a field."""
+def _telescope_samples(balls, i, quad, n):
+    """The two telescope records of field ``f[i]`` on an n-dimensional grid
+    from its samples on B_r, B_R and B_ρ, ρ in ``quad.radii`` (None when
+    r = R), in that order, as the telescope took them one field at a time."""
+    means = balls.means()
+    mags = np.sqrt(np.einsum("ck,ck->k", balls.values, balls.values))
+    mean_abs = NestedBalls(mags[np.newaxis], balls.counts).means()[0]
+    if quad is not None:
+        # only the quadrature radii: the sweep at R would cover all of B_R(x)
+        osc = NestedBalls(balls.values, balls.counts[2:]).oscillations(1.0)
+        integral = float(sum(w * o for w, o in zip(quad.weights, osc)))
+    else:
+        integral = 0.0
+    return [
+        _record(f"f[{i}]:means-of-f", float(np.linalg.norm(means[:, 0] - means[:, 1])),
+                2.0 ** (2 * n + 2) * integral),
+        _record(f"f[{i}]:means-of-|f|", abs(mean_abs[0] - mean_abs[1]),
+                2.0 ** (2 * n + 3) * integral),
+    ]
+
+
+def _telescope_oracle(f, i, x, r, R, allowance):
+    """The report of field f[i] alone, as the telescope made it when it took
+    a field."""
     n = f.geometry.dim
     x = tuple(float(c) for c in x)
     quad = RadialQuadrature.log_spaced(r, R) if r < R * (1 - 1e-12) else None
     balls = nested_balls(f, x, [r, R, *(quad.radii if quad is not None else ())])
-    means = balls.means()
-    mags = np.sqrt(np.einsum("ck,ck->k", balls.values, balls.values))
-    mean_abs = NestedBalls(mags[np.newaxis], balls.counts).means()[0]
-    integral = 0.0
-    if quad is not None:
-        osc = NestedBalls(balls.values, balls.counts[2:]).oscillations(1.0)
-        integral = float(sum(w * o for w, o in zip(quad.weights, osc)))
+    samples = _telescope_samples(balls, i, quad, n)
     c1, c2 = 2.0 ** (2 * n + 2), 2.0 ** (2 * n + 3)
-    samples = [
-        _record("means-of-f", float(np.linalg.norm(means[:, 0] - means[:, 1])),
-                c1 * integral),
-        _record("means-of-|f|", abs(mean_abs[0] - mean_abs[1]), c2 * integral),
-    ]
     notes = [f"explicit constants 2^(2n+2)={c1:g}, 2^(2n+3)={c2:g} with "
              f"{allowance:.0%} quadrature allowance"]
     return _assemble("telescoping-means",
@@ -299,18 +391,41 @@ def _telescope_oracle(f, x, r, R, allowance):
 
 
 def _merge(theorem, params, reports):
-    """Per-field reports flattened into one, labels prefixed by field index,
-    as the command line merged them when it drew the telescope's fields."""
+    """Per-field reports flattened into one, as the command line merged them
+    when it drew the telescope's fields."""
     samples = []
     notes = []
-    for i, rep in enumerate(reports):
-        samples.extend(SampleRecord(f"f[{i}]:{s.label}", s.lhs, s.rhs, s.ratio)
-                       for s in rep.samples)
+    for rep in reports:
+        samples.extend(rep.samples)
         for note in rep.notes:
             if note not in notes:
                 notes.append(note)
     return _assemble(theorem, params, samples, notes,
                      extra_pass=all(r.passed for r in reports), seeded=True)
+
+
+def _battery_matches_merged_fields(geom, x, r, R, allowance, samples, seed=4):
+    """verify_telescope against the merged reports of its fields, checked one
+    at a time by the oracle; the sizes of the blocks it checked."""
+    import wulff_lab.inequality_lab as iq
+
+    kinds = ("fourier", "bumps")
+    reports = [_telescope_oracle(random_field(geom, seed + i, kinds[i % 2]), i, x, r, R,
+                                 allowance)
+               for i in range(samples)]
+    expected = _merge("telescoping-means",
+                      {"x": x, "r": r, "R": R, "samples": samples, "seed": seed,
+                       "allowance": allowance}, reports)
+    blocks = []
+    real = iq._telescope_block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iq, "_telescope_block",
+                   lambda vals, *a: blocks.append(vals.shape[1]) or real(vals, *a))
+        got = verify_telescope(geom, x, r, R, samples=samples, seed=seed,
+                               allowance=allowance)
+    assert got.to_dict() == expected.to_dict()
+    assert got.passed == (allowance > 0)
+    return blocks
 
 
 @pytest.mark.parametrize("x, r, R, allowance", [
@@ -319,19 +434,48 @@ def _merge(theorem, params, reports):
     ((0.5, 0.5), 0.1, 0.4, -0.999),
 ])
 def test_telescope_battery_matches_merged_fields(x, r, R, allowance):
-    geom = unit_grid(32)
-    samples, seed = 5, 4
-    kinds = ("fourier", "bumps")
-    reports = [_telescope_oracle(random_field(geom, seed + i, kinds[i % 2]), x, r, R,
-                                 allowance)
-               for i in range(samples)]
-    expected = _merge("telescoping-means",
-                      {"x": x, "r": r, "R": R, "samples": samples, "seed": seed,
-                       "allowance": allowance}, reports)
-    got = verify_telescope(geom, x, r, R, samples=samples, seed=seed,
-                           allowance=allowance)
-    assert got.to_dict() == expected.to_dict()
-    assert got.passed == (allowance > 0)
+    # the default budget holds all 5 fields in one block
+    assert _battery_matches_merged_fields(unit_grid(32), x, r, R, allowance, 5) == [5]
+
+
+# a block of 4 fields: the budget is set from each case's shell plan
+_BLOCK = 4
+
+
+@pytest.mark.parametrize("geom, x, r, R, allowance", [
+    (unit_grid(32), (0.5, 0.5), 0.1, 0.4, 0.10),
+    (unit_grid(32), (0.45, 0.55), 0.2, 0.2, 0.10),
+    (unit_grid(32), (0.5, 0.5), 0.1, 0.4, -0.999),
+    (GridGeometry((40, 24), (1.0, 0.6), (-0.3, 0.2)), (0.2, 0.5), 0.06, 0.25, 0.10),
+    (GridGeometry((20, 16, 12), (1.0, 0.8, 0.6), (0.0, 0.0, 0.0)), (0.5, 0.4, 0.3),
+     0.1, 0.25, 0.10),
+], ids=["r<R", "r=R", "failing", "non-square", "3-d"])
+@pytest.mark.parametrize("samples", [1, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 3])
+def test_telescope_blocks_match_merged_fields(monkeypatch, geom, x, r, R, allowance,
+                                              samples):
+    import wulff_lab.inequality_lab as iq
+
+    quad = RadialQuadrature.log_spaced(r, R) if r < R * (1 - 1e-12) else None
+    cells = shell_plan(geom, x, [r, R, *(quad.radii if quad is not None else ())]).cells.size
+    monkeypatch.setattr(iq, "_TELESCOPE_BLOCK", _BLOCK * cells + cells // 2)
+    blocks = _battery_matches_merged_fields(geom, x, r, R, allowance, samples)
+    assert blocks == [_BLOCK] * (samples // _BLOCK) + [samples % _BLOCK] * (samples % _BLOCK > 0)
+
+
+def test_telescope_block_fits_the_value_budget(monkeypatch):
+    # 128², R = 0.4: about 8.2k cells of B_R(x) per field, several fields
+    # per block
+    import wulff_lab.inequality_lab as iq
+
+    geom = unit_grid(128)
+    block = iq._TELESCOPE_BLOCK // shell_plan(geom, (0.5, 0.5), [0.05, 0.4]).cells.size
+    assert 1 < block < 100
+    sizes = []
+    real = iq._telescope_block
+    monkeypatch.setattr(iq, "_telescope_block",
+                        lambda vals, *a: sizes.append(vals.shape[1]) or real(vals, *a))
+    verify_telescope(geom, (0.5, 0.5), 0.05, 0.4, samples=block + 1, seed=0)
+    assert sizes == [block, 1]
 
 
 def test_telescope_builds_one_shell_plan(monkeypatch):
@@ -387,6 +531,20 @@ def test_telescope_input_validation():
         telescope(random_field(geom, 0), (0.9, 0.9), 0.1, 0.4)
     with pytest.raises(BallOutsideDomain):
         verify_telescope(geom, (0.9, 0.9), 0.1, 0.4, samples=1)
+
+
+@pytest.mark.parametrize("allowance", [math.inf, -math.inf, math.nan])
+def test_telescope_rejects_an_allowance_that_is_not_finite(monkeypatch, allowance):
+    # inf passed every ratio; the allowance is checked before any field is drawn
+    import wulff_lab.inequality_lab as iq
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a field was drawn")
+
+    monkeypatch.setattr(iq, "random_field", refuse)
+    with pytest.raises(InadmissibleParams, match="finite allowance"):
+        verify_telescope(unit_grid(32), (0.5, 0.5), 0.1, 0.4, samples=2,
+                         allowance=allowance)
 
 
 def test_telescope_means_agree_with_ball_average():

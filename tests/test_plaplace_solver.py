@@ -59,6 +59,10 @@ def staggered_poisson_datum(geom):
 def test_params_validation_and_stages():
     with pytest.raises(Exception):
         SystemParams(p=1.0)
+    # p = inf has no conjugate exponent: the flux turns into inf·0 = nan
+    for p in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="1 < p < inf"):
+            SystemParams(p=p)
     # an inf tolerance accepted the first iterate at any residual
     for tol in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="tol must be > 0 and finite"):
