@@ -8,7 +8,6 @@ resulting inequalities empirically with seeded random families.
 """
 
 from .errors import (
-    AlphaOutOfRange,
     BallBelowResolution,
     BallOutsideDomain,
     ConfigError,
@@ -23,7 +22,6 @@ from .errors import (
     NonConvergence,
     NonFiniteValue,
     NonNegativityViolation,
-    ParameterRangeViolation,
     QuadratureFailure,
     QuasiIncreasingViolation,
     ResidualTooLarge,

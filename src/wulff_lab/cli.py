@@ -38,7 +38,14 @@ from .function_spaces import (
     young_power,
     young_zygmund,
 )
-from .plaplace_solver import DirichletProblem, SystemParams, manufacture, solve
+from .plaplace_solver import (
+    DirichletProblem,
+    SystemParams,
+    _check_p,
+    _check_tol,
+    manufacture,
+    solve,
+)
 from .potential_engine import (
     PotentialParams,
     havin_mazya_at,
@@ -79,11 +86,16 @@ def _u64(text: str) -> int:
 
 
 def _number(text: str) -> float:
-    """A theorem's float option: any number but nan (inf is a Lorentz index)."""
+    """A theorem's float option: a finite number."""
     value = float(text)
-    if math.isnan(value):
+    if not math.isfinite(value):
         raise ValueError(text)
     return value
+
+
+def _index(text: str) -> float:
+    """A Lorentz index ϱ: a finite number, or inf (ϱ = inf is a Lorentz space)."""
+    return math.inf if float(text) == math.inf else _number(text)
 
 
 def _radius(text: str) -> float:
@@ -93,8 +105,8 @@ def _radius(text: str) -> float:
     return float(text)
 
 
-_KINDS = {int: "an integer", _u64: "an integer that fits in u64",
-          _radius: "a positive finite number"}
+_KINDS = {int: "an integer", _u64: "an integer that fits in u64", _number: "a finite number",
+          _index: "a finite number or inf", _radius: "a positive finite number"}
 
 
 def _parse(key: str, text: str, parse):
@@ -230,16 +242,13 @@ class RunConfig:
             raise ConfigError(f"bad [grid] section: {exc}") from exc
 
         self.p = section("system")["p"]
-        if not (1.0 < self.p < math.inf):  # p = inf has no conjugate exponent p'
-            raise ConfigError(f"[system] p must satisfy 1 < p < inf, got {self.p}")
+        _check_p(self.p, "[system] p")
 
         d = section("data")
         self.u_spec, self.f_spec = d["u"], d["F"]
         self.boundary, self.seed = d["boundary"], d["seed"]
         self.residual_tol = d["residual_tol"]
-        if not (0 < self.residual_tol < math.inf):  # a nan or inf would pass every pair
-            raise ConfigError(f"[data] residual_tol must be > 0 and finite, "
-                              f"got {self.residual_tol}")
+        _check_tol(self.residual_tol, "[data] residual_tol")
         for spec in (self.u_spec, self.f_spec):
             if spec and not spec.startswith("profile:") and spec != "manufactured":
                 path = os.path.join(base_dir, spec)
@@ -247,10 +256,7 @@ class RunConfig:
                     raise ConfigError(f"referenced field file does not exist: {path}")
 
         solver = {k: v for k, v in section("solver").items() if v is not None}
-        try:
-            self.solver = SystemParams(p=self.p, **solver)
-        except ValueError as exc:
-            raise ConfigError(f"bad [solver] section: {exc}") from exc
+        self.solver = SystemParams(p=self.p, **solver)
 
         shared = given("verify")
         self.theorems = []
@@ -482,7 +488,7 @@ def _run_norm_maps(cfg, seed, threads, members):
 _NORM_MAPS = Pass(_run_norm_maps, ("alpha", "s", "samples"))
 
 
-def _norm_maps(summary, drop=(), rho=(_number, "2.0"), **extra):
+def _norm_maps(summary, drop=(), rho=(_index, "2.0"), **extra):
     return _entry(summary, _NORM_MAPS, drop, sigma=(_number, None), rho=rho,
                   samples=(int, "20"), alpha=(_number, "0.5"), s=(_number, "2.0"), **extra)
 
@@ -529,7 +535,7 @@ THEOREMS = {
     "potential-norms-A-iii": _norm_maps("borderline Lorentz-Zygmund boundedness",
                                         drop=("sigma",)),
     "potential-norms-A-iv": _norm_maps("small second index gives boundedness into L^inf",
-                                       drop=("sigma",), rho=(_number, None)),
+                                       drop=("sigma",), rho=(_index, None)),
     "potential-norms-B": _norm_maps(
         "Orlicz-to-Orlicz boundedness under the balance condition",
         drop=("sigma", "rho"), young_a=(_young_from_spec, "power,1.5"),

@@ -2,7 +2,8 @@
 
 Every error raised by the library derives from :class:`WulffLabError`, so
 callers (including the CLI) can distinguish library failures from genuine
-bugs with a single ``except`` clause.
+bugs with a single ``except`` clause; a parameter out of its range raises
+:class:`InadmissibleParams`, whichever module checks it.
 """
 
 from __future__ import annotations
@@ -10,6 +11,11 @@ from __future__ import annotations
 
 class WulffLabError(Exception):
     """Base class for all library errors."""
+
+
+class InadmissibleParams(WulffLabError):
+    """A parameter (an exponent, order, tolerance, radius, index or family
+    name) lies outside its admissible range: in every module, the one error."""
 
 
 # ---------------------------------------------------------------------------
@@ -45,10 +51,6 @@ class NonFiniteValue(WulffLabError):
 # potential_engine
 
 
-class AlphaOutOfRange(WulffLabError):
-    """Potential order parameters violate their admissible range."""
-
-
 class NonNegativityViolation(WulffLabError):
     """Potential inputs must be nonnegative scalar fields."""
 
@@ -71,15 +73,12 @@ class DegenerateGrid(WulffLabError):
 
 
 class ShapeMismatch(WulffLabError):
-    """Field shapes passed to the solver are inconsistent."""
+    """A field has the wrong kind or shape for its use, or two fields passed
+    together do not match."""
 
 
 # ---------------------------------------------------------------------------
 # function_spaces
-
-
-class InadmissibleParams(WulffLabError):
-    """Space parameters violate the admissibility region."""
 
 
 class SearchRangeExhausted(WulffLabError):
@@ -109,10 +108,6 @@ class ResidualTooLarge(WulffLabError):
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)
         self.residual = residual
-
-
-class ParameterRangeViolation(WulffLabError):
-    """Verifier parameters violate the hypotheses of the tested estimate."""
 
 
 class QuasiIncreasingViolation(WulffLabError):

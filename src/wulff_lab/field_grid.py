@@ -44,8 +44,10 @@ from .errors import (
     DegenerateGrid,
     DimensionMismatch,
     GridTooCoarse,
+    InadmissibleParams,
     MalformedHeader,
     NonFiniteValue,
+    ShapeMismatch,
 )
 
 __all__ = [
@@ -168,7 +170,7 @@ class Ball:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         object.__setattr__(self, "radius", float(self.radius))
         if not (self.radius > 0):
-            raise ValueError(f"ball radius must be positive, got {self.radius}")
+            raise InadmissibleParams(f"ball radius must be positive, got {self.radius}")
 
 
 class GridField:
@@ -185,7 +187,7 @@ class GridField:
     def __init__(self, geometry: GridGeometry, values: np.ndarray, kind: str = "scalar",
                  codomain: int = 1):
         if kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+            raise ShapeMismatch(f"kind must be one of {_KINDS}, got {kind!r}")
         ncomp = self._ncomp_for(kind, codomain, geometry.dim)
         arr = np.asarray(values, dtype=np.float64)
         if arr.shape == geometry.cells and ncomp == 1:
@@ -211,7 +213,7 @@ class GridField:
     def _ncomp_for(kind: str, codomain: int, dim: int) -> int:
         if kind == "scalar":
             if codomain != 1:
-                raise ValueError("scalar fields have codomain 1")
+                raise ShapeMismatch("scalar fields have codomain 1")
             return 1
         if kind == "vector":
             return codomain
@@ -395,7 +397,7 @@ def _rescaled(dev: np.ndarray, q: float) -> np.ndarray:
 
 def _check_exponent(q: float) -> None:
     if not (q >= 1.0):
-        raise ValueError(f"oscillation exponent must satisfy q >= 1, got {q}")
+        raise InadmissibleParams(f"oscillation exponent must satisfy q >= 1, got {q}")
 
 
 def _oscillation(vals: np.ndarray, mean: np.ndarray, q: float) -> np.ndarray:
@@ -594,7 +596,7 @@ def gradient(f: GridField) -> GridField:
     holds ∂u_i/∂x_d.  Exact for affine fields including the boundary rows.
     """
     if f.kind == "matrix":
-        raise ValueError("gradient is defined for scalar and vector fields")
+        raise ShapeMismatch("gradient is defined for scalar and vector fields")
     geom = f.geometry
     if min(geom.cells) < 3:
         raise GridTooCoarse("gradient needs at least 3 cells per axis")

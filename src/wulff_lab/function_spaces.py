@@ -45,6 +45,7 @@ from .field_grid import (
     _root,
     ball_stencil,
 )
+from .potential_engine import _check_order
 
 __all__ = [
     "Rearrangement",
@@ -425,14 +426,10 @@ def potential_young_transforms(A: YoungFunction, B: YoungFunction, alpha: float,
     exponents when it has them.  Raises
     :class:`FinitenessFailure` when either integral diverges at 0.
     """
-    if not (s > 1) or not (alpha > 0):
-        raise InadmissibleParams(f"need alpha > 0 and s > 1, got {alpha}, {s}")
+    _check_order(alpha, s, n)
     sp = s / (s - 1.0)
-    if not (alpha * s < n) or not (alpha * sp < n):
-        raise InadmissibleParams(
-            f"transforms need alpha*s < n and alpha*s' < n, got "
-            f"{alpha * s:g}, {alpha * sp:g} vs n={n}"
-        )
+    if not (alpha * sp < n):
+        raise InadmissibleParams(f"transforms need alpha*s' < n, got {alpha * sp:g} vs n={n}")
     kE = n / (n - alpha * sp)
     outer_E = s - 1.0 - alpha * s / n
     base_exp = (1.0 / (s - 1.0) - 1.0 + alpha * sp / n)
@@ -507,10 +504,12 @@ def balance_report(pair: TransformPair, t0: float = 1.0) -> BalanceReport:
     how large γ is chosen, which no finite grid could witness.  The smallest
     workable γ is then located by bisection on a log-spaced t-grid (the
     condition is monotone in γ: raising γ shrinks the left side and grows
-    the right side).  The grid holds 60 points of [t₀, 10⁴], and γ is sought
-    in [10⁻⁸, 10⁸].
+    the right side).  The grid holds 60 points of [t₀, 10⁴], which needs
+    0 < t₀ < 10⁴, and γ is sought in [10⁻⁸, 10⁸].
     """
     t_max, gamma_hi = 1e4, 1e8
+    if not 0 < t0 < t_max:
+        raise InadmissibleParams(f"the balance grid needs 0 < t0 < {t_max:g}, got {t0}")
     notes: list[str] = []
     if pair.E.asym is not None and pair.F.asym is not None and pair.A.sigma is not None:
         pE, lE = pair.E.asym.power, pair.E.asym.logpow

@@ -39,7 +39,6 @@ from .errors import (
     FinitenessFailure,
     InadmissibleParams,
     InsufficientRadii,
-    ParameterRangeViolation,
     QuadratureFailure,
     QuasiIncreasingViolation,
     ResidualTooLarge,
@@ -71,11 +70,12 @@ from .function_spaces import (
     rearrange,
     weight_power,
 )
-from .plaplace_solver import manufacture, weak_residual
+from .plaplace_solver import _check_p, _check_tol, manufacture, weak_residual
 from .potential_engine import (
     PotentialParams,
     RadialQuadrature,
     _ball_mean,
+    _check_order,
     havin_mazya_at,
     havin_mazya_map,
     max_admissible_radius,
@@ -178,7 +178,7 @@ def _assemble(theorem: str, params: dict, samples: list[SampleRecord],
     for a finite C*; ``seeded`` marks samples of :func:`random_field`,
     stamped :data:`FAMILY_VERSION`."""
     if not samples:
-        raise ParameterRangeViolation("no samples to verify")
+        raise InadmissibleParams("no samples to verify")
     c_star = np.max([s.ratio for s in samples])  # unlike max(), keeps a nan anywhere
     passed = bool(extra_pass and math.isfinite(c_star))
     return VerificationReport(
@@ -253,7 +253,7 @@ def random_field(geom: GridGeometry, seed: int, kind: str = "fourier", *,
             floor = 0.25 * min(geom.spacing)
             v = np.maximum(dist, floor) ** (-exponent)
         else:
-            raise ValueError(f"unknown field family {kind!r}")
+            raise InadmissibleParams(f"unknown field family {kind!r}")
         if nonneg and kind != "singular":
             span = float(v.max() - v.min())
             v = v - v.min() + 0.05 * (span if span > 0 else 1.0)
@@ -362,12 +362,12 @@ class GatedPair:
 
 
 def gate_pair(u: GridField, F: GridField, p: float, tol: float) -> GatedPair:
-    """The pair with its weak residual, or :class:`ResidualTooLarge` when the
-    residual exceeds ``tol``; ``tol`` must be positive and finite."""
-    if not (0 < tol < math.inf):  # a nan or inf tolerance would pass every pair
-        raise ParameterRangeViolation(f"tol must be > 0 and finite, got {tol}")
+    """The pair with its weak residual, or :class:`ResidualTooLarge` unless the
+    residual is at most ``tol`` (a nan residual is not); ``tol`` must be
+    positive and finite."""
+    _check_tol(tol)
     res = weak_residual(u, F, p)
-    if res > tol:
+    if not res <= tol:
         raise ResidualTooLarge(
             f"pair has weak residual {res:.3e} > tolerance {tol:.1e}; "
             "refusing to verify estimates against a non-solution",
@@ -473,8 +473,8 @@ def verify_pointwise_osc(terms: PointwiseTerms) -> VerificationReport:
     report.  ``terms`` must come from ``pointwise_terms(..., oscillation=True)``.
     """
     if terms.oscillation is None:
-        raise ValueError("the terms hold no oscillation potential; "
-                         "make them with pointwise_terms(..., oscillation=True)")
+        raise InadmissibleParams("the terms hold no oscillation potential; make them "
+                                 "with pointwise_terms(..., oscillation=True)")
     factor = 2.0 ** (1.0 / (terms.p - 1.0))
     # not all(osc <= …): a nan potential compares False and marks no violation
     comparison_ok = not any(osc > factor * W * (1.0 + 1e-9)
@@ -816,21 +816,21 @@ def verify_hardy(case: str, q: float, alpha: float, *, k: float = 2.0,
     Both sides scale alike under r → a·r, so the unit scale loses nothing.
     """
     if case not in ("i", "ii-far", "ii-near"):
-        raise ParameterRangeViolation(f"unknown Hardy case {case!r}")
+        raise InadmissibleParams(f"unknown Hardy case {case!r}")
     if case == "i" and not (q >= 1):
-        raise ParameterRangeViolation(f"case (i) needs q >= 1, got {q}")
+        raise InadmissibleParams(f"case (i) needs q >= 1, got {q}")
     if case != "i" and not (0 < q < 1):
-        raise ParameterRangeViolation(f"case (ii) needs q in (0,1), got {q}")
+        raise InadmissibleParams(f"case (ii) needs q in (0,1), got {q}")
     if case == "ii-far" and not (alpha < -1.0 - 1.0 / q):
-        raise ParameterRangeViolation(
+        raise InadmissibleParams(
             f"case ii-far needs alpha < -1 - 1/q = {-1 - 1 / q:g}, got {alpha}"
         )
     if case == "ii-near" and not (-1.0 - 1.0 / q <= alpha < -1.0):
-        raise ParameterRangeViolation(
+        raise InadmissibleParams(
             f"case ii-near needs -1 - 1/q <= alpha < -1, got {alpha}"
         )
     if not (k >= 1):
-        raise ParameterRangeViolation(f"quasi-increasing constant needs k >= 1, got {k}")
+        raise InadmissibleParams(f"quasi-increasing constant needs k >= 1, got {k}")
 
     upper, rhs_up = (1.0, 2.0) if case == "ii-near" else (math.inf, math.inf)
     records = []
@@ -876,7 +876,7 @@ def verify_energy_inequalities(pair: GatedPair, x: Sequence[float], R: float, *,
     if q is None:
         q = n / (n - p) if p < n else 2.0
     if not (q > 1):
-        raise ParameterRangeViolation(f"interpolation exponent needs q > 1, got {q}")
+        raise InadmissibleParams(f"interpolation exponent needs q > 1, got {q}")
 
     grad_mag = gradient(u).magnitude()
     absu = u.magnitude()
@@ -917,8 +917,7 @@ def verify_domination(geom: GridGeometry, alpha: float, s: float, *,
     admissible radius there; the acceptance harness reruns this across grids
     and requires the fitted constant to drift < 10%.
     """
-    if not (alpha * s < geom.dim):
-        raise InadmissibleParams(f"domination needs alpha*s < n, got {alpha * s}")
+    _check_order(alpha, s, geom.dim)
     x = geom.center
     R = 0.8 * max_admissible_radius(geom, x)
     params = PotentialParams(alpha, s, R)
@@ -976,11 +975,7 @@ def potential_norm_part(part: str, alpha: float, s: float, geom: GridGeometry, *
     scale-free.
     """
     n = geom.dim
-    if not (0 < alpha and s > 1 and alpha * s < n):
-        raise InadmissibleParams(
-            f"potential norm maps need 0 < alpha, s > 1, alpha*s < n; "
-            f"got alpha={alpha}, s={s}, n={n}"
-        )
+    _check_order(alpha, s, n)
     if part == "B":
         if young_a is None or young_b is None:
             raise InadmissibleParams("part B needs Young functions A and B")
@@ -1048,7 +1043,7 @@ def verify_potential_norm_maps(parts: Sequence[NormPart], *, samples: int = 20,
     whose norm raises on a datum gets the error of its first such datum in
     place of its report."""
     if len({(part.geom, part.alpha, part.s) for part in parts}) != 1:
-        raise ValueError("the parts of one pass need one grid, alpha and s")
+        raise InadmissibleParams("the parts of one pass need one grid, alpha and s")
     geom, alpha, s = parts[0].geom, parts[0].alpha, parts[0].s
     kinds = ("bumps", "fourier", "singular")
 
@@ -1129,6 +1124,7 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
 
     Every manufactured pair is gated at weak residual 1e-7.
     """
+    _check_p(p)
     n = 2
     geom = _unit_geometry(cells)
     pp = p / (p - 1.0)
@@ -1138,7 +1134,7 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
 
     if kind == "holder":
         if q is None or not (q > max(pp, n / (p - 1.0))):
-            raise ParameterRangeViolation(
+            raise InadmissibleParams(
                 f"holder check needs q > max(p', n/(p-1)) = "
                 f"{max(pp, n / (p - 1.0)):g}, got {q}"
             )
@@ -1157,7 +1153,7 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
 
     elif kind == "bmo":
         if not (1.0 < p < n):
-            raise ParameterRangeViolation(
+            raise InadmissibleParams(
                 f"bmo check needs 1 < p < n so the borderline Morrey weight "
                 f"exponent (n-p)/p' is positive, got p={p}"
             )
@@ -1179,7 +1175,7 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
         if beta is None:
             beta = 0.35 * (p - 1.0)
         if not (beta > 0):
-            raise ParameterRangeViolation(f"Dini power weight needs beta > 0, got {beta}")
+            raise InadmissibleParams(f"Dini power weight needs beta > 0, got {beta}")
         u = radial_profile(geom, 1.0 + beta / (p - 1.0))
         F = manufacture(u, p)
         res = gate_pair(u, F, p, 1e-7).residual
@@ -1198,9 +1194,9 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
 
     elif kind == "lorentz":
         if not (1.0 < p < n):
-            raise ParameterRangeViolation(f"lorentz check needs 1 < p < n, got p={p}")
+            raise InadmissibleParams(f"lorentz check needs 1 < p < n, got p={p}")
         if q is None or not (1.0 < q < n / p):
-            raise ParameterRangeViolation(
+            raise InadmissibleParams(
                 f"lorentz check needs 1 < q < n/p = {n / p:g}, got {q}"
             )
         gamma = n / (q * pp)
@@ -1233,6 +1229,6 @@ def verify_regularity_exponents(kind: str, p: float, *, q: float | None = None,
                   "slope": slope, "band": band, "cells": cells}
 
     else:
-        raise ParameterRangeViolation(f"unknown regularity kind {kind!r}")
+        raise InadmissibleParams(f"unknown regularity kind {kind!r}")
 
     return _assemble(f"regularity-{kind}", params, samples, notes, extra_pass=extra)

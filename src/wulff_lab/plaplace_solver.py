@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGrid, NonConvergence, ShapeMismatch
+from .errors import DegenerateGrid, InadmissibleParams, NonConvergence, ShapeMismatch
 from .field_grid import GridField, GridGeometry
 
 __all__ = [
@@ -53,6 +53,20 @@ __all__ = [
     "manufacture",
     "solve",
 ]
+
+
+def _check_p(p: float, name: str = "p") -> None:
+    """The range 1 < p < ∞ of every exponent of the system (p = ∞ has no
+    conjugate p'); outside it, :class:`InadmissibleParams` names ``name``."""
+    if not 1 < p < math.inf:
+        raise InadmissibleParams(f"{name} must satisfy 1 < p < inf, got {p}")
+
+
+def _check_tol(tol: float, name: str = "tol") -> None:
+    """The range 0 < tol < ∞ of every tolerance (a nan or inf one accepts any
+    iterate or pair); outside it, :class:`InadmissibleParams` names ``name``."""
+    if not 0 < tol < math.inf:
+        raise InadmissibleParams(f"{name} must be > 0 and finite, got {tol}")
 
 
 # first and last ε of the nominal continuation schedule
@@ -79,12 +93,10 @@ class SystemParams:
     max_iters: int = 60_000
 
     def __post_init__(self):
-        if not (1 < self.p < math.inf):
-            raise ValueError(f"p-Laplace exponent must satisfy 1 < p < inf, got {self.p}")
-        if not (0 < self.tol < math.inf):  # an inf tolerance accepts any iterate
-            raise ValueError(f"tol must be > 0 and finite, got {self.tol}")
+        _check_p(self.p)
+        _check_tol(self.tol)
         if not (self.max_iters >= 1):
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+            raise InadmissibleParams(f"max_iters must be at least 1, got {self.max_iters}")
 
     def stages(self) -> list[float]:
         """Nominal ε schedule of the p ≠ 2 continuation."""
@@ -215,8 +227,7 @@ def weak_residual(u: GridField, F: GridField, p: float) -> float:
     normalizes by the gradient mass Σ|∇φ|·|cell| of the test function.  Zero
     (to round-off) exactly when u is a discrete weak solution with datum F.
     """
-    if not (p > 1):
-        raise ValueError(f"need p > 1, got {p}")
+    _check_p(p)
     N = _check_pair(u, F)
     geom = u.geometry
     T = _flux(_stag_values(_as_components(u), *geom.spacing), p) - _lattice_datum(F, N)
@@ -234,8 +245,7 @@ def manufacture(u: GridField, p: float) -> GridField:
     (never read by the weak form) are edge-replicated.  For p = 2 this is the
     staggered gradient itself.
     """
-    if not (p > 1):
-        raise ValueError(f"need p > 1, got {p}")
+    _check_p(p)
     if u.geometry.dim != 2:
         raise DegenerateGrid("manufacture is implemented for n = 2")
     geom = u.geometry

@@ -67,7 +67,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AlphaOutOfRange, BallBelowResolution, NonNegativityViolation
+from .errors import BallBelowResolution, InadmissibleParams, NonNegativityViolation
 from .field_grid import (
     GridField,
     GridGeometry,
@@ -78,6 +78,7 @@ from .field_grid import (
     _lattice_plan,
     max_admissible_radius,
 )
+from .plaplace_solver import _check_p
 
 __all__ = [
     "PotentialParams",
@@ -91,22 +92,28 @@ __all__ = [
 ]
 
 
+def _check_order(alpha: float, s: float, n: float = math.inf) -> None:
+    """The range 0 < α, 1 < s, αs < n of the order (α, s) of V_{α,s} on n
+    axes (n = ∞, for the truncated Wulff potential: α and s finite); outside
+    it, :class:`InadmissibleParams`."""
+    if not (0 < alpha and 1 < s and alpha * s < n):
+        raise InadmissibleParams(f"need 0 < alpha, 1 < s and alpha*s < n, got "
+                                 f"alpha={alpha}, s={s}, n={n}")
+
+
 @dataclass(frozen=True)
 class PotentialParams:
-    """Order parameters (α, s) and truncation radius R (``math.inf`` allowed:
-    the radius is then windowed to the largest ball inside the domain)."""
+    """Finite orders α > 0, s > 1 and truncation radius R > 0 (``math.inf``
+    allowed: the radius is then windowed to the largest ball inside Ω)."""
 
     alpha: float
     s: float
     R: float = math.inf
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise AlphaOutOfRange(f"alpha must be positive, got {self.alpha}")
-        if not (self.s > 1):
-            raise AlphaOutOfRange(f"s must exceed 1, got {self.s}")
+        _check_order(self.alpha, self.s)
         if not (self.R > 0):
-            raise AlphaOutOfRange(f"R must be positive, got {self.R}")
+            raise InadmissibleParams(f"R must be positive, got {self.R}")
 
 
 @dataclass(frozen=True)
@@ -212,8 +219,7 @@ def oscillation_potential(F: GridField, p: float, R: float, x: Sequence[float]) 
     exact on the common quadrature: dropping the mean costs at most the
     factor 2^{1/(p−1)} pointwise.
     """
-    if not (p > 1):
-        raise AlphaOutOfRange(f"oscillation potential needs p > 1, got {p}")
+    _check_p(p)
     r_min, quad, plan, _ = _point_plan(F.geometry, tuple(float(c) for c in x), R)
     pp = p / (p - 1.0)
     integrand = plan.gather(F).oscillations(pp) ** (pp / p)
@@ -229,11 +235,6 @@ def oscillation_potential(F: GridField, p: float, R: float, x: Sequence[float]) 
 
 def _unit_sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-def _check_alpha(alpha: float, n: int) -> None:
-    if not (0 < alpha < n):
-        raise AlphaOutOfRange(f"Riesz order must satisfy 0 < alpha < n, got {alpha}")
 
 
 def _singular_cell_integral(geom: GridGeometry, alpha: float) -> float:
@@ -354,7 +355,8 @@ def riesz_map(f: GridField, alpha: float) -> GridField:
     """
     _require_scalar_nonneg(f, "riesz_map")
     geom = f.geometry
-    _check_alpha(alpha, geom.dim)
+    if not (0 < alpha < geom.dim):
+        raise InadmissibleParams(f"Riesz order must satisfy 0 < alpha < n, got {alpha}")
     with _KERNEL_LOCK:
         spectrum = _kernel_table(geom, alpha)
     shape = _circular_shape(geom)
@@ -367,16 +369,9 @@ def riesz_map(f: GridField, alpha: float) -> GridField:
 
 
 def _havin_mazya_inner(f: GridField, alpha: float, s: float) -> GridField:
-    """The inner map (I_α f)^{1/(s−1)} of V_{α,s} f, after the checks
-    0 < α < n, s > 1 and αs < n."""
-    geom = f.geometry
-    _check_alpha(alpha, geom.dim)
-    if not (s > 1):
-        raise AlphaOutOfRange(f"s must exceed 1, got {s}")
-    if not (alpha * s < geom.dim):
-        raise AlphaOutOfRange(
-            f"composed potential needs alpha*s < n, got {alpha * s} >= {geom.dim}"
-        )
+    """The inner map (I_α f)^{1/(s−1)} of V_{α,s} f, after the check
+    0 < α, 1 < s, αs < n."""
+    _check_order(alpha, s, f.geometry.dim)
     inner = riesz_map(f, alpha)
     return inner.with_values(inner.values ** (1.0 / (s - 1.0)))
 

@@ -17,6 +17,7 @@ from conftest import constant_field
 from wulff_lab.cli import (
     _COLOR_STOPS,
     _atomic_write,
+    _index,
     _number,
     _profile_field,
     THEOREMS,
@@ -660,13 +661,13 @@ theorems = {name}
 
 # every float option of every theorem: a bare float parser would take nan
 _FLOAT_OPTIONS = [(name, key) for name, (_, _, options) in THEOREMS.items()
-                  for key, (parse, _) in options.items() if parse in (float, _number)]
+                  for key, (parse, _) in options.items() if parse in (float, _number, _index)]
 
 
-@pytest.mark.parametrize("name, key", _FLOAT_OPTIONS,
-                         ids=[f"{n}-{k}" for n, k in _FLOAT_OPTIONS])
-def test_float_options_reject_nan(tmp_path, capsys, name, key):
-    # a nan option used to run and report FAIL with C* = inf, or a wrong reason
+def _run_option(tmp_path, capsys, name, key, value):
+    """``wulff-lab run`` of theorem ``name`` alone on 16² with ``key = value``;
+    fails unless it exits 1 with nothing on stdout, writes no report and
+    emits no warning.  Returns its stderr."""
     cfg = write_config(tmp_path / "bad.ini", f"""\
 [grid]
 cells = 16,16
@@ -678,13 +679,50 @@ u = profile:sinsin
 theorems = {name}
 
 [verify.{name}]
-{key} = nan
+{key} = {value}
 """)
     out = tmp_path / "o"
-    assert main(["run", cfg, "--out", str(out)]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", cfg, "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"error: [{name}] option {key!r} must be a number, got 'nan'\n"
     assert captured.out == "" and not out.exists()
+    return captured.err
+
+
+@pytest.mark.parametrize("name, key", _FLOAT_OPTIONS,
+                         ids=[f"{n}-{k}" for n, k in _FLOAT_OPTIONS])
+def test_float_options_reject_nan(tmp_path, capsys, name, key):
+    # a nan option used to run and report FAIL with C* = inf, or a wrong reason
+    kind = "a finite number or inf" if key == "rho" else "a finite number"
+    assert _run_option(tmp_path, capsys, name, key, "nan") == (
+        f"error: [{name}] option {key!r} must be {kind}, got 'nan'\n")
+
+
+# every float option but the Lorentz index rho, which reads inf as a space
+_FINITE_OPTIONS = [(name, key) for name, key in _FLOAT_OPTIONS if key != "rho"]
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf"])
+@pytest.mark.parametrize("name, key", _FINITE_OPTIONS,
+                         ids=[f"{n}-{k}" for n, k in _FINITE_OPTIONS])
+def test_float_options_reject_infinities(tmp_path, capsys, name, key, value):
+    # an infinite option used to pass vacuously: hardy-i alpha = inf gave
+    # C* = 0, hardy-i q = inf C* = 1 after an overflow warning, hardy-ii-far
+    # k = inf passed, energy-caccioppoli q = inf gave C* = 0.81; the config
+    # is now refused as it loads, before any theorem runs
+    assert _run_option(tmp_path, capsys, name, key, value) == (
+        f"error: [{name}] option {key!r} must be a finite number, got {value!r}\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1e5"])
+def test_balance_t0_lies_below_the_grid_top(tmp_path, capsys, value):
+    # the balance grid is geomspace(t0, 1e4): t0 = 0 ended in numpy's
+    # ValueError traceback, -1 read "unsatisfiable", and 1e5 "satisfiable"
+    # on a descending grid
+    assert _run_option(tmp_path, capsys, "potential-norms-B", "t0", value) == (
+        f"error: [potential-norms-B] the balance grid needs 0 < t0 < 10000, "
+        f"got {float(value)}\n")
 
 
 @pytest.mark.parametrize("key, value", [("origin", "nan,0.0"), ("extent", "inf,1.0"),
@@ -1344,18 +1382,18 @@ def test_solve_roundtrip(tmp_path, capsys):
     assert (out / "u.svg").exists()
 
 
-@pytest.mark.parametrize("option, name", [
-    ("tol = 0", "tol"),
-    ("max_iters = -5", "max_iters"),
-    ("tol = inf", "tol"),
-    ("tol = nan", "tol"),
+@pytest.mark.parametrize("option, message", [
+    ("tol = 0", "tol must be > 0 and finite, got 0.0"),
+    ("max_iters = -5", "max_iters must be at least 1, got -5"),
+    ("tol = inf", "tol must be > 0 and finite, got inf"),
+    ("tol = nan", "tol must be > 0 and finite, got nan"),
 ], ids=["tol", "max_iters", "tol-inf", "tol-nan"])
-def test_solve_rejects_bad_solver_values(tmp_path, capsys, option, name):
+def test_solve_rejects_bad_solver_values(tmp_path, capsys, option, message):
+    # SystemParams names the setting; only [solver] has tol and max_iters
     cfg = write_config(tmp_path / "solve.ini",
                        SOLVE_CONFIG.replace("tol = 1e-10", option))
     assert main(["solve", cfg, "--out", str(tmp_path / "sol")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad [solver] section") and name in err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "sol").exists()
 
 
@@ -1379,13 +1417,14 @@ def test_exponent_must_be_finite_and_above_one(tmp_path, capsys, command, value)
 
 @pytest.mark.parametrize("value", ["inf", "-inf"])
 def test_telescope_allowance_must_be_finite(tmp_path, capsys, value):
-    # an infinite allowance passed every ratio, and −inf failed every one
+    # an infinite allowance passed every ratio, and −inf failed every one;
+    # the config is refused as it loads
     body = RUN_CONFIG.replace("samples = 4", f"samples = 4\nallowance = {value}")
     out = tmp_path / "o"
     assert main(["run", write_config(tmp_path / "a.ini", body), "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == (f"error: [telescoping-means] need a finite allowance, "
-                            f"got {float(value)}\n")
+    assert captured.err == (f"error: [telescoping-means] option 'allowance' must be a "
+                            f"finite number, got {value!r}\n")
     assert captured.out == "" and not out.exists()
 
 

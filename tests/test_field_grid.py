@@ -12,6 +12,7 @@ from wulff_lab.errors import (
     DegenerateGrid,
     DimensionMismatch,
     GridTooCoarse,
+    InadmissibleParams,
     MalformedHeader,
     NonFiniteValue,
 )
@@ -227,7 +228,7 @@ def test_ball_oscillation_affine_oracle():
 def test_ball_oscillation_needs_q_at_least_one():
     geom = unit_grid(32)
     f = constant_field(geom, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InadmissibleParams):
         ball_oscillation(f, Ball((0.5, 0.5), 0.2), 0.5)
 
 
@@ -442,11 +443,11 @@ def test_nested_balls_checks_every_radius():
     with pytest.raises(BallBelowResolution):
         nested_balls(f, (0.7, 0.5), [0.01, 0.45])
     for bad in ([0.2, 0.0], [-0.1, 0.2], [0.2, float("nan")]):
-        with pytest.raises(ValueError, match="radius must be positive"):
+        with pytest.raises(InadmissibleParams, match="radius must be positive"):
             nested_balls(f, (0.5, 0.5), bad)
     with pytest.raises(DimensionMismatch):
         nested_balls(f, (0.5, 0.5, 0.5), [0.2])
-    with pytest.raises(ValueError):
+    with pytest.raises(InadmissibleParams):
         nested_balls(f, (0.5, 0.5), [0.2]).oscillations(0.5)
     # a ball that leaves the box by less than the 1e-12 pad is accepted, as
     # by ``_contains``; one that leaves it by more is not

@@ -15,7 +15,6 @@ from wulff_lab.errors import (
     FinitenessFailure,
     InadmissibleParams,
     InsufficientRadii,
-    ParameterRangeViolation,
     QuasiIncreasingViolation,
     ResidualTooLarge,
 )
@@ -137,7 +136,7 @@ def test_random_field_families():
     assert f.values.min() > 0
     s = random_field(geom, 2, "singular")
     assert np.all(np.isfinite(s.values)) and s.values.min() > 0
-    with pytest.raises(ValueError):
+    with pytest.raises(InadmissibleParams):
         random_field(geom, 0, "perlin")
     m = random_field(geom, 3, shape="matrix")
     assert m.kind == "matrix" and m.ncomp == 2
@@ -525,7 +524,7 @@ def test_telescope_input_validation():
     # the radii are checked once, before any field is drawn
     with pytest.raises(BallOutsideDomain):
         verify_telescope(geom, (0.5, 0.5), 0.3, 0.2, samples=0)
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_telescope(geom, (0.5, 0.5), 0.1, 0.4, samples=0)
     with pytest.raises(BallOutsideDomain):
         telescope(random_field(geom, 0), (0.9, 0.9), 0.1, 0.4)
@@ -622,17 +621,17 @@ def test_hardy_determinism():
 
 
 def test_hardy_parameter_ranges():
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_hardy("i", 0.5, 0.0)
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_hardy("ii-far", 1.2, -4.0)
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_hardy("ii-far", 0.5, -2.9)  # needs alpha < -3
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_hardy("ii-near", 0.5, -0.9)  # needs alpha < -1
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_hardy("iii", 0.5, -2.0)
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_hardy("ii-far", 0.5, -3.5, k=0.5)
 
 
@@ -724,12 +723,23 @@ def test_residual_gate_rejects_mismatched_pairs():
     # a tolerance that is not positive and finite is an error: nan and inf
     # passed every pair
     for tol in (0.0, -1e-5, math.nan, math.inf):
-        with pytest.raises(ParameterRangeViolation, match="tol must be > 0 and finite"):
+        with pytest.raises(InadmissibleParams, match="tol must be > 0 and finite"):
             gate_pair(u, bad, 2.0, tol)
     shifted = gate_pair(u, F.with_values(F.values + 0.5), 2.0, 1e-5)
     assert shifted.residual <= 1e-5
     rep = verify_pointwise(pointwise_terms(shifted, 0.2, [(0.5, 0.5)]))
     assert rep.passed and rep.params["residual"] == shifted.residual
+
+
+def test_residual_gate_refuses_a_nan_residual(monkeypatch):
+    # the gate tested res > tol, which a nan residual never meets
+    import wulff_lab.inequality_lab as iq
+
+    pair = smooth_pair(2.0)
+    monkeypatch.setattr(iq, "weak_residual", lambda u, F, p: math.nan)
+    with pytest.raises(ResidualTooLarge) as e:
+        gate_pair(pair.u, pair.F, 2.0, 1e-5)
+    assert math.isnan(e.value.residual)
 
 
 # (cells, extent) of the property's grids: r_min = 2h stays below the radii
@@ -878,7 +888,7 @@ def test_pointwise_ball_outside_the_domain_raises_as_ball_average():
 
 
 def test_pointwise_osc_needs_the_oscillation_terms():
-    with pytest.raises(ValueError):
+    with pytest.raises(InadmissibleParams):
         verify_pointwise_osc(pointwise_terms(smooth_pair(2.0), 0.2, [(0.5, 0.5)]))
 
 
@@ -912,7 +922,7 @@ def test_energy_inequalities():
     assert all(s.rhs > 0 for s in rep.samples)
     labels = {s.label for s in rep.samples}
     assert "caccioppoli" in " ".join(labels)
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_energy_inequalities(pair, (0.5, 0.5), 0.3, q=0.5)
 
 
@@ -1002,7 +1012,7 @@ def test_norm_pass_needs_one_grid_alpha_and_s():
     for other in (potential_norm_part("A-i", 0.4, 2.0, geom, sigma=1.5),
                   potential_norm_part("A-i", 0.5, 2.5, geom, sigma=1.2),
                   potential_norm_part("A-i", 0.5, 2.0, unit_grid(16), sigma=1.5)):
-        with pytest.raises(ValueError, match="one grid, alpha and s"):
+        with pytest.raises(InadmissibleParams, match="one grid, alpha and s"):
             verify_potential_norm_maps([a1, other], samples=1)
 
 
@@ -1080,13 +1090,13 @@ def test_regularity_holder_fit():
 
 
 def test_regularity_parameter_ranges():
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_regularity_exponents("holder", 2.0, q=1.5)
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_regularity_exponents("bmo", 2.5)
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_regularity_exponents("lorentz", 1.5, q=3.0)
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_regularity_exponents("lipschitz", 2.0, beta=-0.1)
-    with pytest.raises(ParameterRangeViolation):
+    with pytest.raises(InadmissibleParams):
         verify_regularity_exponents("sobolev", 2.0)

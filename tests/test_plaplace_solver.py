@@ -10,7 +10,7 @@ import pytest
 from scipy.sparse import lil_matrix
 from scipy.sparse.linalg import spsolve
 
-from wulff_lab.errors import DegenerateGrid, NonConvergence
+from wulff_lab.errors import DegenerateGrid, InadmissibleParams, NonConvergence
 from wulff_lab.field_grid import GridField, GridGeometry
 from wulff_lab.inequality_lab import random_field
 from wulff_lab.plaplace_solver import (
@@ -61,11 +61,11 @@ def test_params_validation_and_stages():
         SystemParams(p=1.0)
     # p = inf has no conjugate exponent: the flux turns into inf·0 = nan
     for p in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="1 < p < inf"):
+        with pytest.raises(InadmissibleParams, match="1 < p < inf"):
             SystemParams(p=p)
     # an inf tolerance accepted the first iterate at any residual
     for tol in (0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol must be > 0 and finite"):
+        with pytest.raises(InadmissibleParams, match="tol must be > 0 and finite"):
             SystemParams(p=3.0, tol=tol)
     stages = SystemParams(p=3.0).stages()
     assert len(stages) == 6

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from conftest import constant_field
 
 from wulff_lab.errors import (
-    AlphaOutOfRange,
     BallOutsideDomain,
     DimensionMismatch,
+    InadmissibleParams,
     NonNegativityViolation,
 )
 from wulff_lab.field_grid import (
@@ -64,9 +64,9 @@ def test_quadrature_rejects_thin_rules():
 
 
 def test_params_validation():
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(InadmissibleParams):
         PotentialParams(0.0, 2.0, 1.0)
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(InadmissibleParams):
         PotentialParams(0.5, 1.0, 1.0)
 
 
@@ -397,9 +397,9 @@ def test_riesz_passes_equal_scipy_fft_bit_for_bit(geom):
 def test_riesz_alpha_range():
     geom = unit_grid(16)
     f = constant_field(geom, 1.0)
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(InadmissibleParams):
         riesz_map(f, 2.0)
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(InadmissibleParams):
         riesz_map(f, 0.0)
 
 
@@ -415,7 +415,7 @@ def test_havin_mazya_consistency_and_range():
     v_pt = _riesz_oracle(inner, 0.5, x)
     v_map = havin_mazya_map(f, 0.5, 3.0)
     assert v_map.values[0, i, j] == pytest.approx(v_pt, rel=1e-8)
-    with pytest.raises(AlphaOutOfRange):
+    with pytest.raises(InadmissibleParams):
         havin_mazya_map(f, 1.5, 2.0)  # alpha*s = 3 >= n
 
 
@@ -464,9 +464,9 @@ def test_havin_mazya_at_raises_the_errors_of_the_map_path(geom, alpha, s):
     cases = [(outside, alpha, s, BallOutsideDomain),
              (geom.center[:-1], alpha, s, DimensionMismatch),
              ((*geom.center, 0.0), alpha, s, DimensionMismatch),
-             (geom.center, alpha, geom.dim / alpha, AlphaOutOfRange),  # alpha*s = n
-             (geom.center, alpha, 1.0, AlphaOutOfRange),
-             (geom.center, geom.dim, s, AlphaOutOfRange)]
+             (geom.center, alpha, geom.dim / alpha, InadmissibleParams),  # alpha*s = n
+             (geom.center, alpha, 1.0, InadmissibleParams),
+             (geom.center, geom.dim, s, InadmissibleParams)]
     for x, a, q, err in cases:
         with pytest.raises(err):
             value_at(havin_mazya_map(f, a, q), x)
