@@ -342,16 +342,6 @@ def ball_cells(geom: GridGeometry, ball: Ball) -> np.ndarray:
     return i0 + offsets
 
 
-def _root(x, q: float) -> np.ndarray:
-    """x^{1/q} value by value with the C library pow of scalar arithmetic:
-    numpy's vectorized power may differ from it in the last bit, and a batch
-    must give the values of one-at-a-time evaluation."""
-    if q == 1.0:
-        return x
-    x = np.asarray(x)
-    return np.array([v ** (1.0 / q) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
 def _powers(dev: np.ndarray, q: float, mag: np.ndarray | None = None) -> np.ndarray:
     """|dev|^q over the component axis of ``dev`` (ncomp, ..., k), |·|
     Euclidean across components (|dev| for one component); ``mag``, an
@@ -370,7 +360,7 @@ def _powers(dev: np.ndarray, q: float, mag: np.ndarray | None = None) -> np.ndar
 def _mean_power(dev: np.ndarray, q: float) -> np.ndarray:
     """(⨍|dev|^q)^{1/q} over the last axis of ``dev`` (ncomp, ..., k), |·|
     as in :func:`_powers`."""
-    return _root(_powers(dev, q).mean(axis=-1), q)
+    return np.power(_powers(dev, q).mean(axis=-1), 1.0 / q)
 
 
 # smallest normal and largest finite float64
@@ -432,12 +422,12 @@ def _oscillation_step(vals: np.ndarray, mean: np.ndarray, q: float,
     plain ufunc calls: ``np.subtract`` into ``dev`` (ncomp, k), the
     magnitudes and q-th powers of :func:`_powers` into ``mag`` (k,) (both
     taken in place when given), one ``np.add.reduce``, the sum over k and a
-    scalar ``**`` root.  These are the IEEE operations of ``ndarray.mean`` and
-    of :func:`_root`, so the value is the batch form's to the bit.  Only a
-    value outside [2⁻¹⁰²², max float] goes to the rescaled rule
-    (:func:`_rescaled`).  This is the one rule for a single ball: a sweep
-    calls it once per radius under one error state that ignores overflowing
-    q-th powers, and :func:`ball_oscillation` once."""
+    scalar ``**`` root.  The sum is that of ``ndarray.mean``; the root is the
+    C library's pow, which can differ in the last bit from the vectorized
+    ``np.power`` of the batch form.  Only a value outside [2⁻¹⁰²², max float]
+    goes to the rescaled rule (:func:`_rescaled`).  This is the one rule for
+    a single ball: a sweep calls it once per radius under one error state
+    that ignores overflowing q-th powers, and :func:`ball_oscillation` once."""
     _check_exponent(q)
     dev = np.subtract(vals, mean, out=dev)
     mag = _powers(dev, q, mag)

@@ -40,9 +40,7 @@ from .field_grid import (
     Ball,
     GridField,
     GridGeometry,
-    _abnormal,
     _oscillation,
-    _root,
     ball_stencil,
 )
 from .potential_engine import _check_order
@@ -1002,13 +1000,8 @@ def _chords(geom: GridGeometry, x: np.ndarray, q: float, groups: list, runs: lis
 
 
 def _power_table(f: GridField, q: float) -> tuple[np.ndarray, int]:
-    """The table |f|^q with e = 0, or, where that table overflows or turns a
-    nonzero |f| into 0 or a subnormal, (|f|·2⁻ᵉ)^q with 2ᵉ⁻¹ ≤ max|f| < 2ᵉ."""
+    """The table (|f|·2⁻ᵉ)^q with 2ᵉ⁻¹ ≤ max|f| < 2ᵉ, and e."""
     mag = f.magnitude().values
-    with np.errstate(over="ignore"):
-        data = mag ** q
-    if not (_abnormal(data) & (mag != 0.0)).any():
-        return data, 0
     e = int(np.frexp(mag.max())[1])
     return np.ldexp(mag, -e) ** q, e
 
@@ -1030,13 +1023,11 @@ def morrey_norm(f: GridField, omega: WeightFunction, q: float = 1.0) -> SupScanR
     terms, which moves value and bound apart by at most 2τ^{1/q} + 2.5τ
     ((a + b)^{1/q} ≤ a^{1/q} + b^{1/q}); the bound adds 5τ^{1/q}.
 
-    Where the table |f|^q overflows or a nonzero |f| gives an entry below
-    2⁻¹⁰²² (0 or subnormal), the scan runs on |f|·2⁻ᵉ instead, with
-    2ᵉ⁻¹ ≤ max|f| < 2ᵉ, and its value is scaled back by 2ᵉ: the norm is
-    1-homogeneous in f, both scalings are exact (barring a norm outside the
-    normal range, which rounds to a subnormal or to inf), and the bound and
-    the values above then describe the scaled table.  A table that is finite
-    and normal (zeros of f aside) is scanned as it is."""
+    The scan runs on |f|·2⁻ᵉ, with 2ᵉ⁻¹ ≤ max|f| < 2ᵉ, so the table (|f|·2⁻ᵉ)^q
+    is at most 1 and cannot overflow, and its value is scaled back by 2ᵉ: the
+    norm is 1-homogeneous in f, both scalings are exact (barring a norm
+    outside the normal range, which rounds to a subnormal or to inf), and the
+    bound and the values above describe the scaled table."""
     _check_scan_exponent(q)
     geom = f.geometry
     meas = geom.cell_measure
@@ -1050,16 +1041,15 @@ def morrey_norm(f: GridField, omega: WeightFunction, q: float = 1.0) -> SupScanR
     # τ/2 each when subnormal: 2(τ/2)^{1/q} + 2τ ≤ 2τ^{1/q} + 2.5τ
     # ≤ 4.5τ^{1/q} < 5τ^{1/q}, as τ ≤ τ^{1/q}.  Every step after the sum is
     # monotone in it, so without this term the bound can undercut a ball
-    # value only where the computed Σ_B |f|^q exceeds S + E, or where the
-    # two roots (an array and a scalar power) round apart below 2⁻¹⁰²²; no
-    # datum tried so far does either
+    # value only where the computed Σ_B |f|^q exceeds S + E; no datum tried
+    # so far does
     underflow = 5.0 * _TINY ** (1.0 / q)
 
     def bound(centers: np.ndarray, stencil: np.ndarray) -> np.ndarray:
         sums, err = _ball_sums(geom, table, centers, _stencil_runs(geom, stencil))
         return ((sums[0] + err[0]) * meas) ** (1.0 / q) * _slack(stencil.size) + underflow
 
-    got = _sup_scan(geom, omega, data, lambda s: _root(s[0].sum(axis=-1) * meas, q),
+    got = _sup_scan(geom, omega, data, lambda s: np.power(s[0].sum(axis=-1) * meas, 1.0 / q),
                     bound)
     if e:
         with np.errstate(over="ignore"):  # a norm beyond the float range is inf

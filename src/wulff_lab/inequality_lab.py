@@ -603,9 +603,10 @@ def _telescope_block(vals: np.ndarray, counts: np.ndarray, quad: RadialQuadratur
     One ``cumsum`` over the last axis gives the means of f and |f| on every
     ball, and one :func:`_oscillation` call per quadrature radius gives every
     field's oscillation on it.  A row-wise ``cumsum`` and a last-axis sum
-    treat each row as they treat one field's samples, and ``_oscillation`` is
-    the batch form whose bits :func:`_oscillation_step` reproduces, so each
-    record is the one the field would get on its own."""
+    treat each row as they treat one field's samples, and at q = 1
+    ``_oscillation`` takes no root, so its values are those of
+    :func:`_oscillation_step`: each record is the one the field would get on
+    its own."""
     np.multiply(vals[0], vals[0], out=vals[1])
     np.sqrt(vals[1], out=vals[1])  # |f| = √(f·f), the Euclidean magnitude
     means = np.cumsum(vals, axis=-1)[..., counts - 1] / counts
@@ -817,8 +818,10 @@ def verify_hardy(case: str, q: float, alpha: float, *, k: float = 2.0,
     """
     if case not in ("i", "ii-far", "ii-near"):
         raise InadmissibleParams(f"unknown Hardy case {case!r}")
-    if case == "i" and not (q >= 1):
-        raise InadmissibleParams(f"case (i) needs q >= 1, got {q}")
+    if case == "i" and not (1 <= q < math.inf):
+        raise InadmissibleParams(f"case (i) needs a finite q >= 1, got {q}")
+    if not math.isfinite(alpha):
+        raise InadmissibleParams(f"alpha must be finite, got {alpha}")
     if case != "i" and not (0 < q < 1):
         raise InadmissibleParams(f"case (ii) needs q in (0,1), got {q}")
     if case == "ii-far" and not (alpha < -1.0 - 1.0 / q):
@@ -829,8 +832,8 @@ def verify_hardy(case: str, q: float, alpha: float, *, k: float = 2.0,
         raise InadmissibleParams(
             f"case ii-near needs -1 - 1/q <= alpha < -1, got {alpha}"
         )
-    if not (k >= 1):
-        raise InadmissibleParams(f"quasi-increasing constant needs k >= 1, got {k}")
+    if not (1 <= k < math.inf):
+        raise InadmissibleParams(f"quasi-increasing constant needs a finite k >= 1, got {k}")
 
     upper, rhs_up = (1.0, 2.0) if case == "ii-near" else (math.inf, math.inf)
     records = []
@@ -875,8 +878,8 @@ def verify_energy_inequalities(pair: GatedPair, x: Sequence[float], R: float, *,
     f_term = ball_oscillation(pair.F, outer, pp) ** (pp / p)
     if q is None:
         q = n / (n - p) if p < n else 2.0
-    if not (q > 1):
-        raise InadmissibleParams(f"interpolation exponent needs q > 1, got {q}")
+    if not (1 < q < math.inf):
+        raise InadmissibleParams(f"interpolation exponent needs a finite q > 1, got {q}")
 
     grad_mag = gradient(u).magnitude()
     absu = u.magnitude()

@@ -156,7 +156,7 @@ class _PointPlan(NamedTuple):
     """What the pointwise potentials and means at x with radius R read: r_min,
     the radial quadrature on [r_min, R], the shell plan of the balls of radii
     r_min and the quadrature radii around x, and ``ball``, the flat cells of
-    B_R(x) in row-major order (grid cells only when B_R(x) lies in Ω)."""
+    B_R(x) in row-major order."""
 
     r_min: float
     quad: RadialQuadrature
@@ -177,6 +177,8 @@ def _point_plan(geom: GridGeometry, x: tuple[float, ...], R: float) -> _PointPla
     one point's read-only index arrays, each the size of a ball."""
     if math.isinf(R):
         R = max_admissible_radius(geom, x)
+    else:  # B_R(x) ⊂ Ω before the quadrature reads R: R = 1e308 has no log panels
+        _check_balls(geom, x, [R])
     r_min = 2.0 * max(geom.spacing)
     quad = RadialQuadrature.log_spaced(r_min, R)
     ball, plan = _lattice_plan(geom, x, np.array([r_min, *quad.radii]), float(R))
@@ -198,7 +200,7 @@ def wulff_potential(f: GridField, params: PotentialParams, x: Sequence[float]) -
     """Truncated Wulff potential W_{α,s}^R f(x) of a nonnegative scalar field.
 
     Monotone in f on a fixed quadrature and positively homogeneous of degree
-    1/(s−1); raises if any quadrature ball leaves the domain (no extension).
+    1/(s−1); raises if B_R(x) leaves the domain (no extension).
     """
     _require_scalar_nonneg(f, "wulff_potential")
     r_min, quad, plan, _ = _point_plan(f.geometry, tuple(float(c) for c in x), params.R)

@@ -12,7 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import constant_field
+from conftest import (
+    assert_report_matches,
+    constant_field,
+    golden_report,
+    report_mismatches,
+)
 
 from wulff_lab.cli import (
     _COLOR_STOPS,
@@ -81,6 +86,13 @@ heatmaps = u,F
 
 def read_bytes(d, name):
     return (d / name).read_bytes()
+
+
+def assert_outputs(out, golden, svg_digests):
+    """The reports in ``out`` match their golden, the heatmaps their bytes."""
+    assert_report_matches(out, golden)
+    for name, digest in svg_digests.items():
+        assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest, name
 
 
 # ---------------------------------------------------------------------------
@@ -715,6 +727,19 @@ def test_float_options_reject_infinities(tmp_path, capsys, name, key, value):
         f"error: [{name}] option {key!r} must be a finite number, got {value!r}\n")
 
 
+_BALL_READERS = [name for name, key in _RADIUS_READERS if key == "r_ball"]
+
+
+@pytest.mark.parametrize("name", _BALL_READERS)
+def test_a_ball_that_leaves_the_domain_is_an_error(tmp_path, capsys, name):
+    # pointwise-wulff and pointwise-oscillation built their radial quadrature
+    # on [r_min, R] before checking B_R(x) ⊂ Ω: R = 1e308 ended in an
+    # OverflowError traceback
+    err = _run_option(tmp_path, capsys, name, "r_ball", "1e308")
+    assert err.startswith(f"error: [{name}] ball B_1e+308(")
+    assert err.endswith(" is not contained in the domain\n") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["0", "-1", "1e5"])
 def test_balance_t0_lies_below_the_grid_top(tmp_path, capsys, value):
     # the balance grid is geomspace(t0, 1e4): t0 = 0 ended in numpy's
@@ -946,10 +971,9 @@ theorems = pointwise-wulff, pointwise-oscillation, oscillation-decay,
 [output]
 heatmaps = u,F
 """
-# the outputs of PAIR_CONFIG when every pair theorem built its own pair
+# the heatmaps of PAIR_CONFIG when every pair theorem built its own pair; its
+# reports are golden "pair"
 _PAIR_DIGESTS = {
-    "report.json": "44b309d21910fa314e8db8b255f470e8da3a60371958399c46a85d1c5c3f8960",
-    "report.csv": "37a30449fa07220cd546433d8daee773345eca807ac8e1867b6898ed22f294b8",
     "u.svg": "dd685379c48e0a20f61b1b4dc4a2e6881294fa3b20718dd50ea35b29a0290122",
     "F.svg": "daca813d2dfd563be213446e8411cdc8cf18631b658db5b69d660a67804f5137",
 }
@@ -965,8 +989,7 @@ def test_run_builds_the_pair_once(tmp_path, monkeypatch, capsys):
     out = tmp_path / "o"
     assert main(["run", cfg, "--out", str(out)]) == 0
     assert len(calls) == 1
-    for name, digest in _PAIR_DIGESTS.items():
-        assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest, name
+    assert_outputs(out, "pair", _PAIR_DIGESTS)
 
 
 def test_run_gates_the_pair_once(tmp_path, monkeypatch, capsys):
@@ -980,8 +1003,7 @@ def test_run_gates_the_pair_once(tmp_path, monkeypatch, capsys):
     out = tmp_path / "o"
     assert main(["run", cfg, "--out", str(out)]) == 0
     assert len(calls) == 1
-    for name, digest in _PAIR_DIGESTS.items():
-        assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest, name
+    assert_outputs(out, "pair", _PAIR_DIGESTS)
 
 
 # a run shaped like the benchmark's balls workload (both pointwise theorems on
@@ -1009,10 +1031,9 @@ cells = 64
 heatmaps = u,F
 """.format(points="; ".join(f"{0.3 + 0.1 * i + 0.004 * j!r},{0.32 + 0.09 * j - 0.003 * i!r}"
                             for i in range(5) for j in range(5)))
-# the outputs of POINTS_CONFIG when each pointwise theorem made its own pass
+# the heatmaps of POINTS_CONFIG when each pointwise theorem made its own pass;
+# its reports are golden "points"
 _POINTS_DIGESTS = {
-    "report.json": "788a24f1d1e26aac999ac6e6ac9ec7952a3b26f4850d8d47e633871b4cd58a5a",
-    "report.csv": "2da2bf5fa344da9a6465aa545a400a01cfd6284000a9314ed90f7cd0a57ae53a",
     "u.svg": "349d3cbe332a3554ad5ca45a745ff94b327929ae1343e7f291f7b6faa7c13ec8",
     "F.svg": "03d46719a0c3a0a66616cbf4c6f3ec19f7767b9b90fe69d95cdd8bba97ebb11a",
 }
@@ -1031,8 +1052,7 @@ def test_both_pointwise_theorems_share_one_pass(tmp_path, monkeypatch, capsys):
     assert main(["run", write_config(tmp_path / "balls.ini", POINTS_CONFIG),
                  "--out", str(out)]) == 0
     assert passes == [{"oscillation": True}] and len(sweeps) == 25
-    for name, digest in _POINTS_DIGESTS.items():
-        assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest, name
+    assert_outputs(out, "points", _POINTS_DIGESTS)
 
 
 def test_pointwise_wulff_alone_makes_no_oscillation_sweep(tmp_path, monkeypatch, capsys):
@@ -2113,15 +2133,6 @@ _README_SVG_DIGESTS = {
 }
 
 
-# sha256 of the reports of the README config; report.json lost the hardy-i
-# params 'a' and 'family' when those options were removed, report.csv is
-# unchanged
-_README_REPORT_DIGESTS = {
-    "report.json": "a667dbc25cb98eb8471faf312fa85d4ff670ea8dad68bc36e59da9ce3fc26172",
-    "report.csv": "bc613198f71e3ac42a24ec19d2b6cef59413eaec60a116fcf45c7afa4f45ec72",
-}
-
-
 def test_readme_config_heatmaps_keep_their_bytes(tmp_path, capsys):
     cfg = write_config(tmp_path / "readme.ini", README_CONFIG)
     out = tmp_path / "out"
@@ -2130,12 +2141,63 @@ def test_readme_config_heatmaps_keep_their_bytes(tmp_path, capsys):
         assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest
 
 
-def test_readme_config_reports_keep_their_bytes(tmp_path, capsys):
+def test_readme_config_reports_match_their_golden(tmp_path, capsys):
     cfg = write_config(tmp_path / "readme.ini", README_CONFIG)
     out = tmp_path / "out"
     assert main(["run", cfg, "--out", str(out)]) == 0
-    for name, digest in _README_REPORT_DIGESTS.items():
-        assert hashlib.sha256(read_bytes(out, name)).hexdigest() == digest, name
+    assert_report_matches(out, "readme")
+
+
+def _scale_c_star(g, factor):
+    g["report.json"]["reports"][0]["c_star"] *= factor
+
+
+def _drop_sample(g):
+    del g["report.json"]["reports"][0]["samples"][1]
+
+
+def _swap_points(g):
+    samples = g["report.json"]["reports"][0]["samples"]
+    samples[0], samples[1] = samples[1], samples[0]
+
+
+def _swap_csv_rows(g):
+    rows = g["report.csv"]
+    rows[1], rows[2] = rows[2], rows[1]
+
+
+def _change_note(g):
+    g["report.json"]["reports"][0]["notes"][0] += "."
+
+
+def _scale_csv_ratio(g):
+    g["report.csv"][1][4] = repr(float(g["report.csv"][1][4]) * (1 + 1e-10))
+
+
+@pytest.mark.parametrize("golden, change", [
+    ("readme", lambda g: _scale_c_star(g, 1 + 1e-10)),
+    ("readme", _drop_sample),
+    ("readme", lambda g: g["report.csv"].pop(3)),
+    ("points", _swap_points),
+    ("points", _swap_csv_rows),
+    ("readme", _change_note),
+    ("readme", _scale_csv_ratio),
+], ids=["c-star", "dropped-sample", "dropped-csv-row", "swapped-points",
+        "swapped-csv-rows", "changed-note", "csv-ratio"])
+def test_report_comparator_catches_each_change(golden, change):
+    want = golden_report(golden)
+    assert report_mismatches(golden_report(golden), want) == []
+    got = golden_report(golden)
+    change(got)
+    assert report_mismatches(got, want)
+
+
+def test_report_comparator_forgives_a_float_within_its_rtol():
+    want = golden_report("readme")
+    got = golden_report("readme")
+    _scale_c_star(got, 1 + 1e-13)
+    got["report.json"]["reports"][0]["samples"][0]["lhs"] *= 1 - 1e-13
+    assert got != want and report_mismatches(got, want) == []
 
 
 def test_heatmap_rejects_vector_fields(tmp_path):
